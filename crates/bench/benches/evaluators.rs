@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psmd_bench::TestPolynomial;
-use psmd_core::{evaluate_naive, ConvolutionKernel, Engine, EvalOptions, Polynomial};
+use psmd_core::{evaluate_naive, Engine, Polynomial};
 use psmd_multidouble::Dd;
 use psmd_series::Series;
 use std::hint::black_box;
@@ -15,10 +15,6 @@ fn evaluator_comparison(c: &mut Criterion) {
     let z: Vec<Series<Dd>> = TestPolynomial::P1.reduced_inputs(degree, 1);
     let engine = Engine::new();
     let plan = engine.compile(p.clone());
-    let direct = engine.compile_with_options(
-        p.clone(),
-        EvalOptions::new().with_kernel(ConvolutionKernel::Direct),
-    );
     let mut group = c.benchmark_group("evaluators_reduced_p1_d15_2d");
     group
         .sample_size(10)
@@ -30,19 +26,6 @@ fn evaluator_comparison(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 plan.request(&z)
-                    .sequential()
-                    .run()
-                    .into_single()
-                    .value
-                    .coeff(0),
-            )
-        })
-    });
-    group.bench_function("scheduled_sequential_direct_kernel", |b| {
-        b.iter(|| {
-            black_box(
-                direct
-                    .request(&z)
                     .sequential()
                     .run()
                     .into_single()

@@ -18,8 +18,8 @@
 //!                  zero-allocation reused-output path) plus the steady-state
 //!                  allocation count from a counting global allocator (the
 //!                  deterministic zero-alloc gate)
-//!   kernels        measured convolution kernel ladder (zero-insertion vs
-//!                  Karatsuba vs digit-FFT) per precision and degree, with
+//!   kernels        measured convolution kernel ladder (direct schoolbook
+//!                  vs Karatsuba vs digit-FFT) per precision and degree, with
 //!                  the Auto crossover resolution of each row
 //!   simd           measured SIMD lane tier: forced-width batched
 //!                  evaluation vs the scalar batch path per precision and
@@ -66,14 +66,15 @@
 //! and are reported for shape comparison, not for absolute agreement.
 
 use psmd_bench::{
-    banner, log2, modeled_double_ops, modeled_run, ms, pct, JsonReport, JsonValue, Scale,
-    ShapeCache, TestPolynomial, TextTable, PAPER_DEGREES, REDUCED_DEGREES,
+    banner, log2, modeled_double_ops, modeled_run, ms, pct, JsonReport, Scale, ShapeCache,
+    TestPolynomial, TextTable, PAPER_DEGREES, REDUCED_DEGREES,
 };
 use psmd_bench::{measured_run, TimingRow};
 use psmd_core::{Engine, Polynomial, Schedule};
 use psmd_device::{gpu_by_key, max_degree, paper_gpus};
 use psmd_multidouble::{CostModel, Md, Precision};
 use psmd_runtime::WorkerPool;
+use psmd_serve::json::Json;
 // The `workspace` report's instrument for its deterministic steady-state
 // allocation count: the shared per-thread counting allocator (the measured
 // engine is zero-worker, so the measuring thread runs every kernel itself;
@@ -407,22 +408,22 @@ fn track_report(opts: &Options) {
                     speedup: f64| {
         if opts.json {
             let mut fields = vec![
-                ("kind", JsonValue::Text(kind.to_string())),
-                ("paths", JsonValue::Integer(starts.len() as i64)),
-                ("converged", JsonValue::Integer(converged as i64)),
-                ("escalated_paths", JsonValue::Integer(escalated as i64)),
+                ("kind", Json::Str(kind.to_string())),
+                ("paths", Json::Num(starts.len() as f64)),
+                ("converged", Json::Num(converged as f64)),
+                ("escalated_paths", Json::Num(escalated as f64)),
             ];
             let names = [
                 "esc_1d", "esc_2d", "esc_3d", "esc_4d", "esc_5d", "esc_8d", "esc_10d",
             ];
             for (name, count) in names.iter().zip(esc.iter()) {
-                fields.push((name, JsonValue::Integer(*count as i64)));
+                fields.push((name, Json::Num(*count as f64)));
             }
-            fields.push(("corrector_launches", JsonValue::Integer(launches as i64)));
-            fields.push(("steps", JsonValue::Integer(steps as i64)));
-            fields.push(("newton_iterations", JsonValue::Integer(iterations as i64)));
-            fields.push(("track_ms", JsonValue::Number(wall_ms)));
-            fields.push(("launch_speedup", JsonValue::Number(speedup)));
+            fields.push(("corrector_launches", Json::Num(launches as f64)));
+            fields.push(("steps", Json::Num(steps as f64)));
+            fields.push(("newton_iterations", Json::Num(iterations as f64)));
+            fields.push(("track_ms", Json::Num(wall_ms)));
+            fields.push(("launch_speedup", Json::Num(speedup)));
             json.add_row(fields);
         } else {
             t.add_row(vec![
@@ -537,41 +538,29 @@ fn serve_report(opts: &Options) {
         );
         if opts.json {
             let mut fields = vec![
-                ("kind", JsonValue::Text("staged".to_string())),
-                ("poly", JsonValue::Text(row.poly.label().to_string())),
-                ("degree", JsonValue::Integer(row.degree as i64)),
-                ("requests", JsonValue::Integer(row.requests as i64)),
-                ("expired", JsonValue::Integer(row.expired as i64)),
-                ("max_batch", JsonValue::Integer(row.max_batch as i64)),
-                ("launches", JsonValue::Integer(row.launches as i64)),
-                (
-                    "launches_saved",
-                    JsonValue::Integer(row.launches_saved as i64),
-                ),
-                ("completed", JsonValue::Integer(row.completed as i64)),
-                (
-                    "busy_rejected",
-                    JsonValue::Integer(row.busy_rejected as i64),
-                ),
-                (
-                    "deadline_expired",
-                    JsonValue::Integer(row.deadline_expired as i64),
-                ),
+                ("kind", Json::Str("staged".to_string())),
+                ("poly", Json::Str(row.poly.label().to_string())),
+                ("degree", Json::Num(row.degree as f64)),
+                ("requests", Json::Num(row.requests as f64)),
+                ("expired", Json::Num(row.expired as f64)),
+                ("max_batch", Json::Num(row.max_batch as f64)),
+                ("launches", Json::Num(row.launches as f64)),
+                ("launches_saved", Json::Num(row.launches_saved as f64)),
+                ("completed", Json::Num(row.completed as f64)),
+                ("busy_rejected", Json::Num(row.busy_rejected as f64)),
+                ("deadline_expired", Json::Num(row.deadline_expired as f64)),
                 (
                     "cancelled_launches",
-                    JsonValue::Integer(row.cancelled_launches as i64),
+                    Json::Num(row.cancelled_launches as f64),
                 ),
-                (
-                    "detached_slots",
-                    JsonValue::Integer(row.detached_slots as i64),
-                ),
-                ("drain_ms", JsonValue::Number(row.drain_ms)),
+                ("detached_slots", Json::Num(row.detached_slots as f64)),
+                ("drain_ms", Json::Num(row.drain_ms)),
             ];
             let bucket_names = [
                 "hist_0", "hist_1", "hist_2", "hist_3", "hist_4", "hist_5", "hist_6",
             ];
             for (name, count) in bucket_names.iter().zip(row.batch_histogram.iter()) {
-                fields.push((name, JsonValue::Integer(*count as i64)));
+                fields.push((name, Json::Num(*count as f64)));
             }
             json.add_row(fields);
         } else {
@@ -608,23 +597,17 @@ fn serve_report(opts: &Options) {
         );
         if opts.json {
             json.add_row(vec![
-                ("kind", JsonValue::Text("closed_loop".to_string())),
-                ("poly", JsonValue::Text(row.poly.label().to_string())),
-                ("degree", JsonValue::Integer(row.degree as i64)),
-                ("clients", JsonValue::Integer(row.clients as i64)),
-                ("per_client", JsonValue::Integer(row.per_client as i64)),
-                ("requests", JsonValue::Integer(row.requests as i64)),
-                (
-                    "busy_rejected",
-                    JsonValue::Integer(row.busy_rejected as i64),
-                ),
-                (
-                    "coalesce_speedup",
-                    JsonValue::Number(row.mean_batch.max(1.0)),
-                ),
-                ("total_ms", JsonValue::Number(row.total_ms)),
-                ("p50_ms", JsonValue::Number(row.p50_ms)),
-                ("p99_ms", JsonValue::Number(row.p99_ms)),
+                ("kind", Json::Str("closed_loop".to_string())),
+                ("poly", Json::Str(row.poly.label().to_string())),
+                ("degree", Json::Num(row.degree as f64)),
+                ("clients", Json::Num(row.clients as f64)),
+                ("per_client", Json::Num(row.per_client as f64)),
+                ("requests", Json::Num(row.requests as f64)),
+                ("busy_rejected", Json::Num(row.busy_rejected as f64)),
+                ("coalesce_speedup", Json::Num(row.mean_batch.max(1.0))),
+                ("total_ms", Json::Num(row.total_ms)),
+                ("p50_ms", Json::Num(row.p50_ms)),
+                ("p99_ms", Json::Num(row.p99_ms)),
             ]);
         } else {
             t.add_row(vec![
@@ -655,11 +638,12 @@ fn serve_report(opts: &Options) {
     }
 }
 
-/// The convolution kernel ladder: zero-insertion schoolbook vs Karatsuba
+/// The convolution kernel ladder: direct schoolbook loop vs Karatsuba
 /// short product vs compensated digit-FFT, measured per (precision, degree)
 /// on the same seeded operands, with the `Auto` crossover resolution of
-/// each row.  This report produces `bench/baselines/BENCH_kernels.json`
-/// and is the measurement behind `psmd_core::crossover`.
+/// each row.  This report produces `bench/baselines/BENCH_kernels.json`;
+/// `psmd_core::crossover` was measured with it when the schoolbook column
+/// timed the paper's zero-insertion kernel.
 fn kernels_report(opts: &Options) {
     emit_banner(
         opts,
@@ -685,29 +669,20 @@ fn kernels_report(opts: &Options) {
             let row = psmd_bench::kernel_ladder_row(prec, d, opts.seed);
             if opts.json {
                 json.add_row(vec![
-                    ("precision", JsonValue::Text(row.precision.to_string())),
-                    ("limbs", JsonValue::Integer(row.limbs as i64)),
-                    ("degree", JsonValue::Integer(row.degree as i64)),
-                    ("schoolbook_ms", JsonValue::Number(row.schoolbook_ms)),
-                    ("karatsuba_ms", JsonValue::Number(row.karatsuba_ms)),
-                    ("fft_ms", JsonValue::Number(row.fft_ms)),
-                    ("auto_ms", JsonValue::Number(row.auto_ms)),
-                    ("auto_kernel", JsonValue::Text(row.auto_label().to_string())),
-                    ("auto_speedup", JsonValue::Number(row.auto_speedup())),
-                    (
-                        "schoolbook_mults",
-                        JsonValue::Integer(row.schoolbook_mults as i64),
-                    ),
-                    (
-                        "karatsuba_mults",
-                        JsonValue::Integer(row.karatsuba_mults as i64),
-                    ),
-                    ("fft_points", JsonValue::Integer(row.fft_points as i64)),
-                    ("fft_planes", JsonValue::Integer(row.fft_planes as i64)),
-                    (
-                        "fft_digit_bits",
-                        JsonValue::Integer(row.fft_digit_bits as i64),
-                    ),
+                    ("precision", Json::Str(row.precision.to_string())),
+                    ("limbs", Json::Num(row.limbs as f64)),
+                    ("degree", Json::Num(row.degree as f64)),
+                    ("schoolbook_ms", Json::Num(row.schoolbook_ms)),
+                    ("karatsuba_ms", Json::Num(row.karatsuba_ms)),
+                    ("fft_ms", Json::Num(row.fft_ms)),
+                    ("auto_ms", Json::Num(row.auto_ms)),
+                    ("auto_kernel", Json::Str(row.auto_label().to_string())),
+                    ("auto_speedup", Json::Num(row.auto_speedup())),
+                    ("schoolbook_mults", Json::Num(row.schoolbook_mults as f64)),
+                    ("karatsuba_mults", Json::Num(row.karatsuba_mults as f64)),
+                    ("fft_points", Json::Num(row.fft_points as f64)),
+                    ("fft_planes", Json::Num(row.fft_planes as f64)),
+                    ("fft_digit_bits", Json::Num(row.fft_digit_bits as f64)),
                 ]);
             } else {
                 t.add_row(vec![
@@ -798,22 +773,22 @@ fn workspace_report(opts: &Options) {
             });
             if opts.json {
                 json.add_row(vec![
-                    ("poly", JsonValue::Text(poly.label().to_string())),
-                    ("degree", JsonValue::Integer(d as i64)),
-                    ("evals", JsonValue::Integer(cmp.evals as i64)),
-                    ("cold_ms", JsonValue::Number(cmp.cold_ms)),
-                    ("pooled_ms", JsonValue::Number(cmp.pooled_ms)),
-                    ("reused_ms", JsonValue::Number(cmp.reused_ms)),
+                    ("poly", Json::Str(poly.label().to_string())),
+                    ("degree", Json::Num(d as f64)),
+                    ("evals", Json::Num(cmp.evals as f64)),
+                    ("cold_ms", Json::Num(cmp.cold_ms)),
+                    ("pooled_ms", Json::Num(cmp.pooled_ms)),
+                    ("reused_ms", Json::Num(cmp.reused_ms)),
                     (
                         "reuse_speedup",
-                        JsonValue::Number(cmp.pooled_ms / cmp.reused_ms.max(1e-9)),
+                        Json::Num(cmp.pooled_ms / cmp.reused_ms.max(1e-9)),
                     ),
-                    ("arena_coeffs", JsonValue::Integer(cmp.arena_coeffs as i64)),
+                    ("arena_coeffs", Json::Num(cmp.arena_coeffs as f64)),
                     (
                         "scratch_lane_coeffs",
-                        JsonValue::Integer(cmp.scratch_lane_coeffs as i64),
+                        Json::Num(cmp.scratch_lane_coeffs as f64),
                     ),
-                    ("steady_allocs", JsonValue::Integer(steady_allocs as i64)),
+                    ("steady_allocs", Json::Num(steady_allocs as f64)),
                 ]);
             } else {
                 t.add_row(vec![
@@ -933,25 +908,19 @@ fn graph_report(opts: &Options) {
                 psmd_bench::graph_comparison(&engine, poly, Precision::D2, d, scale, opts.seed);
             if opts.json {
                 json.add_row(vec![
-                    ("poly", JsonValue::Text(poly.label().to_string())),
-                    ("degree", JsonValue::Integer(d as i64)),
-                    ("layered_ms", JsonValue::Number(cmp.layered.wall_ms)),
-                    ("graph_ms", JsonValue::Number(cmp.graph.wall_ms)),
+                    ("poly", Json::Str(poly.label().to_string())),
+                    ("degree", Json::Num(d as f64)),
+                    ("layered_ms", Json::Num(cmp.layered.wall_ms)),
+                    ("graph_ms", Json::Num(cmp.graph.wall_ms)),
                     (
                         "layered_rendezvous",
-                        JsonValue::Integer(cmp.layered_rendezvous as i64),
+                        Json::Num(cmp.layered_rendezvous as f64),
                     ),
-                    (
-                        "graph_rendezvous",
-                        JsonValue::Integer(cmp.graph_rendezvous as i64),
-                    ),
-                    ("layers", JsonValue::Integer(cmp.layers as i64)),
-                    ("blocks", JsonValue::Integer(cmp.blocks as i64)),
-                    ("edges", JsonValue::Integer(cmp.edges as i64)),
-                    (
-                        "critical_path",
-                        JsonValue::Integer(cmp.critical_path as i64),
-                    ),
+                    ("graph_rendezvous", Json::Num(cmp.graph_rendezvous as f64)),
+                    ("layers", Json::Num(cmp.layers as f64)),
+                    ("blocks", Json::Num(cmp.blocks as f64)),
+                    ("edges", Json::Num(cmp.edges as f64)),
+                    ("critical_path", Json::Num(cmp.critical_path as f64)),
                 ]);
             } else {
                 t.add_row(vec![
@@ -1027,20 +996,17 @@ fn engine_report(opts: &Options) {
             );
             if opts.json {
                 json.add_row(vec![
-                    ("poly", JsonValue::Text(poly.label().to_string())),
-                    ("degree", JsonValue::Integer(d as i64)),
-                    ("compile_ms", JsonValue::Number(rec.compile_ms)),
-                    (
-                        "cached_compile_ms",
-                        JsonValue::Number(rec.cached_compile_ms),
-                    ),
-                    ("cache_hits", JsonValue::Integer(rec.cache_hits as i64)),
-                    ("evals", JsonValue::Integer(rec.evals as i64)),
-                    ("first_eval_ms", JsonValue::Number(rec.first_eval_ms)),
-                    ("mean_eval_ms", JsonValue::Number(rec.mean_eval_ms)),
+                    ("poly", Json::Str(poly.label().to_string())),
+                    ("degree", Json::Num(d as f64)),
+                    ("compile_ms", Json::Num(rec.compile_ms)),
+                    ("cached_compile_ms", Json::Num(rec.cached_compile_ms)),
+                    ("cache_hits", Json::Num(rec.cache_hits as f64)),
+                    ("evals", Json::Num(rec.evals as f64)),
+                    ("first_eval_ms", Json::Num(rec.first_eval_ms)),
+                    ("mean_eval_ms", Json::Num(rec.mean_eval_ms)),
                     (
                         "rendezvous_per_eval",
-                        JsonValue::Integer(rec.rendezvous_per_eval as i64),
+                        Json::Num(rec.rendezvous_per_eval as f64),
                     ),
                 ]);
             } else {
@@ -1110,34 +1076,19 @@ fn system_report(opts: &Options, engine: &Engine) {
             );
             if opts.json {
                 json.add_row(vec![
-                    ("poly", JsonValue::Text(poly.label().to_string())),
-                    ("degree", JsonValue::Integer(d as i64)),
-                    ("equations", JsonValue::Integer(equations as i64)),
-                    ("fused_ms", JsonValue::Number(cmp.fused.wall_ms)),
-                    (
-                        "looped_parallel_ms",
-                        JsonValue::Number(cmp.looped_parallel.wall_ms),
-                    ),
+                    ("poly", Json::Str(poly.label().to_string())),
+                    ("degree", Json::Num(d as f64)),
+                    ("equations", Json::Num(equations as f64)),
+                    ("fused_ms", Json::Num(cmp.fused.wall_ms)),
+                    ("looped_parallel_ms", Json::Num(cmp.looped_parallel.wall_ms)),
                     (
                         "looped_sequential_ms",
-                        JsonValue::Number(cmp.looped_sequential.wall_ms),
+                        Json::Num(cmp.looped_sequential.wall_ms),
                     ),
-                    (
-                        "fused_launches",
-                        JsonValue::Integer(cmp.fused_launches as i64),
-                    ),
-                    (
-                        "looped_launches",
-                        JsonValue::Integer(cmp.looped_launches as i64),
-                    ),
-                    (
-                        "unique_monomials",
-                        JsonValue::Integer(cmp.unique_monomials as i64),
-                    ),
-                    (
-                        "total_monomials",
-                        JsonValue::Integer(cmp.total_monomials as i64),
-                    ),
+                    ("fused_launches", Json::Num(cmp.fused_launches as f64)),
+                    ("looped_launches", Json::Num(cmp.looped_launches as f64)),
+                    ("unique_monomials", Json::Num(cmp.unique_monomials as f64)),
+                    ("total_monomials", Json::Num(cmp.total_monomials as f64)),
                 ]);
             } else {
                 t.add_row(vec![
@@ -1207,26 +1158,17 @@ fn batch_report(opts: &Options, engine: &Engine) {
             );
             if opts.json {
                 json.add_row(vec![
-                    ("poly", JsonValue::Text(poly.label().to_string())),
-                    ("degree", JsonValue::Integer(d as i64)),
-                    ("batch", JsonValue::Integer(batch as i64)),
-                    ("batched_ms", JsonValue::Number(cmp.batched.wall_ms)),
-                    (
-                        "looped_parallel_ms",
-                        JsonValue::Number(cmp.looped_parallel.wall_ms),
-                    ),
+                    ("poly", Json::Str(poly.label().to_string())),
+                    ("degree", Json::Num(d as f64)),
+                    ("batch", Json::Num(batch as f64)),
+                    ("batched_ms", Json::Num(cmp.batched.wall_ms)),
+                    ("looped_parallel_ms", Json::Num(cmp.looped_parallel.wall_ms)),
                     (
                         "looped_sequential_ms",
-                        JsonValue::Number(cmp.looped_sequential.wall_ms),
+                        Json::Num(cmp.looped_sequential.wall_ms),
                     ),
-                    (
-                        "batched_launches",
-                        JsonValue::Integer(cmp.batched_launches as i64),
-                    ),
-                    (
-                        "looped_launches",
-                        JsonValue::Integer(cmp.looped_launches as i64),
-                    ),
+                    ("batched_launches", Json::Num(cmp.batched_launches as f64)),
+                    ("looped_launches", Json::Num(cmp.looped_launches as f64)),
                 ]);
             } else {
                 t.add_row(vec![
@@ -1302,9 +1244,9 @@ fn simd_report(opts: &Options) {
     // The detection row: machine-dependent, so every field besides the row
     // identity is text (the compare gate skips text fields).
     json.add_row(vec![
-        ("precision", JsonValue::Text("detected".to_string())),
-        ("isa", JsonValue::Text(isa.name().to_string())),
-        ("auto_width", JsonValue::Text(auto_width.to_string())),
+        ("precision", Json::Str("detected".to_string())),
+        ("isa", Json::Str(isa.name().to_string())),
+        ("auto_width", Json::Str(auto_width.to_string())),
     ]);
     for precision in precisions {
         for width in SimdMode::SUPPORTED_WIDTHS {
@@ -1318,16 +1260,16 @@ fn simd_report(opts: &Options) {
             );
             if opts.json {
                 json.add_row(vec![
-                    ("precision", JsonValue::Text(precision.label().to_string())),
-                    ("width", JsonValue::Integer(width as i64)),
-                    ("batch", JsonValue::Integer(batch as i64)),
-                    ("degree", JsonValue::Integer(degree as i64)),
-                    ("lane_identity", JsonValue::Integer(cmp.identical as i64)),
-                    ("scalar_ms", JsonValue::Number(cmp.scalar.wall_ms)),
-                    ("lanes_ms", JsonValue::Number(cmp.lanes.wall_ms)),
+                    ("precision", Json::Str(precision.label().to_string())),
+                    ("width", Json::Num(width as f64)),
+                    ("batch", Json::Num(batch as f64)),
+                    ("degree", Json::Num(degree as f64)),
+                    ("lane_identity", Json::Num(u8::from(cmp.identical).into())),
+                    ("scalar_ms", Json::Num(cmp.scalar.wall_ms)),
+                    ("lanes_ms", Json::Num(cmp.lanes.wall_ms)),
                     (
                         "lanes_speedup",
-                        JsonValue::Number(cmp.scalar.wall_ms / cmp.lanes.wall_ms.max(1e-9)),
+                        Json::Num(cmp.scalar.wall_ms / cmp.lanes.wall_ms.max(1e-9)),
                     ),
                 ]);
             } else {
@@ -1406,26 +1348,17 @@ fn table2(opts: &Options) {
         let s = Schedule::build(&p);
         if opts.json {
             json.add_row(vec![
-                ("poly", JsonValue::Text(poly.label().to_string())),
-                ("n", JsonValue::Integer(poly.num_variables() as i64)),
-                (
-                    "m",
-                    JsonValue::Integer(poly.variables_per_monomial() as i64),
-                ),
-                ("N", JsonValue::Integer(poly.num_monomials() as i64)),
-                (
-                    "convolutions",
-                    JsonValue::Integer(s.convolution_jobs() as i64),
-                ),
+                ("poly", Json::Str(poly.label().to_string())),
+                ("n", Json::Num(poly.num_variables() as f64)),
+                ("m", Json::Num(poly.variables_per_monomial() as f64)),
+                ("N", Json::Num(poly.num_monomials() as f64)),
+                ("convolutions", Json::Num(s.convolution_jobs() as f64)),
                 (
                     "convolutions_paper",
-                    JsonValue::Integer(poly.paper_convolutions() as i64),
+                    Json::Num(poly.paper_convolutions() as f64),
                 ),
-                ("additions", JsonValue::Integer(s.addition_jobs() as i64)),
-                (
-                    "additions_paper",
-                    JsonValue::Integer(poly.paper_additions() as i64),
-                ),
+                ("additions", Json::Num(s.addition_jobs() as f64)),
+                ("additions_paper", Json::Num(poly.paper_additions() as f64)),
             ]);
         } else {
             t.add_row(vec![

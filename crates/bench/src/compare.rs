@@ -3,9 +3,8 @@
 //! The perf-snapshot CI job writes one `BENCH_*.json` report per harness
 //! mode (see [`crate::JsonReport`]); committed baselines live in
 //! `bench/baselines/`.  The `table_harness compare` subcommand parses both
-//! documents with the minimal JSON reader below (the offline environment has
-//! no serde), matches rows positionally (reports are deterministic), and
-//! flags:
+//! documents with the wire protocol's JSON codec ([`Json`]), matches rows
+//! positionally (reports are deterministic), and flags:
 //!
 //! * any **integer** field that changed at all — launch, rendezvous, job and
 //!   monomial counts are deterministic, so any drift is a structural change
@@ -19,230 +18,9 @@
 //! Timing improvements and in-tolerance noise pass; a failing gate is
 //! overridden by regenerating the baseline or by the documented CI label.
 
+use psmd_serve::json::Json;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// A parsed JSON value (the subset [`crate::JsonReport`] emits).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as `f64`).
-    Number(f64),
-    /// A string.
-    Text(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object, in document order.
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key of an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Json::Number(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document (objects, arrays, strings, numbers, booleans and
-/// null; no trailing garbage).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected '{}' at byte {pos}",
-            char::from(c),
-            pos = *pos
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Text(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of document".to_string()),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Number)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    while *pos < bytes.len() {
-        match bytes[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("invalid \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("invalid escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            c => {
-                // Copy the raw UTF-8 byte run of this character.
-                let ch_len = utf8_len(c);
-                let s = std::str::from_utf8(&bytes[*pos..*pos + ch_len])
-                    .map_err(|_| format!("invalid utf-8 at byte {}", *pos))?;
-                out.push_str(s);
-                *pos += ch_len;
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
 
 /// One detected regression.
 #[derive(Debug, Clone, PartialEq)]
@@ -315,11 +93,11 @@ fn is_ignored_field(name: &str) -> bool {
 /// identity fields, for readable diagnostics.
 fn row_identity(row: &Json, index: usize) -> String {
     let mut parts = vec![format!("row {index}")];
-    if let Json::Object(fields) = row {
+    if let Json::Obj(fields) = row {
         for (k, v) in fields {
             match v {
-                Json::Text(s) => parts.push(format!("{k}={s}")),
-                Json::Number(x) if matches!(k.as_str(), "degree" | "batch" | "equations") => {
+                Json::Str(s) => parts.push(format!("{k}={s}")),
+                Json::Num(x) if matches!(k.as_str(), "degree" | "batch" | "equations") => {
                     parts.push(format!("{k}={x}"))
                 }
                 _ => {}
@@ -343,8 +121,8 @@ pub fn compare_reports(
     current: &str,
     tolerance_pct: f64,
 ) -> Result<CompareSummary, String> {
-    let base = parse_json(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let cur = parse_json(current).map_err(|e| format!("current: {e}"))?;
+    let base = Json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let cur = Json::parse(current).map_err(|e| format!("current: {e}"))?;
     let mut summary = CompareSummary::default();
     let base_cmd = base.get("command").and_then(Json::as_str).unwrap_or("");
     let cur_cmd = cur.get("command").and_then(Json::as_str).unwrap_or("");
@@ -370,7 +148,7 @@ pub fn compare_reports(
     }
     for (i, (b_row, c_row)) in base_rows.iter().zip(cur_rows.iter()).enumerate() {
         let identity = row_identity(b_row, i);
-        let Json::Object(b_fields) = b_row else {
+        let Json::Obj(b_fields) = b_row else {
             return Err(format!("baseline row {i} is not an object"));
         };
         let keys: BTreeSet<&String> = b_fields.iter().map(|(k, _)| k).collect();
@@ -378,10 +156,10 @@ pub fn compare_reports(
             if is_ignored_field(key) {
                 continue;
             }
-            let Some(b_val) = b_row.get(key).and_then(Json::as_number) else {
+            let Some(b_val) = b_row.get(key).and_then(Json::as_f64) else {
                 continue; // identity / text field
             };
-            let c_val = c_row.get(key).and_then(Json::as_number);
+            let c_val = c_row.get(key).and_then(Json::as_f64);
             summary.checked += 1;
             if is_timing_field(key) {
                 let Some(c_val) = c_val else {
@@ -442,31 +220,43 @@ mod tests {
 
     #[test]
     fn parser_round_trips_a_report() {
-        let doc = parse_json(BASE).unwrap();
+        let mut report = crate::JsonReport::new("graph");
+        report.add_row(vec![
+            ("poly", Json::Str("p1".to_string())),
+            ("degree", Json::Num(8.0)),
+            ("graph_ms", Json::Num(5.0)),
+        ]);
+        let doc = Json::parse(&report.render()).unwrap();
         assert_eq!(doc.get("command").and_then(Json::as_str), Some("graph"));
         let rows = doc.get("rows").and_then(Json::as_array).unwrap();
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("poly").and_then(Json::as_str), Some("p1"));
-        assert_eq!(rows[1].get("graph_ms").and_then(Json::as_number), Some(9.0));
+        assert_eq!(rows[0].get("graph_ms").and_then(Json::as_f64), Some(5.0));
+        // A rendered report compares clean against the hand-written text of
+        // the same values (whitespace does not matter).
+        let text =
+            r#"{"command": "graph", "rows": [{"poly": "p1", "degree": 8, "graph_ms": 5.0}]}"#;
+        assert!(compare_reports(text, &report.render(), 0.0)
+            .unwrap()
+            .is_pass());
     }
 
     #[test]
     fn parser_handles_escapes_null_and_nesting() {
-        let doc =
-            parse_json(r#"{"a": "x\"y\\z\nw", "b": null, "c": [1, -2.5e1, true, false]}"#).unwrap();
-        assert_eq!(doc.get("a").and_then(Json::as_str), Some("x\"y\\z\nw"));
-        assert_eq!(doc.get("b"), Some(&Json::Null));
-        let c = doc.get("c").and_then(Json::as_array).unwrap();
-        assert_eq!(c[1].as_number(), Some(-25.0));
-        assert_eq!(c[2], Json::Bool(true));
+        // Text, null and nested fields are identity, not gated values.
+        let base =
+            r#"{"command": "x", "rows": [{"a": "x\"y\\z\nw", "b": null, "c": [1, true], "n": 3}]}"#;
+        let summary = compare_reports(base, base, 10.0).unwrap();
+        assert!(summary.is_pass());
+        assert_eq!(summary.checked, 1);
     }
 
     #[test]
     fn parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("{\"a\": 1} trailing").is_err());
-        assert!(parse_json("nope").is_err());
+        for bad in ["{", "[1, 2", "{\"a\": 1} trailing", "nope"] {
+            assert!(compare_reports(bad, BASE, 10.0).is_err(), "{bad}");
+            assert!(compare_reports(BASE, bad, 10.0).is_err(), "{bad}");
+        }
     }
 
     #[test]

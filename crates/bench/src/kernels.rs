@@ -1,6 +1,6 @@
-//! Measured comparison of the convolution kernel ladder: the paper's
-//! zero-insertion schoolbook kernel against the Karatsuba short product and
-//! the compensated digit-FFT, per (precision, degree) pair.
+//! Measured comparison of the convolution kernel ladder: the direct
+//! schoolbook loop against the Karatsuba short product and the compensated
+//! digit-FFT, per (precision, degree) pair.
 //!
 //! This is the measurement behind `crates/core/src/crossover.rs` and
 //! `bench/baselines/BENCH_kernels.json`: each row times the three raw
@@ -12,9 +12,8 @@
 use psmd_core::{auto_kernel, ConvolutionKernel};
 use psmd_multidouble::{Coeff, Md, Precision, RandomCoeff};
 use psmd_series::{
-    convolution_mults, convolve_fft, convolve_karatsuba, convolve_zero_insertion, fft_digit_bits,
-    fft_digit_planes, fft_points, fft_scratch_f64_len, karatsuba_scratch_len,
-    zero_insertion_scratch_len, ConvAlgo,
+    convolution_mults, convolve_fft, convolve_karatsuba, convolve_seq, fft_digit_bits,
+    fft_digit_planes, fft_points, fft_scratch_f64_len, karatsuba_scratch_len, ConvAlgo,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +28,7 @@ pub struct KernelLadderRow {
     pub limbs: usize,
     /// Truncation degree of the convolution.
     pub degree: usize,
-    /// Mean time of one zero-insertion (schoolbook) convolution.
+    /// Mean time of one direct (schoolbook) convolution.
     pub schoolbook_ms: f64,
     /// Mean time of one Karatsuba short-product convolution.
     pub karatsuba_ms: f64,
@@ -66,7 +65,6 @@ impl KernelLadderRow {
 /// Short label of a kernel variant (for reports).
 pub fn kernel_label(kernel: ConvolutionKernel) -> &'static str {
     match kernel {
-        ConvolutionKernel::ZeroInsertion => "zero-insertion",
         ConvolutionKernel::Direct => "direct",
         ConvolutionKernel::Karatsuba => "karatsuba",
         ConvolutionKernel::Fft => "fft",
@@ -105,11 +103,10 @@ fn ladder_row<const N: usize>(precision: Precision, degree: usize, seed: u64) ->
         .map(|_| RandomCoeff::random_uniform(&mut rng))
         .collect();
     let mut z = vec![Md::<N>::zero(); n];
-    let mut zi_scratch = vec![Md::<N>::zero(); zero_insertion_scratch_len(n)];
     let mut k_scratch = vec![Md::<N>::zero(); karatsuba_scratch_len(n)];
     let mut f_scratch = vec![0.0f64; fft_scratch_f64_len::<Md<N>>(n)];
 
-    let schoolbook_ms = time_ms(|| convolve_zero_insertion(&x, &y, &mut z, &mut zi_scratch));
+    let schoolbook_ms = time_ms(|| convolve_seq(&x, &y, &mut z));
     let karatsuba_ms = time_ms(|| convolve_karatsuba(&x, &y, &mut z, &mut k_scratch));
     let fft_ms = time_ms(|| convolve_fft(&x, &y, &mut z, &mut f_scratch));
     let resolved = auto_kernel(Md::<N>::component_limbs(), degree);
@@ -127,7 +124,7 @@ fn ladder_row<const N: usize>(precision: Precision, degree: usize, seed: u64) ->
         fft_ms,
         auto_ms,
         auto_kernel: resolved,
-        schoolbook_mults: convolution_mults(ConvAlgo::ZeroInsertion, degree),
+        schoolbook_mults: convolution_mults(ConvAlgo::Direct, degree),
         karatsuba_mults: convolution_mults(ConvAlgo::Karatsuba, degree),
         fft_points: fft_points(n),
         fft_planes: fft_digit_planes::<Md<N>>(n),
@@ -164,7 +161,7 @@ mod tests {
         let a = kernel_ladder_row(Precision::D2, 32, 1);
         assert_eq!(a.limbs, 2);
         assert_eq!(a.degree, 32);
-        assert_eq!(a.schoolbook_mults, 33 * 33);
+        assert_eq!(a.schoolbook_mults, 33 * 34 / 2);
         assert_eq!(
             a.karatsuba_mults,
             convolution_mults(ConvAlgo::Karatsuba, 32)
@@ -177,10 +174,7 @@ mod tests {
 
     #[test]
     fn kernel_labels_cover_the_ladder() {
-        assert_eq!(
-            kernel_label(ConvolutionKernel::ZeroInsertion),
-            "zero-insertion"
-        );
+        assert_eq!(kernel_label(ConvolutionKernel::Direct), "direct");
         assert_eq!(kernel_label(ConvolutionKernel::Karatsuba), "karatsuba");
         assert_eq!(kernel_label(ConvolutionKernel::Fft), "fft");
     }

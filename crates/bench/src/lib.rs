@@ -24,10 +24,10 @@ pub mod serve_load;
 pub mod sweep;
 
 pub use alloc_counter::{measure_allocs, AllocCounts, CountingAllocator};
-pub use compare::{compare_reports, parse_json, CompareSummary, Json, Regression};
+pub use compare::{compare_reports, CompareSummary, Regression};
 pub use kernels::{kernel_label, kernel_ladder_row, KernelLadderRow, KERNEL_LADDER_DEGREES};
 pub use polynomials::{Scale, TestPolynomial, PAPER_DEGREES, REDUCED_DEGREES};
-pub use report::{banner, log2, ms, pct, JsonReport, JsonValue, TextTable};
+pub use report::{banner, log2, ms, pct, JsonReport, TextTable};
 pub use serve_load::{closed_loop_run, staged_run, LoadRow, StagedRow};
 pub use sweep::{
     batched_comparison, engine_amortization, graph_comparison, measured_double_ops, measured_run,

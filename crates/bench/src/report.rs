@@ -4,6 +4,8 @@
 //! formatting here keeps columns aligned so the output can be compared to
 //! the paper's tables at a glance (and diffed between runs).
 
+use psmd_serve::json::{obj, Json};
+
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -110,49 +112,14 @@ pub fn banner(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }
 
-/// One value of a [`JsonReport`] cell (the offline environment has no serde,
-/// so the perf-snapshot pipeline hand-rolls the small JSON subset it needs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A floating-point number (non-finite values render as `null`).
-    Number(f64),
-    /// An integer.
-    Integer(i64),
-    /// A string (escaped on render).
-    Text(String),
-}
-
-impl std::fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JsonValue::Number(x) if x.is_finite() => write!(f, "{x}"),
-            JsonValue::Number(_) => write!(f, "null"),
-            JsonValue::Integer(i) => write!(f, "{i}"),
-            JsonValue::Text(s) => {
-                write!(f, "\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => write!(f, "\\\"")?,
-                        '\\' => write!(f, "\\\\")?,
-                        '\n' => write!(f, "\\n")?,
-                        '\t' => write!(f, "\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                write!(f, "\"")
-            }
-        }
-    }
-}
-
 /// A machine-readable benchmark report: one named command plus a list of
-/// uniform rows, rendered as a single JSON object.  Consumed by the CI
-/// perf-snapshot job (`BENCH_*.json` artifacts).
+/// uniform rows, rendered as a single JSON object with the wire protocol's
+/// codec ([`Json`]).  Consumed by the CI perf-snapshot job (`BENCH_*.json`
+/// artifacts).
 #[derive(Debug, Clone, Default)]
 pub struct JsonReport {
     command: String,
-    rows: Vec<Vec<(String, JsonValue)>>,
+    rows: Vec<Json>,
 }
 
 impl JsonReport {
@@ -165,13 +132,8 @@ impl JsonReport {
     }
 
     /// Appends one row of key/value pairs.
-    pub fn add_row(&mut self, fields: Vec<(&str, JsonValue)>) {
-        self.rows.push(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
+    pub fn add_row(&mut self, fields: Vec<(&str, Json)>) {
+        self.rows.push(obj(fields));
     }
 
     /// Number of data rows.
@@ -185,28 +147,14 @@ impl JsonReport {
     }
 
     /// Renders the report as one JSON object
-    /// (`{"command": ..., "rows": [...]}`).
+    /// (`{"command": ..., "rows": [...]}`; non-finite numbers become
+    /// `null`).
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"command\": ");
-        out.push_str(&JsonValue::Text(self.command.clone()).to_string());
-        out.push_str(", \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('{');
-            for (j, (key, value)) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&JsonValue::Text(key.clone()).to_string());
-                out.push_str(": ");
-                out.push_str(&value.to_string());
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        obj(vec![
+            ("command", Json::Str(self.command.clone())),
+            ("rows", Json::Arr(self.rows.clone())),
+        ])
+        .to_string()
     }
 }
 
@@ -248,17 +196,17 @@ mod tests {
     fn json_report_renders_valid_rows() {
         let mut r = JsonReport::new("system");
         r.add_row(vec![
-            ("poly", JsonValue::Text("p1".to_string())),
-            ("fused_ms", JsonValue::Number(1.25)),
-            ("launches", JsonValue::Integer(9)),
+            ("poly", Json::Str("p1".to_string())),
+            ("fused_ms", Json::Num(1.25)),
+            ("launches", Json::Num(9.0)),
         ]);
-        r.add_row(vec![("nan", JsonValue::Number(f64::NAN))]);
+        r.add_row(vec![("nan", Json::Num(f64::NAN))]);
         let s = r.render();
         assert_eq!(
             s,
-            "{\"command\": \"system\", \"rows\": [\
-             {\"poly\": \"p1\", \"fused_ms\": 1.25, \"launches\": 9}, \
-             {\"nan\": null}]}"
+            "{\"command\":\"system\",\"rows\":[\
+             {\"poly\":\"p1\",\"fused_ms\":1.25,\"launches\":9},\
+             {\"nan\":null}]}"
         );
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
@@ -266,8 +214,12 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        let v = JsonValue::Text("a\"b\\c\nd".to_string());
-        assert_eq!(v.to_string(), "\"a\\\"b\\\\c\\nd\"");
+        let mut r = JsonReport::new("a\"b\\c\nd");
+        r.add_row(vec![("k", Json::Str("\u{1}".to_string()))]);
+        assert_eq!(
+            r.render(),
+            "{\"command\":\"a\\\"b\\\\c\\nd\",\"rows\":[{\"k\":\"\\u0001\"}]}"
+        );
     }
 
     #[test]

@@ -535,7 +535,10 @@ pub fn workspace_comparison(
         pooled_ms,
         reused_ms,
         arena_coeffs,
-        scratch_lane_coeffs: psmd_core::workspace::conv_scratch_coeffs(degree + 1),
+        scratch_lane_coeffs: psmd_core::workspace::conv_scratch_coeffs_for(
+            plan.options().kernel,
+            degree + 1,
+        ),
     }
 }
 
@@ -705,8 +708,8 @@ mod tests {
         // The arena of the reduced p1 at degree 8: slots × (d + 1).
         assert_eq!(cmp.arena_coeffs % 9, 0);
         assert!(cmp.arena_coeffs > 0);
-        // Two staging slots plus the 4(d+1) kernel scratch.
-        assert_eq!(cmp.scratch_lane_coeffs, 6 * 9);
+        // The default direct kernel needs only the two staging slots.
+        assert_eq!(cmp.scratch_lane_coeffs, 2 * 9);
     }
 
     #[test]

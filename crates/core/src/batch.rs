@@ -159,7 +159,7 @@ pub(crate) fn run_batch<C: Coeff>(
         k => k,
     };
     let lane_width = match resolved_kernel {
-        ConvolutionKernel::ZeroInsertion | ConvolutionKernel::Direct => options.simd.lane_width(),
+        ConvolutionKernel::Direct => options.simd.lane_width(),
         _ => 1,
     };
     timings.simd_width = lane_width;
@@ -387,24 +387,24 @@ mod tests {
     }
 
     #[test]
-    fn direct_kernel_ablation_matches_zero_insertion() {
+    fn fft_kernel_ablation_matches_direct() {
         let d = 4;
         let p = paper_example(d);
         let batch = random_batch(6, d, 4, 23);
         let engine = Engine::builder().threads(0).build();
-        let zi = engine
+        let direct = engine
             .compile(p.clone())
             .request(&batch)
             .sequential()
             .run()
             .into_batch();
-        let direct = engine
-            .compile_with_options(p, EvalOptions::new().with_kernel(ConvolutionKernel::Direct))
+        let fft = engine
+            .compile_with_options(p, EvalOptions::new().with_kernel(ConvolutionKernel::Fft))
             .request(&batch)
             .sequential()
             .run()
             .into_batch();
-        for (a, b) in zi.instances.iter().zip(direct.instances.iter()) {
+        for (a, b) in direct.instances.iter().zip(fft.instances.iter()) {
             assert!(a.max_difference(b) < 1e-55);
         }
     }

@@ -1,7 +1,7 @@
 //! Measured crossover table for the convolution kernel ladder.
 //!
-//! The ladder offers three ways to run one convolution job: the paper's
-//! zero-insertion schoolbook kernel (`O(d^2)` coefficient multiplications),
+//! The ladder offers three ways to run one convolution job: the direct
+//! schoolbook loop (`O(d^2)` coefficient multiplications),
 //! the Karatsuba short product (`O(d^1.58)`) and the compensated digit-FFT
 //! (`O(d log d)` double operations).  Which one is fastest depends on the
 //! truncation degree *and* on the working precision: a multiple-double
@@ -15,6 +15,11 @@
 //! `bench/baselines/BENCH_kernels.json`).  [`Plan`](crate::Plan) resolves
 //! [`ConvolutionKernel::Auto`] against the table once, at compile time, so
 //! evaluation never re-decides per job.
+//!
+//! The table was measured against the paper's zero-insertion kernel, which
+//! does about twice the work of the direct loop that runs below the
+//! crossover.  Re-measuring it would change which rung `Auto` picks, and so
+//! its bits; EXPERIMENTS.md §15 has the direct-vs-Karatsuba numbers.
 
 use crate::evaluate::ConvolutionKernel;
 
@@ -25,8 +30,9 @@ use crate::evaluate::ConvolutionKernel;
 pub struct Crossover {
     /// Limbs per component of the coefficient type ([`psmd_multidouble::Coeff::component_limbs`]).
     pub component_limbs: usize,
-    /// Smallest truncation degree at which the Karatsuba short product beats
-    /// the zero-insertion kernel ([`usize::MAX`] if it never does).
+    /// Smallest truncation degree at which the Karatsuba short product beat
+    /// the schoolbook kernel when the table was measured ([`usize::MAX`] if
+    /// it never did).
     pub karatsuba_from: usize,
     /// Smallest truncation degree at which the digit-FFT beats the Karatsuba
     /// short product ([`usize::MAX`] if it never does).
@@ -109,7 +115,7 @@ pub fn auto_kernel(component_limbs: usize, degree: usize) -> ConvolutionKernel {
     } else if degree >= c.karatsuba_from {
         ConvolutionKernel::Karatsuba
     } else {
-        ConvolutionKernel::ZeroInsertion
+        ConvolutionKernel::Direct
     }
 }
 
@@ -147,7 +153,7 @@ mod tests {
     fn auto_kernel_walks_the_ladder() {
         for c in CROSSOVER_TABLE {
             let l = c.component_limbs;
-            assert_eq!(auto_kernel(l, 1), ConvolutionKernel::ZeroInsertion);
+            assert_eq!(auto_kernel(l, 1), ConvolutionKernel::Direct);
             if c.karatsuba_from < c.fft_from {
                 assert_eq!(
                     auto_kernel(l, c.karatsuba_from),
@@ -155,7 +161,7 @@ mod tests {
                 );
                 assert_eq!(
                     auto_kernel(l, c.karatsuba_from - 1),
-                    ConvolutionKernel::ZeroInsertion
+                    ConvolutionKernel::Direct
                 );
             }
             if c.fft_from != usize::MAX {

@@ -1075,9 +1075,9 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// The default configuration: double-double precision, zero-insertion
-    /// kernel, layered execution, `PSMD_THREADS`/hardware-sized pool, 64
-    /// cached plans.
+    /// The default configuration: double-double precision, direct kernel,
+    /// layered execution, `PSMD_THREADS`/hardware-sized pool, 64 cached
+    /// plans.
     pub fn new() -> Self {
         Self {
             precision: Precision::D2,
@@ -2325,15 +2325,16 @@ mod tests {
     fn per_plan_option_overrides_apply() {
         let d = 4;
         let engine = Engine::builder().threads(2).build();
-        let zero = engine.compile(paper_example(d));
-        let direct = engine.compile_with_options(
+        let direct = engine.compile(paper_example(d));
+        let fft = engine.compile_with_options(
             paper_example(d),
-            EvalOptions::new().with_kernel(ConvolutionKernel::Direct),
+            EvalOptions::new().with_kernel(ConvolutionKernel::Fft),
         );
         assert_eq!(direct.options().kernel, ConvolutionKernel::Direct);
+        assert_eq!(fft.options().kernel, ConvolutionKernel::Fft);
         let z = random_z(6, d, 21);
-        let a = zero.request(&z).run().into_single();
-        let b = direct.request(&z).run().into_single();
+        let a = direct.request(&z).run().into_single();
+        let b = fft.request(&z).run().into_single();
         // Different kernels round differently but agree to precision.
         assert!(a.max_difference(&b) < 1e-55);
     }

@@ -29,24 +29,28 @@ use psmd_multidouble::Coeff;
 use psmd_runtime::{
     CancelToken, InlineGraphScratch, KernelKind, KernelTimings, SharedSlice, Stopwatch, WorkerPool,
 };
-use psmd_series::{
-    add_assign_slices, convolve_fft, convolve_karatsuba, convolve_seq, convolve_zero_insertion,
-    Series,
-};
+use psmd_series::{add_assign_slices, convolve_fft, convolve_karatsuba, convolve_seq, Series};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which convolution kernel the scheduled evaluator uses for its jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConvolutionKernel {
-    /// The zero-insertion data-parallel kernel of Section 2 (default).
+    /// The schoolbook loop [`psmd_series::convolve_seq`] (default), with a
+    /// bitwise-identical SIMD lane twin for batched evaluation.
+    ///
+    /// It is **truncation-causal**: output coefficient `k` reads only input
+    /// coefficients `0..=k`, so changing one input coefficient `j` — to any
+    /// finite value, `inf` or NaN — leaves every value and gradient
+    /// coefficient below `j` bitwise unchanged.  The Karatsuba short product
+    /// keeps this property (each of its sub-products keeps coefficient
+    /// indices aligned); the FFT does not for non-finite inputs, because its
+    /// transforms spread every input coefficient over every output, so an
+    /// `inf` or NaN anywhere makes every output non-finite.
     #[default]
-    ZeroInsertion,
-    /// The direct formula with thread divergence, kept for the ablation
-    /// benchmark.
     Direct,
     /// The Karatsuba short product: `O(n^1.58)` coefficient
-    /// multiplications, bitwise identical to the schoolbook kernels below
+    /// multiplications, bitwise identical to the direct loop below
     /// [`psmd_series::KARATSUBA_THRESHOLD`] and bounded by
     /// [`psmd_series::karatsuba_ulp_budget`] above it.
     Karatsuba,
@@ -528,7 +532,6 @@ pub(crate) fn run_convolution_job<C: Coeff>(
     // were staged above).
     let out = unsafe { shared.slice_mut(job.out * per, per) };
     match kernel {
-        ConvolutionKernel::ZeroInsertion => convolve_zero_insertion(x, y, out, kernel_scratch),
         ConvolutionKernel::Direct => convolve_seq(x, y, out),
         ConvolutionKernel::Karatsuba => convolve_karatsuba(x, y, out, kernel_scratch),
         ConvolutionKernel::Fft => convolve_fft(x, y, out, fft_scratch),
@@ -695,24 +698,26 @@ mod tests {
 
     #[test]
     fn direct_kernel_ablation_gives_the_same_results() {
+        // Swapping the default direct loop for the FFT rung changes the
+        // rounding, not the result.
         let d = 6;
         let p = paper_example(d);
         let mut rng = StdRng::seed_from_u64(12);
         let z: Vec<Series<Qd>> = (0..6).map(|_| Series::random(&mut rng, d)).collect();
         let engine = Engine::builder().threads(0).build();
-        let zero_insertion = engine
+        let direct = engine
             .compile(p.clone())
             .request(&z)
             .sequential()
             .run()
             .into_single();
-        let direct = engine
-            .compile_with_options(p, EvalOptions::new().with_kernel(ConvolutionKernel::Direct))
+        let fft = engine
+            .compile_with_options(p, EvalOptions::new().with_kernel(ConvolutionKernel::Fft))
             .request(&z)
             .sequential()
             .run()
             .into_single();
-        assert!(zero_insertion.max_difference(&direct) < 1e-55);
+        assert!(direct.max_difference(&fft) < 1e-55);
     }
 
     #[test]

@@ -106,9 +106,9 @@ impl LaneLayout {
 /// one vectorized kernel pass, and scatters the result back into each
 /// instance's output slot.
 ///
-/// Only the schoolbook kernels have lane variants; any other kernel
-/// (Karatsuba, FFT) falls back to per-lane scalar execution, which keeps
-/// this runner total without changing any bits.  Gathering happens before
+/// Only the direct kernel has a lane variant; any other kernel (Karatsuba,
+/// FFT) falls back to per-lane scalar execution, which keeps this runner
+/// total without changing any bits.  Gathering happens before
 /// the first scatter, so the in-place `b := b * a` job shape needs no extra
 /// staging here.
 #[allow(clippy::too_many_arguments)]
@@ -126,22 +126,18 @@ pub(crate) fn run_convolution_job_lanes<C: Coeff>(
         ConvolutionKernel::Auto => crate::crossover::auto_kernel(C::component_limbs(), per - 1),
         k => k,
     };
-    let zero_insert = match kernel {
-        ConvolutionKernel::ZeroInsertion => true,
-        ConvolutionKernel::Direct => false,
-        _ => {
-            for l in 0..width {
-                let instance = first_instance + l;
-                let mapped = ConvJob {
-                    in1: map_slot(instance, job.in1),
-                    in2: map_slot(instance, job.in2),
-                    out: map_slot(instance, job.out),
-                };
-                run_convolution_job(shared, &mapped, per, kernel, scratch);
-            }
-            return;
+    if kernel != ConvolutionKernel::Direct {
+        for l in 0..width {
+            let instance = first_instance + l;
+            let mapped = ConvJob {
+                in1: map_slot(instance, job.in1),
+                in2: map_slot(instance, job.in2),
+                out: map_slot(instance, job.out),
+            };
+            run_convolution_job(shared, &mapped, per, kernel, scratch);
         }
-    };
+        return;
+    }
     let panel = panel_f64s::<C>(per, width);
     let panels = scratch.ensure_lanes(3 * panel);
     let (xp, rest) = panels.split_at_mut(panel);
@@ -156,7 +152,7 @@ pub(crate) fn run_convolution_job_lanes<C: Coeff>(
         gather_into_panel(x, xp, l, width);
         gather_into_panel(y, yp, l, width);
     }
-    convolve_panels_dyn::<C>(width, zero_insert, xp, yp, zp, per);
+    convolve_panels_dyn::<C>(width, xp, yp, zp, per);
     for l in 0..width {
         let instance = first_instance + l;
         // Safety: the schedule guarantees each instance's output range is

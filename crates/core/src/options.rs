@@ -129,8 +129,8 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// The default options: zero-insertion kernel, layered execution, SIMD
-    /// lanes auto-detected.
+    /// The default options: direct kernel, layered execution, SIMD lanes
+    /// auto-detected.
     pub fn new() -> Self {
         Self::default()
     }
@@ -161,16 +161,13 @@ mod tests {
     #[test]
     fn builder_methods_set_the_knobs() {
         let o = EvalOptions::new()
-            .with_kernel(ConvolutionKernel::Direct)
+            .with_kernel(ConvolutionKernel::Karatsuba)
             .with_exec_mode(ExecMode::Graph)
             .with_simd(SimdMode::ForceWidth(4));
-        assert_eq!(o.kernel, ConvolutionKernel::Direct);
+        assert_eq!(o.kernel, ConvolutionKernel::Karatsuba);
         assert_eq!(o.exec_mode, ExecMode::Graph);
         assert_eq!(o.simd, SimdMode::ForceWidth(4));
-        assert_eq!(
-            EvalOptions::default().kernel,
-            ConvolutionKernel::ZeroInsertion
-        );
+        assert_eq!(EvalOptions::default().kernel, ConvolutionKernel::Direct);
         assert_eq!(EvalOptions::default().exec_mode, ExecMode::Layered);
         assert_eq!(EvalOptions::default().simd, SimdMode::Auto);
     }

@@ -10,9 +10,9 @@
 //! * the **arena** — the flat coefficient array of Figure 1 (one instance
 //!   region per batch element for batched evaluation);
 //! * one **convolution scratch** per worker-pool participant lane, holding
-//!   the zero-insertion staging area of Section 2 plus room to stage an
-//!   operand that aliases the job's output (the in-place `b := b * a`
-//!   update), so convolution jobs borrow instead of allocate;
+//!   room to stage an operand that aliases the job's output (the in-place
+//!   `b := b * a` update) plus the selected kernel's working memory, so
+//!   convolution jobs borrow instead of allocate;
 //! * the **inline graph scratch** (pending counters, ready stack) of
 //!   dependency-order execution on zero-worker pools.
 //!
@@ -30,16 +30,16 @@
 use crate::evaluate::ConvolutionKernel;
 use psmd_multidouble::Coeff;
 use psmd_runtime::InlineGraphScratch;
-use psmd_series::{fft_scratch_f64_len, karatsuba_scratch_len, zero_insertion_scratch_len};
+use psmd_series::{fft_scratch_f64_len, karatsuba_scratch_len};
 use std::ops::{Deref, DerefMut};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 /// Per-participant convolution scratch: operand staging plus the selected
-/// kernel's working memory (the zero-insertion shared-memory stand-in, the
-/// Karatsuba recursion buffers, or the FFT digit planes), grown on demand
-/// and reused across jobs, layers and evaluations.
+/// kernel's working memory (the Karatsuba recursion buffers or the FFT
+/// digit planes), grown on demand and reused across jobs, layers and
+/// evaluations.
 #[derive(Debug, Default)]
 pub struct ConvScratch<C> {
     buf: Vec<C>,
@@ -47,28 +47,18 @@ pub struct ConvScratch<C> {
     lanes: Vec<f64>,
 }
 
-/// Coefficients of one per-participant convolution-scratch lane at `per`
-/// coefficients per slot under the default (zero-insertion) kernel: two
-/// operand staging slots (for the in-place `b := b * a` update) plus the
-/// zero-insertion kernel scratch of the paper's shared-memory staging.
-/// Exposed for capacity planning and the bench reports; see
-/// [`conv_scratch_coeffs_for`] for the other kernels of the ladder.
-pub const fn conv_scratch_coeffs(per: usize) -> usize {
-    2 * per + zero_insertion_scratch_len(per)
-}
-
 /// Coefficients of one convolution-scratch lane at `per` coefficients per
-/// slot under a specific kernel: two operand staging slots plus that
-/// kernel's own coefficient scratch (the FFT kernel keeps its digit planes
-/// in a separate `f64` buffer instead, sized by `ConvScratch::ensure_for`).
-/// `Auto` must be resolved by the caller before sizing.
+/// slot under a specific kernel: two operand staging slots (for the
+/// in-place `b := b * a` update) plus that kernel's own coefficient scratch
+/// (the FFT kernel keeps its digit planes in a separate `f64` buffer
+/// instead, sized by `ConvScratch::ensure_for`).  `Auto` covers the largest
+/// coefficient footprint of the ladder.
 pub fn conv_scratch_coeffs_for(kernel: ConvolutionKernel, per: usize) -> usize {
     match kernel {
-        ConvolutionKernel::ZeroInsertion => conv_scratch_coeffs(per),
         ConvolutionKernel::Direct | ConvolutionKernel::Fft => 2 * per,
-        ConvolutionKernel::Karatsuba => 2 * per + karatsuba_scratch_len(per),
-        ConvolutionKernel::Auto => conv_scratch_coeffs_for(ConvolutionKernel::ZeroInsertion, per)
-            .max(conv_scratch_coeffs_for(ConvolutionKernel::Karatsuba, per)),
+        ConvolutionKernel::Karatsuba | ConvolutionKernel::Auto => {
+            2 * per + karatsuba_scratch_len(per)
+        }
     }
 }
 
@@ -165,21 +155,11 @@ impl<C: Coeff> Workspace<C> {
 
     /// Pre-sizes every buffer for an evaluation of `arena_coeffs` arena
     /// coefficients at `per` coefficients per slot over `graph_blocks`
-    /// graph blocks.  Growth happens in place and nothing ever shrinks, so
-    /// re-warming an already-warm workspace is free.
-    pub fn warm(&mut self, arena_coeffs: usize, per: usize, graph_blocks: usize) {
-        self.warm_for(
-            arena_coeffs,
-            per,
-            graph_blocks,
-            ConvolutionKernel::ZeroInsertion,
-        );
-    }
-
-    /// Like [`Workspace::warm`] but sizes the convolution-scratch lanes for
-    /// a specific kernel of the ladder, so the first evaluation under that
-    /// kernel is already allocation-free.  `Auto` warms for the largest
-    /// coefficient footprint of the ladder.
+    /// graph blocks, with the convolution-scratch lanes sized for `kernel`,
+    /// so the first evaluation under that kernel is already allocation-free.
+    /// `Auto` warms for the largest coefficient footprint of the ladder.
+    /// Growth happens in place and nothing ever shrinks, so re-warming an
+    /// already-warm workspace is free.
     pub fn warm_for(
         &mut self,
         arena_coeffs: usize,
@@ -385,13 +365,13 @@ mod tests {
     #[test]
     fn conv_scratch_grows_once_and_is_stable() {
         let mut s: ConvScratch<Qd> = ConvScratch::new();
-        let zi = ConvolutionKernel::ZeroInsertion;
-        let len = s.ensure_for(9, zi).0.len();
-        assert_eq!(len, conv_scratch_coeffs(9));
+        let k = ConvolutionKernel::Karatsuba;
+        let len = s.ensure_for(9, k).0.len();
+        assert_eq!(len, conv_scratch_coeffs_for(k, 9));
         let cap = s.buf.capacity();
         // Smaller and equal requests reuse the buffer.
-        s.ensure_for(4, zi);
-        s.ensure_for(9, zi);
+        s.ensure_for(4, k);
+        s.ensure_for(9, k);
         assert_eq!(s.buf.capacity(), cap);
     }
 
@@ -402,10 +382,6 @@ mod tests {
         // separate f64 buffer.
         let per = 33;
         assert_eq!(
-            conv_scratch_coeffs_for(ConvolutionKernel::ZeroInsertion, per),
-            conv_scratch_coeffs(per)
-        );
-        assert_eq!(
             conv_scratch_coeffs_for(ConvolutionKernel::Direct, per),
             2 * per
         );
@@ -415,7 +391,6 @@ mod tests {
             2 * per
         );
         let auto = conv_scratch_coeffs_for(ConvolutionKernel::Auto, per);
-        assert!(auto >= conv_scratch_coeffs(per));
         assert!(auto >= conv_scratch_coeffs_for(ConvolutionKernel::Karatsuba, per));
 
         let mut s: ConvScratch<Qd> = ConvScratch::new();
@@ -484,10 +459,11 @@ mod tests {
     #[test]
     fn warm_presizes_all_buffers() {
         let mut ws: Workspace<Qd> = Workspace::new(2);
-        ws.warm(64, 5, 30);
+        let k = ConvolutionKernel::Karatsuba;
+        ws.warm_for(64, 5, 30, k);
         assert!(ws.arena_capacity() >= 64);
         for lane in &ws.scratch {
-            assert!(lane.lock().buf.len() >= conv_scratch_coeffs(5));
+            assert!(lane.lock().buf.len() >= conv_scratch_coeffs_for(k, 5));
         }
     }
 }

@@ -5,9 +5,9 @@
 //! rendezvous per layer, even though a block may start the moment the blocks
 //! producing its operands have retired.  A [`TaskGraph`] captures exactly
 //! those producer/consumer edges so the executor
-//! ([`WorkerPool::launch_graph`](crate::WorkerPool::launch_graph)) can
-//! release each block as its last predecessor retires — one rendezvous per
-//! *evaluation* instead of one per *layer*.
+//! ([`WorkerPool::launch_graph_indexed_cancellable`](crate::WorkerPool::launch_graph_indexed_cancellable))
+//! can release each block as its last predecessor retires — one rendezvous
+//! per *evaluation* instead of one per *layer*.
 //!
 //! Graphs are built with a [`TaskGraphBuilder`] by declaring, for every
 //! block in the layered reference order, which data slots it reads and which
@@ -93,8 +93,8 @@ impl TaskGraph {
     /// Executes every block of `instances` independent copies of this graph
     /// on the calling thread, in a dependency-respecting order, without
     /// waking any pool — the inline counterpart of
-    /// [`WorkerPool::launch_graph`](crate::WorkerPool::launch_graph) for
-    /// zero-worker pools and sequential evaluation.
+    /// [`WorkerPool::launch_graph_indexed_cancellable`](crate::WorkerPool::launch_graph_indexed_cancellable)
+    /// for zero-worker pools and sequential evaluation.
     ///
     /// Block `b` runs node `b % len()` of instance `b / len()`.  The pending
     /// counters and the ready stack live in the caller-provided
@@ -102,31 +102,18 @@ impl TaskGraph {
     /// **allocation-free** (the zero-allocation steady-state contract of the
     /// evaluation workspaces rests on this).
     ///
+    /// The run polls `cancel` before each block body: once the token trips,
+    /// remaining blocks are skipped — they still release their successors
+    /// and retire, so the drain completes (the cycle assertion holds) at
+    /// pointer speed with no further evaluation work.  Returns `true` when
+    /// every block ran, `false` when at least one was skipped and the output
+    /// is partial.
+    ///
     /// # Panics
     ///
     /// Panics (after draining nothing further) when the graph is cyclic —
     /// impossible for builder-produced graphs, whose edges always point
     /// forward.
-    pub fn run_inline(
-        &self,
-        instances: usize,
-        scratch: &mut InlineGraphScratch,
-        body: impl FnMut(usize),
-    ) {
-        self.run_inline_cancellable(instances, scratch, None, body);
-    }
-
-    /// Like [`TaskGraph::run_inline`], but polls `cancel` before each block
-    /// body: once the token trips, remaining blocks are skipped — they still
-    /// release their successors and retire, so the drain completes (the
-    /// cycle assertion holds) at pointer speed with no further evaluation
-    /// work.  Returns `true` when every block ran, `false` when at least one
-    /// was skipped and the output is partial.  Passing `None` is exactly
-    /// [`TaskGraph::run_inline`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the graph is cyclic, as in [`TaskGraph::run_inline`].
     pub fn run_inline_cancellable(
         &self,
         instances: usize,
@@ -199,8 +186,8 @@ impl TaskGraph {
     }
 }
 
-/// Reusable scratch of [`TaskGraph::run_inline`]: the per-block pending
-/// counters and the ready stack.  Owned by long-lived evaluation workspaces
+/// Reusable scratch of [`TaskGraph::run_inline_cancellable`]: the
+/// per-block pending counters and the ready stack.  Owned by long-lived evaluation workspaces
 /// so that steady-state inline graph execution allocates nothing.
 #[derive(Debug, Default)]
 pub struct InlineGraphScratch {
@@ -402,7 +389,7 @@ mod tests {
         let mut scratch = InlineGraphScratch::new();
         let mut order = vec![usize::MAX; 4 * instances];
         let mut stamp = 0usize;
-        g.run_inline(instances, &mut scratch, |block| {
+        g.run_inline_cancellable(instances, &mut scratch, None, |block| {
             order[block] = stamp;
             stamp += 1;
         });
@@ -416,7 +403,7 @@ mod tests {
         }
         // A warm scratch is reused without shrinking.
         let cap = scratch.pending.capacity();
-        g.run_inline(instances, &mut scratch, |_| {});
+        g.run_inline_cancellable(instances, &mut scratch, None, |_| {});
         assert_eq!(scratch.pending.capacity(), cap);
     }
 
@@ -425,13 +412,13 @@ mod tests {
         let empty = TaskGraphBuilder::new().build();
         let mut scratch = InlineGraphScratch::with_capacity(8);
         let mut hits = 0usize;
-        empty.run_inline(4, &mut scratch, |_| hits += 1);
+        empty.run_inline_cancellable(4, &mut scratch, None, |_| hits += 1);
         let mut b = TaskGraphBuilder::new();
         b.add_task(&[], &[0]);
         let g = b.build();
-        g.run_inline(0, &mut scratch, |_| hits += 1);
+        g.run_inline_cancellable(0, &mut scratch, None, |_| hits += 1);
         assert_eq!(hits, 0);
-        g.run_inline(2, &mut scratch, |_| hits += 1);
+        g.run_inline_cancellable(2, &mut scratch, None, |_| hits += 1);
         assert_eq!(hits, 2);
     }
 

@@ -12,10 +12,10 @@
 //! algorithmic layer above is the same code path the paper describes.
 //!
 //! Beyond the layered reference path, the crate provides a dependency-driven
-//! executor ([`WorkerPool::launch_graph`] over a [`TaskGraph`]): blocks are
-//! released to per-worker work-stealing deques as their predecessors retire,
-//! replacing the per-layer barrier with a single pool rendezvous per
-//! evaluation.
+//! executor ([`WorkerPool::launch_graph_indexed_cancellable`] over a
+//! [`TaskGraph`]): blocks are released to per-worker work-stealing deques as
+//! their predecessors retire, replacing the per-layer barrier with a single
+//! pool rendezvous per evaluation.
 //!
 //! Both launch shapes support **cooperative cancellation** through a shared
 //! [`CancelToken`] epoch, polled between block claims (never inside kernel

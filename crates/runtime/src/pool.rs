@@ -1,19 +1,22 @@
 //! A persistent worker pool executing "grids of blocks" on CPU threads.
 //!
 //! The paper launches CUDA kernels with one thread block per job; this pool
-//! is the CPU stand-in for that execution model.  Two launch shapes exist:
+//! is the CPU stand-in for that execution model.  Two launch shapes exist,
+//! one entry point each (both take an optional [`CancelToken`] and tell the
+//! body which participant lane runs the block):
 //!
-//! * [`WorkerPool::launch_grid`] — the layered reference path: a launch
-//!   hands the pool a closure and a number of blocks; worker threads claim
-//!   block indices from a shared atomic counter and run the closure for each
-//!   claimed block.  One launch per job layer reproduces the paper's
-//!   kernel-per-layer execution, including its global barrier between
-//!   layers.
-//! * [`WorkerPool::launch_graph`] — the dependency-driven path: the launch
-//!   hands the pool a [`TaskGraph`] whose blocks are released to per-worker
-//!   work-stealing deques as their predecessors retire, so the whole
-//!   multi-layer computation costs **one** pool rendezvous instead of one
-//!   per layer.
+//! * [`WorkerPool::launch_grid_indexed_cancellable`] — the layered
+//!   reference path: a launch hands the pool a closure and a number of
+//!   blocks; worker threads claim block indices from a shared atomic
+//!   counter and run the closure for each claimed block.  One launch per
+//!   job layer reproduces the paper's kernel-per-layer execution, including
+//!   its global barrier between layers.  [`WorkerPool::launch_grid`] is the
+//!   same launch for a body that needs neither lane nor token.
+//! * [`WorkerPool::launch_graph_indexed_cancellable`] — the
+//!   dependency-driven path: the launch hands the pool a [`TaskGraph`]
+//!   whose blocks are released to per-worker work-stealing deques as their
+//!   predecessors retire, so the whole multi-layer computation costs
+//!   **one** pool rendezvous instead of one per layer.
 //!
 //! The launching thread participates in the work, so a pool of `T` workers
 //! provides `T + 1`-way parallelism and a launch never deadlocks even if the
@@ -496,40 +499,35 @@ impl WorkerPool {
     }
 
     /// Executes `body` once for every block index in `0..blocks`, returning
-    /// when all blocks have completed.
+    /// when all blocks have completed: the grid launch of
+    /// [`WorkerPool::launch_grid_indexed_cancellable`] without a lane or a
+    /// token.
     ///
     /// Panics if any block body panicked.
     pub fn launch_grid<F>(&self, blocks: usize, body: F)
     where
         F: Fn(usize) + Send + Sync,
     {
-        self.launch_grid_indexed(blocks, |_, b| body(b));
+        self.launch_grid_indexed_cancellable(blocks, None, |_, b| body(b));
     }
 
-    /// Like [`WorkerPool::launch_grid`], but the body is also told which
-    /// **participant lane** runs the block: lanes are in
-    /// `0..self.parallelism()`, a lane is never used by two threads
+    /// Executes `body(lane, block)` once for every block index in
+    /// `0..blocks`, returning when all blocks have completed or the launch
+    /// was cancelled.
+    ///
+    /// The body is told which **participant lane** runs the block: lanes are
+    /// in `0..self.parallelism()`, a lane is never used by two threads
     /// concurrently within one launch, and the inline fast path uses lane 0.
     /// Evaluation workspaces use the lane to hand each block pre-allocated
     /// per-worker scratch instead of allocating inside the block.
     ///
-    /// Panics if any block body panicked.
-    pub fn launch_grid_indexed<F>(&self, blocks: usize, body: F)
-    where
-        F: Fn(usize, usize) + Send + Sync,
-    {
-        self.launch_grid_indexed_cancellable(blocks, None, body);
-    }
-
-    /// Like [`WorkerPool::launch_grid_indexed`], but the launch polls
-    /// `cancel` between block claims: once the token trips, no further
-    /// block body starts (blocks already running finish).  Returns `true`
-    /// when every block ran, `false` when the launch was abandoned with
-    /// blocks skipped — the caller must treat the grid's output as partial.
-    ///
-    /// Passing `None` is exactly [`WorkerPool::launch_grid_indexed`].  The
-    /// poll is one relaxed atomic load per block claim; uncancelled launches
-    /// are unaffected (bitwise-identical results, no extra synchronization).
+    /// The launch polls `cancel` between block claims: once the token
+    /// trips, no further block body starts (blocks already running finish).
+    /// Returns `true` when every block ran, `false` when the launch was
+    /// abandoned with blocks skipped — the caller must treat the grid's
+    /// output as partial.  The poll is one relaxed atomic load per block
+    /// claim; uncancelled launches (and `None`) are unaffected
+    /// (bitwise-identical results, no extra synchronization).
     ///
     /// Panics if any block body panicked.
     pub fn launch_grid_indexed_cancellable<F>(
@@ -581,48 +579,27 @@ impl WorkerPool {
         !state.abandoned.load(Ordering::Acquire)
     }
 
-    /// Executes `body` once for every block of `instances` independent
-    /// copies of `graph`, releasing each block as soon as its predecessors
-    /// have retired — no per-layer barrier, exactly **one** pool rendezvous
-    /// for the whole launch.
+    /// Executes `body(lane, block)` once for every block of `instances`
+    /// independent copies of `graph`, releasing each block as soon as its
+    /// predecessors have retired — no per-layer barrier, exactly **one**
+    /// pool rendezvous for the whole launch.
     ///
     /// Block `b` runs node `b % graph.len()` of instance `b / graph.len()`;
     /// dependency edges apply within each instance, and instances share no
-    /// edges (the batched arena gives every instance disjoint slots).
+    /// edges (the batched arena gives every instance disjoint slots).  The
+    /// lane is the claimed deque slot, in `0..self.parallelism()` (the
+    /// inline fast path uses lane 0); see
+    /// [`WorkerPool::launch_grid_indexed_cancellable`] for the lane
+    /// contract.
     ///
-    /// Panics if any block body panicked (the remaining blocks still run
-    /// first, like the layered path).
-    pub fn launch_graph<F>(&self, graph: &TaskGraph, instances: usize, body: F)
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        self.launch_graph_indexed(graph, instances, |_, b| body(b));
-    }
-
-    /// Like [`WorkerPool::launch_graph`], but the body is also told which
-    /// **participant lane** runs the block (the claimed deque slot, in
-    /// `0..self.parallelism()`; the inline fast path uses lane 0).  See
-    /// [`WorkerPool::launch_grid_indexed`] for the lane contract.
-    ///
-    /// Panics if any block body panicked (the remaining blocks still run
-    /// first, like the layered path).
-    pub fn launch_graph_indexed<F>(&self, graph: &TaskGraph, instances: usize, body: F)
-    where
-        F: Fn(usize, usize) + Send + Sync,
-    {
-        self.launch_graph_indexed_cancellable(graph, instances, None, body);
-    }
-
-    /// Like [`WorkerPool::launch_graph_indexed`], but the launch polls
-    /// `cancel` before each block body: once the token trips, remaining
-    /// blocks are *skipped* instead of run — they still release their
-    /// successors and retire (exactly like the panic-poisoning path), so
-    /// the graph drains, the single rendezvous completes and the pool stays
-    /// usable.  Returns `true` when every block ran, `false` when at least
-    /// one was skipped — the caller must treat the output as partial.
-    ///
-    /// Passing `None` is exactly [`WorkerPool::launch_graph_indexed`]; the
-    /// poll is one relaxed atomic load per block, outside the block body.
+    /// The launch polls `cancel` before each block body: once the token
+    /// trips, remaining blocks are *skipped* instead of run — they still
+    /// release their successors and retire (exactly like the
+    /// panic-poisoning path), so the graph drains, the single rendezvous
+    /// completes and the pool stays usable.  Returns `true` when every
+    /// block ran, `false` when at least one was skipped — the caller must
+    /// treat the output as partial.  The poll is one relaxed atomic load per
+    /// block, outside the block body.
     ///
     /// Panics if any block body panicked (the remaining blocks still run
     /// first, like the layered path).
@@ -914,14 +891,14 @@ mod tests {
                 std::hint::black_box((0..50).sum::<usize>());
                 in_use[lane].fetch_sub(1, Ordering::SeqCst);
             };
-            pool.launch_grid_indexed(64, body);
+            pool.launch_grid_indexed_cancellable(64, None, body);
             let mut b = TaskGraphBuilder::new();
             for c in 0..16usize {
                 b.add_task(&[], &[2 * c]);
                 b.add_task(&[2 * c], &[2 * c + 1]);
             }
             let g = b.build();
-            pool.launch_graph_indexed(&g, 4, body);
+            pool.launch_graph_indexed_cancellable(&g, 4, None, body);
             assert_eq!(
                 overlap.load(Ordering::SeqCst),
                 0,
@@ -947,7 +924,7 @@ mod tests {
             let g = diamond();
             let stamp = AtomicUsize::new(0);
             let order: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-            pool.launch_graph(&g, 1, |b| {
+            pool.launch_graph_indexed_cancellable(&g, 1, None, |_, b| {
                 order[b].store(stamp.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
             });
             let at = |i: usize| order[i].load(Ordering::SeqCst);
@@ -964,7 +941,7 @@ mod tests {
         let g = diamond();
         let instances = 25;
         let hits: Vec<AtomicUsize> = (0..4 * instances).map(|_| AtomicUsize::new(0)).collect();
-        pool.launch_graph(&g, instances, |b| {
+        pool.launch_graph_indexed_cancellable(&g, instances, None, |_, b| {
             hits[b].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -975,7 +952,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         let g = diamond();
         let before = pool.rendezvous_count();
-        pool.launch_graph(&g, 8, |_| {});
+        pool.launch_graph_indexed_cancellable(&g, 8, None, |_, _| {});
         assert_eq!(pool.rendezvous_count(), before + 1);
         // The layered equivalent of a 4-deep chain pays one rendezvous per
         // layer.
@@ -992,17 +969,17 @@ mod tests {
         let empty = TaskGraphBuilder::new().build();
         let count = AtomicUsize::new(0);
         let before = pool.rendezvous_count();
-        pool.launch_graph(&empty, 5, |_| {
+        pool.launch_graph_indexed_cancellable(&empty, 5, None, |_, _| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         let g = diamond();
-        pool.launch_graph(&g, 0, |_| {
+        pool.launch_graph_indexed_cancellable(&g, 0, None, |_, _| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 0);
         assert_eq!(pool.rendezvous_count(), before);
         // The pool stays usable.
-        pool.launch_graph(&g, 1, |_| {
+        pool.launch_graph_indexed_cancellable(&g, 1, None, |_, _| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 4);
@@ -1015,7 +992,7 @@ mod tests {
             let g = diamond();
             let ran = AtomicUsize::new(0);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                pool.launch_graph(&g, 4, |b| {
+                pool.launch_graph_indexed_cancellable(&g, 4, None, |_, b| {
                     if b % 4 == 1 {
                         panic!("graph boom {b}");
                     }
@@ -1028,7 +1005,7 @@ mod tests {
             assert_eq!(ran.load(Ordering::Relaxed), 12, "threads = {threads}");
             // The pool stays usable afterwards.
             let count = AtomicUsize::new(0);
-            pool.launch_graph(&g, 2, |_| {
+            pool.launch_graph_indexed_cancellable(&g, 2, None, |_, _| {
                 count.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(count.load(Ordering::Relaxed), 8, "threads = {threads}");
@@ -1052,7 +1029,7 @@ mod tests {
         assert_eq!(g.critical_path_len(), n);
         let pool = WorkerPool::new(4);
         let acc = AtomicU64::new(1);
-        pool.launch_graph(&g, 1, |b| {
+        pool.launch_graph_indexed_cancellable(&g, 1, None, |_, b| {
             // acc := acc * 3 + b, order-sensitive.
             let prev = acc.load(Ordering::Acquire);
             acc.store(
@@ -1213,7 +1190,7 @@ mod tests {
         let hits: Vec<AtomicUsize> = (0..g.len() * instances)
             .map(|_| AtomicUsize::new(0))
             .collect();
-        pool.launch_graph(&g, instances, |blk| {
+        pool.launch_graph_indexed_cancellable(&g, instances, None, |_, blk| {
             hits[blk].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));

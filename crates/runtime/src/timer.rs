@@ -17,9 +17,6 @@ pub enum KernelKind {
     Convolution,
     /// A layer of addition jobs (power series updates).
     Addition,
-    /// Any other device work (staging, transfers) counted only in the wall
-    /// clock time.
-    Other,
 }
 
 /// Accumulated kernel timings for one evaluation run.
@@ -29,8 +26,6 @@ pub struct KernelTimings {
     pub convolution: Duration,
     /// Sum of the elapsed times of all addition kernel launches.
     pub addition: Duration,
-    /// Time spent outside kernels but inside the evaluation call.
-    pub other: Duration,
     /// Number of convolution kernel launches.
     pub convolution_launches: usize,
     /// Number of addition kernel launches.
@@ -90,7 +85,6 @@ impl KernelTimings {
                 self.addition_launches += 1;
                 self.addition_blocks += blocks;
             }
-            KernelKind::Other => self.other += elapsed,
         }
     }
 
@@ -150,7 +144,6 @@ impl KernelTimings {
     pub fn merge(&mut self, other: &KernelTimings) {
         self.convolution += other.convolution;
         self.addition += other.addition;
-        self.other += other.other;
         self.convolution_launches += other.convolution_launches;
         self.addition_launches += other.addition_launches;
         self.convolution_blocks += other.convolution_blocks;
@@ -205,7 +198,6 @@ mod tests {
         t.record(KernelKind::Convolution, Duration::from_millis(10), 100);
         t.record(KernelKind::Convolution, Duration::from_millis(5), 50);
         t.record(KernelKind::Addition, Duration::from_millis(2), 20);
-        t.record(KernelKind::Other, Duration::from_millis(1), 0);
         assert_eq!(t.convolution_ms(), 15.0);
         assert_eq!(t.addition_ms(), 2.0);
         assert_eq!(t.sum_ms(), 17.0);

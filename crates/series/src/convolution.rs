@@ -5,11 +5,21 @@
 //! degree `d` and one *addition job* updates one series with another.  The
 //! evaluation engine of `psmd-core` calls them on ranges of the flat data
 //! array; they are also usable directly on standalone coefficient slices.
+//!
+//! The paper's device kernel stages `y` behind `d + 1` zeros so that every
+//! GPU thread performs exactly `d + 1` products and no warp diverges.  A CPU
+//! core has no warps, so the schoolbook kernel here is the direct loop
+//! [`convolve_seq`], which skips those zero products; the paper's operation
+//! counts are [`ConvAlgo::ZeroInsertion`].
 
 use psmd_multidouble::Coeff;
 
 /// Sequential convolution, the direct application of the coefficient formula
 /// `z_k = sum_{i=0..k} x_i * y_{k-i}` (Equation (1) of the paper).
+///
+/// Output coefficient `k` reads only `x_0..=x_k` and `y_0..=y_k`, so a change
+/// to an input coefficient `j` — even to `inf` or NaN — leaves `z_0..z_j`
+/// bitwise unchanged.
 ///
 /// All three slices must have the same length `d + 1`.
 pub fn convolve_seq<C: Coeff>(x: &[C], y: &[C], z: &mut [C]) {
@@ -23,52 +33,6 @@ pub fn convolve_seq<C: Coeff>(x: &[C], y: &[C], z: &mut [C]) {
         }
         z[k] = acc;
     }
-}
-
-/// Data-parallel convolution with zero insertion, mirroring the paper's
-/// kernel pseudo-code.
-///
-/// Thread `k` of the block loads `x_k` into shared memory `X`, zeroes
-/// `Y_k`, loads `y_k` into `Y_{d+k}`, and then performs exactly `d + 1`
-/// products `X_i * Y_{d+k-i}`, so every thread executes the same number of
-/// operations (no thread divergence).  On the CPU the "threads" of the block
-/// run as a sequential loop, which models the lock-step execution of a warp;
-/// the parallelism across blocks is provided by the worker pool.
-///
-/// `scratch` provides the shared-memory staging area and must hold at least
-/// `4 * (d + 1)` coefficients (the `X`, `Z` and double-length `Y` vectors of
-/// the paper); this mirrors the shared-memory capacity constraint that limits
-/// the maximal degree on the real device.
-pub fn convolve_zero_insertion<C: Coeff>(x: &[C], y: &[C], z: &mut [C], scratch: &mut [C]) {
-    let n = z.len();
-    let d = n - 1;
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(y.len(), n);
-    debug_assert!(scratch.len() >= 4 * n, "shared memory scratch too small");
-    let (xs, rest) = scratch.split_at_mut(n);
-    let (ys, zs) = rest.split_at_mut(2 * n);
-    // Stage 1: every thread k loads its coefficients into "shared memory",
-    // inserting zeroes before the second operand.  The two assignments to
-    // `Y` are separate lock-step statements in the paper's kernel (all
-    // threads zero their slot before any thread stores `y_k` at `d + k`),
-    // hence a separate bulk store after the zeroing loop.
-    for k in 0..n {
-        xs[k] = x[k];
-        ys[k] = C::zero();
-    }
-    ys[d..d + n].copy_from_slice(y);
-    // Stage 2: d + 1 identical multiply-add steps per thread.
-    for k in 0..n {
-        let mut acc = C::zero();
-        for i in 0..n {
-            // Y index d + k - i + 1 - 1 = d + k - i; with the zero padding the
-            // out-of-range products contribute exactly zero.
-            acc.mul_add_assign(&xs[i], &ys[d + k - i]);
-        }
-        zs[k] = acc;
-    }
-    // Stage 3: write back to global memory.
-    z[..n].copy_from_slice(&zs[..n]);
 }
 
 /// In-place addition job: `acc_k += inc_k` for every coefficient.
@@ -97,15 +61,6 @@ pub fn convolve_accumulate<C: Coeff>(x: &[C], y: &[C], z: &mut [C]) {
     }
 }
 
-/// Number of scratch coefficients [`convolve_zero_insertion`] needs for
-/// series of `n = d + 1` coefficients (the `X`, double-length `Y` and `Z`
-/// staging vectors of the paper's kernel).  Callers that pre-size reusable
-/// scratch — the per-worker convolution scratch of the evaluation
-/// workspaces — use this instead of hard-coding the factor.
-pub const fn zero_insertion_scratch_len(n: usize) -> usize {
-    4 * n
-}
-
 /// The convolution algorithm whose operation counts are being asked for.
 ///
 /// The paper's Section 6.2 cost model counts the zero-insertion kernel; the
@@ -117,7 +72,8 @@ pub const fn zero_insertion_scratch_len(n: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConvAlgo {
     /// The paper's data-parallel zero-insertion kernel: every thread
-    /// performs `d + 1` products, divergence-free.
+    /// performs `d + 1` products, divergence-free.  Counted for the paper's
+    /// cost model only; the CPU runs [`convolve_seq`] instead.
     ZeroInsertion,
     /// The truncated schoolbook loop of [`convolve_seq`]: only the products
     /// that contribute below the truncation degree.
@@ -173,52 +129,6 @@ mod tests {
         assert_eq!(z[0].to_f64(), 1.0);
         assert_eq!(z[1].to_f64(), 2.0);
         assert_eq!(z[2].to_f64(), 1.0);
-    }
-
-    #[test]
-    fn zero_insertion_matches_sequential_for_random_data() {
-        use psmd_multidouble::RandomCoeff;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(11);
-        for d in [0usize, 1, 2, 7, 31] {
-            let n = d + 1;
-            let x: Vec<Dd> = (0..n)
-                .map(|_| RandomCoeff::random_uniform(&mut rng))
-                .collect();
-            let y: Vec<Dd> = (0..n)
-                .map(|_| RandomCoeff::random_uniform(&mut rng))
-                .collect();
-            let mut z1 = vec![Dd::ZERO; n];
-            let mut z2 = vec![Dd::ZERO; n];
-            let mut scratch = vec![Dd::ZERO; 4 * n];
-            convolve_seq(&x, &y, &mut z1);
-            convolve_zero_insertion(&x, &y, &mut z2, &mut scratch);
-            for k in 0..n {
-                let err = z1[k].sub(&z2[k]).abs().to_f64();
-                // Both orderings accumulate the same products; tiny rounding
-                // differences from the different summation order are allowed.
-                assert!(
-                    err <= 1e-28 * (1.0 + z1[k].abs().to_f64()),
-                    "k={k} err={err}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_insertion_supports_in_place_update_of_an_operand() {
-        // The scratch staging means x or y may alias z's storage logically:
-        // we emulate by passing copies, computing, and overwriting.
-        let x = vec![qd(2.0), qd(1.0)];
-        let y = vec![qd(3.0), qd(-1.0)];
-        let mut z = x.clone();
-        let mut scratch = vec![Qd::ZERO; 8];
-        let xc = x.clone();
-        convolve_zero_insertion(&xc, &y, &mut z, &mut scratch);
-        // (2 + t)(3 - t) = 6 + t - t^2, truncated at degree 1: [6, 1]
-        assert_eq!(z[0].to_f64(), 6.0);
-        assert_eq!(z[1].to_f64(), 1.0);
     }
 
     #[test]
@@ -281,9 +191,43 @@ mod tests {
         let mut z = [Md::<3>::ZERO];
         convolve_seq(&x, &y, &mut z);
         assert_eq!(z[0].to_f64(), 10.0);
-        let mut scratch = vec![Md::<3>::ZERO; 4];
-        let mut z2 = [Md::<3>::ZERO];
-        convolve_zero_insertion(&x, &y, &mut z2, &mut scratch);
-        assert_eq!(z2[0].to_f64(), 10.0);
+    }
+
+    #[test]
+    fn lower_coefficients_ignore_higher_inputs() {
+        // The direct loop and the Karatsuba short product (40 coefficients
+        // is past its threshold) never read a coefficient above the one
+        // they compute, so not even inf or NaN there reaches lower outputs.
+        use crate::karatsuba::{convolve_karatsuba, karatsuba_scratch_len};
+        let n = 40;
+        let x: Vec<Dd> = (1..=n).map(|i| Dd::from_f64(i as f64 / 7.0)).collect();
+        let y: Vec<Dd> = (1..=n).map(|i| Dd::from_f64(1.0 / i as f64)).collect();
+        let mut scratch = vec![Dd::ZERO; karatsuba_scratch_len(n)];
+        let mut run = |x: &[Dd], karatsuba: bool| {
+            let mut z = vec![Dd::ZERO; n];
+            if karatsuba {
+                convolve_karatsuba(x, &y, &mut z, &mut scratch);
+            } else {
+                convolve_seq(x, &y, &mut z);
+            }
+            z
+        };
+        for karatsuba in [false, true] {
+            let want = run(&x, karatsuba);
+            for j in [1, 17, 33] {
+                for bad in [f64::INFINITY, f64::NAN, -3.5] {
+                    let mut xb = x.clone();
+                    xb[j] = Dd::from_f64(bad);
+                    let got = run(&xb, karatsuba);
+                    for k in 0..j {
+                        assert_eq!(
+                            got[k].limbs().map(f64::to_bits),
+                            want[k].limbs().map(f64::to_bits),
+                            "karatsuba={karatsuba} j={j} bad={bad} k={k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

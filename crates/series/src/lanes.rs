@@ -5,10 +5,11 @@
 //! flat `f64` buffer in lane-major order: coefficient `k` of lane `l`
 //! occupies doubles `k * D * W + d * W + l` for `d < D =
 //! C::doubles_per_value()`.  The kernels below run the exact scalar
-//! convolution recurrences of [`crate::convolution`] with every scalar
-//! coefficient operation replaced by its [`LaneVec`] counterpart — which is
-//! bitwise identical per lane — so lane `l` of the output panel carries
-//! exactly the bits the scalar kernel produces for instance `l`.
+//! convolution recurrence of [`crate::convolution::convolve_seq`] with
+//! every scalar coefficient operation replaced by its [`LaneVec`]
+//! counterpart — which is bitwise identical per lane — so lane `l` of the
+//! output panel carries exactly the bits the scalar kernel produces for
+//! instance `l`.
 //!
 //! ## Runtime multiversioning
 //!
@@ -33,46 +34,20 @@ pub fn panel_f64s<C: Coeff>(n: usize, width: usize) -> usize {
 }
 
 /// The shared kernel body: the direct convolution recurrence
-/// (`z[k] = Σ_{i<=k} x[i] · y[k-i]`, accumulated with
-/// `mul_add_assign`) or its zero-insertion variant, over `W`-lane panels.
-///
-/// With `zero_insert` the body replicates
-/// [`crate::convolution::convolve_zero_insertion`]: the scalar kernel stages
-/// `y` into a zero-padded buffer of length `2 n` and accumulates all `n`
-/// products per output coefficient, including the products against staged
-/// zeros.  Those staged zeros are `C::zero()` bit patterns, so synthesizing
-/// a zero lane vector for the out-of-range indices reproduces the staged
-/// buffer bitwise without materializing it.
+/// (`z[k] = Σ_{i<=k} x[i] · y[k-i]`, accumulated with `mul_add_assign`)
+/// of [`crate::convolution::convolve_seq`] over `W`-lane panels.
 #[inline(always)]
-fn conv_panels_body<C: Coeff, const W: usize>(
-    zero_insert: bool,
-    x: &[f64],
-    y: &[f64],
-    z: &mut [f64],
-    n: usize,
-) {
+fn conv_panels_body<C: Coeff, const W: usize>(x: &[f64], y: &[f64], z: &mut [f64], n: usize) {
     let stride = C::doubles_per_value() * W;
     debug_assert!(x.len() >= n * stride);
     debug_assert!(y.len() >= n * stride);
     debug_assert!(z.len() >= n * stride);
     for k in 0..n {
         let mut acc = <C::Lanes<W> as LaneVec<C, W>>::zero();
-        if zero_insert {
-            for i in 0..n {
-                let xi = C::Lanes::<W>::load_from(x, i * stride);
-                let yi = if i <= k {
-                    C::Lanes::<W>::load_from(y, (k - i) * stride)
-                } else {
-                    <C::Lanes<W> as LaneVec<C, W>>::zero()
-                };
-                acc.mul_add_assign(&xi, &yi);
-            }
-        } else {
-            for i in 0..=k {
-                let xi = C::Lanes::<W>::load_from(x, i * stride);
-                let yi = C::Lanes::<W>::load_from(y, (k - i) * stride);
-                acc.mul_add_assign(&xi, &yi);
-            }
+        for i in 0..=k {
+            let xi = C::Lanes::<W>::load_from(x, i * stride);
+            let yi = C::Lanes::<W>::load_from(y, (k - i) * stride);
+            acc.mul_add_assign(&xi, &yi);
         }
         acc.store_to(z, k * stride);
     }
@@ -81,63 +56,53 @@ fn conv_panels_body<C: Coeff, const W: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn conv_panels_avx2<C: Coeff, const W: usize>(
-    zero_insert: bool,
     x: &[f64],
     y: &[f64],
     z: &mut [f64],
     n: usize,
 ) {
-    conv_panels_body::<C, W>(zero_insert, x, y, z, n);
+    conv_panels_body::<C, W>(x, y, z, n);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
 unsafe fn conv_panels_avx512<C: Coeff, const W: usize>(
-    zero_insert: bool,
     x: &[f64],
     y: &[f64],
     z: &mut [f64],
     n: usize,
 ) {
-    conv_panels_body::<C, W>(zero_insert, x, y, z, n);
+    conv_panels_body::<C, W>(x, y, z, n);
 }
 
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
 unsafe fn conv_panels_neon<C: Coeff, const W: usize>(
-    zero_insert: bool,
     x: &[f64],
     y: &[f64],
     z: &mut [f64],
     n: usize,
 ) {
-    conv_panels_body::<C, W>(zero_insert, x, y, z, n);
+    conv_panels_body::<C, W>(x, y, z, n);
 }
 
 /// Convolves `W`-lane panels `x` and `y` of `n` coefficients each into `z`,
 /// dispatching to the widest instruction set the machine supports.
 ///
-/// `zero_insert` selects between the bit patterns of the scalar
-/// zero-insertion kernel and the direct kernel (they differ — each lane must
-/// match the scalar kernel the plan resolved to).  The panels must not
-/// overlap; the engine always convolves arena-gathered operand panels into a
-/// separate output panel, which also makes in-place arena updates
-/// (`out == in1` or `out == in2`) safe without extra staging.
-pub fn convolve_panels<C: Coeff, const W: usize>(
-    zero_insert: bool,
-    x: &[f64],
-    y: &[f64],
-    z: &mut [f64],
-    n: usize,
-) {
+/// Each lane carries the bits of [`crate::convolution::convolve_seq`] for
+/// its instance.  The panels must not overlap; the engine always convolves
+/// arena-gathered operand panels into a separate output panel, which also
+/// makes in-place arena updates (`out == in1` or `out == in2`) safe without
+/// extra staging.
+pub fn convolve_panels<C: Coeff, const W: usize>(x: &[f64], y: &[f64], z: &mut [f64], n: usize) {
     match detect_isa() {
         #[cfg(target_arch = "x86_64")]
-        SimdIsa::Avx512 => unsafe { conv_panels_avx512::<C, W>(zero_insert, x, y, z, n) },
+        SimdIsa::Avx512 => unsafe { conv_panels_avx512::<C, W>(x, y, z, n) },
         #[cfg(target_arch = "x86_64")]
-        SimdIsa::Avx2 => unsafe { conv_panels_avx2::<C, W>(zero_insert, x, y, z, n) },
+        SimdIsa::Avx2 => unsafe { conv_panels_avx2::<C, W>(x, y, z, n) },
         #[cfg(target_arch = "aarch64")]
-        SimdIsa::Neon => unsafe { conv_panels_neon::<C, W>(zero_insert, x, y, z, n) },
-        _ => conv_panels_body::<C, W>(zero_insert, x, y, z, n),
+        SimdIsa::Neon => unsafe { conv_panels_neon::<C, W>(x, y, z, n) },
+        _ => conv_panels_body::<C, W>(x, y, z, n),
     }
 }
 
@@ -148,18 +113,11 @@ pub fn convolve_panels<C: Coeff, const W: usize>(
 ///
 /// Panics on an unsupported width — the engine validates widths when it
 /// resolves `SimdMode`, so reaching this with anything else is a bug.
-pub fn convolve_panels_dyn<C: Coeff>(
-    width: usize,
-    zero_insert: bool,
-    x: &[f64],
-    y: &[f64],
-    z: &mut [f64],
-    n: usize,
-) {
+pub fn convolve_panels_dyn<C: Coeff>(width: usize, x: &[f64], y: &[f64], z: &mut [f64], n: usize) {
     match width {
-        2 => convolve_panels::<C, 2>(zero_insert, x, y, z, n),
-        4 => convolve_panels::<C, 4>(zero_insert, x, y, z, n),
-        8 => convolve_panels::<C, 8>(zero_insert, x, y, z, n),
+        2 => convolve_panels::<C, 2>(x, y, z, n),
+        4 => convolve_panels::<C, 4>(x, y, z, n),
+        8 => convolve_panels::<C, 8>(x, y, z, n),
         w => panic!("unsupported SIMD lane width {w}: expected 2, 4 or 8"),
     }
 }
@@ -203,7 +161,7 @@ pub fn scatter_from_panel<C: Coeff>(panel: &[f64], dst: &mut [C], lane: usize, w
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convolution::{convolve_seq, convolve_zero_insertion, zero_insertion_scratch_len};
+    use crate::convolution::convolve_seq;
     use psmd_multidouble::{Complex, Dd, Deca, Md, Od, Pd, Qd, Td};
 
     fn mill(seed: u64) -> impl FnMut() -> f64 {
@@ -220,7 +178,7 @@ mod tests {
         (0..n).map(|_| C::from_f64(next())).collect()
     }
 
-    fn check_panels<C: Coeff, const W: usize>(n: usize, zero_insert: bool) {
+    fn check_panels<C: Coeff, const W: usize>(n: usize) {
         let mut next = mill(n as u64 * 31 + W as u64);
         let xs: Vec<Vec<C>> = (0..W).map(|_| series(n, &mut next)).collect();
         let ys: Vec<Vec<C>> = (0..W).map(|_| series(n, &mut next)).collect();
@@ -230,35 +188,28 @@ mod tests {
             gather_into_panel(&xs[l], &mut xp, l, W);
             gather_into_panel(&ys[l], &mut yp, l, W);
         }
-        convolve_panels::<C, W>(zero_insert, &xp, &yp, &mut zp, n);
-        let mut scratch = vec![C::zero(); zero_insertion_scratch_len(n)];
+        convolve_panels::<C, W>(&xp, &yp, &mut zp, n);
         for l in 0..W {
             let mut got = vec![C::zero(); n];
             scatter_from_panel(&zp, &mut got, l, W);
             let mut want = vec![C::zero(); n];
-            if zero_insert {
-                convolve_zero_insertion(&xs[l], &ys[l], &mut want, &mut scratch);
-            } else {
-                convolve_seq(&xs[l], &ys[l], &mut want);
-            }
-            assert_eq!(got, want, "lane {l} W={W} n={n} zi={zero_insert}");
+            convolve_seq(&xs[l], &ys[l], &mut want);
+            assert_eq!(got, want, "lane {l} W={W} n={n}");
         }
     }
 
     #[test]
     fn panel_kernels_match_scalar_bitwise_all_precisions() {
-        for zi in [false, true] {
-            check_panels::<f64, 4>(9, zi);
-            check_panels::<Dd, 4>(8, zi);
-            check_panels::<Td, 2>(7, zi);
-            check_panels::<Qd, 8>(6, zi);
-            check_panels::<Pd, 4>(5, zi);
-            check_panels::<Od, 2>(4, zi);
-            check_panels::<Deca, 4>(4, zi);
-            check_panels::<Md<1>, 8>(10, zi);
-            check_panels::<Complex<Dd>, 4>(6, zi);
-            check_panels::<Complex<Qd>, 2>(5, zi);
-        }
+        check_panels::<f64, 4>(9);
+        check_panels::<Dd, 4>(8);
+        check_panels::<Td, 2>(7);
+        check_panels::<Qd, 8>(6);
+        check_panels::<Pd, 4>(5);
+        check_panels::<Od, 2>(4);
+        check_panels::<Deca, 4>(4);
+        check_panels::<Md<1>, 8>(10);
+        check_panels::<Complex<Dd>, 4>(6);
+        check_panels::<Complex<Qd>, 2>(5);
     }
 
     #[test]
@@ -274,7 +225,7 @@ mod tests {
                 gather_into_panel(&xs[l], &mut xp, l, w);
                 gather_into_panel(&ys[l], &mut yp, l, w);
             }
-            convolve_panels_dyn::<Dd>(w, false, &xp, &yp, &mut zp, n);
+            convolve_panels_dyn::<Dd>(w, &xp, &yp, &mut zp, n);
             for l in 0..w {
                 let mut got = vec![Dd::zero(); n];
                 scatter_from_panel(&zp, &mut got, l, w);
@@ -289,6 +240,6 @@ mod tests {
     #[should_panic(expected = "unsupported SIMD lane width")]
     fn dyn_dispatch_rejects_bad_width() {
         let (x, y, mut z) = (vec![0.0; 6], vec![0.0; 6], vec![0.0; 6]);
-        convolve_panels_dyn::<Dd>(3, false, &x, &y, &mut z, 1);
+        convolve_panels_dyn::<Dd>(3, &x, &y, &mut z, 1);
     }
 }

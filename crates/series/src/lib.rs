@@ -7,8 +7,8 @@
 //!
 //! The crate provides both an owned, ergonomic [`Series`] type and the
 //! slice-level kernels ([`convolution`]) that the evaluation engine of
-//! `psmd-core` runs on ranges of its flat data array, including the
-//! zero-insertion data-parallel convolution of Section 2 of the paper.
+//! `psmd-core` runs on ranges of its flat data array: the direct schoolbook
+//! loop, the Karatsuba short product and the compensated digit-FFT.
 
 #![warn(missing_docs)]
 
@@ -20,7 +20,7 @@ pub mod series;
 
 pub use convolution::{
     add_assign_slices, addition_adds, convolution_adds, convolution_mults, convolve_accumulate,
-    convolve_seq, convolve_zero_insertion, zero_insertion_scratch_len, ConvAlgo,
+    convolve_seq, ConvAlgo,
 };
 pub use fft::{
     convolve_fft, fft_digit_bits, fft_digit_planes, fft_points, fft_scratch_f64_len, fft_ulp_budget,

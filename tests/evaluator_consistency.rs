@@ -6,7 +6,10 @@
 //! definition.
 
 use proptest::prelude::*;
-use psmd_core::{evaluate_naive, random_inputs, random_polynomial, Engine, Polynomial};
+use psmd_core::{
+    evaluate_naive, random_inputs, random_polynomial, Engine, EvalOptions, Evaluation, ExecMode,
+    Polynomial, SimdMode,
+};
 use psmd_multidouble::{Coeff, Complex, Dd, Deca, Md, Qd, RandomCoeff};
 use psmd_series::Series;
 use rand::rngs::StdRng;
@@ -169,6 +172,79 @@ fn batch_handles_empty_and_singleton_batches() {
     let single = plan.request(&z).sequential().run().into_single();
     assert_eq!(one.instances[0].value, single.value);
     assert_eq!(one.instances[0].gradient, single.gradient);
+}
+
+/// The limb bits of the first `j` coefficients of every output series
+/// (value, then each gradient component).
+fn bits_below<C: Coeff>(e: &Evaluation<C>, j: usize) -> Vec<u64> {
+    let mut limbs = vec![0.0; C::doubles_per_value()];
+    let mut bits = Vec::new();
+    for series in std::iter::once(&e.value).chain(&e.gradient) {
+        for c in &series.coeffs()[..j] {
+            c.write_limbs(&mut limbs);
+            bits.extend(limbs.iter().map(|l| l.to_bits()));
+        }
+    }
+    bits
+}
+
+/// Truncation causality of default-option plans: perturbing input
+/// coefficient `j` — to a finite value, `inf` or NaN — leaves every value
+/// and gradient coefficient below `j` bitwise unchanged, on the single
+/// (pooled and sequential) and the batched lane paths, layered and graph.
+fn check_truncation_causality<C: Coeff + RandomCoeff>(seed: u64) {
+    let (n, degree, batch_size) = (4, 6, 6);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let p: Polynomial<C> = random_polynomial(n, 8, 3, degree, &mut rng);
+    let batch: Vec<Vec<Series<C>>> = (0..batch_size)
+        .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
+        .collect();
+    let engine = Engine::builder().threads(2).build();
+    for exec in [ExecMode::Layered, ExecMode::Graph] {
+        // Four lanes over six instances: one lane group plus two scalar
+        // remainder instances.
+        let options = EvalOptions::new()
+            .with_exec_mode(exec)
+            .with_simd(SimdMode::ForceWidth(4));
+        let plan = engine.compile_with_options(p.clone(), options);
+        let base = plan.request(&batch).run().into_batch();
+        assert_eq!(base.timings.simd_width, 4);
+        for j in [1, 4, degree] {
+            for bad in [0.75, f64::INFINITY, f64::NAN] {
+                let what = format!("{exec:?}, coefficient {j} := {bad}");
+                let mut perturbed = batch.clone();
+                for z in &mut perturbed {
+                    z[j % n].set_coeff(j, C::from_f64(bad));
+                }
+                let single = plan.request(&batch[0]).run().into_single();
+                for run in [
+                    plan.request(&perturbed[0]).run().into_single(),
+                    plan.request(&perturbed[0]).sequential().run().into_single(),
+                ] {
+                    assert_eq!(bits_below(&run, j), bits_below(&single, j), "{what}");
+                    assert_ne!(
+                        bits_below(&run, j + 1),
+                        bits_below(&single, j + 1),
+                        "{what}: the perturbation must reach coefficient {j}"
+                    );
+                }
+                let lanes = plan.request(&perturbed).run().into_batch();
+                for (i, (got, want)) in lanes.instances.iter().zip(&base.instances).enumerate() {
+                    assert_eq!(
+                        bits_below(got, j),
+                        bits_below(want, j),
+                        "{what}: instance {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lower_coefficients_ignore_higher_input_coefficients() {
+    check_truncation_causality::<Dd>(131);
+    check_truncation_causality::<Complex<Qd>>(132);
 }
 
 proptest! {

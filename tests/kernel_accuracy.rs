@@ -3,11 +3,10 @@
 //! The ladder trades exactness classes for speed, and this suite pins each
 //! class down end to end through the engine:
 //!
-//! * **Schoolbook** (zero-insertion, direct): the reference results.
+//! * **Direct** (the schoolbook loop, the default): the reference results.
 //! * **Karatsuba**: bitwise identical to the direct kernel below the
 //!   recursion threshold (the base case *is* the direct loop); above it,
-//!   bounded in ulps of the working precision against the zero-insertion
-//!   reference.
+//!   bounded in ulps of the working precision against the direct reference.
 //! * **Digit-FFT**: never bitwise (the digit transform re-associates every
 //!   sum), but bounded by its documented per-element ulp budget on
 //!   well-scaled data and by a convolution-scale bound on adversarial data.
@@ -46,7 +45,7 @@ fn options(kernel: ConvolutionKernel) -> EvalOptions {
 }
 
 /// One accuracy check: random polynomial, random inputs, `kernel` vs the
-/// zero-insertion reference plan, absolute and ulp reporting.
+/// direct reference plan, absolute and ulp reporting.
 fn check_kernel<C: Coeff + RandomCoeff>(
     kernel: ConvolutionKernel,
     seed: u64,
@@ -68,7 +67,7 @@ fn check_kernel<C: Coeff + RandomCoeff>(
     let ulps = got.max_ulp_difference(&want);
     assert!(
         diff <= tol,
-        "{kernel:?} vs zero-insertion differ by {diff:e} ({ulps:.1} ulps; \
+        "{kernel:?} vs direct differ by {diff:e} ({ulps:.1} ulps; \
          tolerance {tol:e}) for seed {seed}, degree {degree}"
     );
     // The parallel run of the same plan stays bitwise identical to its own
@@ -218,7 +217,7 @@ fn adversarial_series(degree: usize, seed: u64, spread: bool) -> Series<Dd> {
 
 /// Adversarial inputs through the engine: huge/tiny magnitude mixes and
 /// cancellation-heavy alternating signs.  The gate is in ulps of the
-/// result scale (`max_difference` against the zero-insertion reference,
+/// result scale (`max_difference` against the direct reference,
 /// relative to its largest coefficient), because element-relative ulps are
 /// unbounded under catastrophic cancellation for *any* kernel.
 #[test]
@@ -275,7 +274,6 @@ fn kernels_are_exact_on_zero_and_single_term_inputs() {
     );
     let engine = Engine::builder().threads(0).build();
     for kernel in [
-        ConvolutionKernel::ZeroInsertion,
         ConvolutionKernel::Direct,
         ConvolutionKernel::Karatsuba,
         ConvolutionKernel::Fft,
@@ -315,7 +313,7 @@ proptest! {
 
     /// Random structures, random degrees spanning the crossover ladder:
     /// both sub-quadratic kernels stay within their documented budget of
-    /// the zero-insertion reference (double-double).
+    /// the direct reference (double-double).
     #[test]
     fn random_structures_stay_within_kernel_budgets(
         seed in 0u64..10_000,

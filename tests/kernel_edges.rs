@@ -17,8 +17,7 @@ use rand::SeedableRng;
 #[global_allocator]
 static ALLOCATOR: psmd_bench::CountingAllocator = psmd_bench::CountingAllocator;
 
-const LADDER: [ConvolutionKernel; 4] = [
-    ConvolutionKernel::ZeroInsertion,
+const LADDER: [ConvolutionKernel; 3] = [
     ConvolutionKernel::Direct,
     ConvolutionKernel::Karatsuba,
     ConvolutionKernel::Fft,
@@ -128,7 +127,7 @@ fn auto_resolution_is_part_of_the_plan_cache_key() {
     let engine = Engine::builder().threads(0).build();
     let before = engine.cache_stats();
 
-    // Dd has 2 limbs per component: degree 8 resolves to schoolbook,
+    // Dd has 2 limbs per component: degree 8 resolves to the direct loop,
     // degree 64 (past fft_from = 48) to the digit-FFT.
     let p_small: Polynomial<Dd> = random_polynomial(4, 6, 3, 8, &mut rng);
     let p_large: Polynomial<Dd> = random_polynomial(4, 6, 3, 64, &mut rng);
@@ -136,7 +135,7 @@ fn auto_resolution_is_part_of_the_plan_cache_key() {
     let large = engine.compile_with_options(p_large, options(ConvolutionKernel::Auto));
     assert_eq!(small.options().kernel, auto_kernel(2, 8));
     assert_eq!(large.options().kernel, auto_kernel(2, 64));
-    assert_eq!(small.options().kernel, ConvolutionKernel::ZeroInsertion);
+    assert_eq!(small.options().kernel, ConvolutionKernel::Direct);
     assert_eq!(large.options().kernel, ConvolutionKernel::Fft);
     assert!(
         !std::sync::Arc::ptr_eq(&small, &large),
@@ -151,12 +150,12 @@ fn auto_resolution_is_part_of_the_plan_cache_key() {
     assert_eq!(stats.misses - before.misses, 2, "two distinct compiles");
     assert_eq!(stats.hits - before.hits, 1, "one cache hit");
 
-    // An explicit zero-insertion compile of the small source is a separate
-    // entry from the Auto compile, even though both resolve to the same
-    // kernel: the cache keys on what the caller asked for.
-    let explicit = engine.compile_with_options(p_small, options(ConvolutionKernel::ZeroInsertion));
+    // An explicit direct compile of the small source is a separate entry
+    // from the Auto compile, even though both resolve to the same kernel:
+    // the cache keys on what the caller asked for.
+    let explicit = engine.compile_with_options(p_small, options(ConvolutionKernel::Direct));
     assert!(!std::sync::Arc::ptr_eq(&small, &explicit));
-    assert_eq!(explicit.options().kernel, ConvolutionKernel::ZeroInsertion);
+    assert_eq!(explicit.options().kernel, ConvolutionKernel::Direct);
     assert_eq!(engine.cache_stats().misses - before.misses, 3);
 }
 

@@ -31,8 +31,8 @@ fn stress_engine() -> Engine {
     Engine::builder().threads(threads).build()
 }
 
-/// The kernel cycled at iteration `iter` (never `ZeroInsertion`, which is
-/// the reference side of every comparison).
+/// The kernel cycled at iteration `iter` (never `Direct`, the default
+/// kernel, which is the reference side of every comparison).
 fn kernel_for(iter: usize) -> ConvolutionKernel {
     match iter % 3 {
         0 => ConvolutionKernel::Karatsuba,
@@ -58,7 +58,7 @@ fn kernel_ladder_stress_loop() {
         let p: Polynomial<Dd> = random_polynomial(n, monomials, n.min(5), degree, &mut rng);
         let tol = Dd::unit_roundoff() * ((degree + 1) * (monomials + 4)) as f64 * 4096.0;
         match iter % 2 {
-            // Single evaluation: kernel vs zero-insertion reference within
+            // Single evaluation: kernel vs direct reference within
             // tolerance; layered vs graph bitwise for the same kernel.
             0 => {
                 let z = random_inputs::<Dd, _>(n, degree, &mut rng);
