@@ -47,7 +47,9 @@ fn schedule_construction(c: &mut Criterion) {
         .sample_size(20)
         .measurement_time(Duration::from_millis(800));
     group.bench_function("reduced_p1", |b| {
-        b.iter(|| black_box(psmd_core::Schedule::build(&p).convolution_jobs()))
+        b.iter(|| {
+            black_box(psmd_core::Schedule::build(std::slice::from_ref(&p)).convolution_jobs())
+        })
     });
     // The same construction through the engine with the plan cache hitting:
     // the steady-state cost of `Engine::compile` for a known polynomial.

@@ -33,7 +33,7 @@ fn fused_vs_looped(c: &mut Criterion) {
         let probe = fused.request(&inputs).run().into_system();
         assert_eq!(
             probe.timings.convolution_launches,
-            fused.system_schedule().unwrap().convolution_layers.len()
+            fused.schedule().unwrap().convolution_layers.len()
         );
         let singles: Vec<_> = system.iter().map(|p| engine.compile(p.clone())).collect();
         group.bench_function(BenchmarkId::new("fused_one_launch_per_layer", m), |b| {
@@ -67,7 +67,7 @@ fn schedule_reuse(c: &mut Criterion) {
     let cold = Engine::builder().plan_cache_capacity(0).build();
     let warm = Engine::new();
     let merged = warm.compile(system.clone());
-    let mut group = c.benchmark_group("system_schedule_reuse_reduced_p1_d4");
+    let mut group = c.benchmark_group("merged_schedule_reuse_reduced_p1_d4");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(1));

@@ -1345,7 +1345,7 @@ fn table2(opts: &Options) {
     let mut json = JsonReport::new("table2");
     for poly in TestPolynomial::ALL {
         let p: Polynomial<Md<2>> = poly.build(0, 1);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         if opts.json {
             json.add_row(vec![
                 ("poly", Json::Str(poly.label().to_string())),

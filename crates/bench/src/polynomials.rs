@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn p1_job_counts_match_table_2_exactly() {
         let p: Polynomial<Dd> = TestPolynomial::P1.build(0, 1);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         assert_eq!(s.convolution_jobs(), 16_380);
         assert_eq!(s.addition_jobs(), 9_084);
         // The four convolution kernel launches of Section 6.1.
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn p2_job_counts_match_table_2_exactly() {
         let p: Polynomial<Dd> = TestPolynomial::P2.build(0, 1);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         assert_eq!(s.convolution_jobs(), 24_192);
         assert_eq!(s.addition_jobs(), 8_192);
         // The first 31 convolution layers have 256 blocks each (Section 6.2).
@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn p3_job_counts_match_table_2_within_documented_deviation() {
         let p: Polynomial<Dd> = TestPolynomial::P3.build(0, 1);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         // Our scheme needs 3 convolutions per two-variable monomial, i.e.
         // 24,384; the paper reports 24,256 (a 0.5% difference documented in
         // EXPERIMENTS.md).

@@ -82,7 +82,7 @@ impl ShapeCache {
             // the truncation degree, so build it once at degree 0 in
             // double-double.
             let p: Polynomial<Md<2>> = poly.build(0, 1);
-            let schedule = Schedule::build(&p);
+            let schedule = Schedule::build(std::slice::from_ref(&p));
             workload_shape(&schedule)
         });
         let mut shape = entry.clone();
@@ -390,7 +390,7 @@ pub fn system_comparison(
     let looped_launches = looped.convolution_launches + looped.addition_launches;
     // Read the monomial counts off the merged schedule directly: stats()
     // would also build the (unused here) dependency-graph plan.
-    let schedule = fused_plan.system_schedule().expect("system plan");
+    let schedule = fused_plan.schedule().expect("compiled schedule");
     SystemComparison {
         equations,
         fused,
@@ -526,7 +526,7 @@ pub fn workspace_comparison(
     let reused_ms = start.elapsed().as_secs_f64() * 1e3 / evals as f64;
     let arena_coeffs = plan
         .schedule()
-        .expect("single-polynomial plan")
+        .expect("compiled schedule")
         .layout
         .total_coefficients();
     WorkspaceComparison {
@@ -555,7 +555,7 @@ pub fn measured_double_ops(
         Scale::Reduced => poly.build_reduced(degree, 1),
         Scale::Full => poly.build(0, 1),
     };
-    let schedule = Schedule::build(&p);
+    let schedule = Schedule::build(std::slice::from_ref(&p));
     let mut shape = workload_shape(&schedule);
     shape.degree = degree;
     shape.total_double_ops(precision, cost)

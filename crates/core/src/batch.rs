@@ -6,9 +6,10 @@
 //! the monomials" (Section 5), so it can be reused across any number of
 //! evaluation points.  The engine's batched path exploits both observations:
 //!
-//! * the [`Schedule`] is built **once** per plan and shared by every
-//!   instance of the batch, amortizing schedule construction over the whole
-//!   batch;
+//! * the [`Schedule`](crate::Schedule) is built **once** per plan and
+//!   shared by every instance of the batch, amortizing schedule
+//!   construction over the whole batch (single-polynomial and system plans
+//!   alike: a polynomial is the one-equation system);
 //! * all batch instances live in **one flat coefficient arena** (instance
 //!   `i` occupies the slot range `i * num_slots .. (i + 1) * num_slots`, see
 //!   [`DataLayout::batch_slot`](crate::DataLayout::batch_slot)), so one grid
@@ -20,7 +21,7 @@
 //! blocks per launch by the batch size and fills the pool, exactly like the
 //! paper fills the GPU's multiprocessors with wide grids.
 //!
-//! The arena lives in the evaluation [`Workspace`], so a steady stream of
+//! The arena lives in the evaluation [`Workspace`](crate::Workspace), so a steady stream of
 //! equal-sized batches through one plan allocates nothing after warm-up.
 //!
 //! ```
@@ -49,16 +50,9 @@
 //! assert_eq!(result.instances[1].value.coeff(0).to_f64(), 7.0); // 1 + 3*2
 //! ```
 
-use crate::evaluate::{execute_schedule, Evaluation};
-use crate::options::EvalOptions;
-use crate::polynomial::Polynomial;
-use crate::schedule::{GraphPlan, Schedule};
-use crate::workspace::Workspace;
-use crate::{ConvolutionKernel, ExecMode};
+use crate::evaluate::Evaluation;
 use psmd_multidouble::Coeff;
-use psmd_runtime::{CancelToken, KernelTimings, SharedSlice, Stopwatch, WorkerPool};
-use psmd_series::Series;
-use std::sync::OnceLock;
+use psmd_runtime::KernelTimings;
 
 /// The evaluations of one batch, plus the aggregate kernel timings of the
 /// shared launches.
@@ -104,122 +98,15 @@ impl<C: Coeff> Default for BatchEvaluation<C> {
     }
 }
 
-/// Evaluates a whole batch through one polynomial's schedule, writing every
-/// instance's value and gradient into `out` — the shared internal of the
-/// engine's single-polynomial [`Plan`](crate::Plan) under batched inputs.
-/// `graph` caches the block-level plan of one instance (batch launches
-/// replicate it per instance without cross-instance edges); all evaluation
-/// memory is borrowed from `ws`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch<C: Coeff>(
-    poly: &Polynomial<C>,
-    schedule: &Schedule,
-    options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
-    batch: &[Vec<Series<C>>],
-    pool: Option<&WorkerPool>,
-    cancel: Option<&CancelToken>,
-    ws: &mut Workspace<C>,
-    out: &mut BatchEvaluation<C>,
-) {
-    let wall = Stopwatch::start();
-    let mut timings = KernelTimings::new();
-    if batch.is_empty() {
-        out.instances.clear();
-        timings.wall_clock = wall.elapsed();
-        out.timings = timings;
-        return;
-    }
-    let layout = &schedule.layout;
-    let per = layout.coeffs_per_slot();
-    let stride = layout.total_coefficients();
-    let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch, graph_scratch) =
-        ws.parts(layout.batch_total_coefficients(batch.len()), participants);
-    // Stage 0: lay every instance out back-to-back in the flat arena.
-    for (i, inputs) in batch.iter().enumerate() {
-        let off = layout.batch_instance_offset(i);
-        schedule.fill_data_array(poly, inputs, &mut arena[off..off + stride]);
-    }
-    // One graph launch (or one grid launch per layer) carries every block
-    // of every instance; `batch_slot` rebases each job into its instance's
-    // arena region, and instances occupy disjoint regions so they share no
-    // hazards.
-    let plan = match (options.exec_mode, pool) {
-        (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
-        _ => None,
-    };
-    // The SIMD lane tier: batched evaluation is the one path with an
-    // instance axis to vectorize over.  Resolve the mode (plans store it
-    // resolved; direct callers may still pass `Auto`) and only engage lane
-    // groups for the kernels with lane variants — per lane the results are
-    // bitwise identical either way.
-    let resolved_kernel = match options.kernel {
-        ConvolutionKernel::Auto => crate::crossover::auto_kernel(C::component_limbs(), per - 1),
-        k => k,
-    };
-    let lane_width = match resolved_kernel {
-        ConvolutionKernel::Direct => options.simd.lane_width(),
-        _ => 1,
-    };
-    timings.simd_width = lane_width;
-    let completed = {
-        let shared = SharedSlice::new(&mut *arena);
-        execute_schedule(
-            &schedule.convolution_layers,
-            &schedule.addition_layers,
-            plan,
-            &shared,
-            per,
-            options.kernel,
-            pool,
-            scratch,
-            graph_scratch,
-            &mut timings,
-            batch.len(),
-            lane_width,
-            cancel,
-            |instance, slot| layout.batch_slot(instance, slot),
-        )
-    };
-    if !completed {
-        // Abandoned mid-schedule: every instance region holds partial
-        // results, so skip extraction and flag the whole batch instead.
-        timings.cancelled = true;
-        timings.wall_clock = wall.elapsed();
-        out.timings = timings;
-        return;
-    }
-    // Extract every instance's value and gradient from the arena.
-    out.instances.resize_with(batch.len(), Evaluation::empty);
-    for (i, instance) in out.instances.iter_mut().enumerate() {
-        let off = layout.batch_instance_offset(i);
-        let region = &arena[off..off + stride];
-        schedule.extract_into(region, schedule.value_location, &mut instance.value);
-        instance
-            .gradient
-            .resize_with(schedule.gradient_locations.len(), || Series::zero(0));
-        for (&loc, g) in schedule
-            .gradient_locations
-            .iter()
-            .zip(instance.gradient.iter_mut())
-        {
-            schedule.extract_into(region, loc, g);
-        }
-        instance.timings = KernelTimings::new();
-    }
-    timings.wall_clock = wall.elapsed();
-    out.timings = timings;
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::engine::{Engine, Plan};
     use crate::generators::{random_inputs, random_polynomial};
     use crate::monomial::Monomial;
-    use crate::ConvolutionKernel;
+    use crate::polynomial::Polynomial;
+    use crate::{ConvolutionKernel, EvalOptions, ExecMode};
     use psmd_multidouble::{Complex, Dd, Qd};
+    use psmd_series::Series;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;

@@ -101,7 +101,7 @@ mod tests {
     fn coefficient_ops_follow_the_paper_formulas() {
         let d = 7;
         let p = example(d);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         let ops = coefficient_ops(&s);
         assert_eq!(ops.multiplications, 21 * (d + 1) * (d + 1));
         assert_eq!(ops.additions, 21 * d * (d + 1) + 7 * (d + 1));
@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn double_ops_scale_with_precision() {
         let p = example(3);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         let ops = coefficient_ops(&s);
         let d2 = ops.double_ops(Precision::D2, CostModel::Paper);
         let d10 = ops.double_ops(Precision::D10, CostModel::Paper);
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn workload_shape_matches_schedule() {
         let p = example(5);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         let w = workload_shape(&s);
         assert_eq!(w.degree, 5);
         assert_eq!(w.convolution_jobs(), s.convolution_jobs());
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn achieved_gflops_is_positive_and_inverse_in_time() {
         let p = example(4);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         let fast = achieved_gflops(&s, Precision::D4, CostModel::Paper, 1.0);
         let slow = achieved_gflops(&s, Precision::D4, CostModel::Paper, 10.0);
         assert!(fast > 0.0);

@@ -68,16 +68,14 @@
 //! assert!(out.bitwise_eq(&seq));
 //! ```
 
-use crate::batch::{run_batch, BatchEvaluation};
+use crate::batch::BatchEvaluation;
 use crate::error::Error;
-use crate::evaluate::{run_single, Evaluation};
+use crate::evaluate::{evaluate_into, Evaluation};
 use crate::monomial::Monomial;
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
 use crate::schedule::{GraphPlan, Schedule};
-use crate::system::{
-    run_system, run_system_batch, SystemBatchEvaluation, SystemEvaluation, SystemSchedule,
-};
+use crate::system::{SystemBatchEvaluation, SystemEvaluation};
 use crate::workspace::{Workspace, WorkspacePool};
 use parking_lot::Mutex;
 use psmd_multidouble::{Coeff, Md, Precision};
@@ -90,6 +88,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// What a [`Plan`] is compiled from: one polynomial or a whole system.
+///
+/// Both compile to the same merged [`Schedule`]: a single polynomial is the
+/// one-equation system.  The variant only decides the output shape (a value
+/// and gradient, or all values and the Jacobian).
 ///
 /// The source is stored **by value** inside the plan — unlike the historical
 /// borrowing evaluators there is no `'p` lifetime, which is what lets plans
@@ -104,28 +106,30 @@ pub enum PolySource<C> {
 }
 
 impl<C: Coeff> PolySource<C> {
+    /// The equations of the source: the one polynomial of a single source,
+    /// or every equation of a system.
+    pub(crate) fn equations(&self) -> &[Polynomial<C>] {
+        match self {
+            PolySource::Single(p) => std::slice::from_ref(p),
+            PolySource::System(ps) => ps,
+        }
+    }
+
     /// Number of variables of the source.
     pub fn num_variables(&self) -> usize {
-        match self {
-            PolySource::Single(p) => p.num_variables(),
-            PolySource::System(ps) => ps.first().map_or(0, Polynomial::num_variables),
-        }
+        self.equations()
+            .first()
+            .map_or(0, Polynomial::num_variables)
     }
 
     /// Common truncation degree of the source.
     pub fn degree(&self) -> usize {
-        match self {
-            PolySource::Single(p) => p.degree(),
-            PolySource::System(ps) => ps.first().map_or(0, Polynomial::degree),
-        }
+        self.equations().first().map_or(0, Polynomial::degree)
     }
 
     /// Number of equations (1 for a single polynomial).
     pub fn num_equations(&self) -> usize {
-        match self {
-            PolySource::Single(_) => 1,
-            PolySource::System(ps) => ps.len(),
-        }
+        self.equations().len()
     }
 
     /// A structural hash of the source: variable structure, truncation
@@ -317,10 +321,12 @@ impl<'a, C> From<&'a Vec<Vec<Series<C>>>> for Inputs<'a, C> {
     }
 }
 
-/// Unified evaluation result: the variant matches the plan kind and the
-/// input shape (`Single` plan × `Single` inputs → `Single`, `Single` plan ×
-/// `Batch` inputs → `Batch`, `System` plan × `Single` inputs → `System`,
-/// `System` plan × `Batch` inputs → `SystemBatch`).
+/// Unified evaluation result: the variant matches the source variant and
+/// the input shape (`Single` source × `Single` inputs → `Single`, `Single`
+/// source × `Batch` inputs → `Batch`, `System` source × `Single` inputs →
+/// `System`, `System` source × `Batch` inputs → `SystemBatch`).  All four
+/// come out of the same runner; they differ only in how the equations of
+/// each staged instance are read back.
 #[derive(Debug, Clone)]
 pub enum EvalOutput<C> {
     /// Value and gradient of one polynomial at one input vector.
@@ -347,7 +353,7 @@ impl<C: Coeff> EvalOutput<C> {
         }
     }
 
-    fn timings_mut(&mut self) -> &mut KernelTimings {
+    pub(crate) fn timings_mut(&mut self) -> &mut KernelTimings {
         match self {
             EvalOutput::Single(e) => &mut e.timings,
             EvalOutput::Batch(e) => &mut e.timings,
@@ -495,8 +501,8 @@ pub struct PlanStats {
     pub convolution_jobs: usize,
     /// Total addition jobs.
     pub addition_jobs: usize,
-    /// Unique monomials after system merging (equals `total_monomials` for a
-    /// single-polynomial plan).
+    /// Unique monomials after merging repeats (same variables, same
+    /// coefficient) within and across equations.
     pub unique_monomials: usize,
     /// Total monomial instances across all equations.
     pub total_monomials: usize,
@@ -514,12 +520,6 @@ pub struct GraphPlanStats {
     pub critical_path: usize,
 }
 
-/// The compiled schedule of one [`PolySource`].
-enum PlanKind {
-    Single(Schedule),
-    System(SystemSchedule),
-}
-
 /// An owned, compiled evaluation plan: the polynomial source, its job
 /// schedule, layout and (lazily built) dependency-graph plan, plus a handle
 /// to the worker pool it evaluates on.
@@ -529,7 +529,7 @@ enum PlanKind {
 /// threads as you like, keep it alive after the engine is gone.
 pub struct Plan<C: Coeff> {
     source: PolySource<C>,
-    kind: PlanKind,
+    schedule: Schedule,
     options: EvalOptions,
     pool: Arc<WorkerPool>,
     workspaces: Arc<WorkspacePool<C>>,
@@ -543,10 +543,7 @@ impl<C: Coeff> Plan<C> {
         pool: Arc<WorkerPool>,
         workspaces: Arc<WorkspacePool<C>>,
     ) -> Self {
-        let kind = match &source {
-            PolySource::Single(p) => PlanKind::Single(Schedule::build(p)),
-            PolySource::System(ps) => PlanKind::System(SystemSchedule::build(ps)),
-        };
+        let schedule = Schedule::build(source.equations());
         // Resolve `Auto` once, at compile time, against the measured
         // crossover table for this (precision, degree) pair; evaluation
         // never re-decides per job.  The plan cache keys on the *requested*
@@ -561,7 +558,7 @@ impl<C: Coeff> Plan<C> {
         options.simd = options.simd.resolved();
         Self {
             source,
-            kind,
+            schedule,
             options,
             pool,
             workspaces,
@@ -579,69 +576,34 @@ impl<C: Coeff> Plan<C> {
         self.options
     }
 
-    /// The single-polynomial schedule, if this is a single plan.
+    /// The compiled job schedule.  Always `Some`: a single polynomial
+    /// compiles as the one-equation system, so every plan has one merged
+    /// schedule.
     pub fn schedule(&self) -> Option<&Schedule> {
-        match &self.kind {
-            PlanKind::Single(s) => Some(s),
-            PlanKind::System(_) => None,
-        }
-    }
-
-    /// The merged system schedule, if this is a system plan.
-    pub fn system_schedule(&self) -> Option<&SystemSchedule> {
-        match &self.kind {
-            PlanKind::Single(_) => None,
-            PlanKind::System(s) => Some(s),
-        }
+        Some(&self.schedule)
     }
 
     /// The block-level dependency-graph plan, built once on first use and
     /// shared by every graph-mode evaluation of this plan.
     pub fn graph_plan(&self) -> &GraphPlan {
-        self.graph.get_or_init(|| match &self.kind {
-            PlanKind::Single(s) => s.graph_plan(),
-            PlanKind::System(s) => s.graph_plan(),
-        })
+        self.graph.get_or_init(|| self.schedule.graph_plan())
     }
 
     /// Structure counts of the compiled schedule.  Cheap: reads the job
     /// schedule only; the dependency-graph numbers are in
     /// [`Plan::graph_stats`] (which does build the graph plan).
     pub fn stats(&self) -> PlanStats {
-        let (conv_layers, add_layers, conv_jobs, add_jobs, unique, total) = match &self.kind {
-            PlanKind::Single(s) => {
-                let monomials = match &self.source {
-                    PolySource::Single(p) => p.num_monomials(),
-                    PolySource::System(_) => unreachable!("single plan with system source"),
-                };
-                (
-                    s.convolution_layers.len(),
-                    s.addition_layers.len(),
-                    s.convolution_jobs(),
-                    s.addition_jobs(),
-                    monomials,
-                    monomials,
-                )
-            }
-            PlanKind::System(s) => (
-                s.convolution_layers.len(),
-                s.addition_layers.len(),
-                s.convolution_jobs(),
-                s.addition_jobs(),
-                s.unique_monomials(),
-                s.total_monomials(),
-            ),
-        };
+        let s = &self.schedule;
         PlanStats {
             equations: self.source.num_equations(),
             num_variables: self.source.num_variables(),
             degree: self.source.degree(),
-            convolution_layers: conv_layers,
-            addition_layers: add_layers,
-            convolution_jobs: conv_jobs,
-            addition_jobs: add_jobs,
-            unique_monomials: unique,
-            total_monomials: total,
+            convolution_layers: s.convolution_layers.len(),
+            addition_layers: s.addition_layers.len(),
+            convolution_jobs: s.convolution_jobs(),
+            addition_jobs: s.addition_jobs(),
+            unique_monomials: s.unique_monomials(),
+            total_monomials: s.total_monomials(),
         }
     }
 
@@ -668,23 +630,15 @@ impl<C: Coeff> Plan<C> {
     /// its returned output, and threaded pools pay their constant
     /// per-launch control allocations.
     pub fn create_workspace(&self) -> Workspace<C> {
-        let per;
-        let arena;
-        let blocks;
-        match &self.kind {
-            PlanKind::Single(s) => {
-                per = s.layout.coeffs_per_slot();
-                arena = s.layout.total_coefficients();
-                blocks = s.convolution_jobs() + s.addition_jobs();
-            }
-            PlanKind::System(s) => {
-                per = s.layout.coeffs_per_slot();
-                arena = s.layout.total_coefficients();
-                blocks = s.convolution_jobs() + s.addition_jobs();
-            }
-        }
+        let s = &self.schedule;
+        let per = s.layout.coeffs_per_slot();
         let mut ws = Workspace::new(self.pool.parallelism());
-        ws.warm_for(arena, per, blocks, self.options.kernel);
+        ws.warm_for(
+            s.layout.total_coefficients(),
+            per,
+            s.convolution_jobs() + s.addition_jobs(),
+            self.options.kernel,
+        );
         ws.warm_lanes(per, self.options.simd.lane_width());
         ws
     }
@@ -727,9 +681,8 @@ impl<C: Coeff> Plan<C> {
     /// one engine concurrently a run may be charged with rendezvous its
     /// neighbors paid (see [`KernelTimings::pool_rendezvous`]).
     ///
-    /// Running the request panics when a system plan is given batched
-    /// inputs, or when the input shape does not match the source (wrong
-    /// variable count or degree).
+    /// Running the request panics when the input shape does not match the
+    /// source (wrong variable count or degree).
     pub fn request<'r>(&'r self, inputs: impl Into<Inputs<'r, C>>) -> EvalRequest<'r, C> {
         EvalRequest {
             plan: self,
@@ -742,13 +695,15 @@ impl<C: Coeff> Plan<C> {
 
     /// An empty output of the variant the inputs will produce.
     fn empty_output(&self, inputs: &Inputs<'_, C>) -> EvalOutput<C> {
-        match (&self.kind, inputs) {
-            (PlanKind::Single(_), Inputs::Single(_)) => EvalOutput::Single(Evaluation::empty()),
-            (PlanKind::Single(_), Inputs::Batch(_)) => EvalOutput::Batch(BatchEvaluation::empty()),
-            (PlanKind::System(_), Inputs::Single(_)) => {
+        match (&self.source, inputs) {
+            (PolySource::Single(_), Inputs::Single(_)) => EvalOutput::Single(Evaluation::empty()),
+            (PolySource::Single(_), Inputs::Batch(_)) => {
+                EvalOutput::Batch(BatchEvaluation::empty())
+            }
+            (PolySource::System(_), Inputs::Single(_)) => {
                 EvalOutput::System(SystemEvaluation::empty())
             }
-            (PlanKind::System(_), Inputs::Batch(_)) => {
+            (PolySource::System(_), Inputs::Batch(_)) => {
                 EvalOutput::SystemBatch(SystemBatchEvaluation::empty())
             }
         }
@@ -759,22 +714,24 @@ impl<C: Coeff> Plan<C> {
     /// matching-variant steady state keeps every buffer).
     fn reshape_output(&self, inputs: &Inputs<'_, C>, out: &mut EvalOutput<C>) {
         let matches = matches!(
-            (&self.kind, inputs, &*out),
+            (&self.source, inputs, &*out),
             (
-                PlanKind::Single(_),
+                PolySource::Single(_),
                 Inputs::Single(_),
                 EvalOutput::Single(_)
-            ) | (PlanKind::Single(_), Inputs::Batch(_), EvalOutput::Batch(_))
-                | (
-                    PlanKind::System(_),
-                    Inputs::Single(_),
-                    EvalOutput::System(_)
-                )
-                | (
-                    PlanKind::System(_),
-                    Inputs::Batch(_),
-                    EvalOutput::SystemBatch(_)
-                )
+            ) | (
+                PolySource::Single(_),
+                Inputs::Batch(_),
+                EvalOutput::Batch(_)
+            ) | (
+                PolySource::System(_),
+                Inputs::Single(_),
+                EvalOutput::System(_)
+            ) | (
+                PolySource::System(_),
+                Inputs::Batch(_),
+                EvalOutput::SystemBatch(_)
+            )
         );
         if !matches {
             *out = self.empty_output(inputs);
@@ -794,77 +751,17 @@ impl<C: Coeff> Plan<C> {
         // without reading the shared counter, so concurrent parallel
         // evaluations on the same pool cannot be misattributed to them.
         let before = parallel.then(|| self.pool.rendezvous_count());
-        match (&self.kind, inputs, &mut *out) {
-            (PlanKind::Single(schedule), Inputs::Single(z), EvalOutput::Single(single)) => {
-                let PolySource::Single(poly) = &self.source else {
-                    unreachable!("single plan with system source")
-                };
-                run_single(
-                    poly,
-                    schedule,
-                    self.options,
-                    &self.graph,
-                    z,
-                    pool,
-                    cancel,
-                    ws,
-                    single,
-                );
-            }
-            (PlanKind::Single(schedule), Inputs::Batch(batch), EvalOutput::Batch(batched)) => {
-                let PolySource::Single(poly) = &self.source else {
-                    unreachable!("single plan with system source")
-                };
-                run_batch(
-                    poly,
-                    schedule,
-                    self.options,
-                    &self.graph,
-                    batch,
-                    pool,
-                    cancel,
-                    ws,
-                    batched,
-                );
-            }
-            (PlanKind::System(schedule), Inputs::Single(z), EvalOutput::System(system)) => {
-                let PolySource::System(polys) = &self.source else {
-                    unreachable!("system plan with single source")
-                };
-                run_system(
-                    polys,
-                    schedule,
-                    self.options,
-                    &self.graph,
-                    z,
-                    pool,
-                    cancel,
-                    ws,
-                    system,
-                );
-            }
-            (
-                PlanKind::System(schedule),
-                Inputs::Batch(batch),
-                EvalOutput::SystemBatch(batched),
-            ) => {
-                let PolySource::System(polys) = &self.source else {
-                    unreachable!("system plan with single source")
-                };
-                run_system_batch(
-                    polys,
-                    schedule,
-                    self.options,
-                    &self.graph,
-                    batch,
-                    pool,
-                    cancel,
-                    ws,
-                    batched,
-                );
-            }
-            _ => unreachable!("output variant reshaped before the run"),
-        }
+        evaluate_into(
+            self.source.equations(),
+            &self.schedule,
+            self.options,
+            &self.graph,
+            inputs,
+            pool,
+            cancel,
+            ws,
+            out,
+        );
         out.timings_mut().pool_rendezvous = match before {
             Some(before) => self.pool.rendezvous_count().saturating_sub(before),
             None => 0,
@@ -947,9 +844,8 @@ impl<'r, C: Coeff> EvalRequest<'r, C> {
     ///
     /// # Panics
     ///
-    /// Panics when a system plan is given batched inputs, or when the
-    /// input shape does not match the source (wrong variable count or
-    /// degree).
+    /// Panics when the input shape does not match the source (wrong
+    /// variable count or degree).
     pub fn run(self) -> EvalOutput<C> {
         let mut out = self.plan.empty_output(&self.inputs);
         self.dispatch(&mut out);
@@ -1153,7 +1049,8 @@ impl EngineBuilder {
 
     /// Builds the engine, returning a [`crate::Error`] instead of panicking
     /// on an invalid configuration: a non-integer `PSMD_THREADS` override,
-    /// an unrecognized `PSMD_SIMD` override, or a thread count beyond
+    /// an unrecognized `PSMD_SIMD` override, a forced SIMD lane width
+    /// outside [`crate::SimdMode::SUPPORTED_WIDTHS`], or a thread count beyond
     /// [`EngineBuilder::MAX_WORKER_THREADS`] (spawning an absurd number of
     /// OS threads is always a configuration bug, and a long-lived service
     /// should refuse it instead of dying mid-spawn).
@@ -1172,6 +1069,7 @@ impl EngineBuilder {
         if let Err(message) = crate::SimdMode::try_from_env() {
             return Err(Error::config(message));
         }
+        self.options.simd.try_resolved().map_err(Error::config)?;
         if threads > Self::MAX_WORKER_THREADS {
             return Err(Error::config(format!(
                 "{threads} worker threads requested; the supported maximum is {}",
@@ -1290,7 +1188,9 @@ impl Engine {
     /// returning a [`crate::Error`] instead of panicking when the source is
     /// structurally invalid (empty system, mismatched variable counts or
     /// degrees across equations, out-of-range variable indices) — the
-    /// compile path for services accepting sources over a wire.
+    /// compile path for services accepting sources over a wire.  An
+    /// unsupported forced SIMD lane width in the options is an
+    /// [`Error::Config`].
     pub fn try_compile<C: Coeff>(
         &self,
         source: impl Into<PolySource<C>>,
@@ -1306,6 +1206,7 @@ impl Engine {
     ) -> Result<Arc<Plan<C>>, Error> {
         let source = source.into();
         validate_source(&source)?;
+        options.simd.try_resolved().map_err(Error::config)?;
         let key = PlanKey {
             type_id: TypeId::of::<C>(),
             structural_hash: source.structural_hash(),
@@ -1646,19 +1547,11 @@ macro_rules! define_any_api {
                 }
             }
 
-            /// The single-polynomial schedule, if this is a single plan
-            /// (cheaper than [`AnyPlan::stats`], which also builds the
-            /// graph plan).
+            /// The compiled job schedule (always `Some`; see
+            /// [`Plan::schedule`]).
             pub fn schedule(&self) -> Option<&Schedule> {
                 match self {
                     $( AnyPlan::$variant(plan) => plan.schedule(), )+
-                }
-            }
-
-            /// The merged system schedule, if this is a system plan.
-            pub fn system_schedule(&self) -> Option<&SystemSchedule> {
-                match self {
-                    $( AnyPlan::$variant(plan) => plan.system_schedule(), )+
                 }
             }
 
@@ -2036,7 +1929,7 @@ mod tests {
         }
         // Launch counts equal the merged layer counts — independent of the
         // batch size — with batch × jobs blocks per launch.
-        let schedule = plan.system_schedule().expect("system plan");
+        let schedule = plan.schedule().expect("compiled schedule");
         assert_eq!(
             batched.timings.convolution_launches,
             schedule.convolution_layers.len()
@@ -2278,6 +2171,53 @@ mod tests {
         assert!(err.to_string().contains("worker threads"));
         // The panicking wrapper forwards the same message.
         assert!(Engine::builder().threads(2).try_build().is_ok());
+    }
+
+    #[test]
+    fn fallible_entry_points_reject_unsupported_lane_widths() {
+        use crate::SimdMode;
+        for w in [0, 3, 5, 16] {
+            let err = Engine::builder()
+                .threads(0)
+                .simd(SimdMode::ForceWidth(w))
+                .try_build()
+                .err()
+                .expect("an unsupported width is a configuration error");
+            assert!(matches!(err, Error::Config(_)), "{err:?}");
+            assert!(err.message().contains("lane width"), "{err}");
+            let engine = Engine::builder().threads(0).build();
+            let options = EvalOptions::new().with_simd(SimdMode::ForceWidth(w));
+            let err = engine
+                .try_compile_with_options(paper_example(2), options)
+                .err()
+                .expect("an unsupported width is a configuration error");
+            assert!(matches!(err, Error::Config(_)), "{err:?}");
+            let err = engine
+                .try_compile_any_with_options(
+                    AnyPolySource::single_from_f64(Precision::D2, 1, 1, 0.0, &[(1.0, vec![0])]),
+                    options,
+                )
+                .err()
+                .expect("the precision-erased path rejects it too");
+            assert!(matches!(err, Error::Config(_)), "{err:?}");
+            assert_eq!(engine.cache_stats().entries, 0);
+        }
+        // Every supported width (and the width-1 alias) still compiles.
+        let engine = Engine::builder().threads(0).build();
+        for w in [1, 2, 4, 8] {
+            let options = EvalOptions::new().with_simd(SimdMode::ForceWidth(w));
+            assert!(engine
+                .try_compile_with_options(paper_example(2), options)
+                .is_ok());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported SIMD lane width 3")]
+    fn compile_panics_on_an_unsupported_lane_width() {
+        let engine = Engine::builder().threads(0).build();
+        let options = EvalOptions::new().with_simd(crate::SimdMode::ForceWidth(3));
+        let _ = engine.compile_with_options(paper_example(2), options);
     }
 
     #[test]

@@ -14,15 +14,18 @@
 //!   equivalent of the accelerated algorithm of Section 5, reporting
 //!   per-kernel timings like the paper does.
 //!
-//! This module holds the shared execution internals: every job borrows its
-//! staging memory from a [`Workspace`] instead of allocating, which is what
-//! keeps steady-state evaluation allocation-free (the CPU analogue of the
-//! paper's pre-sized shared-memory staging).
+//! This module holds the shared execution internals — one runner for every
+//! plan, whatever its number of equations and input vectors: every job
+//! borrows its staging memory from a [`Workspace`] instead of allocating,
+//! which is what keeps steady-state evaluation allocation-free (the CPU
+//! analogue of the paper's pre-sized shared-memory staging).
 
+use crate::engine::{EvalOutput, Inputs};
 use crate::lanes::{run_convolution_job_lanes, run_graph_node_lanes, LaneLayout, LaneUnit};
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
 use crate::schedule::{AddJob, ConvJob, GraphPlan, Schedule};
+use crate::system::SystemEvaluation;
 use crate::workspace::{ConvScratch, Workspace};
 use parking_lot::Mutex;
 use psmd_multidouble::Coeff;
@@ -194,11 +197,10 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
     }
 }
 
-/// Executes one two-stage job schedule over `instances` independent arena
-/// regions — the shared body of the single, batched and system evaluation
-/// paths.  `map_slot(instance, slot)` rebases each job's slots into that
-/// instance's region (identity for single and system evaluation, the
-/// instance shift for batched evaluation).
+/// Executes the schedule over `instances` independent arena regions laid
+/// out back-to-back ([`DataLayout::batch_slot`](crate::DataLayout::batch_slot)
+/// rebases each job's slots into its instance's region) — the execution
+/// body of [`stage_and_execute`].
 ///
 /// Runs the layered reference launches (one per layer, `instances × jobs`
 /// blocks each), or — when `graph` is given — one dependency-driven launch
@@ -221,12 +223,10 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 /// the arena contents are then unspecified and the caller must skip
 /// extraction.  Returns `true` when every block executed.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_schedule<C: Coeff>(
-    convolution_layers: &[Vec<ConvJob>],
-    addition_layers: &[Vec<AddJob>],
+fn execute_schedule<C: Coeff>(
+    schedule: &Schedule,
     graph: Option<&GraphPlan>,
     shared: &SharedSlice<'_, C>,
-    per: usize,
     kernel: ConvolutionKernel,
     pool: Option<&WorkerPool>,
     scratch: &[Mutex<ConvScratch<C>>],
@@ -235,11 +235,9 @@ pub(crate) fn execute_schedule<C: Coeff>(
     instances: usize,
     lane_width: usize,
     cancel: Option<&CancelToken>,
-    map_slot: impl Fn(usize, usize) -> usize + Sync,
 ) -> bool {
-    if instances == 0 {
-        return true;
-    }
+    let per = schedule.layout.coeffs_per_slot();
+    let map_slot = |instance: usize, slot: usize| schedule.layout.batch_slot(instance, slot);
     let lanes = LaneLayout::new(instances, lane_width);
     if let (Some(plan), Some(pool)) = (graph, pool) {
         // Dependency-driven path: every convolution and addition of every
@@ -292,7 +290,7 @@ pub(crate) fn execute_schedule<C: Coeff>(
     // layer carries over to the rebased slots because distinct instances
     // write distinct regions.
     // Stage 1: convolution kernels, one launch per layer for all instances.
-    for layer in convolution_layers {
+    for layer in &schedule.convolution_layers {
         let jobs = layer.len();
         let blocks = lanes.units() * jobs;
         let body = |lane: usize, b: usize| {
@@ -332,7 +330,7 @@ pub(crate) fn execute_schedule<C: Coeff>(
         }
     }
     // Stage 2: addition kernels, launched the same way.
-    for layer in addition_layers {
+    for layer in &schedule.addition_layers {
         let jobs = layer.len();
         let blocks = instances * jobs;
         let body = |b: usize| {
@@ -374,86 +372,172 @@ fn run_blocks_inline(
     true
 }
 
-/// Runs the two-stage algorithm of one polynomial's schedule at one input
-/// vector, writing value and gradient into `out` — the shared internal of
-/// the engine's single-polynomial [`Plan`](crate::Plan).  `graph` caches the
-/// block-level plan across evaluations (built on first graph-mode use); all
-/// evaluation memory is borrowed from `ws`, so a warm workspace makes the
-/// run allocation-free.
+/// Stages one arena region per evaluation instance — every equation's
+/// constant, the merged monomial coefficients and that instance's inputs —
+/// then runs the schedule over all regions at once: one launch per layer
+/// (or one graph launch) whatever the number of instances or equations.
+/// `graph` caches the block-level plan across evaluations (built on first
+/// graph-mode use; batched launches replicate it per instance without
+/// cross-instance edges); all evaluation memory is borrowed from `ws`, so a
+/// warm workspace makes the run allocation-free.
 ///
-/// When `cancel` trips mid-run the schedule is abandoned at the next block
-/// boundary: extraction is skipped (the arena holds partial results),
-/// `out.timings.cancelled` is set, and `ws` is still returned clean — the
-/// next evaluation re-zeros the arena as always.
+/// Batched inputs engage the SIMD lane tier when the resolved kernel is the
+/// direct loop (the only kernel with lane variants) and record the width in
+/// `timings.simd_width`; a single input vector has no instance axis and
+/// leaves it at 0.  Per lane the results are bitwise identical either way.
+///
+/// Returns the populated arena (instance `i` at
+/// [`DataLayout::batch_instance_offset`](crate::DataLayout::batch_instance_offset)),
+/// or `None` when `cancel` tripped mid-run: the arena then holds partial
+/// results, and the next evaluation re-zeros it as always.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_single<C: Coeff>(
-    poly: &Polynomial<C>,
+pub(crate) fn stage_and_execute<'w, C: Coeff>(
+    polys: &[Polynomial<C>],
     schedule: &Schedule,
     options: EvalOptions,
     graph: &OnceLock<GraphPlan>,
-    inputs: &[Series<C>],
+    inputs: Inputs<'_, C>,
     pool: Option<&WorkerPool>,
     cancel: Option<&CancelToken>,
-    ws: &mut Workspace<C>,
-    out: &mut Evaluation<C>,
-) {
-    let wall = Stopwatch::start();
-    let mut timings = KernelTimings::new();
-    let per = schedule.layout.coeffs_per_slot();
+    ws: &'w mut Workspace<C>,
+    timings: &mut KernelTimings,
+) -> Option<&'w [C]> {
+    let (instances, lane_width) = match inputs {
+        Inputs::Single(_) => (1, 1),
+        Inputs::Batch([]) => return Some(&[]),
+        Inputs::Batch(batch) => {
+            // `Auto` is resolved when the plan compiles; resolving again
+            // here keeps the rule total for direct callers.
+            let kernel = match options.kernel {
+                ConvolutionKernel::Auto => {
+                    crate::crossover::auto_kernel(C::component_limbs(), schedule.layout.degree)
+                }
+                k => k,
+            };
+            let width = match kernel {
+                ConvolutionKernel::Direct => options.simd.lane_width(),
+                _ => 1,
+            };
+            timings.simd_width = width;
+            (batch.len(), width)
+        }
+    };
+    let layout = &schedule.layout;
     let participants = pool.map_or(1, WorkerPool::parallelism);
     let (arena, scratch, graph_scratch) =
-        ws.parts(schedule.layout.total_coefficients(), participants);
-    schedule.fill_data_array(poly, inputs, arena);
+        ws.parts(layout.batch_total_coefficients(instances), participants);
+    // Lay every instance out back-to-back in the flat arena.  Constants and
+    // coefficients are replicated per instance so each region is
+    // self-contained (jobs only ever read within their region).
+    for (i, region) in arena
+        .chunks_exact_mut(layout.total_coefficients())
+        .enumerate()
+    {
+        let z = match inputs {
+            Inputs::Single(z) => z,
+            Inputs::Batch(batch) => &batch[i],
+        };
+        schedule.fill_data_array(polys, z, region);
+    }
     let plan = match (options.exec_mode, pool) {
         (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
         _ => None,
     };
-    let completed = {
-        let shared = SharedSlice::new(&mut *arena);
-        execute_schedule(
-            &schedule.convolution_layers,
-            &schedule.addition_layers,
-            plan,
-            &shared,
-            per,
-            options.kernel,
-            pool,
-            scratch,
-            graph_scratch,
-            &mut timings,
-            1,
-            1,
-            cancel,
-            |_, slot| slot,
-        )
-    };
-    if !completed {
-        // Abandoned mid-schedule: the arena holds partial results, so leave
-        // `out`'s buffers untouched and flag the run instead.
-        timings.cancelled = true;
-        timings.wall_clock = wall.elapsed();
-        out.timings = timings;
-        return;
-    }
-    schedule.extract_into(arena, schedule.value_location, &mut out.value);
-    out.gradient
-        .resize_with(schedule.gradient_locations.len(), || Series::zero(0));
-    for (&loc, g) in schedule
-        .gradient_locations
-        .iter()
-        .zip(out.gradient.iter_mut())
-    {
-        schedule.extract_into(arena, loc, g);
+    let completed = execute_schedule(
+        schedule,
+        plan,
+        &SharedSlice::new(&mut *arena),
+        options.kernel,
+        pool,
+        scratch,
+        graph_scratch,
+        timings,
+        instances,
+        lane_width,
+        cancel,
+    );
+    completed.then_some(arena)
+}
+
+/// Evaluates `inputs` through `schedule` into `out` — the one runner behind
+/// every [`Plan`](crate::Plan) and the Newton iteration.  The output variant
+/// must match the inputs: `Single` or `System` for one input vector,
+/// `Batch` or `SystemBatch` for a batch.  Each variant is a short loop over
+/// [`Schedule::extract_equation_into`], writing straight into the caller's
+/// buffers.
+///
+/// When `cancel` trips mid-run, extraction is skipped (`out`'s buffers are
+/// left as they were) and `out`'s timings are flagged `cancelled`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate_into<C: Coeff>(
+    polys: &[Polynomial<C>],
+    schedule: &Schedule,
+    options: EvalOptions,
+    graph: &OnceLock<GraphPlan>,
+    inputs: Inputs<'_, C>,
+    pool: Option<&WorkerPool>,
+    cancel: Option<&CancelToken>,
+    ws: &mut Workspace<C>,
+    out: &mut EvalOutput<C>,
+) {
+    let wall = Stopwatch::start();
+    let mut timings = KernelTimings::new();
+    match stage_and_execute(
+        polys,
+        schedule,
+        options,
+        graph,
+        inputs,
+        pool,
+        cancel,
+        ws,
+        &mut timings,
+    ) {
+        Some(arena) => extract_output(schedule, arena, out),
+        None => timings.cancelled = true,
     }
     timings.wall_clock = wall.elapsed();
-    out.timings = timings;
+    *out.timings_mut() = timings;
+}
+
+/// Writes every instance region of a completed run into `out`, one
+/// equation at a time.
+fn extract_output<C: Coeff>(schedule: &Schedule, arena: &[C], out: &mut EvalOutput<C>) {
+    let regions = arena.chunks_exact(schedule.layout.total_coefficients());
+    let system_into = |region: &[C], s: &mut SystemEvaluation<C>| {
+        let m = schedule.num_equations();
+        s.values.resize_with(m, || Series::zero(0));
+        s.jacobian.resize_with(m, Vec::new);
+        for (i, (value, row)) in s.values.iter_mut().zip(&mut s.jacobian).enumerate() {
+            schedule.extract_equation_into(region, i, value, row);
+        }
+    };
+    match out {
+        EvalOutput::Single(e) => {
+            schedule.extract_equation_into(arena, 0, &mut e.value, &mut e.gradient)
+        }
+        EvalOutput::Batch(b) => {
+            b.instances.resize_with(regions.len(), Evaluation::empty);
+            for (region, e) in regions.zip(&mut b.instances) {
+                schedule.extract_equation_into(region, 0, &mut e.value, &mut e.gradient);
+                e.timings = KernelTimings::new();
+            }
+        }
+        EvalOutput::System(s) => system_into(arena, s),
+        EvalOutput::SystemBatch(b) => {
+            b.instances
+                .resize_with(regions.len(), SystemEvaluation::empty);
+            for (region, s) in regions.zip(&mut b.instances) {
+                system_into(region, s);
+                s.timings = KernelTimings::new();
+            }
+        }
+    }
 }
 
 /// Executes one node of a [`GraphPlan`] on the shared data array: node ids
 /// below `plan.conv.len()` are convolution jobs, the rest addition jobs.
-/// `map_slot` rebases slots into the arena (identity for single and system
-/// evaluation, the instance shift for batched evaluation), so the three
-/// graph-mode paths share one dispatch.
+/// `map_slot` rebases slots into one instance's arena region.
 pub(crate) fn run_graph_node<C: Coeff>(
     plan: &GraphPlan,
     node: usize,

@@ -8,9 +8,11 @@
 //! whole lane group: gather the group's operand slots from the flat arena
 //! into transposed structure-of-arrays panels, run the vectorized panel
 //! kernel of [`psmd_series::lanes`], and scatter the output panel back.
-//! The flat [`DataLayout`](crate::schedule::DataLayout) and the
-//! single/system evaluation paths are untouched: lanes exist only between
-//! the gather and the scatter.
+//! Every plan with batched inputs — a single polynomial or a system, which
+//! share one schedule and one runner — takes this path when its resolved
+//! kernel is the direct loop; a single input vector has no instance axis
+//! and stays scalar.  The flat [`DataLayout`](crate::schedule::DataLayout)
+//! is untouched: lanes exist only between the gather and the scatter.
 //!
 //! Per lane the panel kernels are bitwise identical to the scalar kernels
 //! (see `psmd_multidouble::lanes`), and the gather/scatter transposes are

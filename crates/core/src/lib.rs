@@ -8,9 +8,11 @@
 //! The pipeline is:
 //!
 //! 1. describe the polynomial ([`Polynomial`], [`Monomial`]);
-//! 2. build the job [`Schedule`] once per polynomial (forward/backward/cross
-//!    products of every monomial, layered so that independent jobs form one
-//!    kernel launch, plus the tree summation of the evaluated monomials);
+//! 2. build the job [`Schedule`] once per polynomial or system
+//!    (forward/backward/cross products of every monomial, layered so that
+//!    independent jobs form one kernel launch, plus the tree summation of
+//!    the evaluated monomials); a polynomial is the one-equation system, so
+//!    one schedule and one runner serve every plan;
 //! 3. compile it once into an owned, shareable plan with the [`Engine`]
 //!    ([`Engine::compile`] returns an `Arc<`[`Plan`]`>`; repeat compiles hit
 //!    a structural plan cache) and evaluate at any input series — one
@@ -54,10 +56,11 @@
 //! shim family have been removed; [`Engine::compile`] + [`Plan::request`]
 //! is the one entry point.
 //!
-//! Batched evaluation additionally packs instances into SIMD lane groups
-//! when the hardware supports it (AVX-512, AVX2, NEON) — bitwise identical
-//! per lane to the scalar path and controlled by [`SimdMode`] /
-//! `PSMD_SIMD`; see [`lanes`] and `psmd_multidouble::lanes`.
+//! Batched evaluation (of a polynomial or a system) additionally packs
+//! instances into SIMD lane groups when the hardware supports it (AVX-512,
+//! AVX2, NEON) — bitwise identical per lane to the scalar path and
+//! controlled by [`SimdMode`] / `PSMD_SIMD`; see [`lanes`] and
+//! `psmd_multidouble::lanes`.
 
 #![warn(missing_docs)]
 
@@ -103,7 +106,5 @@ pub use options::{EvalOptions, SimdMode};
 pub use polynomial::Polynomial;
 pub use psmd_runtime::CancelToken;
 pub use schedule::{AddJob, ConvJob, DataLayout, GraphPlan, ResultLocation, Schedule};
-pub use system::{
-    evaluate_naive_system, SystemBatchEvaluation, SystemEvaluation, SystemLayout, SystemSchedule,
-};
+pub use system::{evaluate_naive_system, SystemBatchEvaluation, SystemEvaluation};
 pub use workspace::{PooledWorkspace, Workspace, WorkspacePool};

@@ -1,6 +1,6 @@
 //! Newton's method on polynomial systems at power series — the paper's
-//! motivating application (Section 1), built on the fused system schedule
-//! (see [`SystemSchedule`]).
+//! motivating application (Section 1), built on the merged system
+//! [`Schedule`] and the same runner every plan evaluates through.
 //!
 //! One Newton step at the current series vector `z(t)` solves the linearized
 //! system
@@ -26,10 +26,10 @@
 //! series coefficients doubles every iteration.
 //!
 //! The whole iteration is **allocation-stable**: one evaluation
-//! [`Workspace`], one [`SystemEvaluation`] and one [`LinearSolveWorkspace`]
-//! are created up front and reused by every Newton step, so steps after the
-//! first neither re-stage the arena nor re-allocate the LU / staging buffers
-//! of the degree-by-degree solves.
+//! [`Workspace`], one system evaluation output and one
+//! [`LinearSolveWorkspace`] are created up front and reused by every Newton
+//! step, so steps after the first neither re-stage the arena nor
+//! re-allocate the LU / staging buffers of the degree-by-degree solves.
 //!
 //! The fallible entry points ([`try_newton_system`],
 //! [`try_solve_linearized_into`]) follow the `try_build`/`try_compile`
@@ -41,11 +41,13 @@
 //! conditioning estimate of the last factorization, which is exactly the
 //! trajectory the tracker's escalation policy inspects.
 
+use crate::engine::{EvalOutput, Inputs};
 use crate::error::Error;
+use crate::evaluate::evaluate_into;
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
-use crate::schedule::GraphPlan;
-use crate::system::{run_system, SystemEvaluation, SystemSchedule};
+use crate::schedule::{GraphPlan, Schedule};
+use crate::system::SystemEvaluation;
 use crate::workspace::Workspace;
 use psmd_multidouble::RealCoeff;
 use psmd_runtime::WorkerPool;
@@ -208,39 +210,44 @@ fn try_newton_system_impl<C: RealCoeff>(
     // every buffer: the evaluation workspace (arena, per-worker scratch),
     // the evaluation output, the negated right-hand side, the update, and
     // the staged-solve workspace.  Steps after the first allocate nothing.
-    let schedule = SystemSchedule::build(polys);
+    let schedule = Schedule::build(polys);
     let graph: OnceLock<GraphPlan> = OnceLock::new();
     let mut ws = Workspace::new(pool.map_or(1, WorkerPool::parallelism));
-    let mut eval = SystemEvaluation::empty();
+    let mut out = EvalOutput::System(SystemEvaluation::empty());
     let mut rhs: Vec<Series<C>> = Vec::new();
     let mut delta: Vec<Series<C>> = Vec::new();
     let mut solver = LinearSolveWorkspace::new();
     let mut z: Vec<Series<C>> = initial.to_vec();
     let mut trace = NewtonTrace::default();
-    let residual_of = |eval: &SystemEvaluation<C>| {
-        eval.values
+    // One fused evaluation of all values and the Jacobian at `z`, returning
+    // the residual magnitude `max_i |f_i(z)|`.
+    let mut evaluate = |z: &[Series<C>], out: &mut EvalOutput<C>| {
+        evaluate_into(
+            polys,
+            &schedule,
+            EvalOptions::default(),
+            &graph,
+            Inputs::Single(z),
+            pool,
+            None,
+            &mut ws,
+            out,
+        );
+        out.as_system()
+            .expect("a system output")
+            .values
             .iter()
             .map(Series::max_magnitude)
             .fold(0.0, f64::max)
     };
     for _ in 0..options.max_iterations {
-        run_system(
-            polys,
-            &schedule,
-            EvalOptions::default(),
-            &graph,
-            &z,
-            pool,
-            None,
-            &mut ws,
-            &mut eval,
-        );
-        let residual = residual_of(&eval);
+        let residual = evaluate(&z, &mut out);
         trace.residuals.push(residual);
         if residual <= options.tolerance {
             trace.converged = true;
             break;
         }
+        let eval = out.as_system().expect("a system output");
         rhs.resize_with(n, || Series::zero(0));
         for (r, v) in rhs.iter_mut().zip(eval.values.iter()) {
             v.neg_into(r);
@@ -254,18 +261,7 @@ fn try_newton_system_impl<C: RealCoeff>(
     }
     if !trace.converged {
         // Report the residual of the final iterate.
-        run_system(
-            polys,
-            &schedule,
-            EvalOptions::default(),
-            &graph,
-            &z,
-            pool,
-            None,
-            &mut ws,
-            &mut eval,
-        );
-        let residual = residual_of(&eval);
+        let residual = evaluate(&z, &mut out);
         trace.residuals.push(residual);
         trace.converged = residual <= options.tolerance;
     }

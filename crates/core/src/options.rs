@@ -79,10 +79,21 @@ impl SimdMode {
     ///
     /// Panics on a forced width outside [`SimdMode::SUPPORTED_WIDTHS`]
     /// (width 1 is accepted as an alias for [`SimdMode::Scalar`]) and on an
-    /// unrecognized `PSMD_SIMD` value.
+    /// unrecognized `PSMD_SIMD` value.  See [`SimdMode::try_resolved`] for
+    /// the fallible form.
     pub fn resolved(self) -> SimdMode {
+        match self.try_resolved() {
+            Ok(mode) => mode,
+            Err(message) => panic!("{message}"),
+        }
+    }
+
+    /// The fallible form of [`SimdMode::resolved`]: an unsupported forced
+    /// width or an unrecognized `PSMD_SIMD` value becomes an `Err`
+    /// describing the problem.
+    pub fn try_resolved(self) -> Result<SimdMode, String> {
         let mode = match self {
-            SimdMode::Auto => match SimdMode::from_env() {
+            SimdMode::Auto => match SimdMode::try_from_env()? {
                 Some(SimdMode::Auto) | None => match lanes::detected_lane_width() {
                     w if w >= 2 => SimdMode::ForceWidth(w),
                     _ => SimdMode::Scalar,
@@ -92,11 +103,11 @@ impl SimdMode {
             explicit => explicit,
         };
         match mode {
-            SimdMode::ForceWidth(1) => SimdMode::Scalar,
-            SimdMode::ForceWidth(w) if !Self::SUPPORTED_WIDTHS.contains(&w) => {
-                panic!("unsupported SIMD lane width {w}: expected 2, 4 or 8")
-            }
-            resolved => resolved,
+            SimdMode::ForceWidth(1) => Ok(SimdMode::Scalar),
+            SimdMode::ForceWidth(w) if !Self::SUPPORTED_WIDTHS.contains(&w) => Err(format!(
+                "unsupported SIMD lane width {w}: expected 2, 4 or 8"
+            )),
+            resolved => Ok(resolved),
         }
     }
 
@@ -195,5 +206,18 @@ mod tests {
     #[should_panic(expected = "unsupported SIMD lane width")]
     fn resolution_rejects_unsupported_widths() {
         let _ = SimdMode::ForceWidth(3).resolved();
+    }
+
+    #[test]
+    fn fallible_resolution_reports_unsupported_widths() {
+        for w in [0, 3, 16] {
+            let err = SimdMode::ForceWidth(w).try_resolved().unwrap_err();
+            assert!(err.contains(&format!("lane width {w}")), "{err}");
+        }
+        assert_eq!(SimdMode::ForceWidth(1).try_resolved(), Ok(SimdMode::Scalar));
+        assert_eq!(
+            SimdMode::ForceWidth(2).try_resolved(),
+            Ok(SimdMode::ForceWidth(2))
+        );
     }
 }

@@ -1,25 +1,34 @@
 //! Data staging and job scheduling (Section 5 of the paper).
 //!
-//! The evaluation of a polynomial and its gradient at power series is turned
-//! into two sequences of jobs:
+//! The evaluation of a polynomial system and its Jacobian at power series
+//! is turned into two sequences of jobs:
 //!
 //! * **convolution jobs** compute the forward, backward and cross products
 //!   of every monomial (Section 3); each job multiplies two power series
 //!   addressed by their positions in one flat data array and stores the
 //!   product at a third position;
-//! * **addition jobs** sum the evaluated monomials into the value and the
-//!   gradient with a tree summation.
+//! * **addition jobs** sum the evaluated monomials into the values and the
+//!   Jacobian with a tree summation.
 //!
 //! Jobs are grouped into *layers*: all jobs of a layer are independent (their
 //! outputs are pairwise disjoint and no job reads what another job of the
 //! same layer writes), so one layer corresponds to one kernel launch with one
 //! block per job.
+//!
+//! There is one [`Schedule`], built from a slice of equations.  A single
+//! polynomial is the one-equation system `[p]`: its value and gradient are
+//! equation 0's value and Jacobian row, and its layers are exactly the
+//! paper's.  For `m` equations the monomial sets are **merged and
+//! deduplicated** — a monomial appearing with the same variables and the
+//! same coefficient series in several places (across equations or within
+//! one) is scheduled and computed **once** — and every layer covers all
+//! equations, so the launch count is independent of `m`.
 
-use crate::monomial::Monomial;
 use crate::polynomial::Polynomial;
 use psmd_multidouble::Coeff;
 use psmd_runtime::{TaskGraph, TaskGraphBuilder};
 use psmd_series::Series;
+use std::collections::{HashMap, HashSet};
 
 /// One convolution job: `data[out] := data[in1] * data[in2]` where the three
 /// indices address power series *slots* of the flat data array (multiply by
@@ -45,68 +54,34 @@ pub struct AddJob {
 }
 
 /// Positions of every series in the flat data array, following the layout of
-/// Figure 1: the constant term, the monomial coefficients, the input series,
-/// then for every monomial its forward, backward and cross products.
+/// Figure 1: the constant term of each equation, the coefficient of each
+/// unique monomial, the shared input series, then the forward, backward and
+/// cross products of each unique monomial, then any scratch accumulators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataLayout {
     /// Truncation degree `d`.
     pub degree: usize,
     /// Total number of series slots.
     pub num_slots: usize,
-    /// Slot of the constant term `a_0` (always 0).
-    pub constant_slot: usize,
-    /// Slot of each monomial coefficient `a_k`.
+    /// Slot of each equation's constant term (the first is slot 0).
+    pub constant_slots: Vec<usize>,
+    /// Slot of each unique monomial's coefficient series.
     pub coefficient_slots: Vec<usize>,
-    /// Slot of each input series `z_i`.
+    /// Slot of each input series `z_i` (shared by every equation).
     pub input_slots: Vec<usize>,
-    /// Forward product slots per monomial (`n_k` of them).
+    /// Forward product slots per unique monomial (`n_k` of them).
     pub forward_slots: Vec<Vec<usize>>,
-    /// Backward product slots per monomial (`max(1, n_k - 2)` for `n_k >= 2`,
-    /// none for a single-variable monomial).
+    /// Backward product slots per unique monomial (`max(1, n_k - 2)` for
+    /// `n_k >= 2`, none for a single-variable monomial).
     pub backward_slots: Vec<Vec<usize>>,
-    /// Cross product slots per monomial (`n_k - 2` for `n_k >= 3`).
+    /// Cross product slots per unique monomial (`n_k - 2` for `n_k >= 3`).
     pub cross_slots: Vec<Vec<usize>>,
     /// Scratch accumulator slots for degenerate outputs (outputs whose every
-    /// contribution is a read-only input slot).
+    /// contribution is a read-only slot).
     pub scratch_slots: Vec<usize>,
 }
 
 impl DataLayout {
-    /// Builds the layout for a polynomial.
-    pub fn new<C: Coeff>(poly: &Polynomial<C>) -> Self {
-        let n_mono = poly.num_monomials();
-        let n_vars = poly.num_variables();
-        let mut next = 0usize;
-        let mut take = |count: usize| {
-            let start = next;
-            next += count;
-            (start..start + count).collect::<Vec<usize>>()
-        };
-        let constant_slot = take(1)[0];
-        let coefficient_slots = take(n_mono);
-        let input_slots = take(n_vars);
-        let mut forward_slots = Vec::with_capacity(n_mono);
-        let mut backward_slots = Vec::with_capacity(n_mono);
-        let mut cross_slots = Vec::with_capacity(n_mono);
-        for m in poly.monomials() {
-            let nk = m.num_variables();
-            forward_slots.push(take(nk));
-            backward_slots.push(take(if nk >= 2 { (nk - 2).max(1) } else { 0 }));
-            cross_slots.push(take(nk.saturating_sub(2)));
-        }
-        Self {
-            degree: poly.degree(),
-            num_slots: next,
-            constant_slot,
-            coefficient_slots,
-            input_slots,
-            forward_slots,
-            backward_slots,
-            cross_slots,
-            scratch_slots: Vec::new(),
-        }
-    }
-
     /// Number of coefficients per slot.
     pub fn coeffs_per_slot(&self) -> usize {
         self.degree + 1
@@ -124,10 +99,9 @@ impl DataLayout {
         self.num_slots * self.coeffs_per_slot()
     }
 
-    /// Slot addressing a series of batch instance `instance` when `batch`
-    /// instances of this layout are laid out back-to-back in one flat arena
-    /// (the batched evaluation engine): instance `i` occupies slots
-    /// `i * num_slots .. (i + 1) * num_slots`.
+    /// Slot addressing a series of batch instance `instance` when instances
+    /// of this layout are laid out back-to-back in one flat arena: instance
+    /// `i` occupies slots `i * num_slots .. (i + 1) * num_slots`.
     pub fn batch_slot(&self, instance: usize, slot: usize) -> usize {
         debug_assert!(slot < self.num_slots);
         instance * self.num_slots + slot
@@ -143,74 +117,6 @@ impl DataLayout {
     pub fn batch_total_coefficients(&self, batch: usize) -> usize {
         batch * self.total_coefficients()
     }
-
-    /// The slot holding the derivative of monomial `k` with respect to the
-    /// variable at position `pos` of its index tuple, or `None` when the
-    /// derivative is the read-only coefficient itself (single-variable
-    /// monomials).
-    pub fn derivative_slot(
-        &self,
-        monomial: &Monomial<impl Coeff>,
-        k: usize,
-        pos: usize,
-    ) -> Option<usize> {
-        derivative_slot_in(
-            monomial.num_variables(),
-            pos,
-            &self.forward_slots[k],
-            &self.backward_slots[k],
-            &self.cross_slots[k],
-        )
-    }
-}
-
-/// Checks the layer invariants of any two-stage job schedule: within one
-/// layer, outputs are pairwise distinct and no job reads a slot that another
-/// job of the same layer writes.  Returns a description of the first
-/// violation, if any.  Shared by the single-polynomial and the system
-/// schedules so both enforce exactly the same invariant.
-pub(crate) fn validate_job_layers(
-    convolution_layers: &[Vec<ConvJob>],
-    addition_layers: &[Vec<AddJob>],
-) -> Result<(), String> {
-    for (l, layer) in convolution_layers.iter().enumerate() {
-        let mut outputs = std::collections::HashSet::new();
-        for job in layer {
-            if !outputs.insert(job.out) {
-                return Err(format!(
-                    "convolution layer {l}: duplicate output slot {}",
-                    job.out
-                ));
-            }
-        }
-        for job in layer {
-            let reads_foreign_output = |slot: usize| outputs.contains(&slot) && slot != job.out;
-            if reads_foreign_output(job.in1) || reads_foreign_output(job.in2) {
-                return Err(format!(
-                    "convolution layer {l}: job {job:?} reads a slot written by another job"
-                ));
-            }
-        }
-    }
-    for (l, layer) in addition_layers.iter().enumerate() {
-        let mut outputs = std::collections::HashSet::new();
-        for job in layer {
-            if !outputs.insert(job.dst) {
-                return Err(format!(
-                    "addition layer {l}: duplicate destination {}",
-                    job.dst
-                ));
-            }
-        }
-        for job in layer {
-            if outputs.contains(&job.src) {
-                return Err(format!(
-                    "addition layer {l}: job {job:?} reads a destination of the same layer"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// A schedule lowered to block granularity for the dependency-driven
@@ -239,71 +145,8 @@ impl GraphPlan {
     }
 }
 
-/// Lowers layered convolution and addition schedules to a [`GraphPlan`]:
-/// every job becomes one graph node whose read/write slots derive the
-/// dependency edges (convolutions read their two operand slots and write
-/// their output; additions read `src` and update `dst` in place).  Shared by
-/// the single-polynomial and the system schedules.
-pub(crate) fn build_graph_plan(
-    convolution_layers: &[Vec<ConvJob>],
-    addition_layers: &[Vec<AddJob>],
-) -> GraphPlan {
-    let mut builder = TaskGraphBuilder::new();
-    let mut conv = Vec::new();
-    let mut add = Vec::new();
-    for layer in convolution_layers {
-        for job in layer {
-            builder.add_task(&[job.in1, job.in2], &[job.out]);
-            conv.push(*job);
-        }
-    }
-    for layer in addition_layers {
-        for job in layer {
-            builder.add_task(&[job.src, job.dst], &[job.dst]);
-            add.push(*job);
-        }
-    }
-    GraphPlan {
-        graph: builder.build(),
-        conv,
-        add,
-    }
-}
-
-/// The slot holding the derivative with respect to the variable at position
-/// `pos` of an `nk`-variable monomial, given the monomial's forward, backward
-/// and cross slot ranges, or `None` when the derivative is the read-only
-/// coefficient itself (single-variable monomials).
-pub(crate) fn derivative_slot_in(
-    nk: usize,
-    pos: usize,
-    forward: &[usize],
-    backward: &[usize],
-    cross: &[usize],
-) -> Option<usize> {
-    match nk {
-        1 => None,
-        2 => {
-            if pos == 0 {
-                Some(backward[0])
-            } else {
-                Some(forward[0])
-            }
-        }
-        _ => {
-            if pos == 0 {
-                Some(backward[nk - 3])
-            } else if pos == nk - 1 {
-                Some(forward[nk - 2])
-            } else {
-                Some(cross[pos - 1])
-            }
-        }
-    }
-}
-
-/// Where the result of an output (the value or one gradient component) ends
-/// up after the addition stage.
+/// Where the result of an output (a value or one Jacobian entry) ends up
+/// after the addition stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResultLocation {
     /// The output is identically zero (no monomial contributes).
@@ -312,57 +155,204 @@ pub enum ResultLocation {
     Slot(usize),
 }
 
-/// Extracts the result series at `location` from a populated data array of
-/// `per`-coefficient slots into `out`, reusing its buffer — the shared body
-/// of [`Schedule::extract_into`] and
-/// [`SystemSchedule::extract_into`](crate::SystemSchedule::extract_into).
-pub(crate) fn extract_location_into<C: Coeff>(
-    data: &[C],
-    location: ResultLocation,
-    per: usize,
-    degree: usize,
-    out: &mut Series<C>,
-) {
-    match location {
-        ResultLocation::Zero => out.fill_zero(degree),
-        ResultLocation::Slot(slot) => {
-            let off = slot * per;
-            out.copy_from_coeffs(&data[off..off + per]);
-        }
-    }
-}
-
-/// The complete two-stage job schedule for one polynomial.
+/// The complete two-stage job schedule of a polynomial system: one merged
+/// set of convolution and addition layers covering every equation, plus the
+/// locations of all `m` values and all `m × n` Jacobian entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// The data layout the job indices refer to.
     pub layout: DataLayout,
-    /// Convolution jobs grouped in layers (one kernel launch per layer).
+    /// Convolution jobs grouped in layers (one kernel launch per layer for
+    /// the whole system).
     pub convolution_layers: Vec<Vec<ConvJob>>,
     /// Addition jobs grouped in layers.
     pub addition_layers: Vec<Vec<AddJob>>,
-    /// Location of the polynomial value after the addition stage.
-    pub value_location: ResultLocation,
-    /// Location of each gradient component after the addition stage.
-    pub gradient_locations: Vec<ResultLocation>,
+    /// Location of each equation's value after the addition stage.
+    pub value_locations: Vec<ResultLocation>,
+    /// Location of each Jacobian entry `d f_i / d x_j` after the addition
+    /// stage (`jacobian_locations[i][j]`).
+    pub jacobian_locations: Vec<Vec<ResultLocation>>,
+    /// The `(equation, monomial)` each unique monomial's coefficient is read
+    /// from: its first occurrence.
+    representatives: Vec<(usize, usize)>,
+    /// Total number of monomial instances across all equations.
+    total_monomials: usize,
 }
 
 impl Schedule {
-    /// Builds the full schedule for a polynomial.
-    pub fn build<C: Coeff>(poly: &Polynomial<C>) -> Self {
-        let mut layout = DataLayout::new(poly);
-        let convolution_layers = build_convolution_layers(poly, &layout);
-        let (addition_layers, value_location, gradient_locations) =
-            build_addition_layers(poly, &mut layout);
+    /// Builds the merged schedule of a system of polynomials over the same
+    /// variables and truncation degree; a single polynomial `p` is built as
+    /// `Schedule::build(std::slice::from_ref(&p))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the system is empty or when the equations disagree on the
+    /// number of variables or the truncation degree.
+    pub fn build<C: Coeff>(polys: &[Polynomial<C>]) -> Self {
+        assert!(!polys.is_empty(), "a system needs at least one equation");
+        let n = polys[0].num_variables();
+        let degree = polys[0].degree();
+        for (i, p) in polys.iter().enumerate() {
+            assert_eq!(
+                p.num_variables(),
+                n,
+                "equation {i}: all equations must share the variable count"
+            );
+            assert_eq!(
+                p.degree(),
+                degree,
+                "equation {i}: all equations must share the truncation degree"
+            );
+        }
+        // Stage 1: merge the monomial sets.  Two monomials are the same job
+        // when they have the same variable tuple AND the same coefficient
+        // series; the first occurrence becomes the representative.
+        let mut representatives: Vec<(usize, usize)> = Vec::new();
+        let mut instances: Vec<usize> = Vec::new();
+        let total_monomials = polys.iter().map(Polynomial::num_monomials).sum();
+        let mut by_vars: HashMap<&[usize], Vec<usize>> = HashMap::with_capacity(total_monomials);
+        let mut monomial_map: Vec<Vec<usize>> = Vec::with_capacity(polys.len());
+        for (i, p) in polys.iter().enumerate() {
+            let mut map = Vec::with_capacity(p.num_monomials());
+            for (k, m) in p.monomials().iter().enumerate() {
+                let bucket = by_vars.entry(&m.variables).or_default();
+                let found = bucket.iter().copied().find(|&u| {
+                    let (ri, rk) = representatives[u];
+                    polys[ri].monomials()[rk].coefficient == m.coefficient
+                });
+                let uid = found.unwrap_or_else(|| {
+                    let uid = representatives.len();
+                    representatives.push((i, k));
+                    instances.push(0);
+                    bucket.push(uid);
+                    uid
+                });
+                instances[uid] += 1;
+                map.push(uid);
+            }
+            monomial_map.push(map);
+        }
+        let variables = |uid: usize| {
+            let (i, k) = representatives[uid];
+            &polys[i].monomials()[k].variables
+        };
+        // Stage 2: lay out the arena — constants per equation, coefficients
+        // and products per unique monomial, inputs shared.
+        let mut next = 0usize;
+        let mut take = |count: usize| {
+            let start = next;
+            next += count;
+            (start..start + count).collect::<Vec<usize>>()
+        };
+        let uniques = representatives.len();
+        let constant_slots = take(polys.len());
+        let coefficient_slots = take(uniques);
+        let input_slots = take(n);
+        let mut forward_slots = Vec::with_capacity(uniques);
+        let mut backward_slots = Vec::with_capacity(uniques);
+        let mut cross_slots = Vec::with_capacity(uniques);
+        for uid in 0..uniques {
+            let nk = variables(uid).len();
+            forward_slots.push(take(nk));
+            backward_slots.push(take(if nk >= 2 { (nk - 2).max(1) } else { 0 }));
+            cross_slots.push(take(nk.saturating_sub(2)));
+        }
+        let mut layout = DataLayout {
+            degree,
+            num_slots: next,
+            constant_slots,
+            coefficient_slots,
+            input_slots,
+            forward_slots,
+            backward_slots,
+            cross_slots,
+            scratch_slots: Vec::new(),
+        };
+        // Stage 3: convolution layers — every unique monomial is scheduled
+        // once, so shared products are computed once for the whole system.
+        let mut convolution_layers: Vec<Vec<ConvJob>> = Vec::new();
+        for uid in 0..uniques {
+            let z_slots: Vec<usize> = variables(uid)
+                .iter()
+                .map(|&v| layout.input_slots[v])
+                .collect();
+            schedule_monomial_convolutions(
+                layout.coefficient_slots[uid],
+                &z_slots,
+                &layout.forward_slots[uid],
+                &layout.backward_slots[uid],
+                &layout.cross_slots[uid],
+                &mut convolution_layers,
+            );
+        }
+        // Stage 4: addition layers.  A unique monomial used by exactly one
+        // instance keeps its product slots writable (in-place tree
+        // summation); a monomial shared by several instances must keep its
+        // products intact for every reader, so its contributions become
+        // read-only and the tree runs on scratch accumulators instead.
+        let writable = |uid: usize| instances[uid] == 1;
+        let mut outputs: Vec<OutputSum> = Vec::with_capacity(polys.len() * (1 + n));
+        for (i, p) in polys.iter().enumerate() {
+            // The equation value: constant plus every monomial's last forward
+            // product.
+            let mut targets = Vec::new();
+            let mut read_only = vec![layout.constant_slots[i]];
+            for &uid in &monomial_map[i] {
+                let f = &layout.forward_slots[uid];
+                let slot = f[f.len() - 1];
+                if writable(uid) {
+                    targets.push(slot);
+                } else {
+                    read_only.push(slot);
+                }
+            }
+            outputs.push(OutputSum { targets, read_only });
+            // The Jacobian row d f_i / d x_j for every variable.
+            for v in 0..n {
+                let mut targets = Vec::new();
+                let mut read_only = Vec::new();
+                for (k, m) in p.monomials().iter().enumerate() {
+                    if let Some(pos) = m.position_of(v) {
+                        let uid = monomial_map[i][k];
+                        match derivative_slot_in(&layout, uid, m.num_variables(), pos) {
+                            Some(slot) if writable(uid) => targets.push(slot),
+                            Some(slot) => read_only.push(slot),
+                            None => read_only.push(layout.coefficient_slots[uid]),
+                        }
+                    }
+                }
+                outputs.push(OutputSum { targets, read_only });
+            }
+        }
+        let (addition_layers, locations) =
+            schedule_output_sums(outputs, &mut layout.num_slots, &mut layout.scratch_slots);
+        let mut value_locations = Vec::with_capacity(polys.len());
+        let mut jacobian_locations = Vec::with_capacity(polys.len());
+        for row in locations.chunks_exact(1 + n) {
+            value_locations.push(row[0]);
+            jacobian_locations.push(row[1..].to_vec());
+        }
         let schedule = Self {
             layout,
             convolution_layers,
             addition_layers,
-            value_location,
-            gradient_locations,
+            value_locations,
+            jacobian_locations,
+            representatives,
+            total_monomials,
         };
         debug_assert!(schedule.validate_layers().is_ok());
         schedule
+    }
+
+    /// Number of equations.
+    pub fn num_equations(&self) -> usize {
+        self.value_locations.len()
+    }
+
+    /// Number of variables.
+    pub fn num_variables(&self) -> usize {
+        self.layout.input_slots.len()
     }
 
     /// Total number of convolution jobs.
@@ -385,40 +375,108 @@ impl Schedule {
         self.addition_layers.iter().map(Vec::len).collect()
     }
 
+    /// Number of unique monomials after merging.
+    pub fn unique_monomials(&self) -> usize {
+        self.representatives.len()
+    }
+
+    /// Total number of monomial instances across all equations.
+    pub fn total_monomials(&self) -> usize {
+        self.total_monomials
+    }
+
+    /// Monomial instances whose products are shared with an earlier
+    /// occurrence instead of being recomputed (`total - unique`).
+    pub fn deduplicated_monomials(&self) -> usize {
+        self.total_monomials - self.representatives.len()
+    }
+
     /// Checks the layer invariants: within one layer, outputs are pairwise
     /// distinct and no job reads a slot that another job of the same layer
     /// writes.  Returns a description of the first violation, if any.
     pub fn validate_layers(&self) -> Result<(), String> {
-        validate_job_layers(&self.convolution_layers, &self.addition_layers)
+        for (l, layer) in self.convolution_layers.iter().enumerate() {
+            let mut outputs = HashSet::new();
+            for job in layer {
+                if !outputs.insert(job.out) {
+                    return Err(format!(
+                        "convolution layer {l}: duplicate output slot {}",
+                        job.out
+                    ));
+                }
+            }
+            for job in layer {
+                let reads_foreign_output = |slot: usize| outputs.contains(&slot) && slot != job.out;
+                if reads_foreign_output(job.in1) || reads_foreign_output(job.in2) {
+                    return Err(format!(
+                        "convolution layer {l}: job {job:?} reads a slot written by another job"
+                    ));
+                }
+            }
+        }
+        for (l, layer) in self.addition_layers.iter().enumerate() {
+            let mut outputs = HashSet::new();
+            for job in layer {
+                if !outputs.insert(job.dst) {
+                    return Err(format!(
+                        "addition layer {l}: duplicate destination {}",
+                        job.dst
+                    ));
+                }
+            }
+            for job in layer {
+                if outputs.contains(&job.src) {
+                    return Err(format!(
+                        "addition layer {l}: job {job:?} reads a destination of the same layer"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Lowers the schedule to block granularity for the dependency-driven
-    /// executor: the flattened jobs plus the [`TaskGraph`] of their
-    /// data-hazard edges (each convolution depends on the jobs producing its
-    /// operand slots; output sums depend on their monomial convolutions).
+    /// executor: every job becomes one graph node whose read/write slots
+    /// derive the dependency edges (convolutions read their two operand
+    /// slots and write their output; additions read `src` and update `dst`
+    /// in place), so shared products feed every consuming sum through the
+    /// same edges.
     pub fn graph_plan(&self) -> GraphPlan {
-        build_graph_plan(&self.convolution_layers, &self.addition_layers)
-    }
-
-    /// Populates the flat data array with the polynomial's coefficient
-    /// series and the input series; product slots are zero-initialized.
-    pub fn build_data_array<C: Coeff>(&self, poly: &Polynomial<C>, inputs: &[Series<C>]) -> Vec<C> {
-        let mut data = vec![C::zero(); self.layout.total_coefficients()];
-        self.fill_data_array(poly, inputs, &mut data);
-        data
+        let mut builder = TaskGraphBuilder::new();
+        let mut conv = Vec::new();
+        let mut add = Vec::new();
+        for job in self.convolution_layers.iter().flatten() {
+            builder.add_task(&[job.in1, job.in2], &[job.out]);
+            conv.push(*job);
+        }
+        for job in self.addition_layers.iter().flatten() {
+            builder.add_task(&[job.src, job.dst], &[job.dst]);
+            add.push(*job);
+        }
+        GraphPlan {
+            graph: builder.build(),
+            conv,
+            add,
+        }
     }
 
     /// Populates one instance's region of a (possibly batched) flat data
-    /// array: writes the constant, the monomial coefficients and the input
-    /// series into their slots and leaves every product slot untouched (the
-    /// caller provides a zero-initialized slice).
+    /// array: each equation's constant, each unique monomial's coefficient
+    /// (from its representative) and the shared input series.  Product and
+    /// scratch slots are left untouched (the caller provides a
+    /// zero-initialized slice).
     pub fn fill_data_array<C: Coeff>(
         &self,
-        poly: &Polynomial<C>,
+        polys: &[Polynomial<C>],
         inputs: &[Series<C>],
         data: &mut [C],
     ) {
-        assert_eq!(inputs.len(), poly.num_variables(), "wrong number of inputs");
+        assert_eq!(
+            polys.len(),
+            self.num_equations(),
+            "wrong number of equations"
+        );
+        assert_eq!(inputs.len(), self.num_variables(), "wrong number of inputs");
         assert_eq!(
             data.len(),
             self.layout.total_coefficients(),
@@ -430,68 +488,94 @@ impl Schedule {
             let off = slot * per;
             data[off..off + per].copy_from_slice(series.coeffs());
         };
-        write_slot(self.layout.constant_slot, poly.constant(), data);
-        for (k, m) in poly.monomials().iter().enumerate() {
-            write_slot(self.layout.coefficient_slots[k], &m.coefficient, data);
+        for (&slot, p) in self.layout.constant_slots.iter().zip(polys) {
+            write_slot(slot, p.constant(), data);
         }
-        for (i, z) in inputs.iter().enumerate() {
-            write_slot(self.layout.input_slots[i], z, data);
+        for (&slot, &(i, k)) in self
+            .layout
+            .coefficient_slots
+            .iter()
+            .zip(&self.representatives)
+        {
+            write_slot(slot, &polys[i].monomials()[k].coefficient, data);
+        }
+        for (&slot, z) in self.layout.input_slots.iter().zip(inputs) {
+            write_slot(slot, z, data);
         }
     }
 
-    /// Extracts a result series from the populated data array.
+    /// Extracts a result series from a populated data array.
     pub fn extract<C: Coeff>(&self, data: &[C], location: ResultLocation) -> Series<C> {
-        let per = self.layout.coeffs_per_slot();
-        match location {
-            ResultLocation::Zero => Series::zero(self.layout.degree),
-            ResultLocation::Slot(slot) => {
-                let off = slot * per;
-                Series::from_coeffs(data[off..off + per].to_vec())
-            }
-        }
+        let mut out = Series::zero(self.layout.degree);
+        self.extract_into(data, location, &mut out);
+        out
     }
 
     /// Extracts a result series into `out`, reusing its buffer — the
-    /// allocation-free counterpart of [`Schedule::extract`] used by the
-    /// workspace-reusing evaluation paths.
+    /// allocation-free counterpart of [`Schedule::extract`].
     pub fn extract_into<C: Coeff>(
         &self,
         data: &[C],
         location: ResultLocation,
         out: &mut Series<C>,
     ) {
-        extract_location_into(
-            data,
-            location,
-            self.layout.coeffs_per_slot(),
-            self.layout.degree,
-            out,
-        );
+        match location {
+            ResultLocation::Zero => out.fill_zero(self.layout.degree),
+            ResultLocation::Slot(slot) => {
+                let off = self.layout.offset(slot);
+                out.copy_from_coeffs(&data[off..off + self.layout.coeffs_per_slot()]);
+            }
+        }
+    }
+
+    /// Writes equation `i`'s value and gradient (its Jacobian row) from one
+    /// populated instance region into `value` and `gradient`, reusing their
+    /// buffers — the one extraction step behind every evaluation output.
+    pub fn extract_equation_into<C: Coeff>(
+        &self,
+        region: &[C],
+        i: usize,
+        value: &mut Series<C>,
+        gradient: &mut Vec<Series<C>>,
+    ) {
+        self.extract_into(region, self.value_locations[i], value);
+        let row = &self.jacobian_locations[i];
+        gradient.resize_with(row.len(), || Series::zero(0));
+        for (&loc, g) in row.iter().zip(gradient.iter_mut()) {
+            self.extract_into(region, loc, g);
+        }
     }
 }
 
-/// Builds the convolution layers by walking every monomial's forward,
-/// backward and cross products and assigning each job to the earliest layer
-/// in which both of its inputs are available (dependency-driven version of
-/// the paper's level assignment; it reproduces the launch structure reported
-/// for the test polynomials).
-fn build_convolution_layers<C: Coeff>(
-    poly: &Polynomial<C>,
-    layout: &DataLayout,
-) -> Vec<Vec<ConvJob>> {
-    let mut layers: Vec<Vec<ConvJob>> = Vec::new();
-    for (k, m) in poly.monomials().iter().enumerate() {
-        let z_slots: Vec<usize> = m.variables.iter().map(|&v| layout.input_slots[v]).collect();
-        schedule_monomial_convolutions(
-            layout.coefficient_slots[k],
-            &z_slots,
-            &layout.forward_slots[k],
-            &layout.backward_slots[k],
-            &layout.cross_slots[k],
-            &mut layers,
-        );
+/// The slot holding the derivative of unique monomial `uid` (with `nk`
+/// variables) with respect to the variable at position `pos` of its index
+/// tuple, or `None` when the derivative is the read-only coefficient itself
+/// (single-variable monomials).
+fn derivative_slot_in(layout: &DataLayout, uid: usize, nk: usize, pos: usize) -> Option<usize> {
+    let (forward, backward, cross) = (
+        &layout.forward_slots[uid],
+        &layout.backward_slots[uid],
+        &layout.cross_slots[uid],
+    );
+    match nk {
+        1 => None,
+        2 => {
+            if pos == 0 {
+                Some(backward[0])
+            } else {
+                Some(forward[0])
+            }
+        }
+        _ => {
+            if pos == 0 {
+                Some(backward[nk - 3])
+            } else if pos == nk - 1 {
+                Some(forward[nk - 2])
+            } else {
+                Some(cross[pos - 1])
+            }
+        }
     }
-    layers
 }
 
 /// Schedules the forward, backward and cross products of one monomial into
@@ -501,7 +585,7 @@ fn build_convolution_layers<C: Coeff>(
 /// `a_slot` is the monomial's coefficient slot, `z_slots` the input slots of
 /// its variables in tuple order, and `forward`/`backward`/`cross` the product
 /// slot ranges reserved for it.
-pub(crate) fn schedule_monomial_convolutions(
+fn schedule_monomial_convolutions(
     a_slot: usize,
     z_slots: &[usize],
     forward: &[usize],
@@ -624,12 +708,12 @@ pub(crate) fn schedule_monomial_convolutions(
 
 /// One summation problem: read-only contributions plus writable accumulator
 /// slots to be combined into a single result.
-pub(crate) struct OutputSum {
+struct OutputSum {
     /// Slots that may be updated in place (monomial product slots).
-    pub(crate) targets: Vec<usize>,
-    /// Slots that may only be read (the constant term, coefficients of
-    /// single-variable monomials, products shared between equations).
-    pub(crate) read_only: Vec<usize>,
+    targets: Vec<usize>,
+    /// Slots that may only be read (constant terms, coefficients of
+    /// single-variable monomials, shared products).
+    read_only: Vec<usize>,
 }
 
 impl OutputSum {
@@ -654,7 +738,7 @@ impl OutputSum {
 /// accumulator slot taken from `next_slot` and recorded in `scratch_slots`.
 /// Returns the merged layers and the result location of every output, in
 /// input order.
-pub(crate) fn schedule_output_sums(
+fn schedule_output_sums(
     mut outputs: Vec<OutputSum>,
     next_slot: &mut usize,
     scratch_slots: &mut Vec<usize>,
@@ -725,49 +809,10 @@ pub(crate) fn schedule_output_sums(
     (merged, locations)
 }
 
-/// Builds the addition layers for the value and every gradient component by
-/// assembling one [`OutputSum`] per output and handing them to the shared
-/// scheduler [`schedule_output_sums`].
-fn build_addition_layers<C: Coeff>(
-    poly: &Polynomial<C>,
-    layout: &mut DataLayout,
-) -> (Vec<Vec<AddJob>>, ResultLocation, Vec<ResultLocation>) {
-    // Assemble the summation problem of every output.
-    let mut outputs: Vec<OutputSum> = Vec::with_capacity(1 + poly.num_variables());
-    // The polynomial value: a_0 plus the last forward product of every
-    // monomial.
-    outputs.push(OutputSum {
-        targets: (0..poly.num_monomials())
-            .map(|k| {
-                let f = &layout.forward_slots[k];
-                f[f.len() - 1]
-            })
-            .collect(),
-        read_only: vec![layout.constant_slot],
-    });
-    // Each gradient component.
-    for v in 0..poly.num_variables() {
-        let mut targets = Vec::new();
-        let mut read_only = Vec::new();
-        for (k, m) in poly.monomials().iter().enumerate() {
-            if let Some(pos) = m.position_of(v) {
-                match layout.derivative_slot(m, k, pos) {
-                    Some(slot) => targets.push(slot),
-                    None => read_only.push(layout.coefficient_slots[k]),
-                }
-            }
-        }
-        outputs.push(OutputSum { targets, read_only });
-    }
-    let (merged, mut locations) =
-        schedule_output_sums(outputs, &mut layout.num_slots, &mut layout.scratch_slots);
-    let gradient_locations = locations.split_off(1);
-    (merged, locations[0], gradient_locations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monomial::Monomial;
     use psmd_multidouble::Qd;
     use psmd_series::Series;
 
@@ -788,11 +833,15 @@ mod tests {
         )
     }
 
+    fn schedule_of(p: &Polynomial<Qd>) -> Schedule {
+        Schedule::build(std::slice::from_ref(p))
+    }
+
     #[test]
     fn layout_follows_figure_1() {
         let p = paper_example(3);
-        let layout = DataLayout::new(&p);
-        assert_eq!(layout.constant_slot, 0);
+        let layout = schedule_of(&p).layout;
+        assert_eq!(layout.constant_slots, vec![0]);
         assert_eq!(layout.coefficient_slots, vec![1, 2, 3]);
         assert_eq!(layout.input_slots, vec![4, 5, 6, 7, 8, 9]);
         // Figure 1: f1 has 3 slots, f2 has 4, f3 has 3; b1 1, b2 2, b3 1;
@@ -807,7 +856,8 @@ mod tests {
         assert_eq!(layout.cross_slots[1].len(), 2);
         assert_eq!(layout.cross_slots[2].len(), 1);
         // Total slots: 1 + 3 + 6 + (3+4+3) + (1+2+1) + (1+2+1) = 28,
-        // matching the 28 boxes of Figure 1.
+        // matching the 28 boxes of Figure 1 (no scratch accumulator needed).
+        assert!(layout.scratch_slots.is_empty());
         assert_eq!(layout.num_slots, 28);
         // The offset of f1,1 (first forward slot of monomial 1) is 10 (d+1),
         // as in the triplet example of Section 5.
@@ -818,7 +868,7 @@ mod tests {
     #[test]
     fn example_schedule_has_21_convolutions_in_4_layers() {
         let p = paper_example(2);
-        let s = Schedule::build(&p);
+        let s = schedule_of(&p);
         assert_eq!(s.convolution_jobs(), 21);
         // Display (5) of the paper arranges the 21 convolutions in 4 layers
         // of 9, 6 (wait: 6+3), ... our dependency-driven layering yields 4
@@ -835,7 +885,7 @@ mod tests {
     #[test]
     fn schedule_counts_match_polynomial_counts() {
         let p = paper_example(2);
-        let s = Schedule::build(&p);
+        let s = schedule_of(&p);
         assert_eq!(s.convolution_jobs(), p.convolution_jobs());
         assert_eq!(s.addition_jobs(), p.addition_jobs());
     }
@@ -851,7 +901,7 @@ mod tests {
                 Monomial::new(coeff(3.0, d), vec![0, 2]),
             ],
         );
-        let s = Schedule::build(&p);
+        let s = schedule_of(&p);
         // Single-variable monomial: 1 convolution; two-variable: 3.
         assert_eq!(s.convolution_jobs(), 4);
         // Value: 2 additions (2 monomials, a0 folded in); gradient x0: the
@@ -860,7 +910,7 @@ mod tests {
         // contribution -> 0.
         assert_eq!(s.addition_jobs(), 3);
         s.validate_layers().unwrap();
-        match s.gradient_locations[1] {
+        match s.jacobian_locations[0][1] {
             ResultLocation::Zero => {}
             other => panic!("variable 1 does not occur, got {other:?}"),
         }
@@ -880,16 +930,35 @@ mod tests {
                 Monomial::new(coeff(5.0, d), vec![0]),
             ],
         );
-        let s = Schedule::build(&p);
+        let s = schedule_of(&p);
         assert_eq!(s.layout.scratch_slots.len(), 1);
         assert_eq!(s.addition_jobs(), 2 + 2); // value: 2, gradient: 2 into scratch
         s.validate_layers().unwrap();
     }
 
     #[test]
+    fn repeated_monomials_of_one_polynomial_are_computed_once() {
+        // p = 1 + 2 x0 x1 x2 + 2 x0 x1 x2: the repeat (same variables, same
+        // coefficient) shares the first occurrence's products, which turn
+        // read-only for both sums.
+        let d = 1;
+        let m = || Monomial::new(coeff(2.0, d), vec![0, 1, 2]);
+        let p = Polynomial::new(3, coeff(1.0, d), vec![m(), m()]);
+        let s = schedule_of(&p);
+        assert_eq!(s.total_monomials(), 2);
+        assert_eq!(s.unique_monomials(), 1);
+        assert_eq!(s.deduplicated_monomials(), 1);
+        assert_eq!(s.convolution_jobs(), 6);
+        // Every output sums two read-only copies of one product (plus the
+        // constant for the value) in a scratch accumulator.
+        assert_eq!(s.layout.scratch_slots.len(), 4);
+        s.validate_layers().unwrap();
+    }
+
+    #[test]
     fn validation_catches_conflicting_layers() {
         let p = paper_example(2);
-        let mut s = Schedule::build(&p);
+        let mut s = schedule_of(&p);
         // Force a duplicate output in the first layer.
         let job = s.convolution_layers[0][0];
         s.convolution_layers[0].push(job);
@@ -899,14 +968,14 @@ mod tests {
     #[test]
     fn data_array_round_trip() {
         let p = paper_example(2);
-        let s = Schedule::build(&p);
+        let s = schedule_of(&p);
         let inputs: Vec<Series<Qd>> = (0..6)
             .map(|i| Series::from_f64_coeffs(&[i as f64 + 1.0, 0.5, 0.25]))
             .collect();
-        let data = s.build_data_array(&p, &inputs);
-        assert_eq!(data.len(), s.layout.total_coefficients());
+        let mut data = vec![Qd::zero(); s.layout.total_coefficients()];
+        s.fill_data_array(std::slice::from_ref(&p), &inputs, &mut data);
         // The constant term sits in slot 0.
-        let v = s.extract(&data, ResultLocation::Slot(s.layout.constant_slot));
+        let v = s.extract(&data, ResultLocation::Slot(s.layout.constant_slots[0]));
         assert_eq!(v.coeff(0).to_f64(), 0.5);
         // Input z3 sits in its slot.
         let z3 = s.extract(&data, ResultLocation::Slot(s.layout.input_slots[3]));
@@ -922,7 +991,7 @@ mod tests {
     #[test]
     fn graph_plan_matches_the_layer_structure_of_the_paper_example() {
         let p = paper_example(2);
-        let s = Schedule::build(&p);
+        let s = schedule_of(&p);
         let plan = s.graph_plan();
         assert_eq!(plan.blocks(), s.convolution_jobs() + s.addition_jobs());
         assert_eq!(plan.conv.len(), s.convolution_jobs());
@@ -956,7 +1025,7 @@ mod tests {
                 Monomial::new(coeff(5.0, d), vec![0]),
             ],
         );
-        let plan = Schedule::build(&p).graph_plan();
+        let plan = schedule_of(&p).graph_plan();
         plan.graph.validate().unwrap();
         let n_conv = plan.conv.len();
         for (i, a) in plan.add.iter().enumerate() {
@@ -999,7 +1068,7 @@ mod tests {
             .map(|v| Monomial::new(coeff(1.0, d), v))
             .collect();
         let p = Polynomial::new(8, coeff(1.0, d), monomials);
-        let s = Schedule::build(&p);
+        let s = schedule_of(&p);
         assert_eq!(
             s.convolution_layer_sizes(),
             vec![2 * n_mono, 3 * n_mono, 3 * n_mono, n_mono]

@@ -8,24 +8,27 @@
 //! pattern the batched engine (see [`crate::batch`]) was built to kill,
 //! only across equations instead of across evaluation points.
 //!
-//! [`SystemSchedule`] amortizes the shared structure once:
+//! A system compiles into the one merged [`Schedule`](crate::Schedule),
+//! which amortizes the shared structure once:
 //!
 //! * the monomial sets of all equations are **merged and deduplicated**: a
 //!   monomial appearing (with the same variables and the same coefficient
 //!   series) in several equations gets its forward/backward/cross products
 //!   scheduled and computed **once**;
 //! * all constants, coefficients, inputs and products live in **one flat
-//!   coefficient arena** described by a single [`SystemLayout`];
-//! * each job layer runs as **one** [`WorkerPool`] launch covering every
-//!   equation, so the launch count is the layer count of the merged schedule,
+//!   coefficient arena** described by a single
+//!   [`DataLayout`](crate::DataLayout);
+//! * each job layer runs as **one** pool launch covering every equation, so
+//!   the launch count is the layer count of the merged schedule,
 //!   independent of `m`;
 //! * one pass produces all `m` values plus the full `m × n` Jacobian of
 //!   power series.
 //!
-//! For an equation that shares no monomials with the others, the merged
-//! schedule reproduces that equation's single-polynomial
-//! [`Schedule`](crate::Schedule) job-for-job, so its value and gradient row
-//! are bitwise identical to the single-polynomial plan's output.
+//! A single polynomial is the case `m = 1`: its plan runs this same schedule
+//! and reads equation 0.  An equation that shares no monomials with the
+//! others therefore gets exactly the jobs of its own one-equation schedule,
+//! and its value and gradient row are bitwise identical to its
+//! single-polynomial plan's output.
 //!
 //! ```
 //! use psmd_core::{Engine, Monomial, Polynomial};
@@ -55,433 +58,11 @@
 //! assert_eq!(eval.jacobian[1][1].coeff(0).to_f64(), 1.0);  // d f2/dx1 = 1
 //! ```
 
-use crate::evaluate::{evaluate_naive, execute_schedule, Evaluation, ExecMode};
-use crate::options::EvalOptions;
+use crate::evaluate::{evaluate_naive, Evaluation};
 use crate::polynomial::Polynomial;
-use crate::schedule::{
-    build_graph_plan, derivative_slot_in, extract_location_into, schedule_monomial_convolutions,
-    schedule_output_sums, validate_job_layers, AddJob, ConvJob, GraphPlan, OutputSum,
-    ResultLocation,
-};
-use crate::workspace::Workspace;
 use psmd_multidouble::Coeff;
-use psmd_runtime::{CancelToken, KernelTimings, SharedSlice, Stopwatch, WorkerPool};
+use psmd_runtime::{KernelTimings, Stopwatch};
 use psmd_series::Series;
-use std::collections::HashMap;
-use std::sync::OnceLock;
-
-/// Positions of every series of a polynomial *system* in one flat data
-/// array: the constant term of each equation, the coefficient of each unique
-/// monomial, the shared input series, then the forward/backward/cross
-/// products of each unique monomial, then any scratch accumulators.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SystemLayout {
-    /// Truncation degree `d`.
-    pub degree: usize,
-    /// Total number of series slots.
-    pub num_slots: usize,
-    /// Slot of each equation's constant term.
-    pub constant_slots: Vec<usize>,
-    /// Slot of each unique monomial's coefficient series.
-    pub coefficient_slots: Vec<usize>,
-    /// Slot of each input series `z_i` (shared by every equation).
-    pub input_slots: Vec<usize>,
-    /// Forward product slots per unique monomial.
-    pub forward_slots: Vec<Vec<usize>>,
-    /// Backward product slots per unique monomial.
-    pub backward_slots: Vec<Vec<usize>>,
-    /// Cross product slots per unique monomial.
-    pub cross_slots: Vec<Vec<usize>>,
-    /// Scratch accumulator slots of the addition stage.
-    pub scratch_slots: Vec<usize>,
-}
-
-impl SystemLayout {
-    /// Number of coefficients per slot.
-    pub fn coeffs_per_slot(&self) -> usize {
-        self.degree + 1
-    }
-
-    /// Offset (in coefficients) of a slot in the flat data array.
-    pub fn offset(&self, slot: usize) -> usize {
-        slot * self.coeffs_per_slot()
-    }
-
-    /// Total number of coefficients of the data array.
-    pub fn total_coefficients(&self) -> usize {
-        self.num_slots * self.coeffs_per_slot()
-    }
-
-    /// Rebases a slot into the arena region of one batch instance: instance
-    /// `i` occupies the slot range `i * num_slots .. (i + 1) * num_slots`,
-    /// mirroring [`DataLayout::batch_slot`](crate::DataLayout::batch_slot)
-    /// for system schedules.
-    pub fn batch_slot(&self, instance: usize, slot: usize) -> usize {
-        instance * self.num_slots + slot
-    }
-
-    /// Offset (in coefficients) of a batch instance's arena region.
-    pub fn batch_instance_offset(&self, instance: usize) -> usize {
-        instance * self.total_coefficients()
-    }
-
-    /// Total number of coefficients of a batched data array.
-    pub fn batch_total_coefficients(&self, instances: usize) -> usize {
-        instances * self.total_coefficients()
-    }
-}
-
-/// One unique monomial of the merged system: its variable tuple, the
-/// representative `(equation, monomial)` pair its coefficient is read from,
-/// and how many instances across the system map to it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct UniqueMonomial {
-    variables: Vec<usize>,
-    representative: (usize, usize),
-    instances: usize,
-}
-
-/// The complete two-stage job schedule of a polynomial system: one merged
-/// set of convolution and addition layers covering every equation, plus the
-/// locations of all `m` values and all `m × n` Jacobian entries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemSchedule {
-    /// The merged data layout the job indices refer to.
-    pub layout: SystemLayout,
-    /// Convolution jobs grouped in layers (one kernel launch per layer for
-    /// the whole system).
-    pub convolution_layers: Vec<Vec<ConvJob>>,
-    /// Addition jobs grouped in layers.
-    pub addition_layers: Vec<Vec<AddJob>>,
-    /// Location of each equation's value after the addition stage.
-    pub value_locations: Vec<ResultLocation>,
-    /// Location of each Jacobian entry `d f_i / d x_j` after the addition
-    /// stage (`jacobian_locations[i][j]`).
-    pub jacobian_locations: Vec<Vec<ResultLocation>>,
-    /// Map from `(equation, monomial)` to the unique-monomial index.
-    monomial_map: Vec<Vec<usize>>,
-    /// The unique monomials of the merged schedule.
-    uniques: Vec<UniqueMonomial>,
-    /// Total number of monomial instances across all equations.
-    total_monomials: usize,
-}
-
-impl SystemSchedule {
-    /// Builds the merged schedule of a system of polynomials over the same
-    /// variables and truncation degree.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the system is empty or when the equations disagree on the
-    /// number of variables or the truncation degree.
-    pub fn build<C: Coeff>(polys: &[Polynomial<C>]) -> Self {
-        assert!(!polys.is_empty(), "a system needs at least one equation");
-        let n = polys[0].num_variables();
-        let degree = polys[0].degree();
-        for (i, p) in polys.iter().enumerate() {
-            assert_eq!(
-                p.num_variables(),
-                n,
-                "equation {i}: all equations must share the variable count"
-            );
-            assert_eq!(
-                p.degree(),
-                degree,
-                "equation {i}: all equations must share the truncation degree"
-            );
-        }
-        // Stage 1: merge the monomial sets.  Two monomials are the same job
-        // when they have the same variable tuple AND the same coefficient
-        // series; the first occurrence becomes the representative.
-        let mut uniques: Vec<UniqueMonomial> = Vec::new();
-        let mut by_vars: HashMap<Vec<usize>, Vec<usize>> = HashMap::new();
-        let mut monomial_map: Vec<Vec<usize>> = Vec::with_capacity(polys.len());
-        let mut total_monomials = 0usize;
-        for (i, p) in polys.iter().enumerate() {
-            let mut map = Vec::with_capacity(p.num_monomials());
-            for (k, m) in p.monomials().iter().enumerate() {
-                total_monomials += 1;
-                let bucket = by_vars.entry(m.variables.clone()).or_default();
-                let found = bucket.iter().copied().find(|&u| {
-                    let rep = uniques[u].representative;
-                    polys[rep.0].monomials()[rep.1].coefficient == m.coefficient
-                });
-                let uid = match found {
-                    Some(uid) => {
-                        uniques[uid].instances += 1;
-                        uid
-                    }
-                    None => {
-                        let uid = uniques.len();
-                        uniques.push(UniqueMonomial {
-                            variables: m.variables.clone(),
-                            representative: (i, k),
-                            instances: 1,
-                        });
-                        bucket.push(uid);
-                        uid
-                    }
-                };
-                map.push(uid);
-            }
-            monomial_map.push(map);
-        }
-        // Stage 2: lay out the arena — constants per equation, coefficients
-        // and products per unique monomial, inputs shared.
-        let mut next = 0usize;
-        let mut take = |count: usize| {
-            let start = next;
-            next += count;
-            (start..start + count).collect::<Vec<usize>>()
-        };
-        let constant_slots = take(polys.len());
-        let coefficient_slots = take(uniques.len());
-        let input_slots = take(n);
-        let mut forward_slots = Vec::with_capacity(uniques.len());
-        let mut backward_slots = Vec::with_capacity(uniques.len());
-        let mut cross_slots = Vec::with_capacity(uniques.len());
-        for u in &uniques {
-            let nk = u.variables.len();
-            forward_slots.push(take(nk));
-            backward_slots.push(take(if nk >= 2 { (nk - 2).max(1) } else { 0 }));
-            cross_slots.push(take(nk.saturating_sub(2)));
-        }
-        let mut layout = SystemLayout {
-            degree,
-            num_slots: next,
-            constant_slots,
-            coefficient_slots,
-            input_slots,
-            forward_slots,
-            backward_slots,
-            cross_slots,
-            scratch_slots: Vec::new(),
-        };
-        // Stage 3: convolution layers — every unique monomial is scheduled
-        // once, so shared products are computed once for the whole system.
-        let mut convolution_layers: Vec<Vec<ConvJob>> = Vec::new();
-        for (u, unique) in uniques.iter().enumerate() {
-            let z_slots: Vec<usize> = unique
-                .variables
-                .iter()
-                .map(|&v| layout.input_slots[v])
-                .collect();
-            schedule_monomial_convolutions(
-                layout.coefficient_slots[u],
-                &z_slots,
-                &layout.forward_slots[u],
-                &layout.backward_slots[u],
-                &layout.cross_slots[u],
-                &mut convolution_layers,
-            );
-        }
-        // Stage 4: addition layers.  A unique monomial used by exactly one
-        // instance keeps its product slots writable (in-place tree summation,
-        // exactly like the single-polynomial schedule); a monomial shared by
-        // several instances must keep its products intact for every reader,
-        // so its contributions become read-only and the tree runs on scratch
-        // accumulators instead.
-        let writable = |uid: usize| uniques[uid].instances == 1;
-        let mut outputs: Vec<OutputSum> = Vec::with_capacity(polys.len() * (1 + n));
-        for (i, p) in polys.iter().enumerate() {
-            // The equation value: constant plus every monomial's last forward
-            // product.
-            let mut targets = Vec::new();
-            let mut read_only = vec![layout.constant_slots[i]];
-            for &uid in &monomial_map[i] {
-                let f = &layout.forward_slots[uid];
-                let slot = f[f.len() - 1];
-                if writable(uid) {
-                    targets.push(slot);
-                } else {
-                    read_only.push(slot);
-                }
-            }
-            outputs.push(OutputSum { targets, read_only });
-            // The Jacobian row d f_i / d x_j for every variable.
-            for v in 0..n {
-                let mut targets = Vec::new();
-                let mut read_only = Vec::new();
-                for (k, m) in p.monomials().iter().enumerate() {
-                    if let Some(pos) = m.position_of(v) {
-                        let uid = monomial_map[i][k];
-                        match derivative_slot_in(
-                            m.num_variables(),
-                            pos,
-                            &layout.forward_slots[uid],
-                            &layout.backward_slots[uid],
-                            &layout.cross_slots[uid],
-                        ) {
-                            Some(slot) if writable(uid) => targets.push(slot),
-                            Some(slot) => read_only.push(slot),
-                            None => read_only.push(layout.coefficient_slots[uid]),
-                        }
-                    }
-                }
-                outputs.push(OutputSum { targets, read_only });
-            }
-        }
-        let (addition_layers, locations) =
-            schedule_output_sums(outputs, &mut layout.num_slots, &mut layout.scratch_slots);
-        let mut value_locations = Vec::with_capacity(polys.len());
-        let mut jacobian_locations = Vec::with_capacity(polys.len());
-        let mut it = locations.into_iter();
-        for _ in 0..polys.len() {
-            value_locations.push(it.next().expect("value location"));
-            jacobian_locations.push(
-                (0..n)
-                    .map(|_| it.next().expect("jacobian location"))
-                    .collect(),
-            );
-        }
-        let schedule = Self {
-            layout,
-            convolution_layers,
-            addition_layers,
-            value_locations,
-            jacobian_locations,
-            monomial_map,
-            uniques,
-            total_monomials,
-        };
-        debug_assert!(schedule.validate_layers().is_ok());
-        schedule
-    }
-
-    /// Number of equations.
-    pub fn num_equations(&self) -> usize {
-        self.value_locations.len()
-    }
-
-    /// Number of variables.
-    pub fn num_variables(&self) -> usize {
-        self.layout.input_slots.len()
-    }
-
-    /// Total number of convolution jobs of the merged schedule.
-    pub fn convolution_jobs(&self) -> usize {
-        self.convolution_layers.iter().map(Vec::len).sum()
-    }
-
-    /// Total number of addition jobs of the merged schedule.
-    pub fn addition_jobs(&self) -> usize {
-        self.addition_layers.iter().map(Vec::len).sum()
-    }
-
-    /// Blocks per convolution kernel launch.
-    pub fn convolution_layer_sizes(&self) -> Vec<usize> {
-        self.convolution_layers.iter().map(Vec::len).collect()
-    }
-
-    /// Blocks per addition kernel launch.
-    pub fn addition_layer_sizes(&self) -> Vec<usize> {
-        self.addition_layers.iter().map(Vec::len).collect()
-    }
-
-    /// Number of unique monomials after merging.
-    pub fn unique_monomials(&self) -> usize {
-        self.uniques.len()
-    }
-
-    /// Total number of monomial instances across all equations.
-    pub fn total_monomials(&self) -> usize {
-        self.total_monomials
-    }
-
-    /// Monomial instances whose products are shared with an earlier
-    /// occurrence instead of being recomputed (`total - unique`).
-    pub fn deduplicated_monomials(&self) -> usize {
-        self.total_monomials - self.uniques.len()
-    }
-
-    /// Checks the layer invariants (the same invariants as
-    /// [`Schedule::validate_layers`](crate::Schedule::validate_layers)):
-    /// within one layer, outputs are pairwise distinct and no job reads a
-    /// slot another job of the same layer writes.
-    pub fn validate_layers(&self) -> Result<(), String> {
-        validate_job_layers(&self.convolution_layers, &self.addition_layers)
-    }
-
-    /// Lowers the merged schedule to block granularity for the
-    /// dependency-driven executor (see [`crate::Schedule::graph_plan`]);
-    /// shared products feed every consuming equation's summation through the
-    /// same dependency edges.
-    pub fn graph_plan(&self) -> GraphPlan {
-        build_graph_plan(&self.convolution_layers, &self.addition_layers)
-    }
-
-    /// Populates the flat data array: each equation's constant, each unique
-    /// monomial's coefficient (from its representative) and the shared input
-    /// series; product and scratch slots are left zero.
-    pub fn fill_data_array<C: Coeff>(
-        &self,
-        polys: &[Polynomial<C>],
-        inputs: &[Series<C>],
-        data: &mut [C],
-    ) {
-        assert_eq!(
-            polys.len(),
-            self.num_equations(),
-            "wrong number of equations"
-        );
-        assert_eq!(inputs.len(), self.num_variables(), "wrong number of inputs");
-        assert_eq!(
-            data.len(),
-            self.layout.total_coefficients(),
-            "data slice does not match the layout"
-        );
-        let per = self.layout.coeffs_per_slot();
-        let write_slot = |slot: usize, series: &Series<C>, data: &mut [C]| {
-            assert_eq!(series.degree(), self.layout.degree, "degree mismatch");
-            let off = slot * per;
-            data[off..off + per].copy_from_slice(series.coeffs());
-        };
-        for (i, p) in polys.iter().enumerate() {
-            write_slot(self.layout.constant_slots[i], p.constant(), data);
-        }
-        for (u, unique) in self.uniques.iter().enumerate() {
-            let (i, k) = unique.representative;
-            write_slot(
-                self.layout.coefficient_slots[u],
-                &polys[i].monomials()[k].coefficient,
-                data,
-            );
-        }
-        for (j, z) in inputs.iter().enumerate() {
-            write_slot(self.layout.input_slots[j], z, data);
-        }
-    }
-
-    /// Extracts a result series from the populated data array.
-    pub fn extract<C: Coeff>(&self, data: &[C], location: ResultLocation) -> Series<C> {
-        let per = self.layout.coeffs_per_slot();
-        match location {
-            ResultLocation::Zero => Series::zero(self.layout.degree),
-            ResultLocation::Slot(slot) => {
-                let off = slot * per;
-                Series::from_coeffs(data[off..off + per].to_vec())
-            }
-        }
-    }
-
-    /// Extracts a result series into `out`, reusing its buffer — the
-    /// allocation-free counterpart of [`SystemSchedule::extract`] used by
-    /// the workspace-reusing evaluation paths.
-    pub fn extract_into<C: Coeff>(
-        &self,
-        data: &[C],
-        location: ResultLocation,
-        out: &mut Series<C>,
-    ) {
-        extract_location_into(
-            data,
-            location,
-            self.layout.coeffs_per_slot(),
-            self.layout.degree,
-            out,
-        );
-    }
-}
 
 /// The result of one fused system evaluation: all equation values, the full
 /// Jacobian of power series, and the aggregate kernel timings of the shared
@@ -557,7 +138,7 @@ impl<C: Coeff> SystemEvaluation<C> {
 /// timings of the shared launches.
 ///
 /// A batched system run is the tracker's workhorse: the same merged
-/// [`SystemSchedule`] serves every instance (same equations, different
+/// [`Schedule`](crate::Schedule) serves every instance (same equations, different
 /// evaluation points), so one kernel launch per merged layer — or one graph
 /// launch — covers `batch × jobs_per_layer` blocks.  The per-instance
 /// [`SystemEvaluation::timings`] are empty for the same reason as in
@@ -602,190 +183,6 @@ impl<C: Coeff> Default for SystemBatchEvaluation<C> {
     }
 }
 
-/// Evaluates a whole batch of input vectors through one system's merged
-/// schedule — the shared internal of the engine's system
-/// [`Plan`](crate::Plan) under batched inputs, and the coalesced corrector
-/// sweep of the path tracker.  Every instance is staged back-to-back in one
-/// flat arena ([`SystemLayout::batch_slot`]), so the whole batch runs as one
-/// launch per merged layer (or one graph launch), exactly like
-/// [`run_batch`](crate::batch) does for single polynomials.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_system_batch<C: Coeff>(
-    polys: &[Polynomial<C>],
-    schedule: &SystemSchedule,
-    options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
-    batch: &[Vec<Series<C>>],
-    pool: Option<&WorkerPool>,
-    cancel: Option<&CancelToken>,
-    ws: &mut Workspace<C>,
-    out: &mut SystemBatchEvaluation<C>,
-) {
-    let wall = Stopwatch::start();
-    let mut timings = KernelTimings::new();
-    if batch.is_empty() {
-        out.instances.clear();
-        timings.wall_clock = wall.elapsed();
-        out.timings = timings;
-        return;
-    }
-    let layout = &schedule.layout;
-    let per = layout.coeffs_per_slot();
-    let stride = layout.total_coefficients();
-    let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch, graph_scratch) =
-        ws.parts(layout.batch_total_coefficients(batch.len()), participants);
-    // Stage 0: lay every instance out back-to-back in the flat arena.  The
-    // constants and merged coefficients are replicated per instance so each
-    // region is self-contained (jobs only ever read within their region).
-    for (i, inputs) in batch.iter().enumerate() {
-        let off = layout.batch_instance_offset(i);
-        schedule.fill_data_array(polys, inputs, &mut arena[off..off + stride]);
-    }
-    let plan = match (options.exec_mode, pool) {
-        (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
-        _ => None,
-    };
-    let completed = {
-        let shared = SharedSlice::new(&mut *arena);
-        execute_schedule(
-            &schedule.convolution_layers,
-            &schedule.addition_layers,
-            plan,
-            &shared,
-            per,
-            options.kernel,
-            pool,
-            scratch,
-            graph_scratch,
-            &mut timings,
-            batch.len(),
-            1,
-            cancel,
-            |instance, slot| layout.batch_slot(instance, slot),
-        )
-    };
-    if !completed {
-        // Abandoned mid-schedule: every instance region holds partial
-        // results, so skip extraction and flag the whole batch instead.
-        timings.cancelled = true;
-        timings.wall_clock = wall.elapsed();
-        out.timings = timings;
-        return;
-    }
-    let m = schedule.num_equations();
-    let n = schedule.num_variables();
-    out.instances
-        .resize_with(batch.len(), SystemEvaluation::empty);
-    for (i, instance) in out.instances.iter_mut().enumerate() {
-        let off = layout.batch_instance_offset(i);
-        let region = &arena[off..off + stride];
-        instance.values.resize_with(m, || Series::zero(0));
-        for (&loc, v) in schedule
-            .value_locations
-            .iter()
-            .zip(instance.values.iter_mut())
-        {
-            schedule.extract_into(region, loc, v);
-        }
-        instance.jacobian.resize_with(m, Vec::new);
-        for (row_locs, row) in schedule
-            .jacobian_locations
-            .iter()
-            .zip(instance.jacobian.iter_mut())
-        {
-            row.resize_with(n, || Series::zero(0));
-            for (&loc, entry) in row_locs.iter().zip(row.iter_mut()) {
-                schedule.extract_into(region, loc, entry);
-            }
-        }
-        instance.timings = KernelTimings::new();
-    }
-    timings.wall_clock = wall.elapsed();
-    out.timings = timings;
-}
-
-/// Evaluates a whole system through its merged schedule, writing all values
-/// and the full Jacobian into `out` — the shared internal of the engine's
-/// system [`Plan`](crate::Plan) and of the Newton iteration.  `graph` caches
-/// the block-level plan across evaluations (built on first graph-mode use);
-/// all evaluation memory is borrowed from `ws`, so a warm workspace makes
-/// the run allocation-free.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_system<C: Coeff>(
-    polys: &[Polynomial<C>],
-    schedule: &SystemSchedule,
-    options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
-    inputs: &[Series<C>],
-    pool: Option<&WorkerPool>,
-    cancel: Option<&CancelToken>,
-    ws: &mut Workspace<C>,
-    out: &mut SystemEvaluation<C>,
-) {
-    let wall = Stopwatch::start();
-    let mut timings = KernelTimings::new();
-    let per = schedule.layout.coeffs_per_slot();
-    let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch, graph_scratch) =
-        ws.parts(schedule.layout.total_coefficients(), participants);
-    schedule.fill_data_array(polys, inputs, arena);
-    // The whole system — every equation's deduplicated products plus all m
-    // values and m×n Jacobian sums — runs through the shared executor: one
-    // launch per merged layer, or one graph launch (one pool rendezvous) in
-    // graph mode.
-    let plan = match (options.exec_mode, pool) {
-        (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
-        _ => None,
-    };
-    let completed = {
-        let shared = SharedSlice::new(&mut *arena);
-        execute_schedule(
-            &schedule.convolution_layers,
-            &schedule.addition_layers,
-            plan,
-            &shared,
-            per,
-            options.kernel,
-            pool,
-            scratch,
-            graph_scratch,
-            &mut timings,
-            1,
-            1,
-            cancel,
-            |_, slot| slot,
-        )
-    };
-    if !completed {
-        // Abandoned mid-schedule: the arena holds partial results, so skip
-        // extraction of values and Jacobian and flag the run instead.
-        timings.cancelled = true;
-        timings.wall_clock = wall.elapsed();
-        out.timings = timings;
-        return;
-    }
-    let m = schedule.num_equations();
-    let n = schedule.num_variables();
-    out.values.resize_with(m, || Series::zero(0));
-    for (&loc, v) in schedule.value_locations.iter().zip(out.values.iter_mut()) {
-        schedule.extract_into(arena, loc, v);
-    }
-    out.jacobian.resize_with(m, Vec::new);
-    for (row_locs, row) in schedule
-        .jacobian_locations
-        .iter()
-        .zip(out.jacobian.iter_mut())
-    {
-        row.resize_with(n, || Series::zero(0));
-        for (&loc, entry) in row_locs.iter().zip(row.iter_mut()) {
-            schedule.extract_into(arena, loc, entry);
-        }
-    }
-    timings.wall_clock = wall.elapsed();
-    out.timings = timings;
-}
-
 /// Evaluates a system equation by equation with the naive baseline
 /// ([`evaluate_naive`]): the correctness oracle for the fused system plan.
 pub fn evaluate_naive_system<C: Coeff>(
@@ -816,6 +213,7 @@ mod tests {
     use crate::generators::{random_inputs, random_polynomial};
     use crate::monomial::Monomial;
     use crate::schedule::Schedule;
+    use crate::{EvalOptions, ExecMode};
     use psmd_multidouble::{Dd, Qd};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -925,7 +323,7 @@ mod tests {
         let z = random_z(6, d, 5);
         let (_engine, plan) = compile_system(&system, 2);
         let result = plan.request(&z).run().into_system();
-        let schedule = plan.system_schedule().expect("system plan");
+        let schedule = plan.schedule().expect("compiled schedule");
         // Exactly one pool launch per shared layer — independent of the
         // number of equations.
         assert_eq!(
@@ -945,7 +343,11 @@ mod tests {
         // not the sum: layers of different equations fuse.
         let max_layers = system
             .iter()
-            .map(|p| Schedule::build(p).convolution_layers.len())
+            .map(|p| {
+                Schedule::build(std::slice::from_ref(p))
+                    .convolution_layers
+                    .len()
+            })
             .max()
             .unwrap();
         assert_eq!(schedule.convolution_layers.len(), max_layers);
@@ -967,7 +369,7 @@ mod tests {
         assert_eq!(a.values, b.values, "graph system must be bitwise identical");
         assert_eq!(a.jacobian, b.jacobian);
         assert_eq!(b.timings.graph_launches, 1);
-        let schedule = layered.system_schedule().expect("system plan");
+        let schedule = layered.schedule().expect("compiled schedule");
         assert_eq!(b.timings.convolution_blocks, schedule.convolution_jobs());
     }
 
@@ -1010,7 +412,7 @@ mod tests {
         );
         let system = vec![f1.clone(), f2.clone()];
         let (_engine, plan) = compile_system(&system, 0);
-        let schedule = plan.system_schedule().expect("system plan");
+        let schedule = plan.schedule().expect("compiled schedule");
         assert_eq!(schedule.total_monomials(), 3);
         assert_eq!(schedule.unique_monomials(), 2);
         assert_eq!(schedule.deduplicated_monomials(), 1);
@@ -1034,8 +436,8 @@ mod tests {
         let system = vec![f.clone()];
         let (_engine, plan) = compile_system(&system, 0);
         assert_eq!(
-            plan.system_schedule()
-                .expect("system plan")
+            plan.schedule()
+                .expect("compiled schedule")
                 .unique_monomials(),
             1
         );
@@ -1078,8 +480,8 @@ mod tests {
                 .collect();
             let z = random_inputs::<Dd, _>(5, 3, &mut rng);
             let plan = engine.compile(system.clone());
-            plan.system_schedule()
-                .expect("system plan")
+            plan.schedule()
+                .expect("compiled schedule")
                 .validate_layers()
                 .unwrap();
             let fused = plan.request(&z).sequential().run().into_system();
@@ -1102,13 +504,13 @@ mod tests {
             coeff(0.0, d),
             vec![Monomial::new(coeff(1.0, d), vec![2])],
         );
-        let _ = SystemSchedule::build(&[f1, f2]);
+        let _ = Schedule::build(&[f1, f2]);
     }
 
     #[test]
     #[should_panic(expected = "at least one equation")]
     fn empty_systems_are_rejected() {
-        let _ = SystemSchedule::build::<Qd>(&[]);
+        let _ = Schedule::build::<Qd>(&[]);
     }
 
     #[test]

@@ -3,9 +3,15 @@
 //! The workspace vendors no serialization framework (the build environment
 //! has no registry access), so the line-delimited wire protocol hand-rolls
 //! the small JSON subset it needs: objects, arrays, strings, finite
-//! numbers, booleans and null.
+//! numbers, booleans and null.  Nesting is bounded by [`MAX_DEPTH`], so no
+//! input line can exhaust the parser's stack.
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts; deeper
+/// input is an `Err`.  The protocol's deepest request (`compile`) nests 4
+/// levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,11 +31,12 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parses one JSON document, rejecting trailing garbage.
+    /// Parses one JSON document, rejecting trailing garbage and nesting
+    /// deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -175,12 +182,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing arrays
+/// and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -281,7 +294,7 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -291,7 +304,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -304,7 +317,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut members = Vec::new();
@@ -324,7 +337,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -368,6 +381,35 @@ mod tests {
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("'single'").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}{}", open.repeat(levels), close.repeat(levels))
+        };
+        // Exactly at the limit parses, arrays and objects alike.
+        let at_limit = Json::parse(&nested("[", "]", MAX_DEPTH)).unwrap();
+        let mut depth = 0;
+        let mut value = &at_limit;
+        while let Some(items) = value.as_array() {
+            depth += 1;
+            match items.first() {
+                Some(inner) => value = inner,
+                None => break,
+            }
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        // One level deeper is an error, not a stack overflow.
+        let err = Json::parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let err = Json::parse(&nested("[{\"a\":", "}]", MAX_DEPTH)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // A million unbalanced brackets fail fast at the limit.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("at byte 64"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Unlike `newton_power_series.rs` (which drives a hand-rolled 2x2 staged
 //! solve), this example uses the fallible `psmd_core::try_newton_system`
-//! solver: one merged [`SystemSchedule`](psmd_core::SystemSchedule) is built
+//! solver: one merged [`Schedule`](psmd_core::Schedule) is built
 //! once and reused by every iteration, each step evaluates all values and
 //! the full Jacobian in one fused pass, and the linearized series system is
 //! solved degree by degree from a single LU factorization of the
@@ -23,7 +23,7 @@
 //!
 //! Run with `cargo run --release --example newton_system`.
 
-use psmd_core::{try_newton_system, Monomial, NewtonOptions, Polynomial, SystemSchedule};
+use psmd_core::{try_newton_system, Monomial, NewtonOptions, Polynomial, Schedule};
 use psmd_multidouble::Deca;
 use psmd_series::Series;
 
@@ -55,7 +55,7 @@ fn main() {
     let (system, exact) = build_system(degree);
 
     // The merged schedule: one launch per layer for the whole system.
-    let schedule = SystemSchedule::build(&system);
+    let schedule = Schedule::build(&system);
     println!("Newton on a 3x3 system at power series, degree {degree}, deca-double");
     println!(
         "merged schedule: {} convolution layers ({} jobs), {} addition layers ({} jobs)",

@@ -23,7 +23,7 @@ fn table2_job_counts() {
         assert_eq!(p.num_variables(), n, "{}", poly.label());
         assert_eq!(p.max_variables_per_monomial(), m, "{}", poly.label());
         assert_eq!(p.num_monomials(), monomials, "{}", poly.label());
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         assert_eq!(s.convolution_jobs(), convolutions, "{}", poly.label());
         assert_eq!(s.addition_jobs(), additions, "{}", poly.label());
         s.validate_layers()
@@ -34,7 +34,7 @@ fn table2_job_counts() {
 #[test]
 fn section_6_1_launch_structure_of_p1() {
     let p: Polynomial<Dd> = TestPolynomial::P1.build(0, 1);
-    let s = Schedule::build(&p);
+    let s = Schedule::build(std::slice::from_ref(&p));
     // "the 16,380 convolutions are performed in four kernel launches of
     // respectively 3,640, 5,460, 5,460, and 1,820 blocks"
     assert_eq!(
@@ -60,7 +60,7 @@ fn corollary_3_2_and_4_1_layer_bounds() {
     // largest number of variables per monomial.
     for poly in TestPolynomial::ALL {
         let p: Polynomial<Dd> = poly.build(0, 1);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         let m = p.max_variables_per_monomial();
         let n_mono = p.num_monomials();
         assert_eq!(
@@ -87,7 +87,7 @@ fn section_6_2_shared_memory_limit_and_flop_count() {
     assert_eq!(max_degree(&v100, Precision::D10), 152);
     // The total double-operation count of p1 at degree 152 in deca-double.
     let p: Polynomial<Dd> = TestPolynomial::P1.build(0, 1);
-    let s = Schedule::build(&p);
+    let s = Schedule::build(std::slice::from_ref(&p));
     let mut shape = workload_shape(&s);
     shape.degree = 152;
     let total = shape.total_double_ops(Precision::D10, CostModel::Paper);
@@ -106,7 +106,7 @@ fn table3_and_table4_modeled_shapes() {
     let c2050 = gpu_by_key("c2050").unwrap();
     let mk = |poly: TestPolynomial| {
         let p: Polynomial<Dd> = poly.build(0, 1);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         let mut shape = workload_shape(&s);
         shape.degree = 152;
         shape
@@ -146,7 +146,7 @@ fn addition_kernels_are_negligible_at_high_precision() {
     // in the degree while convolutions are quadratic.
     let v100 = gpu_by_key("v100").unwrap();
     let p: Polynomial<Dd> = TestPolynomial::P1.build(0, 1);
-    let s = Schedule::build(&p);
+    let s = Schedule::build(std::slice::from_ref(&p));
     let mut shape = workload_shape(&s);
     for degree in [63usize, 152] {
         shape.degree = degree;

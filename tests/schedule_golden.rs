@@ -19,7 +19,7 @@ use psmd_multidouble::Dd;
 
 fn schedule_of(poly: TestPolynomial) -> Schedule {
     let p: Polynomial<Dd> = poly.build(0, 1);
-    Schedule::build(&p)
+    Schedule::build(std::slice::from_ref(&p))
 }
 
 #[test]
@@ -103,7 +103,7 @@ fn reduced_variants_keep_the_layer_count_structure() {
     // stage), so measured CPU sweeps exercise the same launch cadence.
     for poly in TestPolynomial::ALL {
         let p: Polynomial<Dd> = poly.build_reduced(0, 1);
-        let s = Schedule::build(&p);
+        let s = Schedule::build(std::slice::from_ref(&p));
         assert_eq!(
             s.convolution_layers.len(),
             p.max_variables_per_monomial(),

@@ -170,6 +170,27 @@ fn wire_errors_are_structured_replies() {
 }
 
 #[test]
+fn wire_deeply_nested_line_gets_an_error_reply() {
+    let service = Arc::new(Service::new(
+        Engine::builder().threads(0).build(),
+        ServeConfig::default(),
+    ));
+    let mut server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(&server);
+
+    // A million open brackets: a structured error, not a stack overflow.
+    let reply = client.roundtrip(&"[".repeat(1_000_000));
+    assert!(!ok(&reply), "{reply:?}");
+    let message = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("nesting deeper than"), "{message}");
+
+    // The connection and the server survive it.
+    let reply = client.roundtrip(r#"{"op":"ping"}"#);
+    assert!(ok(&reply), "{reply:?}");
+    server.shutdown();
+}
+
+#[test]
 fn wire_shutdown_is_idempotent_and_rebinds() {
     let service = Arc::new(Service::new(
         Engine::builder().threads(0).build(),

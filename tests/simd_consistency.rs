@@ -1,12 +1,13 @@
 //! SIMD lane-tier identity: batched evaluation through lane groups
 //! ([`SimdMode::ForceWidth`]) must be **bitwise** identical, per instance,
 //! to the scalar batch path ([`SimdMode::Scalar`]) — across every
-//! multi-double precision, real and complex coefficients, both execution
-//! modes, and batch sizes that exercise full lane groups, the scalar
-//! remainder, and both together.  This is the invariant that makes the SIMD
-//! tier a pure throughput optimization with no numerical footprint: the
-//! lane kernels replicate the scalar error-free transformations elementwise
-//! and never reassociate (see `psmd_multidouble::lanes`).
+//! multi-double precision, real and complex coefficients, single-polynomial
+//! and system plans, both execution modes, and batch sizes that exercise
+//! full lane groups, the scalar remainder, and both together.  This is the
+//! invariant that makes the SIMD tier a pure throughput optimization with
+//! no numerical footprint: the lane kernels replicate the scalar error-free
+//! transformations elementwise and never reassociate (see
+//! `psmd_multidouble::lanes`).
 
 use psmd_core::{
     random_inputs, random_polynomial, ConvolutionKernel, Engine, EvalOptions, ExecMode, Polynomial,
@@ -127,6 +128,55 @@ fn lane_identity_complex_coefficients() {
     check_widths_and_sizes::<Complex<Dd>>(1_411, 4, 8, 3, ExecMode::Layered);
     check_widths_and_sizes::<Complex<Qd>>(1_412, 3, 6, 2, ExecMode::Graph);
     check_widths_and_sizes::<Complex<Deca>>(1_413, 3, 5, 2, ExecMode::Layered);
+}
+
+/// System plans batch through the same runner as single polynomials, so
+/// their batched inputs run lane groups too: every instance's values and
+/// Jacobian under `ForceWidth(w)` must equal the scalar batch bitwise, at
+/// batch sizes on both sides of each width.
+fn check_system_lanes_vs_scalar<C: Coeff + RandomCoeff>(
+    seed: u64,
+    equations: usize,
+    n: usize,
+    monomials: usize,
+    degree: usize,
+    exec_mode: ExecMode,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let system: Vec<Polynomial<C>> = (0..equations)
+        .map(|_| random_polynomial(n, monomials, n.min(6), degree, &mut rng))
+        .collect();
+    let scalar_plan = engine_with(exec_mode, SimdMode::Scalar).compile(system.clone());
+    for width in SimdMode::SUPPORTED_WIDTHS {
+        let lane_plan = engine_with(exec_mode, SimdMode::ForceWidth(width)).compile(system.clone());
+        for size in [width - 1, width + 1, 2 * width + 3] {
+            let batch: Vec<Vec<Series<C>>> = (0..size)
+                .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
+                .collect();
+            let scalar = scalar_plan.request(&batch).run().into_system_batch();
+            assert_eq!(scalar.timings.simd_width, 1);
+            let lanes = lane_plan.request(&batch).run().into_system_batch();
+            assert_eq!(
+                lanes.timings.simd_width, width,
+                "system batch must report its forced width"
+            );
+            assert_eq!(scalar.instances.len(), size);
+            assert_eq!(lanes.instances.len(), size);
+            for (i, (s, l)) in scalar.instances.iter().zip(&lanes.instances).enumerate() {
+                let case = format!("instance {i} (width {width}, batch {size}, seed {seed})");
+                assert_eq!(s.values, l.values, "values differ: {case}");
+                assert_eq!(s.jacobian, l.jacobian, "Jacobian differs: {case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn system_batches_run_lanes_bitwise_like_scalar() {
+    for mode in [ExecMode::Layered, ExecMode::Graph] {
+        check_system_lanes_vs_scalar::<Dd>(1_801, 3, 5, 8, 4, mode);
+        check_system_lanes_vs_scalar::<Complex<Qd>>(1_802, 2, 4, 6, 2, mode);
+    }
 }
 
 /// `Auto` resolves to a concrete mode at compile time and its batched runs

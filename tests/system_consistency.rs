@@ -37,7 +37,7 @@ fn check_system_consistency<C: Coeff + RandomCoeff>(
     let z = random_inputs::<C, _>(n, degree, &mut rng);
     let engine = Engine::builder().threads(3).build();
     let plan = engine.compile(system.clone());
-    let schedule = plan.system_schedule().expect("system plan");
+    let schedule = plan.schedule().expect("compiled schedule");
     schedule.validate_layers().unwrap();
     let fused = plan.request(&z).sequential().run().into_system();
     let tol = tolerance::<C>(degree, equations * monomials);
@@ -110,8 +110,8 @@ fn fused_system_is_bitwise_identical_without_sharing() {
     let engine = Engine::builder().threads(0).build();
     let plan = engine.compile(system.clone());
     if plan
-        .system_schedule()
-        .expect("system plan")
+        .schedule()
+        .expect("compiled schedule")
         .deduplicated_monomials()
         != 0
     {
@@ -145,7 +145,7 @@ fn shared_monomials_across_equations_dedup_and_stay_correct() {
     let system = vec![f1, f2, f3];
     let engine = Engine::builder().threads(0).build();
     let plan = engine.compile(system.clone());
-    let schedule = plan.system_schedule().expect("system plan");
+    let schedule = plan.schedule().expect("compiled schedule");
     assert_eq!(schedule.total_monomials(), 5);
     assert_eq!(schedule.unique_monomials(), 3);
     assert_eq!(schedule.deduplicated_monomials(), 2);
@@ -155,6 +155,46 @@ fn shared_monomials_across_equations_dedup_and_stay_correct() {
     let naive = evaluate_naive_system(&system, &z);
     let diff = fused.max_difference(&naive);
     assert!(diff < 1e-26, "difference {diff}");
+}
+
+/// A single polynomial compiles as the one-equation system, so a monomial
+/// it repeats (same variables, same coefficient) is computed once, exactly
+/// like a monomial shared across equations — and the results stay correct
+/// and bitwise reproducible.
+#[test]
+fn repeated_monomial_of_a_single_polynomial_is_computed_once() {
+    let d = 4;
+    let c = |x: f64| Series::<Qd>::constant(Qd::from_f64(x), d);
+    let repeated = || Monomial::new(c(1.5), vec![0, 2, 3]);
+    let p = Polynomial::new(
+        4,
+        c(0.5),
+        vec![
+            repeated(),
+            Monomial::new(c(2.0), vec![1, 2]),
+            repeated(),
+            Monomial::new(c(-1.0), vec![0]),
+        ],
+    );
+    let engine = Engine::builder().threads(2).build();
+    let plan = engine.compile(p.clone());
+    let stats = plan.stats();
+    assert_eq!(stats.total_monomials, 4);
+    assert_eq!(stats.unique_monomials, 3);
+    assert!(stats.unique_monomials < stats.total_monomials);
+    let mut rng = StdRng::seed_from_u64(233);
+    let z = random_inputs::<Qd, _>(4, d, &mut rng);
+    let sequential = plan.request(&z).sequential().run();
+    let got = sequential.as_single().expect("a single output");
+    let naive = evaluate_naive(&p, &z);
+    let tol = tolerance::<Qd>(d, p.num_monomials());
+    let diff = got.max_difference(&naive);
+    assert!(diff <= tol, "difference {diff:e} (tolerance {tol:e})");
+    let pooled = plan.request(&z).run();
+    assert!(
+        sequential.bitwise_eq(&pooled),
+        "the pooled run must be bitwise identical to the sequential one"
+    );
 }
 
 proptest! {
@@ -208,7 +248,7 @@ proptest! {
         let z = random_inputs::<Dd, _>(n, degree, &mut rng);
         let engine = Engine::builder().threads(0).build();
         let plan = engine.compile(system.clone());
-        let schedule = plan.system_schedule().expect("system plan");
+        let schedule = plan.schedule().expect("compiled schedule");
         prop_assert_eq!(schedule.deduplicated_monomials(), 1);
         schedule.validate_layers().unwrap();
         let fused = plan.request(&z).sequential().run().into_system();

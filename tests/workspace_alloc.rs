@@ -1,8 +1,8 @@
 //! The zero-allocation steady-state contract, enforced by a counting global
 //! allocator: after one warm-up call, the request builder's
 //! `.into(&mut out)` path performs **zero heap allocations** (and zero
-//! deallocations) across single/batch/system evaluation in both layered
-//! and graph execution — the CPU analogue of the paper's kernels, which
+//! deallocations) across single/batch/system/system-batch evaluation in
+//! both layered and graph execution — the CPU analogue of the paper's kernels, which
 //! stage everything in pre-sized shared memory and never allocate
 //! mid-kernel.  The serving layer inherits the contract: a closed-loop
 //! client recycling its response buffers drives the whole
@@ -18,7 +18,7 @@
 
 use psmd_core::{
     random_inputs, try_newton_system, Engine, EvalOptions, ExecMode, Monomial, NewtonOptions,
-    Polynomial,
+    PolySource, Polynomial,
 };
 use psmd_multidouble::{Dd, Qd};
 use psmd_series::Series;
@@ -115,19 +115,24 @@ fn assert_zero_alloc_batch(mode: ExecMode, label: &str) {
 /// Like [`assert_zero_alloc_batch`], but pinning the SIMD lane mode and a
 /// batch size large enough to engage full lane groups *and* a scalar
 /// remainder: the lane-panel scratch must obey the same grow-once
-/// discipline as every other workspace buffer.
-fn assert_zero_alloc_batch_simd(mode: ExecMode, simd: psmd_core::SimdMode, label: &str) {
-    let d = 6;
+/// discipline as every other workspace buffer.  `source` is a single
+/// polynomial or a system (both batch through the same lane tier).
+fn assert_zero_alloc_batch_simd(
+    mode: ExecMode,
+    simd: psmd_core::SimdMode,
+    source: impl Into<PolySource<Qd>>,
+    label: &str,
+) {
     let batch_size = 2 * simd.lane_width() + 3;
     let engine = Engine::builder()
         .threads(0)
         .exec_mode(mode)
         .simd(simd)
         .build();
-    let plan = engine.compile(paper_example(d));
+    let plan = engine.compile(source);
     let mut rng = StdRng::seed_from_u64(13);
     let batch: Vec<Vec<Series<Qd>>> = (0..batch_size)
-        .map(|_| random_inputs::<Qd, _>(6, d, &mut rng))
+        .map(|_| random_inputs::<Qd, _>(6, SIMD_DEGREE, &mut rng))
         .collect();
     let mut out = plan.request(&batch).run();
     plan.request(&batch).into(&mut out).run();
@@ -140,7 +145,11 @@ fn assert_zero_alloc_batch_simd(mode: ExecMode, simd: psmd_core::SimdMode, label
     assert_eq!(allocs, 0, "{label}: steady-state allocations ({bytes} B)");
     assert_eq!(deallocs, 0, "{label}: steady-state deallocations");
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
+    assert_eq!(out.timings().simd_width, simd.lane_width(), "{label}");
 }
+
+/// Truncation degree of the SIMD zero-allocation rows.
+const SIMD_DEGREE: usize = 6;
 
 fn assert_zero_alloc_system(mode: ExecMode, label: &str) {
     let d = 6;
@@ -199,12 +208,18 @@ fn steady_state_evaluation_is_allocation_free() {
     // panels are workspace scratch, grown once and reused (batch sizes of
     // 2W+3 run full lane groups plus a scalar remainder each iteration).
     use psmd_core::SimdMode;
+    let single = || paper_example(SIMD_DEGREE);
     for mode in [ExecMode::Layered, ExecMode::Graph] {
-        assert_zero_alloc_batch_simd(mode, SimdMode::Scalar, "batch/simd-scalar");
-        assert_zero_alloc_batch_simd(mode, SimdMode::Auto, "batch/simd-auto");
+        assert_zero_alloc_batch_simd(mode, SimdMode::Scalar, single(), "batch/simd-scalar");
+        assert_zero_alloc_batch_simd(mode, SimdMode::Auto, single(), "batch/simd-auto");
         for width in SimdMode::SUPPORTED_WIDTHS {
-            assert_zero_alloc_batch_simd(mode, SimdMode::ForceWidth(width), "batch/simd-forced");
+            let forced = SimdMode::ForceWidth(width);
+            assert_zero_alloc_batch_simd(mode, forced, single(), "batch/simd-forced");
         }
+        // System batches run the same lane groups under the same contract.
+        let system = paper_system(SIMD_DEGREE);
+        let forced = SimdMode::ForceWidth(4);
+        assert_zero_alloc_batch_simd(mode, forced, system, "system-batch/simd-forced");
     }
 
     // The explicit-workspace path is allocation-free from the FIRST call:
