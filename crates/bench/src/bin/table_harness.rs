@@ -11,7 +11,6 @@
 //!   tflops
 //!   batch          measured batched-vs-looped evaluation comparison
 //!   system         measured fused-system-vs-per-polynomial-loop comparison
-//!   graph          measured graph-executor-vs-layered-barrier comparison
 //!   engine         measured compile-once/evaluate-many amortization of the
 //!                  Engine/Plan API (plan-cache hits, per-eval cost)
 //!   workspace      measured workspace-reuse comparison (pooled evaluate vs
@@ -36,8 +35,8 @@
 //!                  exact-gated, the timings tolerance-gated
 //!   compare        compare a current JSON report against a baseline and
 //!                  exit non-zero on perf regressions (the CI gate)
-//!   all            run every command above (except batch, system, graph,
-//!                  engine, workspace and compare)
+//!   all            run every command above (except batch, system, engine,
+//!                  workspace and compare)
 //!
 //! options:
 //!   --measure      add measured CPU rows (reduced polynomials, degrees <= 31)
@@ -48,8 +47,8 @@
 //!                  this option also runs the batch report after any command
 //!   --equations <m> system size for the system command (default 4)
 //!   --json         emit a machine-readable JSON report instead of text
-//!                  (supported by table2, batch, system, graph, engine,
-//!                  workspace, kernels, simd, serve and track;
+//!                  (supported by table2, batch, system, engine, workspace,
+//!                  kernels, simd, serve and track;
 //!                  used by the CI perf-snapshot job).  stdout carries only
 //!                  the JSON document; progress and notes go to stderr.
 //!   --baseline <file>       baseline report for the compare command
@@ -247,9 +246,6 @@ fn main() {
     }
     if opts.command == "system" {
         system_report(&opts, &engine);
-    }
-    if opts.command == "graph" {
-        graph_report(&opts);
     }
     if opts.command == "engine" {
         engine_report(&opts);
@@ -862,89 +858,6 @@ fn emit_banner(opts: &Options, heading: &str) {
         eprint!("{heading}");
     } else {
         print!("{heading}");
-    }
-}
-
-/// Dependency-driven graph executor vs the layered barrier-per-layer
-/// reference on the same schedules.
-///
-/// Uses a dedicated engine with at least three workers so the rendezvous
-/// counts in the report are machine-independent (a zero-worker pool would
-/// take the inline fast path and report zero rendezvous).
-fn graph_report(opts: &Options) {
-    let workers = WorkerPool::default_worker_threads().max(3);
-    let engine = Engine::builder().threads(workers).build();
-    let (scale, degrees, label): (Scale, Vec<usize>, &str) = if opts.full {
-        (Scale::Full, PAPER_DEGREES.to_vec(), "full")
-    } else {
-        (Scale::Reduced, REDUCED_DEGREES.to_vec(), "reduced")
-    };
-    emit_banner(
-        opts,
-        &banner(&format!(
-            "Graph executor: dependency-driven work stealing (one rendezvous per \
-             evaluation) vs layered barriers ({label} polynomials, double-double, \
-             measured CPU, {workers} workers)"
-        )),
-    );
-    let mut t = TextTable::new(vec![
-        "poly",
-        "degree",
-        "layered (ms)",
-        "graph (ms)",
-        "speedup",
-        "barriers",
-        "rendezvous",
-        "blocks",
-        "critical path",
-    ]);
-    let mut json = JsonReport::new("graph");
-    for poly in TestPolynomial::ALL {
-        for &d in &degrees {
-            // Progress goes to stderr so `--json | tee BENCH_graph.json`
-            // stays a single valid JSON document on stdout.
-            eprintln!("graph: measuring {} at degree {d}...", poly.label());
-            let cmp =
-                psmd_bench::graph_comparison(&engine, poly, Precision::D2, d, scale, opts.seed);
-            if opts.json {
-                json.add_row(vec![
-                    ("poly", Json::Str(poly.label().to_string())),
-                    ("degree", Json::Num(d as f64)),
-                    ("layered_ms", Json::Num(cmp.layered.wall_ms)),
-                    ("graph_ms", Json::Num(cmp.graph.wall_ms)),
-                    (
-                        "layered_rendezvous",
-                        Json::Num(cmp.layered_rendezvous as f64),
-                    ),
-                    ("graph_rendezvous", Json::Num(cmp.graph_rendezvous as f64)),
-                    ("layers", Json::Num(cmp.layers as f64)),
-                    ("blocks", Json::Num(cmp.blocks as f64)),
-                    ("edges", Json::Num(cmp.edges as f64)),
-                    ("critical_path", Json::Num(cmp.critical_path as f64)),
-                ]);
-            } else {
-                t.add_row(vec![
-                    poly.label().to_string(),
-                    d.to_string(),
-                    ms(cmp.layered.wall_ms),
-                    ms(cmp.graph.wall_ms),
-                    format!("{:.2}x", cmp.layered.wall_ms / cmp.graph.wall_ms.max(1e-9)),
-                    cmp.layered_rendezvous.to_string(),
-                    cmp.graph_rendezvous.to_string(),
-                    cmp.blocks.to_string(),
-                    cmp.critical_path.to_string(),
-                ]);
-            }
-        }
-    }
-    if opts.json {
-        print!("{json}");
-    } else {
-        print!("{t}");
-        println!(
-            "(the layered path pays one pool rendezvous per multi-block layer; the graph\n\
-             path releases blocks as their predecessors retire and pays exactly one)"
-        );
     }
 }
 

@@ -214,28 +214,31 @@ pub fn compare_reports(
 mod tests {
     use super::*;
 
-    const BASE: &str = r#"{"command": "graph", "rows": [
-        {"poly": "p1", "degree": 8, "layered_ms": 10.0, "graph_ms": 5.0, "graph_rendezvous": 1},
-        {"poly": "p2", "degree": 8, "layered_ms": 20.0, "graph_ms": 9.0, "graph_rendezvous": 1}]}"#;
+    const BASE: &str = r#"{"command": "engine", "rows": [
+        {"poly": "p1", "degree": 8, "compile_ms": 10.0, "mean_eval_ms": 5.0, "rendezvous_per_eval": 1},
+        {"poly": "p2", "degree": 8, "compile_ms": 20.0, "mean_eval_ms": 9.0, "rendezvous_per_eval": 1}]}"#;
 
     #[test]
     fn parser_round_trips_a_report() {
-        let mut report = crate::JsonReport::new("graph");
+        let mut report = crate::JsonReport::new("engine");
         report.add_row(vec![
             ("poly", Json::Str("p1".to_string())),
             ("degree", Json::Num(8.0)),
-            ("graph_ms", Json::Num(5.0)),
+            ("mean_eval_ms", Json::Num(5.0)),
         ]);
         let doc = Json::parse(&report.render()).unwrap();
-        assert_eq!(doc.get("command").and_then(Json::as_str), Some("graph"));
+        assert_eq!(doc.get("command").and_then(Json::as_str), Some("engine"));
         let rows = doc.get("rows").and_then(Json::as_array).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("poly").and_then(Json::as_str), Some("p1"));
-        assert_eq!(rows[0].get("graph_ms").and_then(Json::as_f64), Some(5.0));
+        assert_eq!(
+            rows[0].get("mean_eval_ms").and_then(Json::as_f64),
+            Some(5.0)
+        );
         // A rendered report compares clean against the hand-written text of
         // the same values (whitespace does not matter).
         let text =
-            r#"{"command": "graph", "rows": [{"poly": "p1", "degree": 8, "graph_ms": 5.0}]}"#;
+            r#"{"command": "engine", "rows": [{"poly": "p1", "degree": 8, "mean_eval_ms": 5.0}]}"#;
         assert!(compare_reports(text, &report.render(), 0.0)
             .unwrap()
             .is_pass());
@@ -269,28 +272,31 @@ mod tests {
     #[test]
     fn timing_within_tolerance_and_improvements_pass() {
         let current = BASE
-            .replace("\"layered_ms\": 10.0", "\"layered_ms\": 10.9")
-            .replace("\"graph_ms\": 5.0", "\"graph_ms\": 1.0");
+            .replace("\"compile_ms\": 10.0", "\"compile_ms\": 10.9")
+            .replace("\"mean_eval_ms\": 5.0", "\"mean_eval_ms\": 1.0");
         let summary = compare_reports(BASE, &current, 10.0).unwrap();
         assert!(summary.is_pass(), "{}", summary.render());
     }
 
     #[test]
     fn timing_regression_beyond_tolerance_fails() {
-        let current = BASE.replace("\"graph_ms\": 5.0", "\"graph_ms\": 50.0");
+        let current = BASE.replace("\"mean_eval_ms\": 5.0", "\"mean_eval_ms\": 50.0");
         let summary = compare_reports(BASE, &current, 25.0).unwrap();
         assert!(!summary.is_pass());
         assert_eq!(summary.regressions.len(), 1);
-        assert_eq!(summary.regressions[0].field, "graph_ms");
+        assert_eq!(summary.regressions[0].field, "mean_eval_ms");
         assert!(summary.regressions[0].row.contains("p1"));
     }
 
     #[test]
     fn deterministic_count_drift_fails_regardless_of_tolerance() {
-        let current = BASE.replace("\"graph_rendezvous\": 1}]", "\"graph_rendezvous\": 3}]");
+        let current = BASE.replace(
+            "\"rendezvous_per_eval\": 1}]",
+            "\"rendezvous_per_eval\": 3}]",
+        );
         let summary = compare_reports(BASE, &current, 1000.0).unwrap();
         assert!(!summary.is_pass());
-        assert_eq!(summary.regressions[0].field, "graph_rendezvous");
+        assert_eq!(summary.regressions[0].field, "rendezvous_per_eval");
     }
 
     #[test]
@@ -298,8 +304,7 @@ mod tests {
         // Higher-is-better ratios carry no independent signal (the *_ms
         // fields are gated); neither an improvement nor a drop may trip the
         // gate, and exact matching must not apply to them either.
-        let base =
-            r#"{"command": "graph", "rows": [{"poly": "p1", "layered_ms": 10.0, "speedup": 1.4}]}"#;
+        let base = r#"{"command": "engine", "rows": [{"poly": "p1", "compile_ms": 10.0, "speedup": 1.4}]}"#;
         let better = base.replace("1.4", "7.0");
         let worse = base.replace("1.4", "0.1");
         assert!(compare_reports(base, &better, 10.0).unwrap().is_pass());
@@ -308,15 +313,15 @@ mod tests {
 
     #[test]
     fn row_count_and_command_mismatches_are_errors() {
-        let fewer = r#"{"command": "graph", "rows": [{"poly": "p1"}]}"#;
+        let fewer = r#"{"command": "engine", "rows": [{"poly": "p1"}]}"#;
         assert!(compare_reports(BASE, fewer, 10.0).is_err());
-        let other = BASE.replace("\"command\": \"graph\"", "\"command\": \"batch\"");
+        let other = BASE.replace("\"command\": \"engine\"", "\"command\": \"batch\"");
         assert!(compare_reports(BASE, &other, 10.0).is_err());
     }
 
     #[test]
     fn missing_count_field_fails() {
-        let current = BASE.replace(", \"graph_rendezvous\": 1}]", "}]");
+        let current = BASE.replace(", \"rendezvous_per_eval\": 1}]", "}]");
         let summary = compare_reports(BASE, &current, 10.0).unwrap();
         assert!(!summary.is_pass());
         assert!(summary.regressions[0].reason.contains("missing"));

@@ -30,8 +30,8 @@ pub use polynomials::{Scale, TestPolynomial, PAPER_DEGREES, REDUCED_DEGREES};
 pub use report::{banner, log2, ms, pct, JsonReport, TextTable};
 pub use serve_load::{closed_loop_run, staged_run, LoadRow, StagedRow};
 pub use sweep::{
-    batched_comparison, engine_amortization, graph_comparison, measured_double_ops, measured_run,
-    modeled_double_ops, modeled_run, simd_comparison, system_comparison, workspace_comparison,
-    BatchComparison, EngineAmortization, GraphComparison, ShapeCache, SimdComparison,
-    SystemComparison, TimingRow, WorkspaceComparison,
+    batched_comparison, engine_amortization, measured_double_ops, measured_run, modeled_double_ops,
+    modeled_run, simd_comparison, system_comparison, workspace_comparison, BatchComparison,
+    EngineAmortization, ShapeCache, SimdComparison, SystemComparison, TimingRow,
+    WorkspaceComparison,
 };

@@ -15,7 +15,7 @@
 
 pub use crate::polynomials::Scale;
 use crate::polynomials::TestPolynomial;
-use psmd_core::{workload_shape, Engine, ExecMode, Polynomial, Schedule};
+use psmd_core::{workload_shape, Engine, Polynomial, Schedule};
 use psmd_device::{model_evaluation, GpuSpec, WorkloadShape};
 use psmd_multidouble::{CostModel, Md, Precision};
 use psmd_runtime::KernelTimings;
@@ -254,90 +254,6 @@ pub fn simd_comparison(
     }
 }
 
-/// One measured comparison of the dependency-driven graph executor against
-/// the layered (barrier-per-layer) reference on the same schedule and
-/// inputs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GraphComparison {
-    /// The layered reference run (one pool launch per job layer).
-    pub layered: TimingRow,
-    /// The graph-mode run (one task-graph launch for the whole evaluation).
-    pub graph: TimingRow,
-    /// Pool rendezvous paid by the layered run (single-block layers run
-    /// inline and pay none).
-    pub layered_rendezvous: usize,
-    /// Pool rendezvous paid by the graph run (always 1 on a threaded pool).
-    pub graph_rendezvous: usize,
-    /// Job layers of the schedule (the barrier count of the paper's model).
-    pub layers: usize,
-    /// Total blocks (convolution plus addition jobs).
-    pub blocks: usize,
-    /// Dependency edges of the graph plan.
-    pub edges: usize,
-    /// Longest dependency chain of the graph plan, in blocks.
-    pub critical_path: usize,
-}
-
-/// Measures graph-mode against layered execution at the given precision by
-/// compiling the same source twice with per-plan option overrides.  Both
-/// plans share the engine's pool and inputs; results are bitwise identical
-/// by construction (and asserted here), so the comparison is purely about
-/// launch overhead.  The rendezvous counts come straight from the new
-/// `pool_rendezvous` timing field.
-pub fn graph_comparison(
-    engine: &Engine,
-    poly: TestPolynomial,
-    precision: Precision,
-    degree: usize,
-    scale: Scale,
-    seed: u64,
-) -> GraphComparison {
-    let source = poly.any_polynomial(precision, degree, scale, seed);
-    let layered = engine.compile_any_with_options(
-        source.clone(),
-        engine.options().with_exec_mode(ExecMode::Layered),
-    );
-    let graph =
-        engine.compile_any_with_options(source, engine.options().with_exec_mode(ExecMode::Graph));
-    let z = poly.any_inputs(precision, degree, scale, seed);
-    // Warmup run per mode (builds the graph plan, wakes the pool) doubling
-    // as the rendezvous measurement and the bitwise-identity check.
-    let layered_eval = layered.request(&z).run();
-    let graph_eval = graph.request(&z).run();
-    assert!(
-        layered_eval.bitwise_eq(&graph_eval),
-        "graph mode must be bitwise identical to layered mode"
-    );
-    let layered_rendezvous = layered_eval.timings().pool_rendezvous;
-    let graph_rendezvous = graph_eval.timings().pool_rendezvous;
-    // Best-of-3 timed runs per mode: single evaluations are noisy and the
-    // CI perf gate compares these numbers against committed baselines.
-    let mut layered_t = *layered_eval.timings();
-    let mut graph_t = *graph_eval.timings();
-    for _ in 0..3 {
-        let t = *layered.request(&z).run().timings();
-        if t.wall_clock < layered_t.wall_clock {
-            layered_t = t;
-        }
-        let t = *graph.request(&z).run().timings();
-        if t.wall_clock < graph_t.wall_clock {
-            graph_t = t;
-        }
-    }
-    let stats = graph.stats();
-    let graph_stats = graph.graph_stats();
-    GraphComparison {
-        layered: TimingRow::from(&layered_t),
-        graph: TimingRow::from(&graph_t),
-        layered_rendezvous,
-        graph_rendezvous,
-        layers: stats.convolution_layers + stats.addition_layers,
-        blocks: graph_stats.blocks,
-        edges: graph_stats.edges,
-        critical_path: graph_stats.critical_path,
-    }
-}
-
 /// One measured comparison of the fused system evaluator against a loop of
 /// per-polynomial evaluations of the same system at the same inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -388,8 +304,6 @@ pub fn system_comparison(
         sequential.merge(plan.request(&inputs).sequential().run().timings());
     }
     let looped_launches = looped.convolution_launches + looped.addition_launches;
-    // Read the monomial counts off the merged schedule directly: stats()
-    // would also build the (unused here) dependency-graph plan.
     let schedule = fused_plan.schedule().expect("compiled schedule");
     SystemComparison {
         equations,
@@ -421,7 +335,7 @@ pub struct EngineAmortization {
     /// Mean wall time over all `evals` evaluations.
     pub mean_eval_ms: f64,
     /// Pool rendezvous per evaluation (deterministic: the multi-block layer
-    /// count in layered mode, 1 in graph mode, on a pool with workers).
+    /// count on a pool with workers).
     pub rendezvous_per_eval: usize,
 }
 
@@ -472,7 +386,7 @@ pub fn engine_amortization(
 }
 
 /// One measured record of workspace reuse: the cold first evaluation (pool
-/// empty, graph plan unbuilt), steady-state pooled evaluation (pooled
+/// empty), steady-state pooled evaluation (pooled
 /// arena/scratch, fresh outputs) and the steady-state reused-output path
 /// (everything reused — the zero-allocation path), plus the deterministic
 /// buffer sizes the workspace holds.
@@ -481,7 +395,7 @@ pub struct WorkspaceComparison {
     /// Number of steady-state evaluations timed per mode.
     pub evals: usize,
     /// Wall time of the first evaluation through a fresh plan (workspace
-    /// warm-up, graph-plan construction).
+    /// warm-up).
     pub cold_ms: f64,
     /// Mean steady-state wall time of pooled evaluation (pooled workspace,
     /// freshly allocated outputs).
@@ -613,32 +527,6 @@ mod tests {
         assert!(row.wall_ms > 0.0);
         assert!(row.sum_ms() <= row.wall_ms * 1.5);
         assert!(row.convolution_ms > 0.0);
-    }
-
-    #[test]
-    fn graph_comparison_pays_one_rendezvous_and_matches_bitwise() {
-        let engine = test_engine(3);
-        let cmp = graph_comparison(
-            &engine,
-            TestPolynomial::P1,
-            Precision::D2,
-            8,
-            Scale::Reduced,
-            5,
-        );
-        // The whole evaluation is one pool rendezvous in graph mode; the
-        // layered path pays one per multi-block layer.
-        assert_eq!(cmp.graph_rendezvous, 1);
-        assert!(cmp.layered_rendezvous > 1);
-        assert!(cmp.layered_rendezvous <= cmp.layers);
-        assert!(cmp.blocks > 0);
-        assert!(cmp.edges > 0);
-        // A dependency chain visits at most one block per layer, and the
-        // deepest chain spans several layers.
-        assert!(cmp.critical_path > 1);
-        assert!(cmp.critical_path <= cmp.layers);
-        assert!(cmp.graph.wall_ms > 0.0);
-        assert!(cmp.layered.wall_ms > 0.0);
     }
 
     #[test]

@@ -104,7 +104,7 @@ mod tests {
     use crate::generators::{random_inputs, random_polynomial};
     use crate::monomial::Monomial;
     use crate::polynomial::Polynomial;
-    use crate::{ConvolutionKernel, EvalOptions, ExecMode};
+    use crate::{ConvolutionKernel, EvalOptions};
     use psmd_multidouble::{Complex, Dd, Qd};
     use psmd_series::Series;
     use rand::rngs::StdRng;
@@ -196,55 +196,6 @@ mod tests {
             result.timings.addition_blocks,
             batch.len() * schedule.addition_jobs()
         );
-    }
-
-    #[test]
-    fn graph_mode_batch_is_bitwise_identical_with_one_rendezvous() {
-        let d = 5;
-        let p = paper_example(d);
-        let batch = random_batch(6, d, 9, 3);
-        let engine = Engine::builder().threads(3).build();
-        let layered = engine.compile(p.clone());
-        let graph =
-            engine.compile_with_options(p, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-        let a = layered.request(&batch).run().into_batch();
-        let before = engine.pool().rendezvous_count();
-        let b = graph.request(&batch).run().into_batch();
-        assert_eq!(engine.pool().rendezvous_count(), before + 1);
-        for (x, y) in a.instances.iter().zip(b.instances.iter()) {
-            assert_eq!(x.value, y.value, "graph batch must be bitwise identical");
-            assert_eq!(x.gradient, y.gradient);
-        }
-        assert_eq!(b.timings.graph_launches, 1);
-        let schedule = layered.schedule().expect("single plan");
-        assert_eq!(
-            b.timings.convolution_blocks,
-            batch.len() * schedule.convolution_jobs()
-        );
-        assert_eq!(
-            b.timings.addition_blocks,
-            batch.len() * schedule.addition_jobs()
-        );
-    }
-
-    #[test]
-    fn graph_mode_batch_runs_inline_on_a_zero_worker_pool() {
-        let d = 4;
-        let p = paper_example(d);
-        let batch = random_batch(6, d, 5, 7);
-        let engine = Engine::builder()
-            .threads(0)
-            .exec_mode(ExecMode::Graph)
-            .build();
-        let plan = engine.compile(p);
-        let seq = plan.request(&batch).sequential().run().into_batch();
-        let par = plan.request(&batch).run().into_batch();
-        for (a, b) in seq.instances.iter().zip(par.instances.iter()) {
-            assert_eq!(a.value, b.value);
-            assert_eq!(a.gradient, b.gradient);
-        }
-        assert_eq!(engine.pool().rendezvous_count(), 0);
-        assert_eq!(par.timings.graph_launches, 1);
     }
 
     #[test]

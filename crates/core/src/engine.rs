@@ -6,8 +6,8 @@
 //! evaluation is the cheap, endlessly repeated part.  The engine makes that
 //! split explicit and production-shaped:
 //!
-//! * [`EngineBuilder`] configures precision, kernel, execution mode and
-//!   thread count once; [`Engine`] owns its [`WorkerPool`] and is
+//! * [`EngineBuilder`] configures precision, kernel, SIMD mode and thread
+//!   count once; [`Engine`] owns its [`WorkerPool`] and is
 //!   `Send + Sync`.
 //! * [`Engine::compile`] turns a [`PolySource`] (a single polynomial or a
 //!   system) into an [`Arc<Plan>`]: an **owned** (`'static`) compiled
@@ -74,7 +74,7 @@ use crate::evaluate::{evaluate_into, Evaluation};
 use crate::monomial::Monomial;
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
-use crate::schedule::{GraphPlan, Schedule};
+use crate::schedule::Schedule;
 use crate::system::{SystemBatchEvaluation, SystemEvaluation};
 use crate::workspace::{Workspace, WorkspacePool};
 use parking_lot::Mutex;
@@ -85,7 +85,7 @@ use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What a [`Plan`] is compiled from: one polynomial or a whole system.
 ///
@@ -342,8 +342,8 @@ pub enum EvalOutput<C> {
 impl<C: Coeff> EvalOutput<C> {
     /// The kernel timings of the run, whichever variant it is.  The
     /// [`KernelTimings::pool_rendezvous`] field carries the pool rendezvous
-    /// paid by this evaluation, so the one-rendezvous invariant of graph
-    /// mode is checkable from the result alone.
+    /// this evaluation's own launches paid, exact even while other threads
+    /// evaluate on the same pool.
     pub fn timings(&self) -> &KernelTimings {
         match self {
             EvalOutput::Single(e) => &e.timings,
@@ -446,7 +446,7 @@ impl<C: Coeff> EvalOutput<C> {
     /// gradient, Jacobian — is **bit-for-bit** identical (timings are
     /// ignored).  Unlike float `PartialEq`, equal-bit NaNs compare equal and
     /// `-0.0` differs from `0.0`, so this really is the bitwise-identity
-    /// check the graph-vs-layered guarantee is stated in terms of.
+    /// check the pooled-vs-sequential guarantee is stated in terms of.
     pub fn bitwise_eq(&self, other: &EvalOutput<C>) -> bool {
         let eval_eq = |a: &Evaluation<C>, b: &Evaluation<C>| {
             series_bits_eq(&a.value, &b.value) && series_slice_bits_eq(&a.gradient, &b.gradient)
@@ -482,9 +482,7 @@ impl<C: Coeff> EvalOutput<C> {
 }
 
 /// Structure counts of a compiled plan, for reports and capacity planning.
-/// All fields derive from the job schedule alone; the dependency-graph
-/// numbers live in [`GraphPlanStats`] so that reading these does not force
-/// graph-plan construction on layered-mode plans.
+/// All fields derive from the job schedule alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanStats {
     /// Number of equations (1 for a single-polynomial plan).
@@ -508,21 +506,8 @@ pub struct PlanStats {
     pub total_monomials: usize,
 }
 
-/// Structure counts of a plan's dependency graph (see
-/// [`Plan::graph_stats`]; building them constructs the graph plan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphPlanStats {
-    /// Blocks of the dependency graph (convolution plus addition jobs).
-    pub blocks: usize,
-    /// Dependency edges of the graph plan.
-    pub edges: usize,
-    /// Longest dependency chain, in blocks.
-    pub critical_path: usize,
-}
-
 /// An owned, compiled evaluation plan: the polynomial source, its job
-/// schedule, layout and (lazily built) dependency-graph plan, plus a handle
-/// to the worker pool it evaluates on.
+/// schedule and layout, plus a handle to the worker pool it evaluates on.
 ///
 /// Plans are `'static`, `Send + Sync` and handed out as [`Arc<Plan>`] by
 /// [`Engine::compile`]: clone the `Arc` freely, evaluate from as many
@@ -533,7 +518,6 @@ pub struct Plan<C: Coeff> {
     options: EvalOptions,
     pool: Arc<WorkerPool>,
     workspaces: Arc<WorkspacePool<C>>,
-    graph: OnceLock<GraphPlan>,
 }
 
 impl<C: Coeff> Plan<C> {
@@ -562,7 +546,6 @@ impl<C: Coeff> Plan<C> {
             options,
             pool,
             workspaces,
-            graph: OnceLock::new(),
         }
     }
 
@@ -583,15 +566,8 @@ impl<C: Coeff> Plan<C> {
         Some(&self.schedule)
     }
 
-    /// The block-level dependency-graph plan, built once on first use and
-    /// shared by every graph-mode evaluation of this plan.
-    pub fn graph_plan(&self) -> &GraphPlan {
-        self.graph.get_or_init(|| self.schedule.graph_plan())
-    }
-
     /// Structure counts of the compiled schedule.  Cheap: reads the job
-    /// schedule only; the dependency-graph numbers are in
-    /// [`Plan::graph_stats`] (which does build the graph plan).
+    /// schedule only.
     pub fn stats(&self) -> PlanStats {
         let s = &self.schedule;
         PlanStats {
@@ -607,21 +583,10 @@ impl<C: Coeff> Plan<C> {
         }
     }
 
-    /// Structure counts of the dependency graph, building (and caching) the
-    /// graph plan on first call.
-    pub fn graph_stats(&self) -> GraphPlanStats {
-        let graph = self.graph_plan();
-        GraphPlanStats {
-            blocks: graph.blocks(),
-            edges: graph.graph.num_edges(),
-            critical_path: graph.graph.critical_path_len(),
-        }
-    }
-
     /// A workspace pre-sized for this plan: scratch lanes for every
-    /// participant of the engine's pool, arena capacity for one
-    /// (non-batched) evaluation, and graph scratch for the whole block
-    /// graph.  Pass it to [`EvalRequest::workspace`] to manage reuse
+    /// participant of the engine's pool and arena capacity for one
+    /// (non-batched) evaluation.  Pass it to [`EvalRequest::workspace`] to
+    /// manage reuse
     /// explicitly.  The workspace-side buffers are warm from the start
     /// (including the SIMD lane panels at the plan's resolved lane width),
     /// so even the *first* `request(..).workspace(&mut ws).into(&mut out)`
@@ -633,12 +598,7 @@ impl<C: Coeff> Plan<C> {
         let s = &self.schedule;
         let per = s.layout.coeffs_per_slot();
         let mut ws = Workspace::new(self.pool.parallelism());
-        ws.warm_for(
-            s.layout.total_coefficients(),
-            per,
-            s.convolution_jobs() + s.addition_jobs(),
-            self.options.kernel,
-        );
+        ws.warm_for(s.layout.total_coefficients(), per, self.options.kernel);
         ws.warm_lanes(per, self.options.simd.lane_width());
         ws
     }
@@ -675,11 +635,6 @@ impl<C: Coeff> Plan<C> {
     /// let mut out = plan.request(&z).run();                         // simple form
     /// plan.request(&z).workspace(&mut ws).into(&mut out).run();     // full reuse
     /// ```
-    ///
-    /// The output's timings carry the pool-rendezvous delta of this run;
-    /// the counter is shared per pool, so when several threads evaluate on
-    /// one engine concurrently a run may be charged with rendezvous its
-    /// neighbors paid (see [`KernelTimings::pool_rendezvous`]).
     ///
     /// Running the request panics when the input shape does not match the
     /// source (wrong variable count or degree).
@@ -746,26 +701,16 @@ impl<C: Coeff> Plan<C> {
         ws: &mut Workspace<C>,
         out: &mut EvalOutput<C>,
     ) {
-        let pool = parallel.then_some(self.pool.as_ref());
-        // Sequential runs never touch the pool: report zero rendezvous
-        // without reading the shared counter, so concurrent parallel
-        // evaluations on the same pool cannot be misattributed to them.
-        let before = parallel.then(|| self.pool.rendezvous_count());
         evaluate_into(
             self.source.equations(),
             &self.schedule,
             self.options,
-            &self.graph,
             inputs,
-            pool,
+            parallel.then_some(self.pool.as_ref()),
             cancel,
             ws,
             out,
         );
-        out.timings_mut().pool_rendezvous = match before {
-            Some(before) => self.pool.rendezvous_count().saturating_sub(before),
-            None => 0,
-        };
     }
 }
 
@@ -972,8 +917,8 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// The default configuration: double-double precision, direct kernel,
-    /// layered execution, `PSMD_THREADS`/hardware-sized pool, 64 cached
-    /// plans.
+    /// auto-detected SIMD lanes, `PSMD_THREADS`/hardware-sized pool, 64
+    /// cached plans.
     pub fn new() -> Self {
         Self {
             precision: Precision::D2,
@@ -995,12 +940,6 @@ impl EngineBuilder {
     /// Sets the convolution kernel variant of compiled plans.
     pub fn kernel(mut self, kernel: crate::ConvolutionKernel) -> Self {
         self.options.kernel = kernel;
-        self
-    }
-
-    /// Sets the pool execution mode of compiled plans.
-    pub fn exec_mode(mut self, exec_mode: crate::ExecMode) -> Self {
-        self.options.exec_mode = exec_mode;
         self
     }
 
@@ -1539,14 +1478,6 @@ macro_rules! define_any_api {
                 }
             }
 
-            /// Structure counts of the dependency graph, building (and
-            /// caching) the graph plan on first call.
-            pub fn graph_stats(&self) -> GraphPlanStats {
-                match self {
-                    $( AnyPlan::$variant(plan) => plan.graph_stats(), )+
-                }
-            }
-
             /// The compiled job schedule (always `Some`; see
             /// [`Plan::schedule`]).
             pub fn schedule(&self) -> Option<&Schedule> {
@@ -1834,7 +1765,7 @@ define_any_api! {
 mod tests {
     use super::*;
     use crate::generators::{random_inputs, random_polynomial};
-    use crate::{ConvolutionKernel, ExecMode};
+    use crate::{ConvolutionKernel, SimdMode};
     use psmd_multidouble::{Dd, Qd};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1977,7 +1908,7 @@ mod tests {
         // Different options coexist with the default-options plan.
         let g = engine.compile_with_options(
             paper_example(d),
-            EvalOptions::new().with_exec_mode(ExecMode::Graph),
+            EvalOptions::new().with_simd(SimdMode::Scalar),
         );
         assert!(!Arc::ptr_eq(&a, &g));
         assert_eq!(engine.cache_stats().entries, 3);
@@ -2050,23 +1981,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_mode_pays_one_rendezvous_visible_in_timings() {
-        let d = 6;
-        let engine = Engine::builder()
-            .threads(3)
-            .exec_mode(ExecMode::Graph)
-            .build();
-        let plan = engine.compile(paper_example(d));
-        let z = random_z(6, d, 11);
-        let out = plan.request(&z).run();
-        assert_eq!(out.timings().pool_rendezvous, 1);
-        assert_eq!(out.timings().graph_launches, 1);
-        let seq = plan.request(&z).sequential().run();
-        assert_eq!(seq.timings().pool_rendezvous, 0);
-        assert!(out.bitwise_eq(&seq));
-    }
-
-    #[test]
     fn plan_stats_report_the_schedule_structure() {
         let d = 2;
         let engine = Engine::builder().threads(0).build();
@@ -2080,10 +1994,6 @@ mod tests {
         assert_eq!(stats.addition_jobs, 7);
         assert_eq!(stats.unique_monomials, 3);
         assert_eq!(stats.total_monomials, 3);
-        let graph = plan.graph_stats();
-        assert_eq!(graph.blocks, 28);
-        assert!(graph.edges > 0);
-        assert!(graph.critical_path > 1);
     }
 
     #[test]
@@ -2175,7 +2085,6 @@ mod tests {
 
     #[test]
     fn fallible_entry_points_reject_unsupported_lane_widths() {
-        use crate::SimdMode;
         for w in [0, 3, 5, 16] {
             let err = Engine::builder()
                 .threads(0)

@@ -15,25 +15,24 @@
 //!   per-kernel timings like the paper does.
 //!
 //! This module holds the shared execution internals — one runner for every
-//! plan, whatever its number of equations and input vectors: every job
-//! borrows its staging memory from a [`Workspace`] instead of allocating,
-//! which is what keeps steady-state evaluation allocation-free (the CPU
-//! analogue of the paper's pre-sized shared-memory staging).
+//! plan, whatever its number of equations and input vectors.  The runner has
+//! one executor: every layer of jobs is one grid launch, and each launch
+//! reports whether it woke the pool, so a run counts its own rendezvous.
+//! Every job borrows its staging memory from a [`Workspace`] instead of
+//! allocating, which is what keeps steady-state evaluation allocation-free
+//! (the CPU analogue of the paper's pre-sized shared-memory staging).
 
 use crate::engine::{EvalOutput, Inputs};
-use crate::lanes::{run_convolution_job_lanes, run_graph_node_lanes, LaneLayout, LaneUnit};
+use crate::lanes::{run_convolution_job_lanes, LaneLayout, LaneUnit};
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
-use crate::schedule::{AddJob, ConvJob, GraphPlan, Schedule};
+use crate::schedule::{AddJob, ConvJob, Schedule};
 use crate::system::SystemEvaluation;
 use crate::workspace::{ConvScratch, Workspace};
 use parking_lot::Mutex;
 use psmd_multidouble::Coeff;
-use psmd_runtime::{
-    CancelToken, InlineGraphScratch, KernelKind, KernelTimings, SharedSlice, Stopwatch, WorkerPool,
-};
+use psmd_runtime::{CancelToken, KernelKind, KernelTimings, SharedSlice, Stopwatch, WorkerPool};
 use psmd_series::{add_assign_slices, convolve_fft, convolve_karatsuba, convolve_seq, Series};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which convolution kernel the scheduled evaluator uses for its jobs.
@@ -69,19 +68,15 @@ pub enum ConvolutionKernel {
     Auto,
 }
 
-/// How the evaluators execute the job schedule on the worker pool.
+/// How the evaluators execute the job schedule on the worker pool.  There
+/// is one mode; the enum and [`EvalOptions::exec_mode`] remain because the
+/// benchmark package (`perfbench/`) prints them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// One kernel launch per job layer with a pool-wide barrier between
-    /// layers — the paper's execution model, kept as the reference path.
+    /// layers — the paper's execution model.
     #[default]
     Layered,
-    /// One task-graph launch per evaluation: every block is released to the
-    /// per-worker work-stealing deques the moment its input convolutions
-    /// retire, so the whole evaluation costs a single pool rendezvous.
-    /// Bitwise identical to [`ExecMode::Layered`] (the graph preserves the
-    /// per-slot operation order of the layered schedule).
-    Graph,
 }
 
 /// The value and gradient of a polynomial at a vector of power series,
@@ -202,11 +197,9 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 /// rebases each job's slots into its instance's region) — the execution
 /// body of [`stage_and_execute`].
 ///
-/// Runs the layered reference launches (one per layer, `instances × jobs`
-/// blocks each), or — when `graph` is given — one dependency-driven launch
-/// for the whole schedule.  All job staging is borrowed from the
-/// per-participant `scratch` lanes; zero-worker pools run the graph inline
-/// through the reusable `graph_scratch`.
+/// Runs one grid launch per layer, `instances × jobs` blocks each, and adds
+/// the rendezvous each launch reports to `timings.pool_rendezvous`.  All job
+/// staging is borrowed from the per-participant `scratch` lanes.
 ///
 /// `lane_width >= 2` engages the SIMD lane tier: the instance axis is
 /// decomposed by [`LaneLayout`] into full lane groups (each executing one
@@ -225,12 +218,10 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 #[allow(clippy::too_many_arguments)]
 fn execute_schedule<C: Coeff>(
     schedule: &Schedule,
-    graph: Option<&GraphPlan>,
     shared: &SharedSlice<'_, C>,
     kernel: ConvolutionKernel,
     pool: Option<&WorkerPool>,
     scratch: &[Mutex<ConvScratch<C>>],
-    graph_scratch: &mut InlineGraphScratch,
     timings: &mut KernelTimings,
     instances: usize,
     lane_width: usize,
@@ -239,60 +230,12 @@ fn execute_schedule<C: Coeff>(
     let per = schedule.layout.coeffs_per_slot();
     let map_slot = |instance: usize, slot: usize| schedule.layout.batch_slot(instance, slot);
     let lanes = LaneLayout::new(instances, lane_width);
-    if let (Some(plan), Some(pool)) = (graph, pool) {
-        // Dependency-driven path: every convolution and addition of every
-        // instance in one graph launch — one pool rendezvous for the whole
-        // evaluation (none at all on a zero-worker pool, which drains the
-        // graph inline in dependency order through the workspace's reusable
-        // scratch).  Block b runs node b % nodes of unit b / nodes, where a
-        // unit is one instance (scalar) or one lane group of `lane_width`
-        // instances; dependency edges apply within each unit (instances
-        // occupy disjoint arena regions, so units share no hazards, and a
-        // lane group preserves each member instance's node order).
-        let nodes = plan.blocks();
-        let start = Instant::now();
-        let body = |lane: usize, b: usize| {
-            let mut s = scratch[lane].lock();
-            match lanes.unit(b / nodes) {
-                LaneUnit::Group { first } => run_graph_node_lanes(
-                    plan,
-                    b % nodes,
-                    shared,
-                    per,
-                    kernel,
-                    &mut s,
-                    lanes.width(),
-                    first,
-                    &map_slot,
-                ),
-                LaneUnit::Scalar { instance } => {
-                    run_graph_node(plan, b % nodes, shared, per, kernel, &mut s, |slot| {
-                        map_slot(instance, slot)
-                    })
-                }
-            }
-        };
-        let completed = if pool.worker_threads() > 0 {
-            pool.launch_graph_indexed_cancellable(&plan.graph, lanes.units(), cancel, body)
-        } else {
-            plan.graph
-                .run_inline_cancellable(lanes.units(), graph_scratch, cancel, |b| body(0, b))
-        };
-        timings.record_graph(
-            start.elapsed(),
-            instances * plan.conv.len(),
-            instances * plan.add.len(),
-        );
-        return completed;
-    }
-    // Layered reference path.  Block b runs job b % jobs of unit b / jobs
-    // (a scalar instance or a whole lane group); disjointness within a
-    // layer carries over to the rebased slots because distinct instances
-    // write distinct regions.
+    // Block b runs job b % jobs of unit b / jobs (a scalar instance or a
+    // whole lane group); disjointness within a layer carries over to the
+    // rebased slots because distinct instances write distinct regions.
     // Stage 1: convolution kernels, one launch per layer for all instances.
     for layer in &schedule.convolution_layers {
         let jobs = layer.len();
-        let blocks = lanes.units() * jobs;
         let body = |lane: usize, b: usize| {
             let job = layer[b % jobs];
             let mut s = scratch[lane].lock();
@@ -318,10 +261,7 @@ fn execute_schedule<C: Coeff>(
             }
         };
         let start = Instant::now();
-        let completed = match pool {
-            Some(pool) => pool.launch_grid_indexed_cancellable(blocks, cancel, body),
-            None => run_blocks_inline(blocks, cancel, |b| body(0, b)),
-        };
+        let completed = launch_layer(pool, lanes.units() * jobs, cancel, timings, body);
         // Timings count logical per-instance jobs, not physical lane-group
         // launches: block accounting stays independent of the SIMD mode.
         timings.record(KernelKind::Convolution, start.elapsed(), instances * jobs);
@@ -333,7 +273,7 @@ fn execute_schedule<C: Coeff>(
     for layer in &schedule.addition_layers {
         let jobs = layer.len();
         let blocks = instances * jobs;
-        let body = |b: usize| {
+        let body = |_lane: usize, b: usize| {
             let instance = b / jobs;
             let job = layer[b % jobs];
             let mapped = AddJob {
@@ -343,10 +283,7 @@ fn execute_schedule<C: Coeff>(
             run_addition_job(shared, &mapped, per);
         };
         let start = Instant::now();
-        let completed = match pool {
-            Some(pool) => pool.launch_grid_indexed_cancellable(blocks, cancel, |_, b| body(b)),
-            None => run_blocks_inline(blocks, cancel, body),
-        };
+        let completed = launch_layer(pool, blocks, cancel, timings, body);
         timings.record(KernelKind::Addition, start.elapsed(), blocks);
         if !completed {
             return false;
@@ -355,31 +292,38 @@ fn execute_schedule<C: Coeff>(
     true
 }
 
-/// Runs `blocks` block bodies on the calling thread, polling the token
-/// between blocks — the pool-less analogue of a cancellable grid launch.
-/// Returns `true` when every block ran.
-fn run_blocks_inline(
+/// Runs one layer's grid of `blocks` block bodies — on the pool when there
+/// is one, otherwise on the calling thread, polling the token between
+/// blocks — and adds the rendezvous the pool reports for the launch to
+/// `timings`.  Returns `true` when every block ran.
+fn launch_layer(
+    pool: Option<&WorkerPool>,
     blocks: usize,
     cancel: Option<&CancelToken>,
-    mut body: impl FnMut(usize),
+    timings: &mut KernelTimings,
+    body: impl Fn(usize, usize) + Send + Sync,
 ) -> bool {
-    for b in 0..blocks {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return false;
+    let Some(pool) = pool else {
+        for b in 0..blocks {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return false;
+            }
+            body(0, b);
         }
-        body(b);
-    }
-    true
+        return true;
+    };
+    let outcome = pool.launch_grid_indexed_cancellable(blocks, cancel, body);
+    timings.pool_rendezvous += usize::from(outcome.rendezvous);
+    outcome.completed
 }
 
 /// Stages one arena region per evaluation instance — every equation's
 /// constant, the merged monomial coefficients and that instance's inputs —
 /// then runs the schedule over all regions at once: one launch per layer
-/// (or one graph launch) whatever the number of instances or equations.
-/// `graph` caches the block-level plan across evaluations (built on first
-/// graph-mode use; batched launches replicate it per instance without
-/// cross-instance edges); all evaluation memory is borrowed from `ws`, so a
-/// warm workspace makes the run allocation-free.
+/// whatever the number of instances or equations.  All evaluation memory is
+/// borrowed from `ws`, so a warm workspace makes the run allocation-free.
+/// `options.kernel` must be concrete: `Auto` is resolved when the plan
+/// compiles.
 ///
 /// Batched inputs engage the SIMD lane tier when the resolved kernel is the
 /// direct loop (the only kernel with lane variants) and record the width in
@@ -395,7 +339,6 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
     polys: &[Polynomial<C>],
     schedule: &Schedule,
     options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
     inputs: Inputs<'_, C>,
     pool: Option<&WorkerPool>,
     cancel: Option<&CancelToken>,
@@ -406,15 +349,7 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
         Inputs::Single(_) => (1, 1),
         Inputs::Batch([]) => return Some(&[]),
         Inputs::Batch(batch) => {
-            // `Auto` is resolved when the plan compiles; resolving again
-            // here keeps the rule total for direct callers.
-            let kernel = match options.kernel {
-                ConvolutionKernel::Auto => {
-                    crate::crossover::auto_kernel(C::component_limbs(), schedule.layout.degree)
-                }
-                k => k,
-            };
-            let width = match kernel {
+            let width = match options.kernel {
                 ConvolutionKernel::Direct => options.simd.lane_width(),
                 _ => 1,
             };
@@ -424,8 +359,7 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
     };
     let layout = &schedule.layout;
     let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch, graph_scratch) =
-        ws.parts(layout.batch_total_coefficients(instances), participants);
+    let (arena, scratch) = ws.parts(layout.batch_total_coefficients(instances), participants);
     // Lay every instance out back-to-back in the flat arena.  Constants and
     // coefficients are replicated per instance so each region is
     // self-contained (jobs only ever read within their region).
@@ -439,18 +373,12 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
         };
         schedule.fill_data_array(polys, z, region);
     }
-    let plan = match (options.exec_mode, pool) {
-        (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
-        _ => None,
-    };
     let completed = execute_schedule(
         schedule,
-        plan,
         &SharedSlice::new(&mut *arena),
         options.kernel,
         pool,
         scratch,
-        graph_scratch,
         timings,
         instances,
         lane_width,
@@ -473,7 +401,6 @@ pub(crate) fn evaluate_into<C: Coeff>(
     polys: &[Polynomial<C>],
     schedule: &Schedule,
     options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
     inputs: Inputs<'_, C>,
     pool: Option<&WorkerPool>,
     cancel: Option<&CancelToken>,
@@ -486,7 +413,6 @@ pub(crate) fn evaluate_into<C: Coeff>(
         polys,
         schedule,
         options,
-        graph,
         inputs,
         pool,
         cancel,
@@ -535,37 +461,6 @@ fn extract_output<C: Coeff>(schedule: &Schedule, arena: &[C], out: &mut EvalOutp
     }
 }
 
-/// Executes one node of a [`GraphPlan`] on the shared data array: node ids
-/// below `plan.conv.len()` are convolution jobs, the rest addition jobs.
-/// `map_slot` rebases slots into one instance's arena region.
-pub(crate) fn run_graph_node<C: Coeff>(
-    plan: &GraphPlan,
-    node: usize,
-    shared: &SharedSlice<'_, C>,
-    per: usize,
-    kernel: ConvolutionKernel,
-    scratch: &mut ConvScratch<C>,
-    map_slot: impl Fn(usize) -> usize,
-) {
-    let n_conv = plan.conv.len();
-    if node < n_conv {
-        let job = plan.conv[node];
-        let mapped = ConvJob {
-            in1: map_slot(job.in1),
-            in2: map_slot(job.in2),
-            out: map_slot(job.out),
-        };
-        run_convolution_job(shared, &mapped, per, kernel, scratch);
-    } else {
-        let job = plan.add[node - n_conv];
-        let mapped = AddJob {
-            src: map_slot(job.src),
-            dst: map_slot(job.dst),
-        };
-        run_addition_job(shared, &mapped, per);
-    }
-}
-
 /// Executes one convolution job on the shared data array.
 ///
 /// Operands are read **directly from the arena** — within one layer no other
@@ -580,13 +475,6 @@ pub(crate) fn run_convolution_job<C: Coeff>(
     kernel: ConvolutionKernel,
     scratch: &mut ConvScratch<C>,
 ) {
-    // `Auto` is resolved when the plan compiles; resolving again here keeps
-    // the dispatch total for callers that bypass the plan (it is a table
-    // lookup, not a measurement).
-    let kernel = match kernel {
-        ConvolutionKernel::Auto => crate::crossover::auto_kernel(C::component_limbs(), per - 1),
-        k => k,
-    };
     let (buf, fft_scratch) = scratch.ensure_for(per, kernel);
     let (stage_x, rest) = buf.split_at_mut(per);
     let (stage_y, kernel_scratch) = rest.split_at_mut(per);
@@ -619,7 +507,7 @@ pub(crate) fn run_convolution_job<C: Coeff>(
         ConvolutionKernel::Direct => convolve_seq(x, y, out),
         ConvolutionKernel::Karatsuba => convolve_karatsuba(x, y, out, kernel_scratch),
         ConvolutionKernel::Fft => convolve_fft(x, y, out, fft_scratch),
-        ConvolutionKernel::Auto => unreachable!("Auto was resolved above"),
+        ConvolutionKernel::Auto => unreachable!("Auto is resolved when the plan compiles"),
     }
 }
 
@@ -728,56 +616,6 @@ mod tests {
         assert_eq!(par.timings.convolution_blocks, schedule.convolution_jobs());
         assert_eq!(par.timings.addition_blocks, schedule.addition_jobs());
         assert!(par.timings.wall_clock_ms() >= par.timings.sum_ms() * 0.5);
-    }
-
-    #[test]
-    fn graph_mode_is_bitwise_identical_and_pays_one_rendezvous() {
-        let d = 8;
-        let p = paper_example(d);
-        let mut rng = StdRng::seed_from_u64(5);
-        let z: Vec<Series<Qd>> = (0..6).map(|_| Series::random(&mut rng, d)).collect();
-        let engine = Engine::builder().threads(3).build();
-        let layered = engine.compile(p.clone());
-        let graph =
-            engine.compile_with_options(p, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-        assert_eq!(graph.options().exec_mode, ExecMode::Graph);
-        let a = layered.request(&z).run().into_single();
-        let before = engine.pool().rendezvous_count();
-        let b = graph.request(&z).run().into_single();
-        // The whole evaluation costs exactly one pool rendezvous, against
-        // one per layer (with >= 2 blocks) on the layered path.
-        assert_eq!(engine.pool().rendezvous_count(), before + 1);
-        assert_eq!(a.value, b.value, "graph mode must be bitwise identical");
-        assert_eq!(a.gradient, b.gradient);
-        assert_eq!(b.timings.graph_launches, 1);
-        assert_eq!(b.timings.convolution_launches, 0);
-        assert_eq!(b.timings.addition_launches, 0);
-        let schedule = layered.schedule().expect("single plan");
-        assert_eq!(b.timings.convolution_blocks, schedule.convolution_jobs());
-        assert_eq!(b.timings.addition_blocks, schedule.addition_jobs());
-    }
-
-    #[test]
-    fn graph_mode_matches_on_a_zero_worker_pool() {
-        // PSMD_THREADS=0 degenerates to inline dependency-order execution;
-        // it must still be bitwise identical to the sequential reference.
-        let d = 5;
-        let p = paper_example(d);
-        let mut rng = StdRng::seed_from_u64(29);
-        let z: Vec<Series<Qd>> = (0..6).map(|_| Series::random(&mut rng, d)).collect();
-        let engine = Engine::builder()
-            .threads(0)
-            .exec_mode(ExecMode::Graph)
-            .build();
-        let plan = engine.compile(p);
-        let seq = plan.request(&z).sequential().run().into_single();
-        let par = plan.request(&z).run().into_single();
-        assert_eq!(seq.value, par.value);
-        assert_eq!(seq.gradient, par.gradient);
-        // The inline path never wakes a pool.
-        assert_eq!(engine.pool().rendezvous_count(), 0);
-        // It still reports the graph launch it performed.
-        assert_eq!(par.timings.graph_launches, 1);
     }
 
     #[test]

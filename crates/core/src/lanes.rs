@@ -20,8 +20,8 @@
 //! produces exactly the arena bytes the scalar path produces for the same
 //! instances.  `tests/simd_consistency.rs` gates this end to end.
 
-use crate::evaluate::{run_addition_job, run_convolution_job, ConvolutionKernel};
-use crate::schedule::{AddJob, ConvJob, GraphPlan};
+use crate::evaluate::{run_convolution_job, ConvolutionKernel};
+use crate::schedule::ConvJob;
 use crate::workspace::ConvScratch;
 use psmd_multidouble::Coeff;
 use psmd_runtime::SharedSlice;
@@ -124,10 +124,6 @@ pub(crate) fn run_convolution_job_lanes<C: Coeff>(
     first_instance: usize,
     map_slot: &(impl Fn(usize, usize) -> usize + Sync),
 ) {
-    let kernel = match kernel {
-        ConvolutionKernel::Auto => crate::crossover::auto_kernel(C::component_limbs(), per - 1),
-        k => k,
-    };
     if kernel != ConvolutionKernel::Direct {
         for l in 0..width {
             let instance = first_instance + l;
@@ -146,9 +142,9 @@ pub(crate) fn run_convolution_job_lanes<C: Coeff>(
     let (yp, zp) = rest.split_at_mut(panel);
     for l in 0..width {
         let instance = first_instance + l;
-        // Safety (reads): the schedule guarantees that within one layer (or
-        // graph dependency frontier) no other job writes these input ranges;
-        // the output range is written only after both gathers complete.
+        // Safety (reads): the schedule guarantees that within one layer no
+        // other job writes these input ranges; the output range is written
+        // only after both gathers complete.
         let x: &[C] = unsafe { shared.slice(map_slot(instance, job.in1) * per, per) };
         let y: &[C] = unsafe { shared.slice(map_slot(instance, job.in2) * per, per) };
         gather_into_panel(x, xp, l, width);
@@ -161,47 +157,6 @@ pub(crate) fn run_convolution_job_lanes<C: Coeff>(
         // written by this job only.
         let out = unsafe { shared.slice_mut(map_slot(instance, job.out) * per, per) };
         scatter_from_panel(zp, out, l, width);
-    }
-}
-
-/// Executes one graph node for a whole lane group: convolution nodes run
-/// through [`run_convolution_job_lanes`], addition nodes loop the lanes
-/// scalar (additions are memory-bound slice updates; gathering them into
-/// panels would only move the same bytes twice).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_graph_node_lanes<C: Coeff>(
-    plan: &GraphPlan,
-    node: usize,
-    shared: &SharedSlice<'_, C>,
-    per: usize,
-    kernel: ConvolutionKernel,
-    scratch: &mut ConvScratch<C>,
-    width: usize,
-    first_instance: usize,
-    map_slot: &(impl Fn(usize, usize) -> usize + Sync),
-) {
-    let n_conv = plan.conv.len();
-    if node < n_conv {
-        run_convolution_job_lanes(
-            shared,
-            &plan.conv[node],
-            per,
-            kernel,
-            scratch,
-            width,
-            first_instance,
-            map_slot,
-        );
-    } else {
-        let job = plan.add[node - n_conv];
-        for l in 0..width {
-            let instance = first_instance + l;
-            let mapped = AddJob {
-                src: map_slot(instance, job.src),
-                dst: map_slot(instance, job.dst),
-            };
-            run_addition_job(shared, &mapped, per);
-        }
     }
 }
 

@@ -17,9 +17,8 @@
 //!    ([`Engine::compile`] returns an `Arc<`[`Plan`]`>`; repeat compiles hit
 //!    a structural plan cache) and evaluate at any input series — one
 //!    vector, a whole batch, or a system — with the [`Plan::request`]
-//!    builder, layered (one kernel launch per layer) or dependency-driven
-//!    ([`ExecMode::Graph`]: one task-graph launch, hence one pool
-//!    rendezvous, per evaluation), collecting per-kernel timings.  All
+//!    builder, one kernel launch per layer (the paper's execution model and
+//!    the only executor), collecting per-kernel timings.  All
 //!    evaluation memory is borrowed from pooled [`Workspace`]s, so
 //!    steady-state evaluation allocates nothing
 //!    (`request(..).into(&mut out)` for callers that also reuse the
@@ -87,8 +86,8 @@ pub use counts::{
 pub use crossover::{auto_kernel, crossover_for, Crossover, CROSSOVER_TABLE};
 pub use engine::{
     AnyEvalOutput, AnyEvalRequest, AnyInputs, AnyPlan, AnyPolySource, BoundAnyEvalRequest,
-    BoundEvalRequest, Engine, EngineBuilder, EvalOutput, EvalRequest, GraphPlanStats, Inputs,
-    OwnedInputs, Plan, PlanCacheStats, PlanStats, PolySource,
+    BoundEvalRequest, Engine, EngineBuilder, EvalOutput, EvalRequest, Inputs, OwnedInputs, Plan,
+    PlanCacheStats, PlanStats, PolySource,
 };
 pub use error::Error;
 pub use evaluate::{evaluate_naive, ConvolutionKernel, Evaluation, ExecMode};
@@ -105,6 +104,6 @@ pub use newton::{
 pub use options::{EvalOptions, SimdMode};
 pub use polynomial::Polynomial;
 pub use psmd_runtime::CancelToken;
-pub use schedule::{AddJob, ConvJob, DataLayout, GraphPlan, ResultLocation, Schedule};
+pub use schedule::{AddJob, ConvJob, DataLayout, ResultLocation, Schedule};
 pub use system::{evaluate_naive_system, SystemBatchEvaluation, SystemEvaluation};
 pub use workspace::{PooledWorkspace, Workspace, WorkspacePool};

@@ -46,13 +46,12 @@ use crate::error::Error;
 use crate::evaluate::evaluate_into;
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
-use crate::schedule::{GraphPlan, Schedule};
+use crate::schedule::Schedule;
 use crate::system::SystemEvaluation;
 use crate::workspace::Workspace;
 use psmd_multidouble::RealCoeff;
 use psmd_runtime::WorkerPool;
 use psmd_series::Series;
-use std::sync::OnceLock;
 
 /// Options of the Newton iteration.
 #[derive(Debug, Clone, Copy)]
@@ -211,7 +210,6 @@ fn try_newton_system_impl<C: RealCoeff>(
     // the evaluation output, the negated right-hand side, the update, and
     // the staged-solve workspace.  Steps after the first allocate nothing.
     let schedule = Schedule::build(polys);
-    let graph: OnceLock<GraphPlan> = OnceLock::new();
     let mut ws = Workspace::new(pool.map_or(1, WorkerPool::parallelism));
     let mut out = EvalOutput::System(SystemEvaluation::empty());
     let mut rhs: Vec<Series<C>> = Vec::new();
@@ -226,7 +224,6 @@ fn try_newton_system_impl<C: RealCoeff>(
             polys,
             &schedule,
             EvalOptions::default(),
-            &graph,
             Inputs::Single(z),
             pool,
             None,

@@ -1,10 +1,10 @@
 //! Shared evaluation options.
 //!
 //! The engine ([`crate::Engine`]) and every plan it compiles expose the same
-//! knobs: which convolution kernel to run, how to execute the schedule on
-//! the worker pool, and whether batched evaluation packs instances into
-//! SIMD lane groups.  This module holds the one struct they share, plus the
-//! [`SimdMode`] selector and its `PSMD_SIMD` environment contract.
+//! knobs: which convolution kernel to run and whether batched evaluation
+//! packs instances into SIMD lane groups.  This module holds the one struct
+//! they share, plus the [`SimdMode`] selector and its `PSMD_SIMD`
+//! environment contract.
 
 use crate::evaluate::{ConvolutionKernel, ExecMode};
 use psmd_multidouble::lanes;
@@ -123,8 +123,7 @@ impl SimdMode {
 }
 
 /// The evaluation knobs shared by the engine and its compiled plans: the
-/// convolution kernel variant, the pool execution mode and the SIMD lane
-/// mode.
+/// convolution kernel variant and the SIMD lane mode.
 ///
 /// `EvalOptions` is part of the engine's plan-cache key, so it is `Hash`
 /// and `Eq`: plans compiled with different options coexist in the cache.
@@ -132,16 +131,15 @@ impl SimdMode {
 pub struct EvalOptions {
     /// Which convolution kernel the jobs run (ablation knob).
     pub kernel: ConvolutionKernel,
-    /// How parallel evaluation executes on the pool: layered launches or one
-    /// dependency-driven task-graph launch.
+    /// How parallel evaluation executes on the pool: always
+    /// [`ExecMode::Layered`] (see [`ExecMode`] for why the field remains).
     pub exec_mode: ExecMode,
     /// Whether batched evaluation packs instances into SIMD lane groups.
     pub simd: SimdMode,
 }
 
 impl EvalOptions {
-    /// The default options: direct kernel, layered execution, SIMD lanes
-    /// auto-detected.
+    /// The default options: direct kernel, SIMD lanes auto-detected.
     pub fn new() -> Self {
         Self::default()
     }
@@ -149,12 +147,6 @@ impl EvalOptions {
     /// Selects the convolution kernel variant.
     pub fn with_kernel(mut self, kernel: ConvolutionKernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Selects the pool execution mode.
-    pub fn with_exec_mode(mut self, exec_mode: ExecMode) -> Self {
-        self.exec_mode = exec_mode;
         self
     }
 
@@ -173,10 +165,8 @@ mod tests {
     fn builder_methods_set_the_knobs() {
         let o = EvalOptions::new()
             .with_kernel(ConvolutionKernel::Karatsuba)
-            .with_exec_mode(ExecMode::Graph)
             .with_simd(SimdMode::ForceWidth(4));
         assert_eq!(o.kernel, ConvolutionKernel::Karatsuba);
-        assert_eq!(o.exec_mode, ExecMode::Graph);
         assert_eq!(o.simd, SimdMode::ForceWidth(4));
         assert_eq!(EvalOptions::default().kernel, ConvolutionKernel::Direct);
         assert_eq!(EvalOptions::default().exec_mode, ExecMode::Layered);

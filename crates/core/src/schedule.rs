@@ -26,7 +26,6 @@
 
 use crate::polynomial::Polynomial;
 use psmd_multidouble::Coeff;
-use psmd_runtime::{TaskGraph, TaskGraphBuilder};
 use psmd_series::Series;
 use std::collections::{HashMap, HashSet};
 
@@ -116,32 +115,6 @@ impl DataLayout {
     /// Total number of coefficients of an arena holding `batch` instances.
     pub fn batch_total_coefficients(&self, batch: usize) -> usize {
         batch * self.total_coefficients()
-    }
-}
-
-/// A schedule lowered to block granularity for the dependency-driven
-/// executor: the flattened job lists (convolutions first, then additions, in
-/// layered reference order) plus the [`TaskGraph`] of their data-hazard
-/// edges.
-///
-/// Block `b` of a graph launch runs `conv[b]` when `b < conv.len()` and
-/// `add[b - conv.len()]` otherwise.  Because the graph preserves, per data
-/// slot, the exact operation order of the layered schedule, any execution
-/// respecting the edges is bitwise identical to the layered result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphPlan {
-    /// The block-level dependency graph over `conv.len() + add.len()` nodes.
-    pub graph: TaskGraph,
-    /// Every convolution job, in layered order.
-    pub conv: Vec<ConvJob>,
-    /// Every addition job, in layered order.
-    pub add: Vec<AddJob>,
-}
-
-impl GraphPlan {
-    /// Total number of blocks (graph nodes).
-    pub fn blocks(&self) -> usize {
-        self.conv.len() + self.add.len()
     }
 }
 
@@ -433,31 +406,6 @@ impl Schedule {
             }
         }
         Ok(())
-    }
-
-    /// Lowers the schedule to block granularity for the dependency-driven
-    /// executor: every job becomes one graph node whose read/write slots
-    /// derive the dependency edges (convolutions read their two operand
-    /// slots and write their output; additions read `src` and update `dst`
-    /// in place), so shared products feed every consuming sum through the
-    /// same edges.
-    pub fn graph_plan(&self) -> GraphPlan {
-        let mut builder = TaskGraphBuilder::new();
-        let mut conv = Vec::new();
-        let mut add = Vec::new();
-        for job in self.convolution_layers.iter().flatten() {
-            builder.add_task(&[job.in1, job.in2], &[job.out]);
-            conv.push(*job);
-        }
-        for job in self.addition_layers.iter().flatten() {
-            builder.add_task(&[job.src, job.dst], &[job.dst]);
-            add.push(*job);
-        }
-        GraphPlan {
-            graph: builder.build(),
-            conv,
-            add,
-        }
     }
 
     /// Populates one instance's region of a (possibly batched) flat data
@@ -986,61 +934,6 @@ mod tests {
         assert!(f11.is_zero());
         // Zero extraction.
         assert!(s.extract(&data, ResultLocation::Zero).is_zero());
-    }
-
-    #[test]
-    fn graph_plan_matches_the_layer_structure_of_the_paper_example() {
-        let p = paper_example(2);
-        let s = schedule_of(&p);
-        let plan = s.graph_plan();
-        assert_eq!(plan.blocks(), s.convolution_jobs() + s.addition_jobs());
-        assert_eq!(plan.conv.len(), s.convolution_jobs());
-        assert_eq!(plan.add.len(), s.addition_jobs());
-        plan.graph.validate().unwrap();
-        // No monomial of the example has a single variable, so the blocks
-        // that are ready at launch are exactly the first-layer convolutions.
-        assert_eq!(plan.graph.roots().len(), s.convolution_layers[0].len());
-        // The critical path must thread through every convolution layer and
-        // at least one addition.
-        assert!(plan.graph.critical_path_len() > s.convolution_layers.len());
-        // Flattened order is the layered reference order.
-        assert_eq!(
-            plan.conv[..s.convolution_layers[0].len()],
-            s.convolution_layers[0][..]
-        );
-    }
-
-    #[test]
-    fn graph_plan_chains_every_accumulation_into_a_slot() {
-        // Duplicate single-variable monomials force scratch accumulation;
-        // both `scratch += coefficient` additions update the same slot and
-        // must be chained by an edge (order decides the floating-point
-        // result).
-        let d = 0;
-        let p = Polynomial::new(
-            1,
-            coeff(0.0, d),
-            vec![
-                Monomial::new(coeff(2.0, d), vec![0]),
-                Monomial::new(coeff(5.0, d), vec![0]),
-            ],
-        );
-        let plan = schedule_of(&p).graph_plan();
-        plan.graph.validate().unwrap();
-        let n_conv = plan.conv.len();
-        for (i, a) in plan.add.iter().enumerate() {
-            for (j, b) in plan.add.iter().enumerate().skip(i + 1) {
-                if a.dst == b.dst {
-                    assert!(
-                        plan.graph
-                            .successors(n_conv + i)
-                            .contains(&((n_conv + j) as u32)),
-                        "additions {i} and {j} into slot {} are unordered",
-                        a.dst
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -139,8 +139,8 @@ impl<C: Coeff> SystemEvaluation<C> {
 ///
 /// A batched system run is the tracker's workhorse: the same merged
 /// [`Schedule`](crate::Schedule) serves every instance (same equations, different
-/// evaluation points), so one kernel launch per merged layer — or one graph
-/// launch — covers `batch × jobs_per_layer` blocks.  The per-instance
+/// evaluation points), so one kernel launch per merged layer covers
+/// `batch × jobs_per_layer` blocks.  The per-instance
 /// [`SystemEvaluation::timings`] are empty for the same reason as in
 /// [`BatchEvaluation`](crate::BatchEvaluation): launches are shared, so
 /// counts and times are only meaningful for the batch as a whole.
@@ -213,7 +213,6 @@ mod tests {
     use crate::generators::{random_inputs, random_polynomial};
     use crate::monomial::Monomial;
     use crate::schedule::Schedule;
-    use crate::{EvalOptions, ExecMode};
     use psmd_multidouble::{Dd, Qd};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -351,51 +350,6 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(schedule.convolution_layers.len(), max_layers);
-    }
-
-    #[test]
-    fn graph_mode_system_is_bitwise_identical_with_one_rendezvous() {
-        let d = 6;
-        let system = paper_system(d);
-        let z = random_z(6, d, 3);
-        let engine = Engine::builder().threads(3).build();
-        let layered = engine.compile(system.clone());
-        let graph =
-            engine.compile_with_options(system, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-        let a = layered.request(&z).run().into_system();
-        let before = engine.pool().rendezvous_count();
-        let b = graph.request(&z).run().into_system();
-        assert_eq!(engine.pool().rendezvous_count(), before + 1);
-        assert_eq!(a.values, b.values, "graph system must be bitwise identical");
-        assert_eq!(a.jacobian, b.jacobian);
-        assert_eq!(b.timings.graph_launches, 1);
-        let schedule = layered.schedule().expect("compiled schedule");
-        assert_eq!(b.timings.convolution_blocks, schedule.convolution_jobs());
-    }
-
-    #[test]
-    fn graph_mode_preserves_shared_monomial_summation_order() {
-        // Shared products are read-only contributions summed through
-        // scratch accumulators; the graph edges must serialize those sums
-        // exactly like the layered path.
-        let d = 3;
-        let shared = |dd| Monomial::new(coeff(2.0, dd), vec![0, 1, 2]);
-        let f1 = Polynomial::new(3, coeff(1.0, d), vec![shared(d)]);
-        let f2 = Polynomial::new(
-            3,
-            coeff(0.0, d),
-            vec![shared(d), Monomial::new(coeff(5.0, d), vec![1])],
-        );
-        let system = vec![f1, f2];
-        let engine = Engine::builder().threads(2).build();
-        let layered = engine.compile(system.clone());
-        let graph =
-            engine.compile_with_options(system, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-        let z = random_z(3, d, 61);
-        let a = layered.request(&z).run().into_system();
-        let b = graph.request(&z).run().into_system();
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.jacobian, b.jacobian);
     }
 
     #[test]

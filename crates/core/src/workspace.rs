@@ -11,12 +11,11 @@
 //!   region per batch element for batched evaluation);
 //! * one **convolution scratch** per worker-pool participant lane, holding
 //!   room to stage an operand that aliases the job's output (the in-place
-//!   `b := b * a` update) plus the selected kernel's working memory, so
-//!   convolution jobs borrow instead of allocate;
-//! * the **inline graph scratch** (pending counters, ready stack) of
-//!   dependency-order execution on zero-worker pools.
+//!   `b := b * a` update), the selected kernel's working memory and the
+//!   SIMD lane panels of batched evaluation, so convolution jobs borrow
+//!   instead of allocate.
 //!
-//! All three grow on shape change and are reused verbatim while the shape is
+//! Both grow on shape change and are reused verbatim while the shape is
 //! stable, which is what makes steady-state evaluation **allocation-free**
 //! (enforced by `tests/workspace_alloc.rs`).
 //!
@@ -29,7 +28,6 @@
 
 use crate::evaluate::ConvolutionKernel;
 use psmd_multidouble::Coeff;
-use psmd_runtime::InlineGraphScratch;
 use psmd_series::{fft_scratch_f64_len, karatsuba_scratch_len};
 use std::ops::{Deref, DerefMut};
 use std::ptr;
@@ -113,13 +111,11 @@ impl<C: Coeff> ConvScratch<C> {
     }
 }
 
-/// The reusable memory of one evaluation shape: arena, per-participant
-/// convolution scratch and inline graph scratch.  See the [module
-/// documentation](self).
+/// The reusable memory of one evaluation shape: arena and per-participant
+/// convolution scratch.  See the [module documentation](self).
 pub struct Workspace<C> {
     arena: Vec<C>,
     scratch: Vec<parking_lot::Mutex<ConvScratch<C>>>,
-    graph_scratch: InlineGraphScratch,
 }
 
 impl<C: Coeff> Workspace<C> {
@@ -129,7 +125,6 @@ impl<C: Coeff> Workspace<C> {
         let mut ws = Self {
             arena: Vec::new(),
             scratch: Vec::new(),
-            graph_scratch: InlineGraphScratch::new(),
         };
         ws.ensure_participants(participants.max(1));
         ws
@@ -154,25 +149,18 @@ impl<C: Coeff> Workspace<C> {
     }
 
     /// Pre-sizes every buffer for an evaluation of `arena_coeffs` arena
-    /// coefficients at `per` coefficients per slot over `graph_blocks`
-    /// graph blocks, with the convolution-scratch lanes sized for `kernel`,
-    /// so the first evaluation under that kernel is already allocation-free.
-    /// `Auto` warms for the largest coefficient footprint of the ladder.
-    /// Growth happens in place and nothing ever shrinks, so re-warming an
-    /// already-warm workspace is free.
-    pub fn warm_for(
-        &mut self,
-        arena_coeffs: usize,
-        per: usize,
-        graph_blocks: usize,
-        kernel: ConvolutionKernel,
-    ) {
+    /// coefficients at `per` coefficients per slot, with the
+    /// convolution-scratch lanes sized for `kernel`, so the first evaluation
+    /// under that kernel is already allocation-free.  `Auto` warms for the
+    /// largest coefficient footprint of the ladder.  Growth happens in place
+    /// and nothing ever shrinks, so re-warming an already-warm workspace is
+    /// free.
+    pub fn warm_for(&mut self, arena_coeffs: usize, per: usize, kernel: ConvolutionKernel) {
         self.arena
             .reserve(arena_coeffs.saturating_sub(self.arena.len()));
         for lane in &self.scratch {
             lane.lock().ensure_for(per, kernel);
         }
-        self.graph_scratch.reserve(graph_blocks);
     }
 
     /// Pre-sizes every convolution-scratch lane's SIMD panel buffer for
@@ -189,24 +177,20 @@ impl<C: Coeff> Workspace<C> {
         }
     }
 
-    /// Splits the workspace into the three disjoint borrows one run needs:
-    /// the arena (reset to `arena_coeffs` zeros, reusing its buffer), the
+    /// Splits the workspace into the two disjoint borrows one run needs:
+    /// the arena (reset to `arena_coeffs` zeros, reusing its buffer) and the
     /// scratch lanes (shared — each lane has interior mutability and is
-    /// locked by the participant that uses it) and the inline graph scratch.
-    /// Grows the lane array to `participants` first.
+    /// locked by the participant that uses it).  Grows the lane array to
+    /// `participants` first.
     pub(crate) fn parts(
         &mut self,
         arena_coeffs: usize,
         participants: usize,
-    ) -> (
-        &mut [C],
-        &[parking_lot::Mutex<ConvScratch<C>>],
-        &mut InlineGraphScratch,
-    ) {
+    ) -> (&mut [C], &[parking_lot::Mutex<ConvScratch<C>>]) {
         self.ensure_participants(participants);
         self.arena.clear();
         self.arena.resize(arena_coeffs, C::zero());
-        (&mut self.arena, &self.scratch, &mut self.graph_scratch)
+        (&mut self.arena, &self.scratch)
     }
 }
 
@@ -340,14 +324,14 @@ mod tests {
     fn parts_resets_the_arena_and_reuses_capacity() {
         let mut ws: Workspace<Qd> = Workspace::new(2);
         {
-            let (arena, scratch, _) = ws.parts(16, 2);
+            let (arena, scratch) = ws.parts(16, 2);
             assert_eq!(arena.len(), 16);
             assert!(arena.iter().all(|c| c.is_zero()));
             arena[3] = Qd::from_f64(7.0);
             assert_eq!(scratch.len(), 2);
         }
         let cap = ws.arena_capacity();
-        let (arena, _, _) = ws.parts(8, 2);
+        let (arena, _) = ws.parts(8, 2);
         assert_eq!(arena.len(), 8);
         assert!(arena.iter().all(|c| c.is_zero()), "arena must be re-zeroed");
         assert_eq!(ws.arena_capacity(), cap, "shrinking must not reallocate");
@@ -357,7 +341,7 @@ mod tests {
     fn parts_grows_the_lane_array_on_demand() {
         let mut ws: Workspace<Qd> = Workspace::new(1);
         assert_eq!(ws.participants(), 1);
-        let (_, scratch, _) = ws.parts(4, 5);
+        let (_, scratch) = ws.parts(4, 5);
         assert_eq!(scratch.len(), 5);
         assert_eq!(ws.participants(), 5);
     }
@@ -441,7 +425,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..200 {
                         let mut ws = pool.checkout();
-                        let (arena, _, _) = ws.parts(8, 1);
+                        let (arena, _) = ws.parts(8, 1);
                         // Exclusive ownership: a stale value would mean two
                         // threads held the same workspace.
                         assert!(arena.iter().all(|c| c.is_zero()));
@@ -460,7 +444,7 @@ mod tests {
     fn warm_presizes_all_buffers() {
         let mut ws: Workspace<Qd> = Workspace::new(2);
         let k = ConvolutionKernel::Karatsuba;
-        ws.warm_for(64, 5, 30, k);
+        ws.warm_for(64, 5, k);
         assert!(ws.arena_capacity() >= 64);
         for lane in &ws.scratch {
             assert!(lane.lock().buf.len() >= conv_scratch_coeffs_for(k, 5));

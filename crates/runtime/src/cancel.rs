@@ -13,9 +13,8 @@
 //! a launch that retires its last block before observing the epoch change
 //! completes normally.  What is guaranteed is that no *new* block body
 //! starts after a claim observes the cancelled epoch, and that the launch
-//! still terminates cleanly: the graph executor keeps releasing successors
-//! and retiring skipped blocks (exactly like its panic-poisoning path), so
-//! the pool rendezvous completes and the pool stays usable.
+//! still terminates cleanly: every participant stops claiming and signals
+//! completion, so the pool rendezvous completes and the pool stays usable.
 //!
 //! Tokens are designed for reuse: the serving layer keeps one token per
 //! coalescing queue and [`reset`](CancelToken::reset)s it between windows,

@@ -11,28 +11,22 @@
 //! blocks executed in parallel, one kernel launch per layer of jobs), so the
 //! algorithmic layer above is the same code path the paper describes.
 //!
-//! Beyond the layered reference path, the crate provides a dependency-driven
-//! executor ([`WorkerPool::launch_graph_indexed_cancellable`] over a
-//! [`TaskGraph`]): blocks are released to per-worker work-stealing deques as
-//! their predecessors retire, replacing the per-layer barrier with a single
-//! pool rendezvous per evaluation.
-//!
-//! Both launch shapes support **cooperative cancellation** through a shared
-//! [`CancelToken`] epoch, polled between block claims (never inside kernel
-//! arithmetic): a cancelled launch abandons its remaining blocks while still
-//! draining its bookkeeping, so the rendezvous completes and the pool stays
+//! There is one launch shape, the grid: every layer of jobs is one launch,
+//! and each launch reports whether it woke the pool ([`LaunchOutcome`]), so
+//! an evaluation counts its own rendezvous.  Launches support **cooperative
+//! cancellation** through a shared [`CancelToken`] epoch, polled between
+//! block claims (never inside kernel arithmetic): a cancelled launch stops
+//! claiming blocks, the rendezvous still completes and the pool stays
 //! usable — the substrate of the serving layer's deadline abandonment.
 
 #![warn(missing_docs)]
 
 pub mod cancel;
-pub mod graph;
 pub mod pool;
 pub mod shared;
 pub mod timer;
 
 pub use cancel::CancelToken;
-pub use graph::{InlineGraphScratch, TaskGraph, TaskGraphBuilder};
-pub use pool::{global_pool, WorkerPool};
+pub use pool::{global_pool, LaunchOutcome, WorkerPool};
 pub use shared::{SharedArray, SharedSlice};
 pub use timer::{duration_ms, KernelKind, KernelTimings, Stopwatch};

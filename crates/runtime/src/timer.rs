@@ -34,22 +34,19 @@ pub struct KernelTimings {
     pub convolution_blocks: usize,
     /// Total number of addition jobs (blocks) executed.
     pub addition_blocks: usize,
-    /// Number of whole-graph launches (dependency-driven execution runs the
-    /// entire multi-layer computation as one launch, so this is one per
-    /// evaluation in graph mode and zero in layered mode).
+    /// Always 0.  Every evaluation runs as layered grid launches, which are
+    /// counted per kind above; the field is kept only because the benchmark
+    /// package (`perfbench/`) still reads it.
     pub graph_launches: usize,
-    /// Sum of the elapsed times of all graph launches (convolutions and
-    /// additions interleave inside a graph launch, so their times cannot be
-    /// attributed separately).
+    /// Always zero, kept for the same reason as
+    /// [`KernelTimings::graph_launches`].
     pub graph: Duration,
-    /// Pool rendezvous paid by the evaluation (layered execution pays one per
-    /// multi-block layer, graph execution exactly one, inline fast paths
-    /// none).  Filled in by callers that own the pool — the engine's
-    /// evaluation entry point records the pool counter delta here, which makes the
-    /// one-rendezvous invariant of graph mode checkable through the
-    /// evaluation result alone.  The delta is taken on a shared counter, so
-    /// concurrent evaluations on the same pool may attribute each other's
-    /// rendezvous to this field.
+    /// Pool rendezvous paid by the evaluation: one per launch that woke the
+    /// worker threads (a multi-block layer on a pool with workers).  Inline
+    /// launches and sequential runs pay none.  Every launch reports its own
+    /// rendezvous ([`crate::LaunchOutcome::rendezvous`]) and the evaluation
+    /// sums them, so concurrent evaluations on one pool never see each
+    /// other's.
     pub pool_rendezvous: usize,
     /// SIMD lane width the batched convolution tier ran at: 0 when the run
     /// had no batched convolution stage at all (single/system evaluation),
@@ -88,25 +85,10 @@ impl KernelTimings {
         }
     }
 
-    /// Records one whole-graph launch covering `conv_blocks` convolution and
-    /// `add_blocks` addition jobs.
-    pub fn record_graph(&mut self, elapsed: Duration, conv_blocks: usize, add_blocks: usize) {
-        self.graph += elapsed;
-        self.graph_launches += 1;
-        self.convolution_blocks += conv_blocks;
-        self.addition_blocks += add_blocks;
-    }
-
     /// Sum of the convolution and addition kernel times (the paper's third
-    /// reported number).  Graph launches report their time in
-    /// [`KernelTimings::graph`] instead, since the two kinds interleave.
+    /// reported number).
     pub fn kernel_sum(&self) -> Duration {
         self.convolution + self.addition
-    }
-
-    /// Graph-launch time in milliseconds.
-    pub fn graph_ms(&self) -> f64 {
-        duration_ms(self.graph)
     }
 
     /// Convolution time in milliseconds.
@@ -148,8 +130,6 @@ impl KernelTimings {
         self.addition_launches += other.addition_launches;
         self.convolution_blocks += other.convolution_blocks;
         self.addition_blocks += other.addition_blocks;
-        self.graph_launches += other.graph_launches;
-        self.graph += other.graph;
         self.pool_rendezvous += other.pool_rendezvous;
         self.simd_width = self.simd_width.max(other.simd_width);
         self.wall_clock += other.wall_clock;
@@ -230,23 +210,6 @@ mod tests {
         assert_eq!(a.wall_clock_ms(), 7.0);
         assert_eq!(a.convolution_blocks, 5);
         assert_eq!(a.addition_blocks, 7);
-    }
-
-    #[test]
-    fn record_graph_accumulates_launches_and_blocks() {
-        let mut t = KernelTimings::new();
-        t.record_graph(Duration::from_millis(4), 100, 30);
-        t.record_graph(Duration::from_millis(6), 50, 20);
-        assert_eq!(t.graph_launches, 2);
-        assert_eq!(t.graph_ms(), 10.0);
-        assert_eq!(t.convolution_blocks, 150);
-        assert_eq!(t.addition_blocks, 50);
-        // Graph time is not part of the per-kind kernel sum.
-        assert_eq!(t.sum_ms(), 0.0);
-        let mut merged = KernelTimings::new();
-        merged.merge(&t);
-        assert_eq!(merged.graph_launches, 2);
-        assert_eq!(merged.graph_ms(), 10.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct TrackOptions {
     /// Per-path cap on recorded residual norms (recording stops when full,
     /// keeping the steady-state corrector sweep allocation-free).
     pub residual_log: usize,
-    /// Per-plan evaluation options (exec mode, kernel selection) for the
+    /// Per-plan evaluation options (kernel, SIMD lane mode) for the
     /// stacked homotopy plan; `None` inherits the engine's own options.
     pub eval: Option<EvalOptions>,
 }

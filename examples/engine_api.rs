@@ -16,7 +16,7 @@
 //! Run with `cargo run --release --example engine_api`.
 
 use psmd_bench::TestPolynomial;
-use psmd_core::{Engine, EvalOptions, ExecMode, Polynomial};
+use psmd_core::{Engine, Polynomial};
 use psmd_multidouble::{Dd, Precision};
 use psmd_series::Series;
 use std::sync::Arc;
@@ -24,20 +24,17 @@ use std::time::Instant;
 
 fn main() {
     // ---- Scene 1: value-level precision dispatch -----------------------
-    // EngineBuilder { precision, kernel, exec_mode, threads }: every knob a
+    // EngineBuilder { precision, kernel, simd, threads }: every knob a
     // value.  A caller that receives "evaluate 1 + 3 x0 x1 in octo-double"
     // over the wire never names a coefficient type.
-    let engine = Engine::builder()
-        .precision(Precision::D8)
-        .exec_mode(ExecMode::Graph)
-        .build();
+    let engine = Engine::builder().precision(Precision::D8).build();
     let plan = engine.compile_single_f64(2, 2, 1.0, &[(3.0, vec![0, 1])]);
+    let stats = plan.stats();
     println!(
-        "compiled a {} plan with {} convolution jobs (graph: {} blocks, critical path {})",
+        "compiled a {} plan with {} convolution jobs in {} launches",
         plan.precision(),
-        plan.stats().convolution_jobs,
-        plan.graph_stats().blocks,
-        plan.graph_stats().critical_path,
+        stats.convolution_jobs,
+        stats.convolution_layers + stats.addition_layers,
     );
     let inputs = psmd_core::AnyInputs::single_from_f64(
         Precision::D8,
@@ -45,7 +42,7 @@ fn main() {
     );
     let out = plan.request(&inputs).run();
     println!(
-        "p(z) = {:?} (graph mode: {} pool rendezvous)\n",
+        "p(z) = {:?} ({} pool rendezvous)\n",
         out.single_value_f64().unwrap(),
         out.timings().pool_rendezvous,
     );
@@ -115,9 +112,4 @@ fn main() {
         "(the schedule depends only on the monomial structure — compile it once, serve \
          millions of inputs)"
     );
-
-    // The shims still exist (deprecated) and agree bitwise with the engine:
-    // see tests/engine_consistency.rs for the exhaustive proptests.
-    let opts = EvalOptions::new();
-    assert_eq!(opts, EvalOptions::default());
 }

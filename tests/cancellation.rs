@@ -13,7 +13,7 @@
 //! deadline (and the mid-flight trip point) from the measured duration,
 //! so the assertions hold on debug and release builds alike.
 
-use psmd_core::{random_inputs, random_polynomial, CancelToken, Engine, ExecMode, Polynomial};
+use psmd_core::{random_inputs, random_polynomial, CancelToken, Engine, Polynomial};
 use psmd_multidouble::Dd;
 use psmd_series::Series;
 use psmd_serve::{Request, ServeConfig, ServeError, Service};
@@ -65,41 +65,39 @@ fn calibrate(
 }
 
 /// A pre-tripped token abandons the launch before any block runs, on
-/// pools of every width and in both execution modes; the very next
+/// pools of every width; the very next
 /// uncancelled request on the same plan (same pooled workspace) is
 /// bitwise identical to a reference evaluation.
 #[test]
 fn pre_tripped_token_abandons_launch_on_any_pool() {
     let (p, z, _) = slow_case(41);
     for threads in [0usize, 1, 4] {
-        for mode in [ExecMode::Layered, ExecMode::Graph] {
-            let engine = Engine::builder().threads(threads).exec_mode(mode).build();
-            let plan = engine.compile(p.clone());
-            let reference = plan.request(&z).run();
-            assert!(!reference.timings().cancelled);
+        let engine = Engine::builder().threads(threads).build();
+        let plan = engine.compile(p.clone());
+        let reference = plan.request(&z).run();
+        assert!(!reference.timings().cancelled);
 
-            let token = CancelToken::new();
-            token.cancel();
-            let out = plan.request(&z).cancel(&token).run();
-            assert!(
-                out.timings().cancelled,
-                "threads={threads} mode={mode:?}: pre-tripped token not observed"
-            );
+        let token = CancelToken::new();
+        token.cancel();
+        let out = plan.request(&z).cancel(&token).run();
+        assert!(
+            out.timings().cancelled,
+            "threads={threads}: pre-tripped token not observed"
+        );
 
-            // The abandoned run returned its workspace clean: the next
-            // uncancelled run reuses it and must not drift by a bit.
-            let after = plan.request(&z).run();
-            assert!(
-                reference.bitwise_eq(&after),
-                "threads={threads} mode={mode:?}: results drifted after abandonment"
-            );
+        // The abandoned run returned its workspace clean: the next
+        // uncancelled run reuses it and must not drift by a bit.
+        let after = plan.request(&z).run();
+        assert!(
+            reference.bitwise_eq(&after),
+            "threads={threads}: results drifted after abandonment"
+        );
 
-            // A reset token no longer cancels.
-            token.reset();
-            let rearmed = plan.request(&z).cancel(&token).run();
-            assert!(!rearmed.timings().cancelled);
-            assert!(reference.bitwise_eq(&rearmed));
-        }
+        // A reset token no longer cancels.
+        token.reset();
+        let rearmed = plan.request(&z).cancel(&token).run();
+        assert!(!rearmed.timings().cancelled);
+        assert!(reference.bitwise_eq(&rearmed));
     }
 }
 

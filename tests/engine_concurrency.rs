@@ -1,9 +1,10 @@
 //! Concurrency and lifecycle tests of the Engine/Plan API: one `Arc<Plan>`
 //! hammered from many threads, plan-cache behavior under concurrent
-//! compiles, plans outliving their engine, and the one-rendezvous invariant
-//! surfaced through `EvalOutput` timings.
+//! compiles, plans outliving their engine, and per-run rendezvous counts
+//! surfaced through `EvalOutput` timings while other threads share the
+//! pool.
 
-use psmd_core::{random_inputs, random_polynomial, Engine, EvalOptions, ExecMode, Polynomial};
+use psmd_core::{random_inputs, random_polynomial, Engine, Polynomial};
 use psmd_multidouble::{Dd, Qd};
 use psmd_series::Series;
 use rand::rngs::StdRng;
@@ -23,35 +24,27 @@ fn random_case(
 }
 
 /// Many threads, one shared plan, hundreds of evaluations: every result is
-/// bitwise identical to the sequential reference (layered and graph mode).
+/// bitwise identical to the sequential reference.
 #[test]
 fn one_plan_hammered_from_many_threads() {
     let (p, z) = random_case(71, 6, 14, 5);
-    for exec_mode in [ExecMode::Layered, ExecMode::Graph] {
-        let engine = Engine::builder()
-            .threads(3)
-            .options(EvalOptions::new().with_exec_mode(exec_mode))
-            .build();
-        let plan = engine.compile(p.clone());
-        let reference = plan.request(&z).sequential().run().into_single();
-        std::thread::scope(|scope| {
-            for t in 0..6 {
-                let plan: &Arc<_> = &plan;
-                let z = &z;
-                let reference = &reference;
-                scope.spawn(move || {
-                    for i in 0..20 {
-                        let e = plan.request(z).run().into_single();
-                        assert_eq!(
-                            e.value, reference.value,
-                            "thread {t}, eval {i}, mode {exec_mode:?}"
-                        );
-                        assert_eq!(e.gradient, reference.gradient);
-                    }
-                });
-            }
-        });
-    }
+    let engine = Engine::builder().threads(3).build();
+    let plan = engine.compile(p);
+    let reference = plan.request(&z).sequential().run().into_single();
+    std::thread::scope(|scope| {
+        for t in 0..6 {
+            let plan: &Arc<_> = &plan;
+            let z = &z;
+            let reference = &reference;
+            scope.spawn(move || {
+                for i in 0..20 {
+                    let e = plan.request(z).run().into_single();
+                    assert_eq!(e.value, reference.value, "thread {t}, eval {i}");
+                    assert_eq!(e.gradient, reference.gradient);
+                }
+            });
+        }
+    });
 }
 
 /// Concurrent mixed workloads (single, batch, system) on one engine share
@@ -140,35 +133,42 @@ fn plans_outlive_their_engine() {
     assert_eq!(e.gradient, reference.gradient);
 }
 
-/// The one-rendezvous invariant of graph mode is checkable through the new
-/// API alone: `EvalOutput` timings carry the pool-rendezvous delta.
+/// Every run reports exactly the rendezvous its own launches paid — one
+/// per layer with at least two blocks — even while another thread
+/// evaluates on the same pool; sequential runs report none.
 #[test]
 fn rendezvous_counts_surface_through_eval_output() {
     let (p, z) = random_case(76, 6, 14, 6);
-    let engine = Engine::builder().threads(3).build();
-    let layered = engine.compile(p.clone());
-    let graph = engine.compile_with_options(p, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-    // Graph mode: exactly one rendezvous per evaluation, every evaluation.
-    for _ in 0..3 {
-        assert_eq!(graph.request(&z).run().timings().pool_rendezvous, 1);
-    }
-    // Layered mode: one per multi-block layer — strictly more than one on
-    // this schedule, and at most the layer count.
-    let stats = layered.stats();
-    let layers = stats.convolution_layers + stats.addition_layers;
-    let rendezvous = layered.request(&z).run().timings().pool_rendezvous;
-    assert!(rendezvous > 1, "deep schedule pays per-layer barriers");
-    assert!(rendezvous <= layers);
-    // Sequential evaluation never wakes the pool.
-    assert_eq!(
-        graph
-            .request(&z)
-            .sequential()
-            .run()
-            .timings()
-            .pool_rendezvous,
-        0
+    // One worker: every multi-block layer wakes the pool, and two threads
+    // launching at once share it.
+    let engine = Engine::builder().threads(1).build();
+    let plan = engine.compile(p);
+    let schedule = plan.schedule().expect("compiled schedule");
+    let multi_block_layers = schedule
+        .convolution_layer_sizes()
+        .into_iter()
+        .chain(schedule.addition_layer_sizes())
+        .filter(|&jobs| jobs >= 2)
+        .count();
+    assert!(
+        multi_block_layers > 1,
+        "deep schedule pays per-layer barriers"
     );
+    std::thread::scope(|scope| {
+        for t in 0..2 {
+            let plan: &Arc<_> = &plan;
+            let z = &z;
+            scope.spawn(move || {
+                for i in 0..200 {
+                    let rendezvous = plan.request(z).run().timings().pool_rendezvous;
+                    assert_eq!(rendezvous, multi_block_layers, "thread {t}, run {i}");
+                }
+            });
+        }
+    });
+    // Sequential evaluation never wakes the pool.
+    let sequential = plan.request(&z).sequential().run();
+    assert_eq!(sequential.timings().pool_rendezvous, 0);
 }
 
 /// Cache eviction under a capacity bound, observed through the public

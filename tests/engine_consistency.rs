@@ -4,24 +4,19 @@
 //! sequential reference (`.sequential`) — runs the exact same
 //! kernels over the exact same schedule, so their results must be
 //! **bitwise** identical — across every precision, real and complex
-//! coefficients, single/batch/system sources, and both execution modes.
+//! coefficients and single/batch/system sources.
 //! This is the contract that makes the zero-allocation reuse paths a pure
 //! memory optimization with no numerical footprint.
 
 use proptest::prelude::*;
-use psmd_core::{
-    random_inputs, random_polynomial, Engine, EvalOptions, EvalOutput, ExecMode, Inputs, Polynomial,
-};
+use psmd_core::{random_inputs, random_polynomial, Engine, EvalOutput, Inputs, Polynomial};
 use psmd_multidouble::{Coeff, Complex, Dd, Deca, Md, Qd, RandomCoeff};
 use psmd_series::Series;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn engine_with(exec_mode: ExecMode) -> Engine {
-    Engine::builder()
-        .threads(3)
-        .options(EvalOptions::new().with_exec_mode(exec_mode))
-        .build()
+fn test_engine() -> Engine {
+    Engine::builder().threads(3).build()
 }
 
 /// Runs one input shape through every evaluation path of a plan and asserts
@@ -44,8 +39,8 @@ fn check_all_paths<C: Coeff>(engine: &Engine, plan: &psmd_core::Plan<C>, inputs:
     // Fully explicit reuse.
     plan.request(inputs).workspace(&mut ws).into(&mut out).run();
     assert!(reference.bitwise_eq(&out), "explicit-reuse path differs");
-    // The sequential reference agrees (parallel layered/graph execution is
-    // bitwise identical by the executor's ordering guarantee).
+    // The sequential reference agrees (pooled execution runs the same jobs
+    // in the same per-slot order, layer by layer).
     let seq = plan.request(inputs).sequential().run();
     assert!(reference.bitwise_eq(&seq), "sequential differs");
 }
@@ -56,12 +51,11 @@ fn check_single_identity<C: Coeff + RandomCoeff>(
     n: usize,
     monomials: usize,
     degree: usize,
-    exec_mode: ExecMode,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let p: Polynomial<C> = random_polynomial(n, monomials, n.min(6), degree, &mut rng);
     let z = random_inputs::<C, _>(n, degree, &mut rng);
-    let engine = engine_with(exec_mode);
+    let engine = test_engine();
     let plan = engine.compile(p);
     check_all_paths(&engine, &plan, Inputs::Single(&z));
 }
@@ -73,14 +67,13 @@ fn check_batch_identity<C: Coeff + RandomCoeff>(
     monomials: usize,
     degree: usize,
     batch_size: usize,
-    exec_mode: ExecMode,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let p: Polynomial<C> = random_polynomial(n, monomials, n.min(6), degree, &mut rng);
     let batch: Vec<Vec<Series<C>>> = (0..batch_size)
         .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
         .collect();
-    let engine = engine_with(exec_mode);
+    let engine = test_engine();
     let plan = engine.compile(p);
     check_all_paths(&engine, &plan, Inputs::Batch(&batch));
     // A batch result must also agree instance-by-instance with single
@@ -100,81 +93,63 @@ fn check_system_identity<C: Coeff + RandomCoeff>(
     equations: usize,
     monomials: usize,
     degree: usize,
-    exec_mode: ExecMode,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let system: Vec<Polynomial<C>> = (0..equations)
         .map(|_| random_polynomial(n, monomials, n.min(5), degree, &mut rng))
         .collect();
     let z = random_inputs::<C, _>(n, degree, &mut rng);
-    let engine = engine_with(exec_mode);
+    let engine = test_engine();
     let plan = engine.compile(system);
     check_all_paths(&engine, &plan, Inputs::Single(&z));
 }
 
-fn both_modes(check: impl Fn(ExecMode)) {
-    check(ExecMode::Layered);
-    check(ExecMode::Graph);
-}
-
 #[test]
 fn single_identity_across_precisions_and_modes() {
-    both_modes(|m| {
-        check_single_identity::<Md<1>>(201, 6, 12, 5, m);
-        check_single_identity::<Dd>(202, 6, 12, 5, m);
-        check_single_identity::<Md<3>>(203, 5, 10, 4, m);
-        check_single_identity::<Qd>(204, 5, 10, 4, m);
-        check_single_identity::<Md<5>>(205, 5, 8, 4, m);
-        check_single_identity::<Md<8>>(206, 4, 8, 3, m);
-        check_single_identity::<Deca>(207, 4, 8, 3, m);
-    });
+    check_single_identity::<Md<1>>(201, 6, 12, 5);
+    check_single_identity::<Dd>(202, 6, 12, 5);
+    check_single_identity::<Md<3>>(203, 5, 10, 4);
+    check_single_identity::<Qd>(204, 5, 10, 4);
+    check_single_identity::<Md<5>>(205, 5, 8, 4);
+    check_single_identity::<Md<8>>(206, 4, 8, 3);
+    check_single_identity::<Deca>(207, 4, 8, 3);
 }
 
 #[test]
 fn single_identity_for_complex_coefficients() {
-    both_modes(|m| {
-        check_single_identity::<Complex<Dd>>(211, 5, 10, 4, m);
-        check_single_identity::<Complex<Qd>>(212, 4, 8, 3, m);
-        check_single_identity::<Complex<Deca>>(213, 4, 6, 2, m);
-    });
+    check_single_identity::<Complex<Dd>>(211, 5, 10, 4);
+    check_single_identity::<Complex<Qd>>(212, 4, 8, 3);
+    check_single_identity::<Complex<Deca>>(213, 4, 6, 2);
 }
 
 #[test]
 fn batch_identity_across_precisions_and_modes() {
-    both_modes(|m| {
-        check_batch_identity::<Md<1>>(301, 6, 10, 4, 5, m);
-        check_batch_identity::<Dd>(302, 6, 10, 4, 5, m);
-        check_batch_identity::<Qd>(304, 5, 8, 3, 4, m);
-        check_batch_identity::<Md<5>>(305, 5, 8, 3, 3, m);
-        check_batch_identity::<Deca>(307, 4, 6, 2, 3, m);
-    });
+    check_batch_identity::<Md<1>>(301, 6, 10, 4, 5);
+    check_batch_identity::<Dd>(302, 6, 10, 4, 5);
+    check_batch_identity::<Qd>(304, 5, 8, 3, 4);
+    check_batch_identity::<Md<5>>(305, 5, 8, 3, 3);
+    check_batch_identity::<Deca>(307, 4, 6, 2, 3);
 }
 
 #[test]
 fn batch_identity_for_complex_coefficients() {
-    both_modes(|m| {
-        check_batch_identity::<Complex<Dd>>(311, 5, 8, 3, 4, m);
-        check_batch_identity::<Complex<Qd>>(312, 4, 6, 2, 3, m);
-    });
+    check_batch_identity::<Complex<Dd>>(311, 5, 8, 3, 4);
+    check_batch_identity::<Complex<Qd>>(312, 4, 6, 2, 3);
 }
 
 #[test]
 fn system_identity_across_precisions_and_modes() {
-    both_modes(|m| {
-        check_system_identity::<Md<1>>(401, 5, 3, 8, 3, m);
-        check_system_identity::<Dd>(402, 5, 3, 8, 3, m);
-        check_system_identity::<Qd>(404, 4, 3, 6, 3, m);
-        check_system_identity::<Md<8>>(406, 4, 2, 6, 2, m);
-        check_system_identity::<Deca>(407, 4, 2, 6, 2, m);
-    });
+    check_system_identity::<Md<1>>(401, 5, 3, 8, 3);
+    check_system_identity::<Dd>(402, 5, 3, 8, 3);
+    check_system_identity::<Qd>(404, 4, 3, 6, 3);
+    check_system_identity::<Md<8>>(406, 4, 2, 6, 2);
+    check_system_identity::<Deca>(407, 4, 2, 6, 2);
 }
 
 #[test]
 fn system_identity_for_complex_coefficients() {
-    both_modes(|m| {
-        check_system_identity::<Complex<Dd>>(411, 4, 3, 6, 3, m);
-        check_system_identity::<Complex<Qd>>(412, 4, 2, 5, 2, m);
-    });
+    check_system_identity::<Complex<Dd>>(411, 4, 3, 6, 3);
+    check_system_identity::<Complex<Qd>>(412, 4, 2, 5, 2);
 }
 
 /// One plan, alternating input shapes through one reused output and one
@@ -184,7 +159,7 @@ fn system_identity_for_complex_coefficients() {
 fn shape_changes_through_one_workspace_and_output_stay_identical() {
     let mut rng = StdRng::seed_from_u64(991);
     let p: Polynomial<Dd> = random_polynomial(5, 8, 4, 4, &mut rng);
-    let engine = engine_with(ExecMode::Layered);
+    let engine = test_engine();
     let plan = engine.compile(p);
     let z = random_inputs::<Dd, _>(5, 4, &mut rng);
     let batch: Vec<Vec<Series<Dd>>> = (0..4)
@@ -205,8 +180,8 @@ fn shape_changes_through_one_workspace_and_output_stay_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random structures, double-double, both exec modes: every evaluation
-    /// path is bitwise interchangeable.
+    /// Random structures, double-double: every evaluation path is bitwise
+    /// interchangeable.
     #[test]
     fn random_single_plans_agree_across_paths(
         seed in 0u64..10_000,
@@ -214,8 +189,7 @@ proptest! {
         monomials in 1usize..16,
         degree in 0usize..6,
     ) {
-        check_single_identity::<Dd>(seed, n, monomials, degree, ExecMode::Layered);
-        check_single_identity::<Dd>(seed, n, monomials, degree, ExecMode::Graph);
+        check_single_identity::<Dd>(seed, n, monomials, degree);
     }
 
     /// Random batches through the unified inputs (quad-double and complex).
@@ -227,8 +201,8 @@ proptest! {
         degree in 0usize..5,
         batch in 1usize..6,
     ) {
-        check_batch_identity::<Qd>(seed, n, monomials, degree, batch, ExecMode::Layered);
-        check_batch_identity::<Complex<Dd>>(seed, n, monomials, degree, batch, ExecMode::Graph);
+        check_batch_identity::<Qd>(seed, n, monomials, degree, batch);
+        check_batch_identity::<Complex<Dd>>(seed, n, monomials, degree, batch);
     }
 
     /// Random systems (shared monomials arise naturally from small variable
@@ -241,7 +215,6 @@ proptest! {
         monomials in 1usize..8,
         degree in 0usize..4,
     ) {
-        check_system_identity::<Dd>(seed, n, equations, monomials, degree, ExecMode::Layered);
-        check_system_identity::<Dd>(seed, n, equations, monomials, degree, ExecMode::Graph);
+        check_system_identity::<Dd>(seed, n, equations, monomials, degree);
     }
 }

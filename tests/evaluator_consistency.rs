@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use psmd_core::{
-    evaluate_naive, random_inputs, random_polynomial, Engine, EvalOptions, Evaluation, ExecMode,
-    Polynomial, SimdMode,
+    evaluate_naive, random_inputs, random_polynomial, Engine, EvalOptions, Evaluation, Polynomial,
+    SimdMode,
 };
 use psmd_multidouble::{Coeff, Complex, Dd, Deca, Md, Qd, RandomCoeff};
 use psmd_series::Series;
@@ -191,7 +191,7 @@ fn bits_below<C: Coeff>(e: &Evaluation<C>, j: usize) -> Vec<u64> {
 /// Truncation causality of default-option plans: perturbing input
 /// coefficient `j` — to a finite value, `inf` or NaN — leaves every value
 /// and gradient coefficient below `j` bitwise unchanged, on the single
-/// (pooled and sequential) and the batched lane paths, layered and graph.
+/// (pooled and sequential) and the batched lane paths.
 fn check_truncation_causality<C: Coeff + RandomCoeff>(seed: u64) {
     let (n, degree, batch_size) = (4, 6, 6);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -200,42 +200,38 @@ fn check_truncation_causality<C: Coeff + RandomCoeff>(seed: u64) {
         .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
         .collect();
     let engine = Engine::builder().threads(2).build();
-    for exec in [ExecMode::Layered, ExecMode::Graph] {
-        // Four lanes over six instances: one lane group plus two scalar
-        // remainder instances.
-        let options = EvalOptions::new()
-            .with_exec_mode(exec)
-            .with_simd(SimdMode::ForceWidth(4));
-        let plan = engine.compile_with_options(p.clone(), options);
-        let base = plan.request(&batch).run().into_batch();
-        assert_eq!(base.timings.simd_width, 4);
-        for j in [1, 4, degree] {
-            for bad in [0.75, f64::INFINITY, f64::NAN] {
-                let what = format!("{exec:?}, coefficient {j} := {bad}");
-                let mut perturbed = batch.clone();
-                for z in &mut perturbed {
-                    z[j % n].set_coeff(j, C::from_f64(bad));
-                }
-                let single = plan.request(&batch[0]).run().into_single();
-                for run in [
-                    plan.request(&perturbed[0]).run().into_single(),
-                    plan.request(&perturbed[0]).sequential().run().into_single(),
-                ] {
-                    assert_eq!(bits_below(&run, j), bits_below(&single, j), "{what}");
-                    assert_ne!(
-                        bits_below(&run, j + 1),
-                        bits_below(&single, j + 1),
-                        "{what}: the perturbation must reach coefficient {j}"
-                    );
-                }
-                let lanes = plan.request(&perturbed).run().into_batch();
-                for (i, (got, want)) in lanes.instances.iter().zip(&base.instances).enumerate() {
-                    assert_eq!(
-                        bits_below(got, j),
-                        bits_below(want, j),
-                        "{what}: instance {i}"
-                    );
-                }
+    // Four lanes over six instances: one lane group plus two scalar
+    // remainder instances.
+    let options = EvalOptions::new().with_simd(SimdMode::ForceWidth(4));
+    let plan = engine.compile_with_options(p, options);
+    let base = plan.request(&batch).run().into_batch();
+    assert_eq!(base.timings.simd_width, 4);
+    for j in [1, 4, degree] {
+        for bad in [0.75, f64::INFINITY, f64::NAN] {
+            let what = format!("coefficient {j} := {bad}");
+            let mut perturbed = batch.clone();
+            for z in &mut perturbed {
+                z[j % n].set_coeff(j, C::from_f64(bad));
+            }
+            let single = plan.request(&batch[0]).run().into_single();
+            for run in [
+                plan.request(&perturbed[0]).run().into_single(),
+                plan.request(&perturbed[0]).sequential().run().into_single(),
+            ] {
+                assert_eq!(bits_below(&run, j), bits_below(&single, j), "{what}");
+                assert_ne!(
+                    bits_below(&run, j + 1),
+                    bits_below(&single, j + 1),
+                    "{what}: the perturbation must reach coefficient {j}"
+                );
+            }
+            let lanes = plan.request(&perturbed).run().into_batch();
+            for (i, (got, want)) in lanes.instances.iter().zip(&base.instances).enumerate() {
+                assert_eq!(
+                    bits_below(got, j),
+                    bits_below(want, j),
+                    "{what}: instance {i}"
+                );
             }
         }
     }

@@ -12,12 +12,12 @@
 //!   well-scaled data and by a convolution-scale bound on adversarial data.
 //!
 //! Every gate runs across all seven `Md<N>` precisions, real and complex
-//! coefficients, single/batch/system evaluation and both execution modes.
+//! coefficients and single/batch/system evaluation.
 
 use proptest::prelude::*;
 use psmd_core::{
     evaluate_naive, random_inputs, random_polynomial, ConvolutionKernel, Engine, EvalOptions,
-    ExecMode, Monomial, Polynomial,
+    Monomial, Polynomial,
 };
 use psmd_multidouble::{Coeff, Complex, Dd, Deca, Md, Qd, RandomCoeff};
 use psmd_series::{Series, KARATSUBA_THRESHOLD};
@@ -152,45 +152,40 @@ fn karatsuba_is_bitwise_direct_below_threshold() {
 }
 
 /// Batch and system evaluation agree with the per-instance/per-equation
-/// runs under both sub-quadratic kernels and both execution modes.
+/// runs under both sub-quadratic kernels.
 #[test]
-fn kernels_agree_across_batch_system_and_exec_modes() {
+fn kernels_agree_across_batch_and_system() {
     let degree = 20;
     for kernel in [ConvolutionKernel::Karatsuba, ConvolutionKernel::Fft] {
-        for exec in [ExecMode::Layered, ExecMode::Graph] {
-            let opts = options(kernel).with_exec_mode(exec);
-            let mut rng = StdRng::seed_from_u64(351);
-            let engine = Engine::builder().threads(3).build();
-            // Batch: every instance matches its own single evaluation
-            // bitwise (same kernel, same plan, same job order).
-            let p: Polynomial<Dd> = random_polynomial(5, 8, 4, degree, &mut rng);
-            let batch: Vec<Vec<Series<Dd>>> = (0..4)
-                .map(|_| random_inputs::<Dd, _>(5, degree, &mut rng))
-                .collect();
-            let plan = engine.compile_with_options(p, opts);
-            let batched = plan.request(&batch).run().into_batch();
-            for (inputs, got) in batch.iter().zip(batched.instances.iter()) {
-                let want = plan.request(inputs).run().into_single();
-                assert_eq!(got.value, want.value, "{kernel:?}/{exec:?} batch value");
-                assert_eq!(got.gradient, want.gradient);
-            }
-            // System: the fused plan matches the naive per-equation oracle
-            // within the kernel's tolerance.
-            let system: Vec<Polynomial<Dd>> = (0..3)
-                .map(|_| random_polynomial(5, 6, 4, degree, &mut rng))
-                .collect();
-            let z = random_inputs::<Dd, _>(5, degree, &mut rng);
-            let sys_plan = engine.compile_with_options(system.clone(), opts);
-            let fused = sys_plan.request(&z).run().into_system();
-            let tol = kernel_tolerance::<Dd>(kernel, degree, 3 * 6);
-            for (i, p) in system.iter().enumerate() {
-                let naive = evaluate_naive(p, &z);
-                let diff = fused.equation(i).max_difference(&naive);
-                assert!(
-                    diff <= tol,
-                    "{kernel:?}/{exec:?} system eq {i}: {diff:e} > {tol:e}"
-                );
-            }
+        let opts = options(kernel);
+        let mut rng = StdRng::seed_from_u64(351);
+        let engine = Engine::builder().threads(3).build();
+        // Batch: every instance matches its own single evaluation bitwise
+        // (same kernel, same plan, same job order).
+        let p: Polynomial<Dd> = random_polynomial(5, 8, 4, degree, &mut rng);
+        let batch: Vec<Vec<Series<Dd>>> = (0..4)
+            .map(|_| random_inputs::<Dd, _>(5, degree, &mut rng))
+            .collect();
+        let plan = engine.compile_with_options(p, opts);
+        let batched = plan.request(&batch).run().into_batch();
+        for (inputs, got) in batch.iter().zip(batched.instances.iter()) {
+            let want = plan.request(inputs).run().into_single();
+            assert_eq!(got.value, want.value, "{kernel:?} batch value");
+            assert_eq!(got.gradient, want.gradient);
+        }
+        // System: the fused plan matches the naive per-equation oracle
+        // within the kernel's tolerance.
+        let system: Vec<Polynomial<Dd>> = (0..3)
+            .map(|_| random_polynomial(5, 6, 4, degree, &mut rng))
+            .collect();
+        let z = random_inputs::<Dd, _>(5, degree, &mut rng);
+        let sys_plan = engine.compile_with_options(system.clone(), opts);
+        let fused = sys_plan.request(&z).run().into_system();
+        let tol = kernel_tolerance::<Dd>(kernel, degree, 3 * 6);
+        for (i, p) in system.iter().enumerate() {
+            let naive = evaluate_naive(p, &z);
+            let diff = fused.equation(i).max_difference(&naive);
+            assert!(diff <= tol, "{kernel:?} system eq {i}: {diff:e} > {tol:e}");
         }
     }
 }

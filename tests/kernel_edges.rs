@@ -5,7 +5,7 @@
 
 use psmd_core::{
     auto_kernel, evaluate_naive, random_inputs, random_polynomial, ConvolutionKernel, Engine,
-    EvalOptions, ExecMode, Monomial, Polynomial,
+    EvalOptions, Monomial, Polynomial,
 };
 use psmd_multidouble::{Coeff, Dd, Qd, RandomCoeff};
 use psmd_series::Series;
@@ -103,17 +103,15 @@ fn aliased_inplace_staging_survives_every_kernel() {
         .collect();
     let naive = evaluate_naive(&p, &z);
     let tol = tolerance::<Dd>(degree, 1);
-    for exec in [ExecMode::Layered, ExecMode::Graph] {
-        let engine = Engine::builder().threads(3).exec_mode(exec).build();
-        for kernel in LADDER {
-            let got = engine
-                .compile_with_options(p.clone(), options(kernel))
-                .request(&z)
-                .run()
-                .into_single();
-            let diff = got.max_difference(&naive);
-            assert!(diff <= tol, "{kernel:?}/{exec:?}: {diff:e} > {tol:e}");
-        }
+    let engine = Engine::builder().threads(3).build();
+    for kernel in LADDER {
+        let got = engine
+            .compile_with_options(p.clone(), options(kernel))
+            .request(&z)
+            .run()
+            .into_single();
+        let diff = got.max_difference(&naive);
+        assert!(diff <= tol, "{kernel:?}: {diff:e} > {tol:e}");
     }
 }
 
@@ -187,28 +185,23 @@ fn subquadratic_kernels_keep_the_zero_alloc_steady_state() {
         (ConvolutionKernel::Fft, "fft"),
         (ConvolutionKernel::Auto, "auto"),
     ] {
-        for (exec, mode) in [(ExecMode::Layered, "layered"), (ExecMode::Graph, "graph")] {
-            let engine = Engine::builder().threads(0).exec_mode(exec).build();
-            let plan = engine.compile_with_options(p.clone(), options(kernel).with_exec_mode(exec));
-            let mut out = plan.request(&z).run();
-            plan.request(&z).into(&mut out).run();
-            let reference = plan.request(&z).run();
-            let counts = psmd_bench::measure_allocs(|| {
-                for _ in 0..10 {
-                    plan.request(&z).into(&mut out).run();
-                }
-            });
-            assert_eq!(
-                counts.allocs, 0,
-                "{label}/{mode}: steady-state allocations ({} B)",
-                counts.bytes
-            );
-            assert_eq!(counts.deallocs, 0, "{label}/{mode}: deallocations");
-            assert!(
-                reference.bitwise_eq(&out),
-                "{label}/{mode}: results drifted"
-            );
-        }
+        let engine = Engine::builder().threads(0).build();
+        let plan = engine.compile_with_options(p.clone(), options(kernel));
+        let mut out = plan.request(&z).run();
+        plan.request(&z).into(&mut out).run();
+        let reference = plan.request(&z).run();
+        let counts = psmd_bench::measure_allocs(|| {
+            for _ in 0..10 {
+                plan.request(&z).into(&mut out).run();
+            }
+        });
+        assert_eq!(
+            counts.allocs, 0,
+            "{label}: steady-state allocations ({} B)",
+            counts.bytes
+        );
+        assert_eq!(counts.deallocs, 0, "{label}: deallocations");
+        assert!(reference.bitwise_eq(&out), "{label}: results drifted");
     }
 }
 

@@ -5,13 +5,15 @@
 //! engine recycles pooled workspaces across plans and kernels — exactly the
 //! kind of state reuse where a stale size check or a missed re-warm only
 //! surfaces after many mixed evaluations.  This loop cycles random
-//! structures, degrees that span the whole crossover ladder, every kernel
-//! and both execution modes on ONE shared engine; CI runs it with
-//! `PSMD_STRESS_ITERS=200` under the thread-count matrix, while the default
-//! (25) keeps `cargo test` affordable.
+//! structures, degrees that span the whole crossover ladder and every
+//! kernel on ONE shared engine, and checks every pooled run bitwise against
+//! the same plan's `.sequential()` run — the contention check of the worker
+//! pool's claim loop.  CI runs it with `PSMD_STRESS_ITERS=200` under the
+//! thread-count matrix, while the default (25) keeps `cargo test`
+//! affordable.
 
 use psmd_core::{
-    random_inputs, random_polynomial, ConvolutionKernel, Engine, EvalOptions, ExecMode, Polynomial,
+    random_inputs, random_polynomial, ConvolutionKernel, Engine, EvalOptions, Polynomial,
 };
 use psmd_multidouble::{Coeff, Dd};
 use psmd_runtime::WorkerPool;
@@ -54,19 +56,17 @@ fn kernel_ladder_stress_loop() {
         let degree = rng.gen_range(0..72);
         let kernel = kernel_for(iter);
         let opts = EvalOptions::new().with_kernel(kernel);
-        let graph_opts = opts.with_exec_mode(ExecMode::Graph);
         let p: Polynomial<Dd> = random_polynomial(n, monomials, n.min(5), degree, &mut rng);
         let tol = Dd::unit_roundoff() * ((degree + 1) * (monomials + 4)) as f64 * 4096.0;
         match iter % 2 {
             // Single evaluation: kernel vs direct reference within
-            // tolerance; layered vs graph bitwise for the same kernel.
+            // tolerance; pooled vs sequential bitwise for the same kernel.
             0 => {
                 let z = random_inputs::<Dd, _>(n, degree, &mut rng);
                 let reference = engine.compile(p.clone()).request(&z).run().into_single();
-                let layered = engine.compile_with_options(p.clone(), opts);
-                let graph = engine.compile_with_options(p, graph_opts);
-                let a = layered.request(&z).run().into_single();
-                let b = graph.request(&z).run().into_single();
+                let plan = engine.compile_with_options(p, opts);
+                let a = plan.request(&z).run().into_single();
+                let b = plan.request(&z).sequential().run().into_single();
                 assert_eq!(a.value, b.value, "iteration {iter}: {kernel:?} value");
                 assert_eq!(a.gradient, b.gradient, "iteration {iter}: gradient");
                 let diff = a.max_difference(&reference);
@@ -89,10 +89,9 @@ fn kernel_ladder_stress_loop() {
                     .request(&z)
                     .run()
                     .into_system();
-                let layered = engine.compile_with_options(system.clone(), opts);
-                let graph = engine.compile_with_options(system, graph_opts);
-                let a = layered.request(&z).run().into_system();
-                let b = graph.request(&z).run().into_system();
+                let plan = engine.compile_with_options(system, opts);
+                let a = plan.request(&z).run().into_system();
+                let b = plan.request(&z).sequential().run().into_system();
                 assert_eq!(a.values, b.values, "iteration {iter}: system values");
                 assert_eq!(a.jacobian, b.jacobian, "iteration {iter}: jacobian");
                 let diff = a.max_difference(&reference);

@@ -5,9 +5,7 @@
 //! actually saved.
 
 use proptest::prelude::*;
-use psmd_core::{
-    random_inputs, random_polynomial, Engine, EvalOptions, Evaluation, ExecMode, Polynomial,
-};
+use psmd_core::{random_inputs, random_polynomial, Engine, Evaluation, Polynomial};
 use psmd_multidouble::{Coeff, Complex, Dd, Md, Qd, RandomCoeff};
 use psmd_series::Series;
 use psmd_serve::{Request, ServeConfig, ServeError, Service};
@@ -16,12 +14,8 @@ use rand::SeedableRng;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-fn service_with(threads: usize, mode: ExecMode, config: ServeConfig) -> Service {
-    let engine = Engine::builder()
-        .threads(threads)
-        .options(EvalOptions::new().with_exec_mode(mode))
-        .build();
-    Service::new(engine, config)
+fn service_with(threads: usize, config: ServeConfig) -> Service {
+    Service::new(Engine::builder().threads(threads).build(), config)
 }
 
 fn qd_case(seed: u64, n: usize, degree: usize) -> (Polynomial<Qd>, Vec<Vec<Series<Qd>>>, StdRng) {
@@ -42,11 +36,10 @@ fn check_concurrent_identity<C: Coeff + RandomCoeff>(
     clients: usize,
     n: usize,
     degree: usize,
-    mode: ExecMode,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let p = random_polynomial::<C, _>(n, 2 * n + 1, n.min(4), degree, &mut rng);
-    let service = service_with(threads, mode, ServeConfig::default());
+    let service = service_with(threads, ServeConfig::default());
     let queue = service.register("p", p).expect("register");
     let plan = queue.plan().clone();
 
@@ -74,11 +67,11 @@ fn check_concurrent_identity<C: Coeff + RandomCoeff>(
                 );
                 assert_eq!(
                     response.evaluation.value, reference.value,
-                    "client {i}, mode {mode:?}: coalesced value differs from private eval"
+                    "client {i}: coalesced value differs from private eval"
                 );
                 assert_eq!(
                     response.evaluation.gradient, reference.gradient,
-                    "client {i}, mode {mode:?}: coalesced gradient differs from private eval"
+                    "client {i}: coalesced gradient differs from private eval"
                 );
             });
         }
@@ -99,30 +92,23 @@ fn check_concurrent_identity<C: Coeff + RandomCoeff>(
 /// a multi-worker engine.
 #[test]
 fn coalesced_results_bitwise_identical_all_precisions() {
-    check_concurrent_identity::<Md<1>>(101, 2, 6, 4, 4, ExecMode::Layered);
-    check_concurrent_identity::<Md<2>>(102, 2, 6, 4, 4, ExecMode::Layered);
-    check_concurrent_identity::<Md<3>>(103, 2, 6, 4, 3, ExecMode::Layered);
-    check_concurrent_identity::<Md<4>>(104, 2, 6, 4, 3, ExecMode::Layered);
-    check_concurrent_identity::<Md<5>>(105, 2, 6, 3, 3, ExecMode::Layered);
-    check_concurrent_identity::<Md<8>>(106, 2, 6, 3, 2, ExecMode::Layered);
-    check_concurrent_identity::<Md<10>>(107, 2, 6, 3, 2, ExecMode::Layered);
-    check_concurrent_identity::<Complex<Dd>>(108, 2, 6, 4, 3, ExecMode::Layered);
-    check_concurrent_identity::<Complex<Qd>>(109, 2, 6, 3, 2, ExecMode::Layered);
-}
-
-/// Same identity under the graph executor.
-#[test]
-fn coalesced_results_bitwise_identical_graph_mode() {
-    check_concurrent_identity::<Qd>(201, 2, 6, 5, 4, ExecMode::Graph);
-    check_concurrent_identity::<Complex<Dd>>(202, 2, 6, 4, 3, ExecMode::Graph);
+    check_concurrent_identity::<Md<1>>(101, 2, 6, 4, 4);
+    check_concurrent_identity::<Md<2>>(102, 2, 6, 4, 4);
+    check_concurrent_identity::<Md<3>>(103, 2, 6, 4, 3);
+    check_concurrent_identity::<Md<4>>(104, 2, 6, 4, 3);
+    check_concurrent_identity::<Md<5>>(105, 2, 6, 3, 3);
+    check_concurrent_identity::<Md<8>>(106, 2, 6, 3, 2);
+    check_concurrent_identity::<Md<10>>(107, 2, 6, 3, 2);
+    check_concurrent_identity::<Complex<Dd>>(108, 2, 6, 4, 3);
+    check_concurrent_identity::<Complex<Qd>>(109, 2, 6, 3, 2);
 }
 
 /// A zero-worker engine serves correctly: evaluation happens on requester
 /// threads, so no worker pool is needed at all.
 #[test]
 fn zero_worker_engine_serves_correctly() {
-    check_concurrent_identity::<Qd>(301, 0, 6, 4, 4, ExecMode::Layered);
-    check_concurrent_identity::<Dd>(302, 0, 4, 3, 3, ExecMode::Graph);
+    check_concurrent_identity::<Qd>(301, 0, 6, 4, 4);
+    check_concurrent_identity::<Dd>(302, 0, 4, 3, 3);
 }
 
 /// With more concurrent clients than the batch window is wide, closed-loop
@@ -131,7 +117,7 @@ fn zero_worker_engine_serves_correctly() {
 #[test]
 fn concurrent_clients_share_launches() {
     let (p, _, mut rng) = qd_case(401, 6, 5);
-    let service = service_with(2, ExecMode::Layered, ServeConfig::default());
+    let service = service_with(2, ServeConfig::default());
     service.register("p", p).expect("register");
     let clients = 8;
     let per_round = 24;
@@ -186,7 +172,6 @@ fn staged_tickets_drain_in_exact_windows() {
     let (p, points, _) = qd_case(501, 4, 3);
     let service = service_with(
         0,
-        ExecMode::Layered,
         ServeConfig {
             max_batch: 4,
             ..ServeConfig::default()
@@ -238,7 +223,6 @@ fn batch_window_of_one_never_coalesces() {
     let (p, points, _) = qd_case(601, 4, 3);
     let service = service_with(
         0,
-        ExecMode::Layered,
         ServeConfig {
             max_batch: 1,
             max_inflight: 16,
@@ -268,7 +252,7 @@ fn batch_window_of_one_never_coalesces() {
 #[test]
 fn expired_deadline_rejected_without_launch() {
     let (p, points, _) = qd_case(701, 4, 3);
-    let service = service_with(0, ExecMode::Layered, ServeConfig::default());
+    let service = service_with(0, ServeConfig::default());
     service.register("p", p).expect("register");
     let past = Instant::now()
         .checked_sub(Duration::from_secs(1))
@@ -301,7 +285,6 @@ fn overload_returns_busy() {
     let (p, points, _) = qd_case(801, 4, 3);
     let service = service_with(
         0,
-        ExecMode::Layered,
         ServeConfig {
             max_batch: 4,
             max_inflight: 2,
@@ -344,7 +327,7 @@ fn overload_returns_busy() {
 #[test]
 fn dropped_ticket_cancels_cleanly() {
     let (p, points, _) = qd_case(901, 4, 3);
-    let service = service_with(0, ExecMode::Layered, ServeConfig::default());
+    let service = service_with(0, ServeConfig::default());
     let queue = service.register("p", p).expect("register");
     let ticket = service
         .submit_async::<Qd>("p", Request::new(points[0].clone()))
@@ -370,7 +353,7 @@ fn dropped_ticket_cancels_cleanly() {
 #[test]
 fn malformed_requests_rejected_at_admission() {
     let (p, points, mut rng) = qd_case(1001, 4, 3);
-    let service = service_with(0, ExecMode::Layered, ServeConfig::default());
+    let service = service_with(0, ServeConfig::default());
     service.register("p", p.clone()).expect("register");
 
     // Wrong number of input series.
@@ -422,6 +405,6 @@ proptest! {
         degree in 1usize..4,
         threads in 0usize..3,
     ) {
-        check_concurrent_identity::<Dd>(seed, threads, 4, n, degree, ExecMode::Layered);
+        check_concurrent_identity::<Dd>(seed, threads, 4, n, degree);
     }
 }

@@ -2,7 +2,7 @@
 //! ([`SimdMode::ForceWidth`]) must be **bitwise** identical, per instance,
 //! to the scalar batch path ([`SimdMode::Scalar`]) — across every
 //! multi-double precision, real and complex coefficients, single-polynomial
-//! and system plans, both execution modes, and batch sizes that exercise
+//! and system plans, and batch sizes that exercise
 //! full lane groups, the scalar remainder, and both together.  This is the
 //! invariant that makes the SIMD tier a pure throughput optimization with
 //! no numerical footprint: the lane kernels replicate the scalar error-free
@@ -10,19 +10,15 @@
 //! `psmd_multidouble::lanes`).
 
 use psmd_core::{
-    random_inputs, random_polynomial, ConvolutionKernel, Engine, EvalOptions, ExecMode, Polynomial,
-    SimdMode,
+    random_inputs, random_polynomial, ConvolutionKernel, Engine, EvalOptions, Polynomial, SimdMode,
 };
 use psmd_multidouble::{Coeff, Complex, Dd, Deca, Md, Qd, RandomCoeff};
 use psmd_series::Series;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn engine_with(exec_mode: ExecMode, simd: SimdMode) -> Engine {
-    Engine::builder()
-        .threads(2)
-        .options(EvalOptions::new().with_exec_mode(exec_mode).with_simd(simd))
-        .build()
+fn engine_with(simd: SimdMode) -> Engine {
+    Engine::builder().threads(2).simd(simd).build()
 }
 
 /// Evaluates one random batch under `ForceWidth(width)` and under `Scalar`,
@@ -35,7 +31,6 @@ fn check_lanes_vs_scalar<C: Coeff + RandomCoeff>(
     degree: usize,
     batch_size: usize,
     width: usize,
-    exec_mode: ExecMode,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let p: Polynomial<C> = random_polynomial(n, monomials, n.min(6), degree, &mut rng);
@@ -43,7 +38,7 @@ fn check_lanes_vs_scalar<C: Coeff + RandomCoeff>(
         .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
         .collect();
 
-    let scalar_engine = engine_with(exec_mode, SimdMode::Scalar);
+    let scalar_engine = engine_with(SimdMode::Scalar);
     let scalar_plan = scalar_engine.compile(p.clone());
     let scalar = scalar_plan.request(&batch).run().into_batch();
     assert_eq!(
@@ -51,7 +46,7 @@ fn check_lanes_vs_scalar<C: Coeff + RandomCoeff>(
         "scalar batch must report width 1"
     );
 
-    let lane_engine = engine_with(exec_mode, SimdMode::ForceWidth(width));
+    let lane_engine = engine_with(SimdMode::ForceWidth(width));
     let lane_plan = lane_engine.compile(p);
     let lanes = lane_plan.request(&batch).run().into_batch();
     assert_eq!(
@@ -85,7 +80,6 @@ fn check_widths_and_sizes<C: Coeff + RandomCoeff>(
     n: usize,
     monomials: usize,
     degree: usize,
-    exec_mode: ExecMode,
 ) {
     for (wi, &width) in SimdMode::SUPPORTED_WIDTHS.iter().enumerate() {
         for (si, size) in [width - 1, width, width + 1, 2 * width + 3]
@@ -96,38 +90,31 @@ fn check_widths_and_sizes<C: Coeff + RandomCoeff>(
                 continue;
             }
             let case_seed = seed + (wi as u64) * 100 + si as u64;
-            check_lanes_vs_scalar::<C>(case_seed, n, monomials, degree, size, width, exec_mode);
+            check_lanes_vs_scalar::<C>(case_seed, n, monomials, degree, size, width);
         }
     }
 }
 
 #[test]
 fn lane_identity_low_precisions_layered() {
-    check_widths_and_sizes::<Md<1>>(1_101, 5, 10, 4, ExecMode::Layered);
-    check_widths_and_sizes::<Dd>(1_102, 5, 10, 4, ExecMode::Layered);
-    check_widths_and_sizes::<Md<3>>(1_103, 4, 8, 3, ExecMode::Layered);
+    check_widths_and_sizes::<Md<1>>(1_101, 5, 10, 4);
+    check_widths_and_sizes::<Dd>(1_102, 5, 10, 4);
+    check_widths_and_sizes::<Md<3>>(1_103, 4, 8, 3);
 }
 
 #[test]
 fn lane_identity_high_precisions_layered() {
-    check_widths_and_sizes::<Qd>(1_204, 4, 8, 3, ExecMode::Layered);
-    check_widths_and_sizes::<Md<5>>(1_205, 4, 6, 3, ExecMode::Layered);
-    check_widths_and_sizes::<Md<8>>(1_206, 3, 6, 2, ExecMode::Layered);
-    check_widths_and_sizes::<Deca>(1_207, 3, 6, 2, ExecMode::Layered);
-}
-
-#[test]
-fn lane_identity_graph_mode() {
-    check_widths_and_sizes::<Dd>(1_302, 5, 10, 4, ExecMode::Graph);
-    check_widths_and_sizes::<Qd>(1_304, 4, 8, 3, ExecMode::Graph);
-    check_widths_and_sizes::<Deca>(1_307, 3, 6, 2, ExecMode::Graph);
+    check_widths_and_sizes::<Qd>(1_204, 4, 8, 3);
+    check_widths_and_sizes::<Md<5>>(1_205, 4, 6, 3);
+    check_widths_and_sizes::<Md<8>>(1_206, 3, 6, 2);
+    check_widths_and_sizes::<Deca>(1_207, 3, 6, 2);
 }
 
 #[test]
 fn lane_identity_complex_coefficients() {
-    check_widths_and_sizes::<Complex<Dd>>(1_411, 4, 8, 3, ExecMode::Layered);
-    check_widths_and_sizes::<Complex<Qd>>(1_412, 3, 6, 2, ExecMode::Graph);
-    check_widths_and_sizes::<Complex<Deca>>(1_413, 3, 5, 2, ExecMode::Layered);
+    check_widths_and_sizes::<Complex<Dd>>(1_411, 4, 8, 3);
+    check_widths_and_sizes::<Complex<Qd>>(1_412, 3, 6, 2);
+    check_widths_and_sizes::<Complex<Deca>>(1_413, 3, 5, 2);
 }
 
 /// System plans batch through the same runner as single polynomials, so
@@ -140,15 +127,14 @@ fn check_system_lanes_vs_scalar<C: Coeff + RandomCoeff>(
     n: usize,
     monomials: usize,
     degree: usize,
-    exec_mode: ExecMode,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let system: Vec<Polynomial<C>> = (0..equations)
         .map(|_| random_polynomial(n, monomials, n.min(6), degree, &mut rng))
         .collect();
-    let scalar_plan = engine_with(exec_mode, SimdMode::Scalar).compile(system.clone());
+    let scalar_plan = engine_with(SimdMode::Scalar).compile(system.clone());
     for width in SimdMode::SUPPORTED_WIDTHS {
-        let lane_plan = engine_with(exec_mode, SimdMode::ForceWidth(width)).compile(system.clone());
+        let lane_plan = engine_with(SimdMode::ForceWidth(width)).compile(system.clone());
         for size in [width - 1, width + 1, 2 * width + 3] {
             let batch: Vec<Vec<Series<C>>> = (0..size)
                 .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
@@ -173,10 +159,8 @@ fn check_system_lanes_vs_scalar<C: Coeff + RandomCoeff>(
 
 #[test]
 fn system_batches_run_lanes_bitwise_like_scalar() {
-    for mode in [ExecMode::Layered, ExecMode::Graph] {
-        check_system_lanes_vs_scalar::<Dd>(1_801, 3, 5, 8, 4, mode);
-        check_system_lanes_vs_scalar::<Complex<Qd>>(1_802, 2, 4, 6, 2, mode);
-    }
+    check_system_lanes_vs_scalar::<Dd>(1_801, 3, 5, 8, 4);
+    check_system_lanes_vs_scalar::<Complex<Qd>>(1_802, 2, 4, 6, 2);
 }
 
 /// `Auto` resolves to a concrete mode at compile time and its batched runs
@@ -188,7 +172,7 @@ fn auto_mode_matches_scalar_bitwise() {
     let batch: Vec<Vec<Series<Qd>>> = (0..11)
         .map(|_| random_inputs::<Qd, _>(5, 4, &mut rng))
         .collect();
-    let auto_engine = engine_with(ExecMode::Layered, SimdMode::Auto);
+    let auto_engine = engine_with(SimdMode::Auto);
     let auto_plan = auto_engine.compile(p.clone());
     assert_ne!(
         auto_plan.options().simd,
@@ -196,7 +180,7 @@ fn auto_mode_matches_scalar_bitwise() {
         "plans must carry a resolved SIMD mode"
     );
     let auto = auto_plan.request(&batch).run().into_batch();
-    let scalar_engine = engine_with(ExecMode::Layered, SimdMode::Scalar);
+    let scalar_engine = engine_with(SimdMode::Scalar);
     let scalar = scalar_engine.compile(p).request(&batch).run().into_batch();
     assert_eq!(
         auto.timings.simd_width,
@@ -257,7 +241,7 @@ fn single_evaluations_stay_scalar() {
     let mut rng = StdRng::seed_from_u64(1_700);
     let p: Polynomial<Dd> = random_polynomial(4, 8, 4, 4, &mut rng);
     let z = random_inputs::<Dd, _>(4, 4, &mut rng);
-    let engine = engine_with(ExecMode::Layered, SimdMode::ForceWidth(8));
+    let engine = engine_with(SimdMode::ForceWidth(8));
     let single = engine.compile(p).request(&z).run().into_single();
     assert_eq!(single.timings.simd_width, 0);
 }

@@ -6,16 +6,14 @@
 //! scalar remainder — exactly the kind of layout churn where a stale panel
 //! size, a missed re-warm or an off-by-one in the lane partition only
 //! surfaces after many mixed evaluations.  This loop cycles random
-//! structures, degrees, batch sizes, lane widths, precisions and both
-//! execution modes over long-lived engines, asserting the lane tier's hard
-//! invariant every iteration: **bitwise identity with the scalar batch
-//! path, per instance**.  CI runs it with `PSMD_STRESS_ITERS=200` under the
-//! `PSMD_SIMD` matrix, while the default (25) keeps `cargo test`
-//! affordable.
+//! structures, degrees, batch sizes, lane widths and precisions over
+//! long-lived engines, asserting the lane tier's hard invariant every
+//! iteration: **bitwise identity with the scalar batch path, per instance**
+//! — pooled and `.sequential()` alike.  CI runs it with
+//! `PSMD_STRESS_ITERS=200` under the `PSMD_SIMD` matrix, while the default
+//! (25) keeps `cargo test` affordable.
 
-use psmd_core::{
-    random_inputs, random_polynomial, Engine, EvalOptions, ExecMode, Polynomial, SimdMode,
-};
+use psmd_core::{random_inputs, random_polynomial, Engine, Polynomial, SimdMode};
 use psmd_multidouble::{Coeff, Complex, Dd, Md, Qd, RandomCoeff};
 use psmd_runtime::WorkerPool;
 use psmd_series::Series;
@@ -29,17 +27,15 @@ fn iterations() -> usize {
         .unwrap_or(25)
 }
 
-fn engine_with(simd: SimdMode, exec_mode: ExecMode) -> Engine {
+fn engine_with(simd: SimdMode) -> Engine {
     let threads = WorkerPool::threads_from_env().unwrap_or(2);
-    Engine::builder()
-        .threads(threads)
-        .options(EvalOptions::new().with_simd(simd).with_exec_mode(exec_mode))
-        .build()
+    Engine::builder().threads(threads).simd(simd).build()
 }
 
 /// One iteration at one coefficient type: a random plan and batch evaluated
-/// under a forced lane width and under the scalar mode, on engines that
-/// live across the whole loop (workspace recycling included).
+/// under a forced lane width (pooled and sequential) and under the scalar
+/// mode, on engines that live across the whole loop (workspace recycling
+/// included).
 fn stress_iteration<C: Coeff + RandomCoeff>(
     scalar_engine: &Engine,
     lane_engine: &Engine,
@@ -62,25 +58,30 @@ fn stress_iteration<C: Coeff + RandomCoeff>(
         .request(&batch)
         .run()
         .into_batch();
-    let lanes = lane_engine.compile(p).request(&batch).run().into_batch();
+    let lane_plan = lane_engine.compile(p);
+    let lanes = lane_plan.request(&batch).run().into_batch();
+    let sequential = lane_plan.request(&batch).sequential().run().into_batch();
     assert_eq!(
         lanes.timings.simd_width, width,
         "iteration {iter}: lane run must report width {width}"
     );
-    for (i, (s, l)) in scalar
+    for (i, ((s, l), q)) in scalar
         .instances
         .iter()
         .zip(lanes.instances.iter())
+        .zip(sequential.instances.iter())
         .enumerate()
     {
-        assert_eq!(
-            s.value, l.value,
-            "iteration {iter}: width {width}, batch {batch_size}, instance {i} value"
-        );
-        assert_eq!(
-            s.gradient, l.gradient,
-            "iteration {iter}: width {width}, batch {batch_size}, instance {i} gradient"
-        );
+        for (other, run) in [(l, "pooled"), (q, "sequential")] {
+            assert_eq!(
+                s.value, other.value,
+                "iteration {iter}: width {width}, batch {batch_size}, instance {i} {run} value"
+            );
+            assert_eq!(
+                s.gradient, other.gradient,
+                "iteration {iter}: width {width}, batch {batch_size}, instance {i} {run} gradient"
+            );
+        }
     }
 }
 
@@ -88,35 +89,23 @@ fn stress_iteration<C: Coeff + RandomCoeff>(
 fn simd_vs_scalar_stress_loop() {
     let iters = iterations();
     let mut rng = StdRng::seed_from_u64(0x51D_CAFE);
-    // One engine pair per (width, exec mode), reused across the whole loop
-    // so pooled workspaces see plans of many shapes and precisions.
+    // One engine pair per width, reused across the whole loop so pooled
+    // workspaces see plans of many shapes and precisions.
     for &width in &SimdMode::SUPPORTED_WIDTHS {
-        for exec_mode in [ExecMode::Layered, ExecMode::Graph] {
-            let scalar_engine = engine_with(SimdMode::Scalar, exec_mode);
-            let lane_engine = engine_with(SimdMode::ForceWidth(width), exec_mode);
-            for iter in 0..iters {
-                match iter % 4 {
-                    0 => {
-                        stress_iteration::<Dd>(&scalar_engine, &lane_engine, iter, width, &mut rng)
-                    }
-                    1 => {
-                        stress_iteration::<Qd>(&scalar_engine, &lane_engine, iter, width, &mut rng)
-                    }
-                    2 => stress_iteration::<Md<8>>(
-                        &scalar_engine,
-                        &lane_engine,
-                        iter,
-                        width,
-                        &mut rng,
-                    ),
-                    _ => stress_iteration::<Complex<Dd>>(
-                        &scalar_engine,
-                        &lane_engine,
-                        iter,
-                        width,
-                        &mut rng,
-                    ),
-                }
+        let scalar_engine = engine_with(SimdMode::Scalar);
+        let lane_engine = engine_with(SimdMode::ForceWidth(width));
+        for iter in 0..iters {
+            match iter % 4 {
+                0 => stress_iteration::<Dd>(&scalar_engine, &lane_engine, iter, width, &mut rng),
+                1 => stress_iteration::<Qd>(&scalar_engine, &lane_engine, iter, width, &mut rng),
+                2 => stress_iteration::<Md<8>>(&scalar_engine, &lane_engine, iter, width, &mut rng),
+                _ => stress_iteration::<Complex<Dd>>(
+                    &scalar_engine,
+                    &lane_engine,
+                    iter,
+                    width,
+                    &mut rng,
+                ),
             }
         }
     }

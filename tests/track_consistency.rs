@@ -3,10 +3,10 @@
 //! Four contracts, mirroring the guarantees the rest of the workspace
 //! already enforces for the evaluation engine:
 //!
-//! 1. **Thread- and mode-invariance.**  Tracked endpoints are bitwise
-//!    identical on 0-, 1- and 4-worker engines and under layered and graph
-//!    execution — the tracker inherits the engine's determinism, and the
-//!    control flow (steps, rejections, escalations) is identical too.
+//! 1. **Thread-invariance.**  Tracked endpoints are bitwise identical on
+//!    0-, 1- and 4-worker engines — the tracker inherits the engine's
+//!    determinism, and the control flow (steps, rejections, escalations) is
+//!    identical too.
 //! 2. **Batched == serial.**  Tracking all paths concurrently (one
 //!    coalesced launch per corrector sweep) produces bitwise the same
 //!    endpoints as tracking each path alone, with strictly fewer launches.
@@ -20,7 +20,7 @@
 //!    difference; escalation and recompilation are exempt by design and
 //!    excluded here by tracking without escalation).
 
-use psmd_core::{Engine, EvalOptions, ExecMode};
+use psmd_core::{Engine, EvalOptions, SimdMode};
 use psmd_multidouble::Precision;
 use psmd_track::{HomotopySpec, MonomialSpec, PolySpec, TrackOptions, TrackOutcome, Tracker};
 
@@ -109,7 +109,7 @@ fn fingerprint(outcome: &TrackOutcome) -> Vec<(usize, usize, usize, Vec<Vec<Vec<
 }
 
 #[test]
-fn endpoints_are_bitwise_stable_across_threads_and_exec_modes() {
+fn endpoints_are_bitwise_stable_across_threads() {
     let spec = family(4, 0x005e_ed0f_da7a_2026);
     let starts = start_solutions(4);
     let options = TrackOptions {
@@ -124,16 +124,14 @@ fn endpoints_are_bitwise_stable_across_threads_and_exec_modes() {
     assert_eq!(reference.stats.converged, starts.len());
 
     for threads in [0, 1, 4] {
-        for mode in [ExecMode::Layered, ExecMode::Graph] {
-            let engine = Engine::builder().threads(threads).exec_mode(mode).build();
-            let run = tracker.track(&engine, &starts).unwrap();
-            assert_eq!(
-                fingerprint(&run),
-                fingerprint(&reference),
-                "drift at threads={threads}, mode={mode:?}"
-            );
-            assert_eq!(run.stats, reference.stats);
-        }
+        let engine = Engine::builder().threads(threads).build();
+        let run = tracker.track(&engine, &starts).unwrap();
+        assert_eq!(
+            fingerprint(&run),
+            fingerprint(&reference),
+            "drift at threads={threads}"
+        );
+        assert_eq!(run.stats, reference.stats);
     }
 
     // The default engine (which honors the PSMD_THREADS override the CI
@@ -147,17 +145,17 @@ fn per_plan_eval_options_override_the_engine() {
     let spec = family(2, 99);
     let starts = start_solutions(2);
     let engine = Engine::builder().threads(0).build();
-    let layered = Tracker::new(spec.clone(), TrackOptions::default()).unwrap();
-    let graph = Tracker::new(
+    let lanes = Tracker::new(spec.clone(), TrackOptions::default()).unwrap();
+    let scalar = Tracker::new(
         spec,
         TrackOptions {
-            eval: Some(EvalOptions::new().with_exec_mode(ExecMode::Graph)),
+            eval: Some(EvalOptions::new().with_simd(SimdMode::Scalar)),
             ..TrackOptions::default()
         },
     )
     .unwrap();
-    let a = layered.track(&engine, &starts).unwrap();
-    let b = graph.track(&engine, &starts).unwrap();
+    let a = lanes.track(&engine, &starts).unwrap();
+    let b = scalar.track(&engine, &starts).unwrap();
     assert_eq!(fingerprint(&a), fingerprint(&b));
 }
 

@@ -1,8 +1,8 @@
 //! The zero-allocation steady-state contract, enforced by a counting global
 //! allocator: after one warm-up call, the request builder's
 //! `.into(&mut out)` path performs **zero heap allocations** (and zero
-//! deallocations) across single/batch/system/system-batch evaluation in
-//! both layered and graph execution — the CPU analogue of the paper's kernels, which
+//! deallocations) across single/batch/system/system-batch evaluation —
+//! the CPU analogue of the paper's kernels, which
 //! stage everything in pre-sized shared memory and never allocate
 //! mid-kernel.  The serving layer inherits the contract: a closed-loop
 //! client recycling its response buffers drives the whole
@@ -17,8 +17,8 @@
 //! hides in the parallel path.
 
 use psmd_core::{
-    random_inputs, try_newton_system, Engine, EvalOptions, ExecMode, Monomial, NewtonOptions,
-    PolySource, Polynomial,
+    random_inputs, try_newton_system, Engine, EvalOptions, Monomial, NewtonOptions, PolySource,
+    Polynomial,
 };
 use psmd_multidouble::{Dd, Qd};
 use psmd_series::Series;
@@ -72,9 +72,9 @@ fn paper_system(d: usize) -> Vec<Polynomial<Qd>> {
 /// Asserts that the steady-state reused-output path performs zero heap
 /// traffic on a zero-worker engine for the given plan/inputs, after
 /// warm-up.
-fn assert_zero_alloc_single(mode: ExecMode, label: &str) {
+fn assert_zero_alloc_single(label: &str) {
     let d = 8;
-    let engine = Engine::builder().threads(0).exec_mode(mode).build();
+    let engine = Engine::builder().threads(0).build();
     let plan = engine.compile(paper_example(d));
     let mut rng = StdRng::seed_from_u64(11);
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
@@ -91,9 +91,9 @@ fn assert_zero_alloc_single(mode: ExecMode, label: &str) {
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
 }
 
-fn assert_zero_alloc_batch(mode: ExecMode, label: &str) {
+fn assert_zero_alloc_batch(label: &str) {
     let d = 6;
-    let engine = Engine::builder().threads(0).exec_mode(mode).build();
+    let engine = Engine::builder().threads(0).build();
     let plan = engine.compile(paper_example(d));
     let mut rng = StdRng::seed_from_u64(13);
     let batch: Vec<Vec<Series<Qd>>> = (0..5)
@@ -118,17 +118,12 @@ fn assert_zero_alloc_batch(mode: ExecMode, label: &str) {
 /// discipline as every other workspace buffer.  `source` is a single
 /// polynomial or a system (both batch through the same lane tier).
 fn assert_zero_alloc_batch_simd(
-    mode: ExecMode,
     simd: psmd_core::SimdMode,
     source: impl Into<PolySource<Qd>>,
     label: &str,
 ) {
     let batch_size = 2 * simd.lane_width() + 3;
-    let engine = Engine::builder()
-        .threads(0)
-        .exec_mode(mode)
-        .simd(simd)
-        .build();
+    let engine = Engine::builder().threads(0).simd(simd).build();
     let plan = engine.compile(source);
     let mut rng = StdRng::seed_from_u64(13);
     let batch: Vec<Vec<Series<Qd>>> = (0..batch_size)
@@ -151,9 +146,9 @@ fn assert_zero_alloc_batch_simd(
 /// Truncation degree of the SIMD zero-allocation rows.
 const SIMD_DEGREE: usize = 6;
 
-fn assert_zero_alloc_system(mode: ExecMode, label: &str) {
+fn assert_zero_alloc_system(label: &str) {
     let d = 6;
-    let engine = Engine::builder().threads(0).exec_mode(mode).build();
+    let engine = Engine::builder().threads(0).build();
     let plan = engine.compile(paper_system(d));
     let mut rng = StdRng::seed_from_u64(17);
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
@@ -195,32 +190,27 @@ fn threaded_steady_allocs(d: usize) -> u64 {
 
 #[test]
 fn steady_state_evaluation_is_allocation_free() {
-    // Zero-allocation matrix: single/batch/system × layered/graph, all
-    // kernels inline on the measuring thread.
-    assert_zero_alloc_single(ExecMode::Layered, "single/layered");
-    assert_zero_alloc_single(ExecMode::Graph, "single/graph");
-    assert_zero_alloc_batch(ExecMode::Layered, "batch/layered");
-    assert_zero_alloc_batch(ExecMode::Graph, "batch/graph");
-    assert_zero_alloc_system(ExecMode::Layered, "system/layered");
-    assert_zero_alloc_system(ExecMode::Graph, "system/graph");
+    // Zero-allocation matrix: single/batch/system, all kernels inline on
+    // the measuring thread.
+    assert_zero_alloc_single("single");
+    assert_zero_alloc_batch("batch");
+    assert_zero_alloc_system("system");
 
     // The SIMD lane tier keeps the contract under every mode: the lane
     // panels are workspace scratch, grown once and reused (batch sizes of
     // 2W+3 run full lane groups plus a scalar remainder each iteration).
     use psmd_core::SimdMode;
     let single = || paper_example(SIMD_DEGREE);
-    for mode in [ExecMode::Layered, ExecMode::Graph] {
-        assert_zero_alloc_batch_simd(mode, SimdMode::Scalar, single(), "batch/simd-scalar");
-        assert_zero_alloc_batch_simd(mode, SimdMode::Auto, single(), "batch/simd-auto");
-        for width in SimdMode::SUPPORTED_WIDTHS {
-            let forced = SimdMode::ForceWidth(width);
-            assert_zero_alloc_batch_simd(mode, forced, single(), "batch/simd-forced");
-        }
-        // System batches run the same lane groups under the same contract.
-        let system = paper_system(SIMD_DEGREE);
-        let forced = SimdMode::ForceWidth(4);
-        assert_zero_alloc_batch_simd(mode, forced, system, "system-batch/simd-forced");
+    assert_zero_alloc_batch_simd(SimdMode::Scalar, single(), "batch/simd-scalar");
+    assert_zero_alloc_batch_simd(SimdMode::Auto, single(), "batch/simd-auto");
+    for width in SimdMode::SUPPORTED_WIDTHS {
+        let forced = SimdMode::ForceWidth(width);
+        assert_zero_alloc_batch_simd(forced, single(), "batch/simd-forced");
     }
+    // System batches run the same lane groups under the same contract.
+    let system = paper_system(SIMD_DEGREE);
+    let forced = SimdMode::ForceWidth(4);
+    assert_zero_alloc_batch_simd(forced, system, "system-batch/simd-forced");
 
     // The explicit-workspace path is allocation-free from the FIRST call:
     // `create_workspace` pre-warms every buffer.
