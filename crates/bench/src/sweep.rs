@@ -207,7 +207,7 @@ pub struct SimdComparison {
     pub batch: usize,
     /// The scalar batch run ([`psmd_core::SimdMode::Scalar`]).
     pub scalar: TimingRow,
-    /// The lane-group run ([`psmd_core::SimdMode::ForceWidth`]).
+    /// The lane-panel run ([`psmd_core::SimdMode::ForceWidth`]).
     pub lanes: TimingRow,
     /// Whether the two batched outputs are bitwise identical (the lane
     /// tier's hard invariant; anything but `true` is a kernel bug).

@@ -945,7 +945,9 @@ impl EngineBuilder {
 
     /// Sets the SIMD lane mode of compiled plans ([`crate::SimdMode::Auto`] by
     /// default: the `PSMD_SIMD` override, else the widest lane width the
-    /// host supports).
+    /// host supports).  Every evaluation of a direct-kernel plan — single
+    /// inputs, batches, systems and system batches — packs the convolution
+    /// jobs of each layer into lane panels of that width.
     pub fn simd(mut self, simd: crate::SimdMode) -> Self {
         self.options.simd = simd;
         self

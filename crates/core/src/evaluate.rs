@@ -23,8 +23,8 @@
 //! (the CPU analogue of the paper's pre-sized shared-memory staging).
 
 use crate::engine::{EvalOutput, Inputs};
-use crate::lanes::{run_convolution_job_lanes, LaneLayout, LaneUnit};
-use crate::options::EvalOptions;
+use crate::lanes::{block_pairs, layer_blocks, run_convolution_panel, MAX_LANE_WIDTH};
+use crate::options::{EvalOptions, SimdMode};
 use crate::polynomial::Polynomial;
 use crate::schedule::{AddJob, ConvJob, Schedule};
 use crate::system::SystemEvaluation;
@@ -39,7 +39,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConvolutionKernel {
     /// The schoolbook loop [`psmd_series::convolve_seq`] (default), with a
-    /// bitwise-identical SIMD lane twin for batched evaluation.
+    /// bitwise-identical SIMD lane twin that runs panels of jobs.
     ///
     /// It is **truncation-causal**: output coefficient `k` reads only input
     /// coefficients `0..=k`, so changing one input coefficient `j` — to any
@@ -197,19 +197,17 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 /// rebases each job's slots into its instance's region) — the execution
 /// body of [`stage_and_execute`].
 ///
-/// Runs one grid launch per layer, `instances × jobs` blocks each, and adds
-/// the rendezvous each launch reports to `timings.pool_rendezvous`.  All job
-/// staging is borrowed from the per-participant `scratch` lanes.
-///
-/// `lane_width >= 2` engages the SIMD lane tier: the instance axis is
-/// decomposed by [`LaneLayout`] into full lane groups (each executing one
-/// job for `lane_width` instances through the vectorized panel kernels) and
-/// a scalar remainder.  Per lane the results are bitwise identical to
-/// `lane_width == 1`, and the recorded timings always count *logical*
-/// per-instance blocks, so lane grouping is invisible to everything but the
-/// wall clock.  The caller is responsible for only requesting widths on
-/// kernels with lane variants (the runners fall back to per-lane scalar
-/// execution otherwise).
+/// Runs one grid launch per layer and adds the rendezvous each launch
+/// reports to `timings.pool_rendezvous`.  All job staging is borrowed from
+/// the per-participant `scratch` lanes.  An addition layer launches one
+/// block per `(job, instance)` pair.  A convolution layer of `J` jobs packs
+/// its `J·B` pairs into lane panels of `lane_width` pairs plus scalar
+/// remainder blocks (see [`crate::lanes`]); `lane_width` must be 1 unless
+/// the kernel is the direct loop, the only kernel with lane variants.  Per
+/// pair the results are bitwise identical at every width, and the recorded
+/// block counts always count pairs, so the partition is invisible to
+/// everything but the wall clock and `timings.simd_width`: the width when
+/// some layer ran a panel, 1 when every layer ran scalar blocks only.
 ///
 /// When `cancel` is armed and trips mid-run, the remaining blocks (and
 /// layers) are abandoned at the next claim boundary and `false` is returned;
@@ -229,47 +227,45 @@ fn execute_schedule<C: Coeff>(
 ) -> bool {
     let per = schedule.layout.coeffs_per_slot();
     let map_slot = |instance: usize, slot: usize| schedule.layout.batch_slot(instance, slot);
-    let lanes = LaneLayout::new(instances, lane_width);
-    // Block b runs job b % jobs of unit b / jobs (a scalar instance or a
-    // whole lane group); disjointness within a layer carries over to the
-    // rebased slots because distinct instances write distinct regions.
     // Stage 1: convolution kernels, one launch per layer for all instances.
     for layer in &schedule.convolution_layers {
-        let jobs = layer.len();
-        let body = |lane: usize, b: usize| {
-            let job = layer[b % jobs];
-            let mut s = scratch[lane].lock();
-            match lanes.unit(b / jobs) {
-                LaneUnit::Group { first } => run_convolution_job_lanes(
-                    shared,
-                    &job,
-                    per,
-                    kernel,
-                    &mut s,
-                    lanes.width(),
-                    first,
-                    &map_slot,
-                ),
-                LaneUnit::Scalar { instance } => {
-                    let mapped = ConvJob {
-                        in1: map_slot(instance, job.in1),
-                        in2: map_slot(instance, job.in2),
-                        out: map_slot(instance, job.out),
-                    };
-                    run_convolution_job(shared, &mapped, per, kernel, &mut s);
-                }
+        let pairs = layer.len() * instances;
+        // Pair f is job f / instances rebased into instance f % instances;
+        // disjointness within a layer carries over to the rebased slots
+        // because distinct instances write distinct regions.
+        let pair_job = |f: usize| {
+            let (job, instance) = (layer[f / instances], f % instances);
+            ConvJob {
+                in1: map_slot(instance, job.in1),
+                in2: map_slot(instance, job.in2),
+                out: map_slot(instance, job.out),
             }
         };
+        let body = |lane: usize, b: usize| {
+            let mut s = scratch[lane].lock();
+            let range = block_pairs(pairs, lane_width, b);
+            if range.len() == 1 {
+                run_convolution_job(shared, &pair_job(range.start), per, kernel, &mut s);
+                return;
+            }
+            debug_assert_eq!(kernel, ConvolutionKernel::Direct);
+            let mut jobs = [layer[0]; MAX_LANE_WIDTH];
+            for (job, f) in jobs.iter_mut().zip(range.clone()) {
+                *job = pair_job(f);
+            }
+            run_convolution_panel(shared, &jobs[..range.len()], per, &mut s);
+        };
         let start = Instant::now();
-        let completed = launch_layer(pool, lanes.units() * jobs, cancel, timings, body);
-        // Timings count logical per-instance jobs, not physical lane-group
-        // launches: block accounting stays independent of the SIMD mode.
-        timings.record(KernelKind::Convolution, start.elapsed(), instances * jobs);
+        let blocks = layer_blocks(pairs, lane_width);
+        let completed = launch_layer(pool, blocks, cancel, timings, body);
+        timings.record(KernelKind::Convolution, start.elapsed(), pairs);
+        let ran = if pairs >= lane_width { lane_width } else { 1 };
+        timings.simd_width = timings.simd_width.max(ran);
         if !completed {
             return false;
         }
     }
-    // Stage 2: addition kernels, launched the same way.
+    // Stage 2: addition kernels, one block per pair, launched the same way.
     for layer in &schedule.addition_layers {
         let jobs = layer.len();
         let blocks = instances * jobs;
@@ -322,13 +318,15 @@ fn launch_layer(
 /// then runs the schedule over all regions at once: one launch per layer
 /// whatever the number of instances or equations.  All evaluation memory is
 /// borrowed from `ws`, so a warm workspace makes the run allocation-free.
-/// `options.kernel` must be concrete: `Auto` is resolved when the plan
-/// compiles.
+/// `options` must be resolved: the plan resolves a `ConvolutionKernel::Auto`
+/// and a `SimdMode::Auto` when it compiles, and Newton resolves its lane mode
+/// before the first step.
 ///
-/// Batched inputs engage the SIMD lane tier when the resolved kernel is the
-/// direct loop (the only kernel with lane variants) and record the width in
-/// `timings.simd_width`; a single input vector has no instance axis and
-/// leaves it at 0.  Per lane the results are bitwise identical either way.
+/// Every evaluation — one input vector or a batch, one equation or a system
+/// — packs its convolution jobs into SIMD lane panels at the resolved lane
+/// width when the kernel is the direct loop (the only kernel with lane
+/// variants), and runs scalar otherwise.  Per pair the results are bitwise
+/// identical either way.
 ///
 /// Returns the populated arena (instance `i` at
 /// [`DataLayout::batch_instance_offset`](crate::DataLayout::batch_instance_offset)),
@@ -345,17 +343,15 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
     ws: &'w mut Workspace<C>,
     timings: &mut KernelTimings,
 ) -> Option<&'w [C]> {
-    let (instances, lane_width) = match inputs {
-        Inputs::Single(_) => (1, 1),
+    let instances = match inputs {
+        Inputs::Single(_) => 1,
         Inputs::Batch([]) => return Some(&[]),
-        Inputs::Batch(batch) => {
-            let width = match options.kernel {
-                ConvolutionKernel::Direct => options.simd.lane_width(),
-                _ => 1,
-            };
-            timings.simd_width = width;
-            (batch.len(), width)
-        }
+        Inputs::Batch(batch) => batch.len(),
+    };
+    let lane_width = match (options.simd, options.kernel) {
+        (SimdMode::Auto, _) => unreachable!("SimdMode::Auto is resolved before evaluation"),
+        (SimdMode::ForceWidth(w), ConvolutionKernel::Direct) => w,
+        _ => 1,
     };
     let layout = &schedule.layout;
     let participants = pool.map_or(1, WorkerPool::parallelism);

@@ -1,161 +1,89 @@
-//! Lane-group decomposition of the batch axis: which instances of a batched
-//! evaluation run packed into SIMD lane panels and which drain scalar.
+//! Lane panels across the jobs of a layer: how the `(job, instance)` pairs
+//! of one convolution layer pack into SIMD lane panels.
 //!
-//! Batched evaluation runs the identical job schedule over `instances`
-//! disjoint arena regions — the textbook SIMD lane axis.  [`LaneLayout`]
-//! splits those instances into `instances / W` full lane groups plus a
-//! scalar remainder, and the runners below execute one schedule job for a
-//! whole lane group: gather the group's operand slots from the flat arena
-//! into transposed structure-of-arrays panels, run the vectorized panel
-//! kernel of [`psmd_series::lanes`], and scatter the output panel back.
-//! Every plan with batched inputs — a single polynomial or a system, which
-//! share one schedule and one runner — takes this path when its resolved
-//! kernel is the direct loop; a single input vector has no instance axis
-//! and stays scalar.  The flat [`DataLayout`](crate::schedule::DataLayout)
-//! is untouched: lanes exist only between the gather and the scatter.
+//! Every plan runs its schedule over `B` arena regions, one per input vector
+//! (`B = 1` for a single evaluation).  A convolution layer of `J` jobs thus
+//! holds `J·B` independent pairs, numbered job-major: pair `f = j·B + i` is
+//! job `j` of instance `i`.  At lane width `W` the layer launches
+//! `layer_blocks` blocks (`block_pairs` says which pairs each runs):
+//! `⌊J·B/W⌋` *panels* of `W` consecutive pairs, then `J·B mod W` scalar
+//! blocks of one pair each.  A panel may mix jobs and instances: no job of a
+//! layer reads another job's output (`Schedule::validate_layers`), and
+//! `run_convolution_panel` gathers every lane before it scatters any, which
+//! keeps the in-place `b := b * a` shape safe too.  When `B` is a multiple of
+//! `W`, every panel is one job over `W` consecutive instances; at `W = 1`
+//! every pair is its own scalar block, the plain per-job grid.  Only the
+//! direct loop has lane kernels, so plans on any other kernel run at `W = 1`.
 //!
-//! Per lane the panel kernels are bitwise identical to the scalar kernels
-//! (see `psmd_multidouble::lanes`), and the gather/scatter transposes are
-//! exact-bit `write_limbs`/`from_limbs` round trips — so a lane group
-//! produces exactly the arena bytes the scalar path produces for the same
-//! instances.  `tests/simd_consistency.rs` gates this end to end.
+//! A panel gathers its lanes' operand slots from the flat arena into
+//! transposed structure-of-arrays panels, runs the vectorized direct kernel
+//! of [`psmd_series::lanes`], and scatters the output panel back.  The flat
+//! [`DataLayout`](crate::schedule::DataLayout) is untouched: lanes exist only
+//! between the gather and the scatter.  Per lane the panel kernel executes
+//! the scalar limb sequence of `convolve_seq` (see
+//! `psmd_multidouble::lanes`), and the transposes are exact-bit
+//! `write_limbs`/`from_limbs` round trips — so a panel writes exactly the
+//! arena bytes the scalar path writes for the same pairs.
+//! `tests/simd_consistency.rs` gates this end to end.
 
-use crate::evaluate::{run_convolution_job, ConvolutionKernel};
 use crate::schedule::ConvJob;
 use crate::workspace::ConvScratch;
 use psmd_multidouble::Coeff;
 use psmd_runtime::SharedSlice;
 use psmd_series::lanes::{convolve_panels_dyn, gather_into_panel, panel_f64s, scatter_from_panel};
+use std::ops::Range;
 
-/// How `instances` batch instances decompose into SIMD lane groups of
-/// `width` plus a scalar remainder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneLayout {
-    width: usize,
-    groups: usize,
-    remainder: usize,
+/// The widest lane panel: the largest of
+/// [`SimdMode::SUPPORTED_WIDTHS`](crate::SimdMode::SUPPORTED_WIDTHS).
+pub(crate) const MAX_LANE_WIDTH: usize = 8;
+
+/// Blocks a convolution layer of `pairs` `(job, instance)` pairs launches at
+/// lane width `width`: `⌊pairs/W⌋` panels plus `pairs mod W` scalar blocks.
+pub(crate) fn layer_blocks(pairs: usize, width: usize) -> usize {
+    pairs / width + pairs % width
 }
 
-/// One schedulable unit of a [`LaneLayout`]: a full lane group or a single
-/// scalar instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneUnit {
-    /// A full group of `width` instances starting at instance `first`.
-    Group {
-        /// Index of the group's first instance.
-        first: usize,
-    },
-    /// One remainder instance executed scalar.
-    Scalar {
-        /// The instance index.
-        instance: usize,
-    },
-}
-
-impl LaneLayout {
-    /// Decomposes `instances` into lane groups of `width` (widths below 2
-    /// mean no grouping: every instance is a scalar unit).
-    pub fn new(instances: usize, width: usize) -> Self {
-        if width >= 2 {
-            Self {
-                width,
-                groups: instances / width,
-                remainder: instances % width,
-            }
-        } else {
-            Self {
-                width: 1,
-                groups: 0,
-                remainder: instances,
-            }
-        }
-    }
-
-    /// The lane width of the full groups.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of full lane groups.
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// Number of schedulable units: full groups plus scalar remainder
-    /// instances.  With width 1 this is exactly `instances`, so the
-    /// unit-indexed launch degenerates to the historical per-instance grid.
-    pub fn units(&self) -> usize {
-        self.groups + self.remainder
-    }
-
-    /// Resolves unit `u` (`u < self.units()`): groups come first, then the
-    /// scalar remainder in instance order.
-    pub fn unit(&self, u: usize) -> LaneUnit {
-        if u < self.groups {
-            LaneUnit::Group {
-                first: u * self.width,
-            }
-        } else {
-            LaneUnit::Scalar {
-                instance: self.groups * self.width + (u - self.groups),
-            }
-        }
+/// The pairs block `b` of [`layer_blocks`] runs: the panel
+/// `b·W..b·W + W` while `b < ⌊pairs/W⌋`, then one remainder pair per block.
+pub(crate) fn block_pairs(pairs: usize, width: usize, b: usize) -> Range<usize> {
+    let panels = pairs / width;
+    if b < panels {
+        b * width..(b + 1) * width
+    } else {
+        let f = panels * width + (b - panels);
+        f..f + 1
     }
 }
 
-/// Executes one convolution job for a whole lane group: gathers the group's
-/// operand slots into the workspace's lane panels, convolves all lanes with
-/// one vectorized kernel pass, and scatters the result back into each
-/// instance's output slot.
-///
-/// Only the direct kernel has a lane variant; any other kernel (Karatsuba,
-/// FFT) falls back to per-lane scalar execution, which keeps this runner
-/// total without changing any bits.  Gathering happens before
-/// the first scatter, so the in-place `b := b * a` job shape needs no extra
-/// staging here.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_convolution_job_lanes<C: Coeff>(
+/// Executes one lane panel: `jobs.len()` (2, 4 or 8) already-mapped direct
+/// convolution jobs of one layer, one per lane.  Gathers every lane's operand
+/// slots into the workspace's lane panels, convolves all lanes with one
+/// vectorized kernel pass, and scatters each lane into its job's output slot.
+pub(crate) fn run_convolution_panel<C: Coeff>(
     shared: &SharedSlice<'_, C>,
-    job: &ConvJob,
+    jobs: &[ConvJob],
     per: usize,
-    kernel: ConvolutionKernel,
     scratch: &mut ConvScratch<C>,
-    width: usize,
-    first_instance: usize,
-    map_slot: &(impl Fn(usize, usize) -> usize + Sync),
 ) {
-    if kernel != ConvolutionKernel::Direct {
-        for l in 0..width {
-            let instance = first_instance + l;
-            let mapped = ConvJob {
-                in1: map_slot(instance, job.in1),
-                in2: map_slot(instance, job.in2),
-                out: map_slot(instance, job.out),
-            };
-            run_convolution_job(shared, &mapped, per, kernel, scratch);
-        }
-        return;
-    }
+    let width = jobs.len();
     let panel = panel_f64s::<C>(per, width);
     let panels = scratch.ensure_lanes(3 * panel);
     let (xp, rest) = panels.split_at_mut(panel);
     let (yp, zp) = rest.split_at_mut(panel);
-    for l in 0..width {
-        let instance = first_instance + l;
-        // Safety (reads): the schedule guarantees that within one layer no
-        // other job writes these input ranges; the output range is written
-        // only after both gathers complete.
-        let x: &[C] = unsafe { shared.slice(map_slot(instance, job.in1) * per, per) };
-        let y: &[C] = unsafe { shared.slice(map_slot(instance, job.in2) * per, per) };
+    for (l, job) in jobs.iter().enumerate() {
+        // Safety (reads): within one layer no job writes a slot another job
+        // reads, and this panel writes its own outputs only after every
+        // lane is gathered.
+        let x: &[C] = unsafe { shared.slice(job.in1 * per, per) };
+        let y: &[C] = unsafe { shared.slice(job.in2 * per, per) };
         gather_into_panel(x, xp, l, width);
         gather_into_panel(y, yp, l, width);
     }
     convolve_panels_dyn::<C>(width, xp, yp, zp, per);
-    for l in 0..width {
-        let instance = first_instance + l;
-        // Safety: the schedule guarantees each instance's output range is
-        // written by this job only.
-        let out = unsafe { shared.slice_mut(map_slot(instance, job.out) * per, per) };
+    for (l, job) in jobs.iter().enumerate() {
+        // Safety: within one layer each output slot is written by one job
+        // only, and distinct instances write distinct regions.
+        let out = unsafe { shared.slice_mut(job.out * per, per) };
         scatter_from_panel(zp, out, l, width);
     }
 }
@@ -165,42 +93,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn layout_partitions_every_instance_exactly_once() {
-        for (instances, width) in [(0, 4), (3, 4), (4, 4), (5, 4), (11, 4), (16, 8), (7, 1)] {
-            let layout = LaneLayout::new(instances, width);
-            let mut seen = vec![0usize; instances];
-            for u in 0..layout.units() {
-                match layout.unit(u) {
-                    LaneUnit::Group { first } => {
-                        for l in 0..layout.width() {
-                            seen[first + l] += 1;
+    fn partition_covers_every_pair_once_in_panels_then_scalar_blocks() {
+        for (jobs, instances) in [(1, 1), (3, 1), (5, 1), (7, 3), (2, 16), (13, 5), (9, 8)] {
+            for width in [1, 2, 4, 8] {
+                let pairs = jobs * instances;
+                let mut seen = vec![0usize; pairs];
+                let blocks = layer_blocks(pairs, width);
+                let mut panels = 0;
+                for b in 0..blocks {
+                    let range = block_pairs(pairs, width, b);
+                    if range.len() == width && width >= 2 {
+                        panels += 1;
+                        // B = k·W: a panel is one job over W consecutive
+                        // instances.
+                        if instances % width == 0 {
+                            let job = range.start / instances;
+                            assert!(range.clone().all(|f| f / instances == job));
                         }
+                    } else {
+                        assert_eq!(range.len(), 1, "{jobs}x{instances} @ {width}");
                     }
-                    LaneUnit::Scalar { instance } => seen[instance] += 1,
+                    for f in range {
+                        seen[f] += 1;
+                    }
+                }
+                let case = format!("{jobs} jobs x {instances} instances @ width {width}");
+                assert!(seen.iter().all(|&c| c == 1), "{case}");
+                if width >= 2 {
+                    assert_eq!(panels, pairs / width, "{case}");
+                    assert_eq!(blocks - panels, pairs % width, "{case}");
+                } else {
+                    assert_eq!(blocks, pairs, "{case}");
                 }
             }
-            assert!(seen.iter().all(|&c| c == 1), "{instances} @ {width}");
         }
-    }
-
-    #[test]
-    fn width_one_degenerates_to_per_instance_units() {
-        let layout = LaneLayout::new(5, 1);
-        assert_eq!(layout.units(), 5);
-        assert_eq!(layout.groups(), 0);
-        for u in 0..5 {
-            assert_eq!(layout.unit(u), LaneUnit::Scalar { instance: u });
-        }
-    }
-
-    #[test]
-    fn groups_precede_the_scalar_remainder() {
-        let layout = LaneLayout::new(11, 4);
-        assert_eq!(layout.groups(), 2);
-        assert_eq!(layout.units(), 2 + 3);
-        assert_eq!(layout.unit(0), LaneUnit::Group { first: 0 });
-        assert_eq!(layout.unit(1), LaneUnit::Group { first: 4 });
-        assert_eq!(layout.unit(2), LaneUnit::Scalar { instance: 8 });
-        assert_eq!(layout.unit(4), LaneUnit::Scalar { instance: 10 });
     }
 }

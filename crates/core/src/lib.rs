@@ -55,10 +55,11 @@
 //! shim family have been removed; [`Engine::compile`] + [`Plan::request`]
 //! is the one entry point.
 //!
-//! Batched evaluation (of a polynomial or a system) additionally packs
-//! instances into SIMD lane groups when the hardware supports it (AVX-512,
-//! AVX2, NEON) — bitwise identical per lane to the scalar path and
-//! controlled by [`SimdMode`] / `PSMD_SIMD`; see [`lanes`] and
+//! Every evaluation — one input vector or a batch, a polynomial or a
+//! system — additionally packs the convolution jobs of each layer into SIMD
+//! lane panels when the hardware supports it (AVX-512, AVX2, NEON).  Per
+//! lane the results are bitwise identical to the scalar path; [`SimdMode`] /
+//! `PSMD_SIMD` control the width.  See [`lanes`] and
 //! `psmd_multidouble::lanes`.
 
 #![warn(missing_docs)]
@@ -95,7 +96,6 @@ pub use generators::{
     banded_supports, binomial, combinations, polynomial_with_supports, random_inputs,
     random_polynomial,
 };
-pub use lanes::{LaneLayout, LaneUnit};
 pub use monomial::Monomial;
 pub use newton::{
     try_newton_system, try_newton_system_parallel, try_solve_linearized, try_solve_linearized_into,

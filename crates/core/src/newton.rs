@@ -44,7 +44,7 @@
 use crate::engine::{EvalOutput, Inputs};
 use crate::error::Error;
 use crate::evaluate::evaluate_into;
-use crate::options::EvalOptions;
+use crate::options::{EvalOptions, SimdMode};
 use crate::polynomial::Polynomial;
 use crate::schedule::Schedule;
 use crate::system::SystemEvaluation;
@@ -150,9 +150,10 @@ impl<C> NewtonResult<C> {
 ///
 /// # Errors
 ///
-/// [`Error::Config`] when the system is not square (`m != n`) or the initial
-/// guess has the wrong length or degree; [`Error::Numerical`] when the
-/// constant-term Jacobian turns (numerically) singular at some iterate.
+/// [`Error::Config`] when the system is not square (`m != n`), the initial
+/// guess has the wrong length or degree, or `PSMD_SIMD` holds an
+/// unrecognized value; [`Error::Numerical`] when the constant-term Jacobian
+/// turns (numerically) singular at some iterate.
 pub fn try_newton_system<C: RealCoeff>(
     polys: &[Polynomial<C>],
     initial: &[Series<C>],
@@ -205,6 +206,10 @@ fn try_newton_system_impl<C: RealCoeff>(
             )));
         }
     }
+    // Resolve the lane mode once: a malformed `PSMD_SIMD` is a configuration
+    // error here rather than a panic mid-solve.
+    let simd = SimdMode::Auto.try_resolved().map_err(Error::config)?;
+    let eval_options = EvalOptions::new().with_simd(simd);
     // The merged schedule is built once and reused by every step, and so is
     // every buffer: the evaluation workspace (arena, per-worker scratch),
     // the evaluation output, the negated right-hand side, the update, and
@@ -223,7 +228,7 @@ fn try_newton_system_impl<C: RealCoeff>(
         evaluate_into(
             polys,
             &schedule,
-            EvalOptions::default(),
+            eval_options,
             Inputs::Single(z),
             pool,
             None,

@@ -1,21 +1,23 @@
 //! Shared evaluation options.
 //!
 //! The engine ([`crate::Engine`]) and every plan it compiles expose the same
-//! knobs: which convolution kernel to run and whether batched evaluation
-//! packs instances into SIMD lane groups.  This module holds the one struct
+//! knobs: which convolution kernel to run and whether evaluation packs
+//! convolution jobs into SIMD lane panels.  This module holds the one struct
 //! they share, plus the [`SimdMode`] selector and its `PSMD_SIMD`
 //! environment contract.
 
 use crate::evaluate::{ConvolutionKernel, ExecMode};
 use psmd_multidouble::lanes;
 
-/// How batched evaluation uses the machine's vector units.
+/// How every evaluation uses the machine's vector units.
 ///
-/// The SIMD tier packs `W` independent batch instances into
+/// The SIMD tier packs any `W` convolution jobs of one layer — from one
+/// input vector or from several instances of a batch — into
 /// structure-of-arrays lane panels and runs the convolution recurrence over
-/// all of them per instruction (see `psmd_multidouble::lanes`).  Per lane
-/// the results are bitwise identical to the scalar path, so this knob
-/// changes only speed — which is why `Auto` is the default.
+/// all of them per instruction (see [`crate::lanes`] and
+/// `psmd_multidouble::lanes`).  Only the direct kernel has lane panels.
+/// Per lane the results are bitwise identical to the scalar path, so this
+/// knob changes only speed — which is why `Auto` is the default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SimdMode {
     /// Pick the widest lane width the running machine supports (AVX-512 →
@@ -24,8 +26,7 @@ pub enum SimdMode {
     /// compiled.
     #[default]
     Auto,
-    /// Disable the lane tier: batched evaluation runs the scalar kernels
-    /// only.
+    /// Disable the lane tier: evaluation runs the scalar kernels only.
     Scalar,
     /// Force a specific lane width (2, 4 or 8).  Widths beyond what the
     /// hardware vectorizes still run — as portable scalar-lane code with
@@ -111,7 +112,7 @@ impl SimdMode {
         }
     }
 
-    /// The lane width this mode runs batched convolutions at (1 for the
+    /// The lane width this mode runs convolution panels at (1 for the
     /// scalar path).  Meaningful on resolved modes; `Auto` reports the
     /// width it would resolve to on this machine.
     pub fn lane_width(self) -> usize {
@@ -134,7 +135,8 @@ pub struct EvalOptions {
     /// How parallel evaluation executes on the pool: always
     /// [`ExecMode::Layered`] (see [`ExecMode`] for why the field remains).
     pub exec_mode: ExecMode,
-    /// Whether batched evaluation packs instances into SIMD lane groups.
+    /// Whether every evaluation packs convolution jobs into SIMD lane
+    /// panels.
     pub simd: SimdMode,
 }
 
@@ -150,7 +152,7 @@ impl EvalOptions {
         self
     }
 
-    /// Selects the SIMD lane mode for batched evaluation.
+    /// Selects the SIMD lane mode for every evaluation.
     pub fn with_simd(mut self, simd: SimdMode) -> Self {
         self.simd = simd;
         self

@@ -12,7 +12,7 @@
 //! * one **convolution scratch** per worker-pool participant lane, holding
 //!   room to stage an operand that aliases the job's output (the in-place
 //!   `b := b * a` update), the selected kernel's working memory and the
-//!   SIMD lane panels of batched evaluation, so convolution jobs borrow
+//!   SIMD lane panels of direct-kernel evaluation, so convolution jobs borrow
 //!   instead of allocate.
 //!
 //! Both grow on shape change and are reused verbatim while the shape is
@@ -163,9 +163,9 @@ impl<C: Coeff> Workspace<C> {
         }
     }
 
-    /// Pre-sizes every convolution-scratch lane's SIMD panel buffer for
-    /// batched evaluation at `per` coefficients per slot and lane width
-    /// `width`, so the first lane-group launch is already allocation-free.
+    /// Pre-sizes every convolution-scratch lane's SIMD panel buffer at `per`
+    /// coefficients per slot and lane width `width`, so the first panel is
+    /// already allocation-free.
     /// A no-op for widths below 2 (the scalar path uses no panels).
     pub fn warm_lanes(&mut self, per: usize, width: usize) {
         if width < 2 {

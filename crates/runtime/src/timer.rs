@@ -48,11 +48,12 @@ pub struct KernelTimings {
     /// sums them, so concurrent evaluations on one pool never see each
     /// other's.
     pub pool_rendezvous: usize,
-    /// SIMD lane width the batched convolution tier ran at: 0 when the run
-    /// had no batched convolution stage at all (single/system evaluation),
-    /// 1 when batched evaluation ran scalar, otherwise the lane width (2, 4
-    /// or 8).  Lane-group execution changes physical launches only; the
-    /// block counts above always count logical (per-instance) jobs.
+    /// SIMD lane width the convolution stage ran at: the lane width (2, 4
+    /// or 8) when at least one lane panel ran, 1 when the stage ran scalar
+    /// jobs only (scalar mode, a kernel without lanes, or every layer
+    /// smaller than the width), 0 when the run had no convolution stage.
+    /// Lane panels change physical blocks only; the block counts above
+    /// always count logical `(job, instance)` pairs.
     pub simd_width: usize,
     /// Wall clock time of the whole evaluation.
     pub wall_clock: Duration,

@@ -1,15 +1,16 @@
 //! SIMD-lane convolution kernels over structure-of-arrays coefficient
 //! panels.
 //!
-//! A *panel* packs `W` independent series (one per batch instance) into one
-//! flat `f64` buffer in lane-major order: coefficient `k` of lane `l`
+//! A *panel* packs `W` independent series (one per convolution job of a
+//! layer, from any input vector) into one flat `f64` buffer in lane-major
+//! order: coefficient `k` of lane `l`
 //! occupies doubles `k * D * W + d * W + l` for `d < D =
 //! C::doubles_per_value()`.  The kernels below run the exact scalar
 //! convolution recurrence of [`crate::convolution::convolve_seq`] with
 //! every scalar coefficient operation replaced by its [`LaneVec`]
 //! counterpart — which is bitwise identical per lane — so lane `l` of the
 //! output panel carries exactly the bits the scalar kernel produces for
-//! instance `l`.
+//! the job in lane `l`.
 //!
 //! ## Runtime multiversioning
 //!
@@ -90,7 +91,7 @@ unsafe fn conv_panels_neon<C: Coeff, const W: usize>(
 /// dispatching to the widest instruction set the machine supports.
 ///
 /// Each lane carries the bits of [`crate::convolution::convolve_seq`] for
-/// its instance.  The panels must not overlap; the engine always convolves
+/// its job.  The panels must not overlap; the engine always convolves
 /// arena-gathered operand panels into a separate output panel, which also
 /// makes in-place arena updates (`out == in1` or `out == in2`) safe without
 /// extra staging.
@@ -122,7 +123,7 @@ pub fn convolve_panels_dyn<C: Coeff>(width: usize, x: &[f64], y: &[f64], z: &mut
     }
 }
 
-/// Transposes one instance's coefficient slice into lane `lane` of a panel.
+/// Transposes one series' coefficient slice into lane `lane` of a panel.
 ///
 /// Every [`LaneVec`] lays double `j` of lane `l` at `base + j * width + l`
 /// (for complex values the imaginary component simply continues the double
@@ -142,7 +143,7 @@ pub fn gather_into_panel<C: Coeff>(src: &[C], panel: &mut [f64], lane: usize, wi
     }
 }
 
-/// Transposes lane `lane` of a panel back into an instance's coefficient
+/// Transposes lane `lane` of a panel back into a series' coefficient
 /// slice (the inverse of [`gather_into_panel`], via [`Coeff::from_limbs`]).
 pub fn scatter_from_panel<C: Coeff>(panel: &[f64], dst: &mut [C], lane: usize, width: usize) {
     let d = C::doubles_per_value();

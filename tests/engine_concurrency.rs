@@ -144,11 +144,16 @@ fn rendezvous_counts_surface_through_eval_output() {
     let engine = Engine::builder().threads(1).build();
     let plan = engine.compile(p);
     let schedule = plan.schedule().expect("compiled schedule");
+    // A convolution layer of J jobs launches ⌊J/W⌋ lane panels plus
+    // J mod W scalar blocks at the plan's lane width W; an addition layer
+    // launches one block per job.
+    let width = plan.options().simd.lane_width();
     let multi_block_layers = schedule
         .convolution_layer_sizes()
         .into_iter()
+        .map(|jobs| jobs / width + jobs % width)
         .chain(schedule.addition_layer_sizes())
-        .filter(|&jobs| jobs >= 2)
+        .filter(|&blocks| blocks >= 2)
         .count();
     assert!(
         multi_block_layers > 1,

@@ -190,8 +190,8 @@ fn bits_below<C: Coeff>(e: &Evaluation<C>, j: usize) -> Vec<u64> {
 
 /// Truncation causality of default-option plans: perturbing input
 /// coefficient `j` — to a finite value, `inf` or NaN — leaves every value
-/// and gradient coefficient below `j` bitwise unchanged, on the single
-/// (pooled and sequential) and the batched lane paths.
+/// and gradient coefficient below `j` bitwise unchanged, for single inputs
+/// (pooled and sequential) and batches, both through lane panels.
 fn check_truncation_causality<C: Coeff + RandomCoeff>(seed: u64) {
     let (n, degree, batch_size) = (4, 6, 6);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -200,8 +200,8 @@ fn check_truncation_causality<C: Coeff + RandomCoeff>(seed: u64) {
         .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
         .collect();
     let engine = Engine::builder().threads(2).build();
-    // Four lanes over six instances: one lane group plus two scalar
-    // remainder instances.
+    // Four lanes: a batch of six packs each layer's 6·J pairs into panels
+    // plus a remainder, and a single input packs the layer's jobs.
     let options = EvalOptions::new().with_simd(SimdMode::ForceWidth(4));
     let plan = engine.compile_with_options(p, options);
     let base = plan.request(&batch).run().into_batch();

@@ -17,8 +17,8 @@
 //! hides in the parallel path.
 
 use psmd_core::{
-    random_inputs, try_newton_system, Engine, EvalOptions, Monomial, NewtonOptions, PolySource,
-    Polynomial,
+    random_inputs, random_polynomial, try_newton_system, Engine, EvalOptions, Monomial,
+    NewtonOptions, PolySource, Polynomial,
 };
 use psmd_multidouble::{Dd, Qd};
 use psmd_series::Series;
@@ -112,35 +112,41 @@ fn assert_zero_alloc_batch(label: &str) {
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
 }
 
-/// Like [`assert_zero_alloc_batch`], but pinning the SIMD lane mode and a
-/// batch size large enough to engage full lane groups *and* a scalar
-/// remainder: the lane-panel scratch must obey the same grow-once
-/// discipline as every other workspace buffer.  `source` is a single
-/// polynomial or a system (both batch through the same lane tier).
-fn assert_zero_alloc_batch_simd(
+/// Like [`assert_zero_alloc_batch`], but pinning the SIMD lane mode: the
+/// lane-panel scratch must obey the same grow-once discipline as every
+/// other workspace buffer.  `source` is a single polynomial or a system
+/// (both run the same lane panels); `batch` is `None` for one input vector,
+/// whose layers pack their jobs into panels, or a batch size.
+fn assert_zero_alloc_simd(
     simd: psmd_core::SimdMode,
     source: impl Into<PolySource<Qd>>,
+    batch: Option<usize>,
     label: &str,
 ) {
-    let batch_size = 2 * simd.lane_width() + 3;
     let engine = Engine::builder().threads(0).simd(simd).build();
     let plan = engine.compile(source);
     let mut rng = StdRng::seed_from_u64(13);
-    let batch: Vec<Vec<Series<Qd>>> = (0..batch_size)
+    let inputs: Vec<Vec<Series<Qd>>> = (0..batch.unwrap_or(1))
         .map(|_| random_inputs::<Qd, _>(6, SIMD_DEGREE, &mut rng))
         .collect();
-    let mut out = plan.request(&batch).run();
-    plan.request(&batch).into(&mut out).run();
-    let reference = plan.request(&batch).run();
+    let request = || match batch {
+        Some(_) => plan.request(&inputs),
+        None => plan.request(&inputs[0]),
+    };
+    let mut out = request().run();
+    request().into(&mut out).run();
+    let reference = request().run();
     let (allocs, deallocs, bytes) = measure(|| {
         for _ in 0..10 {
-            plan.request(&batch).into(&mut out).run();
+            request().into(&mut out).run();
         }
     });
     assert_eq!(allocs, 0, "{label}: steady-state allocations ({bytes} B)");
     assert_eq!(deallocs, 0, "{label}: steady-state deallocations");
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
-    assert_eq!(out.timings().simd_width, simd.lane_width(), "{label}");
+    // Every row runs at least one full panel at the resolved width.
+    let width = plan.options().simd.lane_width();
+    assert_eq!(out.timings().simd_width, width, "{label}");
 }
 
 /// Truncation degree of the SIMD zero-allocation rows.
@@ -197,35 +203,53 @@ fn steady_state_evaluation_is_allocation_free() {
     assert_zero_alloc_system("system");
 
     // The SIMD lane tier keeps the contract under every mode: the lane
-    // panels are workspace scratch, grown once and reused (batch sizes of
-    // 2W+3 run full lane groups plus a scalar remainder each iteration).
+    // panels are workspace scratch, grown once and reused.  Batch sizes of
+    // 2W+3 run full panels plus a scalar remainder each iteration; single
+    // input vectors pack the jobs of each layer into panels.
     use psmd_core::SimdMode;
-    let single = || paper_example(SIMD_DEGREE);
-    assert_zero_alloc_batch_simd(SimdMode::Scalar, single(), "batch/simd-scalar");
-    assert_zero_alloc_batch_simd(SimdMode::Auto, single(), "batch/simd-auto");
-    for width in SimdMode::SUPPORTED_WIDTHS {
-        let forced = SimdMode::ForceWidth(width);
-        assert_zero_alloc_batch_simd(forced, single(), "batch/simd-forced");
+    // Twelve monomials: a layer of at least 8 jobs, so one input vector
+    // fills a panel at every supported width.
+    let single = || {
+        let mut rng = StdRng::seed_from_u64(19);
+        random_polynomial::<Qd, _>(6, 12, 4, SIMD_DEGREE, &mut rng)
+    };
+    let system = || paper_system(SIMD_DEGREE);
+    let batch = |simd: SimdMode| Some(2 * simd.lane_width() + 3);
+    let scalar = SimdMode::Scalar;
+    assert_zero_alloc_simd(scalar, single(), batch(scalar), "batch/simd-scalar");
+    let forced = SimdMode::SUPPORTED_WIDTHS.map(SimdMode::ForceWidth);
+    for simd in std::iter::once(SimdMode::Auto).chain(forced) {
+        assert_zero_alloc_simd(simd, single(), None, "single/simd");
+        assert_zero_alloc_simd(simd, system(), None, "system/simd");
+        assert_zero_alloc_simd(simd, single(), batch(simd), "batch/simd");
     }
-    // System batches run the same lane groups under the same contract.
-    let system = paper_system(SIMD_DEGREE);
+    // System batches run the same panels under the same contract.
     let forced = SimdMode::ForceWidth(4);
-    assert_zero_alloc_batch_simd(forced, system, "system-batch/simd-forced");
+    assert_zero_alloc_simd(forced, system(), batch(forced), "system-batch/simd-forced");
 
     // The explicit-workspace path is allocation-free from the FIRST call:
-    // `create_workspace` pre-warms every buffer.
+    // `create_workspace` pre-warms every buffer, lane panels included.
     let d = 8;
-    let engine = Engine::builder().threads(0).build();
-    let plan = engine.compile(paper_example(d));
     let mut rng = StdRng::seed_from_u64(29);
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
-    let mut ws = plan.create_workspace();
-    let mut out = plan.request(&z).run();
-    let (allocs, deallocs, _) = measure(|| {
-        plan.request(&z).workspace(&mut ws).into(&mut out).run();
-    });
-    assert_eq!(allocs, 0, "explicit workspace: first-call allocations");
-    assert_eq!(deallocs, 0, "explicit workspace: first-call deallocations");
+    for simd in [
+        SimdMode::Auto,
+        SimdMode::ForceWidth(2),
+        SimdMode::ForceWidth(8),
+    ] {
+        let engine = Engine::builder().threads(0).simd(simd).build();
+        let plan = engine.compile(paper_example(d));
+        let mut ws = plan.create_workspace();
+        let mut out = plan.request(&z).run();
+        let (allocs, deallocs, _) = measure(|| {
+            plan.request(&z).workspace(&mut ws).into(&mut out).run();
+        });
+        assert_eq!(allocs, 0, "explicit workspace: first-call allocations");
+        assert_eq!(deallocs, 0, "explicit workspace: first-call deallocations");
+        let width = plan.options().simd.lane_width();
+        assert_eq!(out.timings().simd_width, width, "lanes engaged at {simd:?}");
+    }
+    let engine = Engine::builder().threads(0).build();
 
     // The direct-kernel ablation shares the same scratch discipline.
     let direct = engine.compile_with_options(
