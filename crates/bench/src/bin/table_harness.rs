@@ -71,7 +71,7 @@ use psmd_bench::{
 use psmd_bench::{measured_run, TimingRow};
 use psmd_core::{Engine, Polynomial, Schedule};
 use psmd_device::{gpu_by_key, max_degree, paper_gpus};
-use psmd_multidouble::{CostModel, Md, Precision};
+use psmd_multidouble::{CostModel, Dd, Md, Precision};
 use psmd_runtime::WorkerPool;
 use psmd_serve::json::Json;
 // The `workspace` report's instrument for its deterministic steady-state
@@ -757,9 +757,8 @@ fn workspace_report(opts: &Options) {
             // The deterministic zero-allocation gate: steady-state
             // the reused-output path on the inline engine must not touch the
             // allocator at all.
-            let plan =
-                alloc_engine.compile_any(poly.any_polynomial(Precision::D2, d, scale, opts.seed));
-            let inputs = poly.any_inputs(Precision::D2, d, scale, opts.seed);
+            let plan = alloc_engine.compile(poly.build_at::<Dd>(d, scale, opts.seed));
+            let inputs = poly.inputs_at::<Dd>(d, scale, opts.seed);
             let mut out = plan.request(&inputs).run();
             plan.request(&inputs).into(&mut out).run();
             let steady_allocs = count_allocs(|| {

@@ -10,7 +10,7 @@
 //! geometry).
 
 use psmd_core::{auto_kernel, ConvolutionKernel};
-use psmd_multidouble::{Coeff, Md, Precision, RandomCoeff};
+use psmd_multidouble::{with_precision, Coeff, Md, Precision, RandomCoeff};
 use psmd_series::{
     convolution_mults, convolve_fft, convolve_karatsuba, convolve_seq, fft_digit_bits,
     fft_digit_planes, fft_points, fft_scratch_f64_len, karatsuba_scratch_len, ConvAlgo,
@@ -136,15 +136,7 @@ fn ladder_row<const N: usize>(precision: Precision, degree: usize, seed: u64) ->
 /// operands at `(precision, degree)`, plus the `Auto` resolution and the
 /// deterministic structure numbers.
 pub fn kernel_ladder_row(precision: Precision, degree: usize, seed: u64) -> KernelLadderRow {
-    match precision {
-        Precision::D1 => ladder_row::<1>(precision, degree, seed),
-        Precision::D2 => ladder_row::<2>(precision, degree, seed),
-        Precision::D3 => ladder_row::<3>(precision, degree, seed),
-        Precision::D4 => ladder_row::<4>(precision, degree, seed),
-        Precision::D5 => ladder_row::<5>(precision, degree, seed),
-        Precision::D8 => ladder_row::<8>(precision, degree, seed),
-        Precision::D10 => ladder_row::<10>(precision, degree, seed),
-    }
+    with_precision!(precision, N => ladder_row::<N>(precision, degree, seed))
 }
 
 /// The degrees the kernel-ladder report sweeps: the paper's degrees of

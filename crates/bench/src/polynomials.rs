@@ -11,10 +11,8 @@
 //! practice the coefficients are random, well-conditioned series drawn from a
 //! seeded generator, which makes every run reproducible.
 
-use psmd_core::{
-    banded_supports, combinations, polynomial_with_supports, AnyInputs, AnyPolySource, Polynomial,
-};
-use psmd_multidouble::{Coeff, Md, Precision, RandomCoeff};
+use psmd_core::{banded_supports, combinations, polynomial_with_supports, Polynomial};
+use psmd_multidouble::{Coeff, RandomCoeff};
 use psmd_series::Series;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,46 +24,6 @@ pub enum Scale {
     Reduced,
     /// The full polynomial exactly as in the paper.
     Full,
-}
-
-/// Instantiates `$body` at the concrete `Md<N>` coefficient type matching a
-/// runtime [`Precision`] value and converts the result into its
-/// precision-erased `Any*` wrapper.  This is the one place the harness
-/// monomorphizes over the precision: everything downstream works on
-/// [`AnyPolySource`]/[`AnyInputs`]/`AnyPlan` values.
-macro_rules! at_precision {
-    ($precision:expr, $C:ident => $body:expr) => {
-        match $precision {
-            Precision::D1 => {
-                type $C = Md<1>;
-                $body.into()
-            }
-            Precision::D2 => {
-                type $C = Md<2>;
-                $body.into()
-            }
-            Precision::D3 => {
-                type $C = Md<3>;
-                $body.into()
-            }
-            Precision::D4 => {
-                type $C = Md<4>;
-                $body.into()
-            }
-            Precision::D5 => {
-                type $C = Md<5>;
-                $body.into()
-            }
-            Precision::D8 => {
-                type $C = Md<8>;
-                $body.into()
-            }
-            Precision::D10 => {
-                type $C = Md<10>;
-                $body.into()
-            }
-        }
-    };
 }
 
 /// Identifier of one of the paper's test polynomials.
@@ -251,79 +209,6 @@ impl TestPolynomial {
             Scale::Full => self.inputs(degree, seed),
         }
     }
-
-    /// The polynomial as a precision-erased engine source: the precision is
-    /// picked with a runtime [`Precision`] value instead of a type
-    /// parameter.
-    pub fn any_polynomial(
-        &self,
-        precision: Precision,
-        degree: usize,
-        scale: Scale,
-        seed: u64,
-    ) -> AnyPolySource {
-        at_precision!(precision, C => self.build_at::<C>(degree, scale, seed))
-    }
-
-    /// A system of `equations` polynomials (independent coefficients per
-    /// equation) as one precision-erased engine source.
-    pub fn any_system(
-        &self,
-        precision: Precision,
-        equations: usize,
-        degree: usize,
-        scale: Scale,
-        seed: u64,
-    ) -> AnyPolySource {
-        at_precision!(precision, C => match scale {
-            Scale::Reduced => self.build_reduced_system::<C>(equations, degree, seed),
-            Scale::Full => self.build_system::<C>(equations, degree, seed),
-        })
-    }
-
-    /// The equations of [`Self::any_system`] as individual single-polynomial
-    /// sources (same per-equation seeds, so the polynomials match the fused
-    /// system exactly) — for looped per-equation comparisons.
-    pub fn any_system_equations(
-        &self,
-        precision: Precision,
-        equations: usize,
-        degree: usize,
-        scale: Scale,
-        seed: u64,
-    ) -> Vec<AnyPolySource> {
-        (0..equations)
-            .map(|e| {
-                self.any_polynomial(precision, degree, scale, seed.wrapping_add(7919 * e as u64))
-            })
-            .collect()
-    }
-
-    /// One input-series vector as precision-erased engine inputs.
-    pub fn any_inputs(
-        &self,
-        precision: Precision,
-        degree: usize,
-        scale: Scale,
-        seed: u64,
-    ) -> AnyInputs {
-        at_precision!(precision, C => self.inputs_at::<C>(degree, scale, seed))
-    }
-
-    /// A whole batch of input-series vectors (one per seed) as
-    /// precision-erased engine inputs.
-    pub fn any_batch_inputs(
-        &self,
-        precision: Precision,
-        degree: usize,
-        scale: Scale,
-        seeds: &[u64],
-    ) -> AnyInputs {
-        at_precision!(precision, C => seeds
-            .iter()
-            .map(|&s| self.inputs_at::<C>(degree, scale, s))
-            .collect::<Vec<_>>())
-    }
 }
 
 /// The degrees used in the paper's scalability tables (Tables 5-7).
@@ -418,24 +303,17 @@ mod tests {
     }
 
     #[test]
-    fn any_constructors_dispatch_on_the_precision_value() {
-        let engine = psmd_core::Engine::builder().threads(0).build();
-        for precision in [Precision::D1, Precision::D4, Precision::D10] {
-            let source = TestPolynomial::P1.any_polynomial(precision, 2, Scale::Reduced, 7);
-            assert_eq!(source.precision(), precision);
-            let plan = engine.compile_any(source);
-            assert_eq!(plan.precision(), precision);
-            let inputs = TestPolynomial::P1.any_inputs(precision, 2, Scale::Reduced, 7);
-            let out = plan.request(&inputs).run();
-            assert_eq!(out.precision(), precision);
+    fn system_equations_are_the_single_polynomials_at_their_seeds() {
+        // The equations of a system are the single polynomials at seeds
+        // 7919 apart, so the fused plan and per-equation plans of the same
+        // system describe the same mathematics.
+        let system: Vec<Polynomial<Dd>> = TestPolynomial::P1.build_reduced_system(3, 2, 5);
+        for (e, equation) in system.iter().enumerate() {
+            let single: Polynomial<Dd> = TestPolynomial::P1.build_reduced(2, 5 + 7919 * e as u64);
+            assert_eq!(equation, &single);
         }
-        // The split system equations reproduce the fused system's
-        // polynomials (same seeds), so the fused plan and the per-equation
-        // plans describe the same mathematics.
-        let fused = TestPolynomial::P1.any_system(Precision::D2, 3, 2, Scale::Reduced, 5);
-        let split = TestPolynomial::P1.any_system_equations(Precision::D2, 3, 2, Scale::Reduced, 5);
-        assert_eq!(split.len(), 3);
-        let fused_stats = engine.compile_any(fused).stats();
+        let engine = psmd_core::Engine::builder().threads(0).build();
+        let fused_stats = engine.compile(system).stats();
         assert_eq!(fused_stats.equations, 3);
         assert_eq!(fused_stats.total_monomials, 3 * 210);
     }

@@ -2,23 +2,24 @@
 //! tables and figures.
 //!
 //! A *measured* run compiles the polynomial into an engine
-//! [`AnyPlan`](psmd_core::AnyPlan) and
+//! [`Plan`](psmd_core::Plan) and
 //! executes it on the engine's worker pool, reporting the same four times
 //! the paper reports (convolution kernels, addition kernels, their sum, wall
 //! clock).  A *modeled* run feeds the launch structure of the schedule into
 //! the analytic device model of `psmd-device` and reports the predicted
 //! times for one of the paper's five GPUs.
 //!
-//! Every measured driver is **value-level**: the precision is a runtime
-//! [`Precision`] argument dispatched through the engine's precision-erased
-//! plans, not a monomorphization macro at each call site.
+//! Every measured driver takes the precision as a runtime [`Precision`]
+//! argument and turns it into its `Md<N>` type once, with
+//! [`with_precision!`], before running a generic body.
 
 pub use crate::polynomials::Scale;
 use crate::polynomials::TestPolynomial;
 use psmd_core::{workload_shape, Engine, Polynomial, Schedule};
 use psmd_device::{model_evaluation, GpuSpec, WorkloadShape};
-use psmd_multidouble::{CostModel, Md, Precision};
+use psmd_multidouble::{with_precision, Coeff, CostModel, Md, Precision, RandomCoeff};
 use psmd_runtime::KernelTimings;
+use psmd_series::Series;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -121,8 +122,8 @@ pub fn modeled_double_ops(
 }
 
 /// Measures one run of a test polynomial on the engine at the given
-/// precision: one `compile_any` (free after the first call thanks to the
-/// plan cache), one evaluation on the engine's pool.
+/// precision: one compile (free after the first call thanks to the plan
+/// cache), one evaluation on the engine's pool.
 pub fn measured_run(
     engine: &Engine,
     poly: TestPolynomial,
@@ -131,9 +132,24 @@ pub fn measured_run(
     scale: Scale,
     seed: u64,
 ) -> TimingRow {
-    let plan = engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
-    let inputs = poly.any_inputs(precision, degree, scale, seed);
-    TimingRow::from(plan.request(&inputs).run().timings())
+    with_precision!(precision, N => {
+        let plan = engine.compile(poly.build_at::<Md<N>>(degree, scale, seed));
+        let inputs = poly.inputs_at::<Md<N>>(degree, scale, seed);
+        TimingRow::from(plan.request(&inputs).run().timings())
+    })
+}
+
+/// `batch` input-series vectors, at the consecutive seeds from `seed` on.
+fn batch_inputs<C: Coeff + RandomCoeff>(
+    poly: TestPolynomial,
+    degree: usize,
+    scale: Scale,
+    batch: usize,
+    seed: u64,
+) -> Vec<Vec<Series<C>>> {
+    (0..batch)
+        .map(|i| poly.inputs_at(degree, scale, seed.wrapping_add(i as u64)))
+        .collect()
 }
 
 /// One measured comparison of the batched engine against per-polynomial
@@ -165,17 +181,25 @@ pub fn batched_comparison(
     batch: usize,
     seed: u64,
 ) -> BatchComparison {
-    let plan = engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
-    let seeds: Vec<u64> = (0..batch).map(|i| seed.wrapping_add(i as u64)).collect();
-    let batch_inputs = poly.any_batch_inputs(precision, degree, scale, &seeds);
-    let batched_eval = plan.request(&batch_inputs).run();
+    with_precision!(precision, N => {
+        batched_comparison_at::<Md<N>>(engine, poly, degree, scale, batch, seed)
+    })
+}
+
+fn batched_comparison_at<C: Coeff + RandomCoeff>(
+    engine: &Engine,
+    poly: TestPolynomial,
+    degree: usize,
+    scale: Scale,
+    batch: usize,
+    seed: u64,
+) -> BatchComparison {
+    let plan = engine.compile(poly.build_at::<C>(degree, scale, seed));
+    let per_instance = batch_inputs::<C>(poly, degree, scale, batch, seed);
+    let batched_eval = plan.request(&per_instance).run();
     let batched = TimingRow::from(batched_eval.timings());
     let batched_launches =
         batched_eval.timings().convolution_launches + batched_eval.timings().addition_launches;
-    let per_instance: Vec<_> = seeds
-        .iter()
-        .map(|&s| poly.any_inputs(precision, degree, scale, s))
-        .collect();
     let mut looped = KernelTimings::new();
     for z in &per_instance {
         looped.merge(plan.request(z).run().timings());
@@ -228,21 +252,32 @@ pub fn simd_comparison(
     width: usize,
     seed: u64,
 ) -> SimdComparison {
+    with_precision!(precision, N => {
+        simd_comparison_at::<Md<N>>(poly, degree, scale, batch, width, seed)
+    })
+}
+
+fn simd_comparison_at<C: Coeff + RandomCoeff>(
+    poly: TestPolynomial,
+    degree: usize,
+    scale: Scale,
+    batch: usize,
+    width: usize,
+    seed: u64,
+) -> SimdComparison {
     use psmd_core::{EvalOptions, SimdMode};
-    let seeds: Vec<u64> = (0..batch).map(|i| seed.wrapping_add(i as u64)).collect();
-    let batch_inputs = poly.any_batch_inputs(precision, degree, scale, &seeds);
+    let batch_inputs = batch_inputs::<C>(poly, degree, scale, batch, seed);
     let engine_with = |simd: SimdMode| {
         Engine::builder()
             .options(EvalOptions::new().with_simd(simd))
             .build()
     };
     let scalar_engine = engine_with(SimdMode::Scalar);
-    let scalar_plan =
-        scalar_engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
+    let scalar_plan = scalar_engine.compile(poly.build_at::<C>(degree, scale, seed));
     let scalar_eval = scalar_plan.request(&batch_inputs).run();
     let scalar = TimingRow::from(scalar_eval.timings());
     let lane_engine = engine_with(SimdMode::ForceWidth(width));
-    let lane_plan = lane_engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
+    let lane_plan = lane_engine.compile(poly.build_at::<C>(degree, scale, seed));
     let lane_eval = lane_plan.request(&batch_inputs).run();
     SimdComparison {
         width,
@@ -290,16 +325,33 @@ pub fn system_comparison(
     equations: usize,
     seed: u64,
 ) -> SystemComparison {
-    let fused_plan = engine.compile_any(poly.any_system(precision, equations, degree, scale, seed));
-    let inputs = poly.any_inputs(precision, degree, scale, seed);
+    with_precision!(precision, N => {
+        system_comparison_at::<Md<N>>(engine, poly, degree, scale, equations, seed)
+    })
+}
+
+fn system_comparison_at<C: Coeff + RandomCoeff>(
+    engine: &Engine,
+    poly: TestPolynomial,
+    degree: usize,
+    scale: Scale,
+    equations: usize,
+    seed: u64,
+) -> SystemComparison {
+    let system: Vec<Polynomial<C>> = match scale {
+        Scale::Reduced => poly.build_reduced_system(equations, degree, seed),
+        Scale::Full => poly.build_system(equations, degree, seed),
+    };
+    let fused_plan = engine.compile(system.clone());
+    let inputs = poly.inputs_at::<C>(degree, scale, seed);
     let fused_eval = fused_plan.request(&inputs).run();
     let fused = TimingRow::from(fused_eval.timings());
     let fused_launches =
         fused_eval.timings().convolution_launches + fused_eval.timings().addition_launches;
     let mut looped = KernelTimings::new();
     let mut sequential = KernelTimings::new();
-    for source in poly.any_system_equations(precision, equations, degree, scale, seed) {
-        let plan = engine.compile_any(source);
+    for equation in system {
+        let plan = engine.compile(equation);
         looped.merge(plan.request(&inputs).run().timings());
         sequential.merge(plan.request(&inputs).sequential().run().timings());
     }
@@ -352,16 +404,29 @@ pub fn engine_amortization(
     seed: u64,
 ) -> EngineAmortization {
     assert!(evals > 0, "need at least one evaluation");
+    with_precision!(precision, N => {
+        engine_amortization_at::<Md<N>>(engine, poly, degree, scale, evals, seed)
+    })
+}
+
+fn engine_amortization_at<C: Coeff + RandomCoeff>(
+    engine: &Engine,
+    poly: TestPolynomial,
+    degree: usize,
+    scale: Scale,
+    evals: usize,
+    seed: u64,
+) -> EngineAmortization {
     let hits_before = engine.cache_stats().hits;
     let start = Instant::now();
-    let plan = engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
+    let plan = engine.compile(poly.build_at::<C>(degree, scale, seed));
     let compile_ms = start.elapsed().as_secs_f64() * 1e3;
     let start = Instant::now();
-    let again = engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
+    let again = engine.compile(poly.build_at::<C>(degree, scale, seed));
     let cached_compile_ms = start.elapsed().as_secs_f64() * 1e3;
     let cache_hits = (engine.cache_stats().hits - hits_before) as usize;
     drop(again);
-    let inputs = poly.any_inputs(precision, degree, scale, seed);
+    let inputs = poly.inputs_at::<C>(degree, scale, seed);
     let mut first_eval_ms = 0.0;
     let mut total_ms = 0.0;
     let mut rendezvous_per_eval = 0;
@@ -421,8 +486,21 @@ pub fn workspace_comparison(
     seed: u64,
 ) -> WorkspaceComparison {
     assert!(evals > 0, "need at least one evaluation");
-    let plan = engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
-    let inputs = poly.any_inputs(precision, degree, scale, seed);
+    with_precision!(precision, N => {
+        workspace_comparison_at::<Md<N>>(engine, poly, degree, scale, evals, seed)
+    })
+}
+
+fn workspace_comparison_at<C: Coeff + RandomCoeff>(
+    engine: &Engine,
+    poly: TestPolynomial,
+    degree: usize,
+    scale: Scale,
+    evals: usize,
+    seed: u64,
+) -> WorkspaceComparison {
+    let plan = engine.compile(poly.build_at::<C>(degree, scale, seed));
+    let inputs = poly.inputs_at::<C>(degree, scale, seed);
     let start = Instant::now();
     let mut out = plan.request(&inputs).run();
     let cold_ms = start.elapsed().as_secs_f64() * 1e3;

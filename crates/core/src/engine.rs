@@ -6,8 +6,8 @@
 //! evaluation is the cheap, endlessly repeated part.  The engine makes that
 //! split explicit and production-shaped:
 //!
-//! * [`EngineBuilder`] configures precision, kernel, SIMD mode and thread
-//!   count once; [`Engine`] owns its [`WorkerPool`] and is
+//! * [`EngineBuilder`] configures kernel, SIMD mode and thread count
+//!   once; [`Engine`] owns its [`WorkerPool`] and is
 //!   `Send + Sync`.
 //! * [`Engine::compile`] turns a [`PolySource`] (a single polynomial or a
 //!   system) into an [`Arc<Plan>`]: an **owned** (`'static`) compiled
@@ -25,9 +25,10 @@
 //!   full kernel timings, including the pool rendezvous paid by the run.
 //!   (The historical `evaluate*` method family has been removed; the
 //!   request builder is the only entry point.)
-//! * [`AnyPlan`] erases the coefficient type behind a [`Precision`] tag, so
-//!   non-generic callers — the bench harness, servers — pick the precision
-//!   with a *value* instead of monomorphizing through a macro.
+//! * The coefficient type fixes the precision.  A caller holding a runtime
+//!   [`Precision`](psmd_multidouble::Precision) value turns it into its
+//!   `Md<N>` type once, with
+//!   [`psmd_multidouble::with_precision!`], and compiles a typed plan.
 //! * Evaluation memory lives in pooled [`Workspace`]s (see
 //!   [`crate::workspace`]): a bare `plan.request(&z).run()` transparently
 //!   checks one out of the engine's lock-free pool, and the builder's
@@ -71,14 +72,13 @@
 use crate::batch::BatchEvaluation;
 use crate::error::Error;
 use crate::evaluate::{evaluate_into, Evaluation};
-use crate::monomial::Monomial;
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
 use crate::schedule::Schedule;
 use crate::system::{SystemBatchEvaluation, SystemEvaluation};
 use crate::workspace::{Workspace, WorkspacePool};
 use parking_lot::Mutex;
-use psmd_multidouble::{Coeff, Md, Precision};
+use psmd_multidouble::Coeff;
 use psmd_runtime::{CancelToken, KernelTimings, WorkerPool};
 use psmd_series::Series;
 use std::any::{Any, TypeId};
@@ -212,16 +212,22 @@ impl CoeffBits {
         bits
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.buf[..self.len]
     }
 }
 
+// `#[inline]` keeps these callable inline from the crates that instantiate
+// `coeff_bits_eq::<C>`; an opaque call per limb doubled the cost of a
+// plan-cache hit compiled outside this crate.
 impl Hasher for CoeffBits {
+    #[inline]
     fn finish(&self) -> u64 {
         0
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let end = self.len + bytes.len();
         debug_assert!(end <= self.buf.len(), "coefficient exceeds the bit buffer");
@@ -909,32 +915,20 @@ impl PlanCache {
 /// Configures and builds an [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
-    precision: Precision,
     options: EvalOptions,
     threads: Option<usize>,
     plan_cache_capacity: usize,
 }
 
 impl EngineBuilder {
-    /// The default configuration: double-double precision, direct kernel,
-    /// auto-detected SIMD lanes, `PSMD_THREADS`/hardware-sized pool, 64
-    /// cached plans.
+    /// The default configuration: direct kernel, auto-detected SIMD lanes,
+    /// `PSMD_THREADS`/hardware-sized pool, 64 cached plans.
     pub fn new() -> Self {
         Self {
-            precision: Precision::D2,
             options: EvalOptions::default(),
             threads: None,
             plan_cache_capacity: 64,
         }
-    }
-
-    /// Sets the engine's default [`Precision`] — used by the value-level
-    /// (dyn-erased) entry points such as [`Engine::compile_single_f64`].
-    /// Typed [`Engine::compile`] calls fix the precision through their
-    /// coefficient type instead.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// Sets the convolution kernel variant of compiled plans.
@@ -1020,7 +1014,6 @@ impl EngineBuilder {
         Ok(Engine {
             pool: Arc::new(WorkerPool::new(threads)),
             options: self.options,
-            precision: self.precision,
             cache: Mutex::new(PlanCache::new(self.plan_cache_capacity)),
             workspaces: Mutex::new(HashMap::new()),
         })
@@ -1049,7 +1042,6 @@ impl Default for EngineBuilder {
 pub struct Engine {
     pool: Arc<WorkerPool>,
     options: EvalOptions,
-    precision: Precision,
     cache: Mutex<PlanCache>,
     /// One lock-free workspace pool per coefficient type, shared by every
     /// plan of that precision (the registry lock is taken at compile time
@@ -1086,11 +1078,6 @@ impl Engine {
     /// The default evaluation options of compiled plans.
     pub fn options(&self) -> EvalOptions {
         self.options
-    }
-
-    /// The default precision of the value-level entry points.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Compiles a polynomial source into an owned, shareable plan using the
@@ -1253,27 +1240,6 @@ impl Engine {
     pub fn clear_plan_cache(&self) {
         self.cache.lock().entries.clear();
     }
-
-    /// Compiles a single polynomial given as plain doubles at the engine's
-    /// default [`Precision`] — the fully value-level entry point for callers
-    /// (servers, FFI) that never see a coefficient type.  Each monomial is a
-    /// `(coefficient, variables)` pair; constant and coefficients are
-    /// embedded at the selected precision.
-    pub fn compile_single_f64(
-        &self,
-        num_variables: usize,
-        degree: usize,
-        constant: f64,
-        monomials: &[(f64, Vec<usize>)],
-    ) -> AnyPlan {
-        self.compile_any(AnyPolySource::single_from_f64(
-            self.precision,
-            num_variables,
-            degree,
-            constant,
-            monomials,
-        ))
-    }
 }
 
 impl Default for Engine {
@@ -1325,448 +1291,11 @@ fn validate_source<C: Coeff>(source: &PolySource<C>) -> Result<(), Error> {
     }
 }
 
-fn single_poly_from_f64<C: Coeff>(
-    num_variables: usize,
-    degree: usize,
-    constant: f64,
-    monomials: &[(f64, Vec<usize>)],
-) -> Polynomial<C> {
-    Polynomial::new(
-        num_variables,
-        Series::constant(C::from_f64(constant), degree),
-        monomials
-            .iter()
-            .map(|(coefficient, variables)| {
-                Monomial::new(
-                    Series::constant(C::from_f64(*coefficient), degree),
-                    variables.clone(),
-                )
-            })
-            .collect(),
-    )
-}
-
-/// Owned evaluation inputs for the precision-erased API (the borrowed
-/// [`Inputs`] enum needs a lifetime, which a value-level handle cannot
-/// carry).
-#[derive(Debug, Clone)]
-pub enum OwnedInputs<C> {
-    /// One vector of input series.
-    Single(Vec<Series<C>>),
-    /// Many independent input vectors.
-    Batch(Vec<Vec<Series<C>>>),
-}
-
-impl<C: Coeff> OwnedInputs<C> {
-    /// Borrows the owned inputs as the unified [`Inputs`] view.
-    pub fn as_inputs(&self) -> Inputs<'_, C> {
-        match self {
-            OwnedInputs::Single(z) => Inputs::Single(z),
-            OwnedInputs::Batch(b) => Inputs::Batch(b),
-        }
-    }
-}
-
-macro_rules! define_any_api {
-    ($(($variant:ident, $limbs:literal)),+ $(,)?) => {
-        /// A [`PolySource`] whose precision is a run-time [`Precision`]
-        /// value: one variant per `Md<N>` instantiation of the paper.
-        #[derive(Debug, Clone)]
-        pub enum AnyPolySource {
-            $(
-                #[doc = concat!("A source over `Md<", stringify!($limbs), ">` (`", stringify!($variant), "`).")]
-                $variant(PolySource<Md<$limbs>>),
-            )+
-        }
-
-        /// Owned inputs whose precision is a run-time [`Precision`] value.
-        #[derive(Debug, Clone)]
-        pub enum AnyInputs {
-            $(
-                #[doc = concat!("Inputs over `Md<", stringify!($limbs), ">` (`", stringify!($variant), "`).")]
-                $variant(OwnedInputs<Md<$limbs>>),
-            )+
-        }
-
-        /// A compiled plan whose precision is a run-time [`Precision`]
-        /// value — the dyn-erased handle non-generic callers evaluate
-        /// through.  Cloning clones the inner `Arc`.
-        #[derive(Clone)]
-        pub enum AnyPlan {
-            $(
-                #[doc = concat!("A plan over `Md<", stringify!($limbs), ">` (`", stringify!($variant), "`).")]
-                $variant(Arc<Plan<Md<$limbs>>>),
-            )+
-        }
-
-        /// An evaluation result whose precision is a run-time
-        /// [`Precision`] value.
-        #[derive(Debug, Clone)]
-        pub enum AnyEvalOutput {
-            $(
-                #[doc = concat!("Output over `Md<", stringify!($limbs), ">` (`", stringify!($variant), "`).")]
-                $variant(EvalOutput<Md<$limbs>>),
-            )+
-        }
-
-        impl AnyPolySource {
-            /// The precision tag of the source.
-            pub fn precision(&self) -> Precision {
-                match self {
-                    $( AnyPolySource::$variant(_) => Precision::$variant, )+
-                }
-            }
-
-            /// Builds a single-polynomial source from plain doubles at a
-            /// run-time precision: each monomial is a `(coefficient,
-            /// variables)` pair.
-            pub fn single_from_f64(
-                precision: Precision,
-                num_variables: usize,
-                degree: usize,
-                constant: f64,
-                monomials: &[(f64, Vec<usize>)],
-            ) -> Self {
-                match precision {
-                    $(
-                        Precision::$variant => AnyPolySource::$variant(PolySource::Single(
-                            single_poly_from_f64::<Md<$limbs>>(
-                                num_variables,
-                                degree,
-                                constant,
-                                monomials,
-                            ),
-                        )),
-                    )+
-                }
-            }
-        }
-
-        impl AnyInputs {
-            /// The precision tag of the inputs.
-            pub fn precision(&self) -> Precision {
-                match self {
-                    $( AnyInputs::$variant(_) => Precision::$variant, )+
-                }
-            }
-
-            /// Builds one input-series vector from plain doubles at a
-            /// run-time precision (`series[v]` holds the coefficients of
-            /// variable `v`, constant term first).
-            pub fn single_from_f64(precision: Precision, series: &[Vec<f64>]) -> Self {
-                match precision {
-                    $(
-                        Precision::$variant => AnyInputs::$variant(OwnedInputs::Single(
-                            series.iter().map(|coeffs| Series::from_f64_coeffs(coeffs)).collect(),
-                        )),
-                    )+
-                }
-            }
-        }
-
-        impl AnyPlan {
-            /// The precision tag of the plan.
-            pub fn precision(&self) -> Precision {
-                match self {
-                    $( AnyPlan::$variant(_) => Precision::$variant, )+
-                }
-            }
-
-            /// Structure counts of the compiled schedule (cheap; see
-            /// [`Plan::stats`]).
-            pub fn stats(&self) -> PlanStats {
-                match self {
-                    $( AnyPlan::$variant(plan) => plan.stats(), )+
-                }
-            }
-
-            /// The compiled job schedule (always `Some`; see
-            /// [`Plan::schedule`]).
-            pub fn schedule(&self) -> Option<&Schedule> {
-                match self {
-                    $( AnyPlan::$variant(plan) => plan.schedule(), )+
-                }
-            }
-
-            /// The options the plan was compiled with.
-            pub fn options(&self) -> EvalOptions {
-                match self {
-                    $( AnyPlan::$variant(plan) => plan.options(), )+
-                }
-            }
-
-            /// Starts a precision-erased evaluation request — the
-            /// [`AnyPlan`] mirror of [`Plan::request`].  The returned
-            /// [`AnyEvalRequest`] supports the same stages minus the typed
-            /// workspace binding (workspaces carry the coefficient type;
-            /// erased callers rely on the engine's pooled workspaces).
-            pub fn request<'r>(&'r self, inputs: &'r AnyInputs) -> AnyEvalRequest<'r> {
-                AnyEvalRequest {
-                    plan: self,
-                    inputs,
-                    parallel: true,
-                }
-            }
-
-        }
-
-        /// A configured precision-erased evaluation: what
-        /// [`AnyPlan::request`] returns.  Runs parallel with pooled
-        /// memory by default; [`AnyEvalRequest::sequential`] pins the run
-        /// to the calling thread and [`AnyEvalRequest::into`] binds an
-        /// output buffer for reuse.
-        #[must_use = "an evaluation request does nothing until `run()`"]
-        pub struct AnyEvalRequest<'r> {
-            plan: &'r AnyPlan,
-            inputs: &'r AnyInputs,
-            parallel: bool,
-        }
-
-        impl<'r> AnyEvalRequest<'r> {
-            /// Runs on the calling thread only — bitwise identical to the
-            /// pooled run.
-            pub fn sequential(mut self) -> Self {
-                self.parallel = false;
-                self
-            }
-
-            /// Binds an existing [`AnyEvalOutput`] for the result, reusing
-            /// its buffers: with a warm output of the matching precision
-            /// and shape, the run performs zero heap allocations.  An
-            /// output of another precision (or shape) is replaced.
-            pub fn into(self, out: &'r mut AnyEvalOutput) -> BoundAnyEvalRequest<'r> {
-                BoundAnyEvalRequest { request: self, out }
-            }
-
-            /// Executes the request and returns a freshly built output.
-            ///
-            /// # Panics
-            ///
-            /// Panics when the inputs carry a different precision tag than
-            /// the plan, and in the same cases as [`EvalRequest::run`].
-            pub fn run(self) -> AnyEvalOutput {
-                match (self.plan, self.inputs) {
-                    $(
-                        (AnyPlan::$variant(plan), AnyInputs::$variant(inputs)) => {
-                            let request = plan.request(inputs.as_inputs());
-                            let request = if self.parallel {
-                                request
-                            } else {
-                                request.sequential()
-                            };
-                            AnyEvalOutput::$variant(request.run())
-                        }
-                    )+
-                    (plan, inputs) => panic!(
-                        "precision mismatch: the plan is {} but the inputs are {}",
-                        plan.precision(),
-                        inputs.precision()
-                    ),
-                }
-            }
-        }
-
-        /// An [`AnyEvalRequest`] bound to a caller-owned output buffer
-        /// (see [`AnyEvalRequest::into`]).
-        #[must_use = "an evaluation request does nothing until `run()`"]
-        pub struct BoundAnyEvalRequest<'r> {
-            request: AnyEvalRequest<'r>,
-            out: &'r mut AnyEvalOutput,
-        }
-
-        impl<'r> BoundAnyEvalRequest<'r> {
-            /// Runs on the calling thread only (see
-            /// [`AnyEvalRequest::sequential`]).
-            pub fn sequential(mut self) -> Self {
-                self.request.parallel = false;
-                self
-            }
-
-            /// Executes the request into the bound output.
-            ///
-            /// # Panics
-            ///
-            /// Panics in the same cases as [`AnyEvalRequest::run`].
-            pub fn run(self) {
-                match (self.request.plan, self.request.inputs) {
-                    $(
-                        (AnyPlan::$variant(plan), AnyInputs::$variant(inputs)) => {
-                            if let AnyEvalOutput::$variant(out) = self.out {
-                                let request = plan.request(inputs.as_inputs()).into(out);
-                                let request = if self.request.parallel {
-                                    request
-                                } else {
-                                    request.sequential()
-                                };
-                                request.run();
-                            } else {
-                                let request = plan.request(inputs.as_inputs());
-                                let request = if self.request.parallel {
-                                    request
-                                } else {
-                                    request.sequential()
-                                };
-                                *self.out = AnyEvalOutput::$variant(request.run());
-                            }
-                        }
-                    )+
-                    (plan, inputs) => panic!(
-                        "precision mismatch: the plan is {} but the inputs are {}",
-                        plan.precision(),
-                        inputs.precision()
-                    ),
-                }
-            }
-        }
-
-        impl AnyEvalOutput {
-            /// The precision tag of the output.
-            pub fn precision(&self) -> Precision {
-                match self {
-                    $( AnyEvalOutput::$variant(_) => Precision::$variant, )+
-                }
-            }
-
-            /// The kernel timings of the run.
-            pub fn timings(&self) -> &KernelTimings {
-                match self {
-                    $( AnyEvalOutput::$variant(out) => out.timings(), )+
-                }
-            }
-
-            /// True when both outputs share a precision tag and are bitwise
-            /// identical (see [`EvalOutput::bitwise_eq`]).
-            pub fn bitwise_eq(&self, other: &AnyEvalOutput) -> bool {
-                match (self, other) {
-                    $(
-                        (AnyEvalOutput::$variant(a), AnyEvalOutput::$variant(b)) => a.bitwise_eq(b),
-                    )+
-                    _ => false,
-                }
-            }
-
-            /// The value series of a single evaluation rounded to doubles
-            /// (for display and transport), if this is a single output.
-            pub fn single_value_f64(&self) -> Option<Vec<f64>> {
-                match self {
-                    $(
-                        AnyEvalOutput::$variant(out) => out
-                            .as_single()
-                            .map(|e| e.value.coeffs().iter().map(|c| c.to_f64()).collect()),
-                    )+
-                }
-            }
-        }
-
-        impl Engine {
-            /// Compiles a precision-erased source with the engine's default
-            /// options; the returned [`AnyPlan`] carries the source's
-            /// precision tag.  Shares the same plan cache as the typed
-            /// [`Engine::compile`].
-            ///
-            /// # Panics
-            ///
-            /// Panics on a structurally invalid source — see
-            /// [`Engine::try_compile_any`].
-            pub fn compile_any(&self, source: AnyPolySource) -> AnyPlan {
-                self.compile_any_with_options(source, self.options)
-            }
-
-            /// Like [`Engine::compile_any`] with per-plan option overrides.
-            ///
-            /// # Panics
-            ///
-            /// Panics on a structurally invalid source — see
-            /// [`Engine::try_compile_any_with_options`].
-            pub fn compile_any_with_options(
-                &self,
-                source: AnyPolySource,
-                options: EvalOptions,
-            ) -> AnyPlan {
-                match self.try_compile_any_with_options(source, options) {
-                    Ok(plan) => plan,
-                    Err(e) => panic!("{e}"),
-                }
-            }
-
-            /// The fallible form of [`Engine::compile_any`]: a
-            /// structurally invalid source becomes a [`crate::Error`]
-            /// instead of a panic.
-            pub fn try_compile_any(&self, source: AnyPolySource) -> Result<AnyPlan, Error> {
-                self.try_compile_any_with_options(source, self.options)
-            }
-
-            /// Like [`Engine::try_compile_any`] with per-plan option
-            /// overrides.
-            pub fn try_compile_any_with_options(
-                &self,
-                source: AnyPolySource,
-                options: EvalOptions,
-            ) -> Result<AnyPlan, Error> {
-                match source {
-                    $(
-                        AnyPolySource::$variant(source) => {
-                            Ok(AnyPlan::$variant(self.try_compile_with_options(source, options)?))
-                        }
-                    )+
-                }
-            }
-        }
-
-        $(
-            impl From<PolySource<Md<$limbs>>> for AnyPolySource {
-                fn from(source: PolySource<Md<$limbs>>) -> Self {
-                    AnyPolySource::$variant(source)
-                }
-            }
-
-            impl From<Polynomial<Md<$limbs>>> for AnyPolySource {
-                fn from(poly: Polynomial<Md<$limbs>>) -> Self {
-                    AnyPolySource::$variant(PolySource::Single(poly))
-                }
-            }
-
-            impl From<Vec<Polynomial<Md<$limbs>>>> for AnyPolySource {
-                fn from(polys: Vec<Polynomial<Md<$limbs>>>) -> Self {
-                    AnyPolySource::$variant(PolySource::System(polys))
-                }
-            }
-
-            impl From<OwnedInputs<Md<$limbs>>> for AnyInputs {
-                fn from(inputs: OwnedInputs<Md<$limbs>>) -> Self {
-                    AnyInputs::$variant(inputs)
-                }
-            }
-
-            impl From<Vec<Series<Md<$limbs>>>> for AnyInputs {
-                fn from(inputs: Vec<Series<Md<$limbs>>>) -> Self {
-                    AnyInputs::$variant(OwnedInputs::Single(inputs))
-                }
-            }
-
-            impl From<Vec<Vec<Series<Md<$limbs>>>>> for AnyInputs {
-                fn from(batch: Vec<Vec<Series<Md<$limbs>>>>) -> Self {
-                    AnyInputs::$variant(OwnedInputs::Batch(batch))
-                }
-            }
-        )+
-    };
-}
-
-define_any_api! {
-    (D1, 1),
-    (D2, 2),
-    (D3, 3),
-    (D4, 4),
-    (D5, 5),
-    (D8, 8),
-    (D10, 10),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{random_inputs, random_polynomial};
+    use crate::monomial::Monomial;
     use crate::{ConvolutionKernel, SimdMode};
     use psmd_multidouble::{Dd, Qd};
     use rand::rngs::StdRng;
@@ -1799,7 +1328,6 @@ mod tests {
         assert_send_sync::<Engine>();
         assert_send_sync::<Plan<Qd>>();
         assert_send_sync::<Arc<Plan<Dd>>>();
-        assert_send_sync::<AnyPlan>();
         assert_send_sync::<EvalOutput<Qd>>();
     }
 
@@ -1999,36 +1527,6 @@ mod tests {
     }
 
     #[test]
-    fn any_plan_round_trips_f64_sources() {
-        // A value-level caller: no generic parameter anywhere.
-        let engine = Engine::builder()
-            .threads(0)
-            .precision(Precision::D4)
-            .build();
-        let plan = engine.compile_single_f64(2, 2, 1.0, &[(3.0, vec![0, 1])]);
-        assert_eq!(plan.precision(), Precision::D4);
-        let inputs =
-            AnyInputs::single_from_f64(Precision::D4, &[vec![1.0, 1.0, 0.0], vec![1.0, -1.0, 0.0]]);
-        let out = plan.request(&inputs).run();
-        assert_eq!(out.precision(), Precision::D4);
-        let value = out.single_value_f64().unwrap();
-        assert_eq!(value, vec![4.0, 0.0, -3.0]); // 1 + 3 (1+t)(1-t)
-                                                 // Compiling the same f64 source again hits the cache.
-        let hits = engine.cache_stats().hits;
-        let _again = engine.compile_single_f64(2, 2, 1.0, &[(3.0, vec![0, 1])]);
-        assert_eq!(engine.cache_stats().hits, hits + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "precision mismatch")]
-    fn any_plan_rejects_mismatched_input_precision() {
-        let engine = Engine::builder().threads(0).build();
-        let plan = engine.compile_single_f64(1, 1, 0.0, &[(1.0, vec![0])]);
-        let wrong = AnyInputs::single_from_f64(Precision::D10, &[vec![1.0, 0.0]]);
-        let _ = plan.request(&wrong).run();
-    }
-
-    #[test]
     fn request_builder_matches_every_legacy_entry_point() {
         let d = 3;
         let engine = Engine::builder().threads(2).build();
@@ -2051,25 +1549,6 @@ mod tests {
         assert!(plan.request(&z).sequential().run().bitwise_eq(&reference));
         plan.request(&z).into(&mut out).sequential().run();
         assert!(out.bitwise_eq(&reference));
-    }
-
-    #[test]
-    fn any_request_builder_matches_typed_requests() {
-        let engine = Engine::builder().threads(0).build();
-        let plan = engine.compile_single_f64(2, 2, 1.0, &[(3.0, vec![0, 1])]);
-        let inputs =
-            AnyInputs::single_from_f64(Precision::D2, &[vec![1.0, 1.0, 0.0], vec![1.0, -1.0, 0.0]]);
-        let out = plan.request(&inputs).run();
-        let seq = plan.request(&inputs).sequential().run();
-        assert!(out.bitwise_eq(&seq));
-        let mut bound = plan.request(&inputs).run();
-        plan.request(&inputs).into(&mut bound).run();
-        assert!(bound.bitwise_eq(&out));
-        // A bound output of the wrong precision is replaced, not corrupted.
-        let mut wrong = AnyEvalOutput::D10(EvalOutput::Single(Evaluation::empty()));
-        plan.request(&inputs).into(&mut wrong).run();
-        assert_eq!(wrong.precision(), Precision::D2);
-        assert!(wrong.bitwise_eq(&out));
     }
 
     #[test]
@@ -2102,14 +1581,6 @@ mod tests {
                 .try_compile_with_options(paper_example(2), options)
                 .err()
                 .expect("an unsupported width is a configuration error");
-            assert!(matches!(err, Error::Config(_)), "{err:?}");
-            let err = engine
-                .try_compile_any_with_options(
-                    AnyPolySource::single_from_f64(Precision::D2, 1, 1, 0.0, &[(1.0, vec![0])]),
-                    options,
-                )
-                .err()
-                .expect("the precision-erased path rejects it too");
             assert!(matches!(err, Error::Config(_)), "{err:?}");
             assert_eq!(engine.cache_stats().entries, 0);
         }

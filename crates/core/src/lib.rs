@@ -55,6 +55,11 @@
 //! shim family have been removed; [`Engine::compile`] + [`Plan::request`]
 //! is the one entry point.
 //!
+//! A plan's coefficient type (`Md<N>`, or `Complex<Md<N>>`) fixes its
+//! precision.  A caller holding a runtime
+//! [`Precision`](psmd_multidouble::Precision) value picks the type once with
+//! [`psmd_multidouble::with_precision!`] and works on typed plans from there.
+//!
 //! Every evaluation — one input vector or a batch, a polynomial or a
 //! system — additionally packs the convolution jobs of each layer into SIMD
 //! lane panels when the hardware supports it (AVX-512, AVX2, NEON).  Per
@@ -86,9 +91,8 @@ pub use counts::{
 };
 pub use crossover::{auto_kernel, crossover_for, Crossover, CROSSOVER_TABLE};
 pub use engine::{
-    AnyEvalOutput, AnyEvalRequest, AnyInputs, AnyPlan, AnyPolySource, BoundAnyEvalRequest,
-    BoundEvalRequest, Engine, EngineBuilder, EvalOutput, EvalRequest, Inputs, OwnedInputs, Plan,
-    PlanCacheStats, PlanStats, PolySource,
+    BoundEvalRequest, Engine, EngineBuilder, EvalOutput, EvalRequest, Inputs, Plan, PlanCacheStats,
+    PlanStats, PolySource,
 };
 pub use error::Error;
 pub use evaluate::{evaluate_naive, ConvolutionKernel, Evaluation, ExecMode};

@@ -25,9 +25,9 @@
 //!
 //! The crate also provides complex numbers over any real precision
 //! ([`Complex`]), the coefficient traits used by the power-series layer
-//! ([`Coeff`], [`RealCoeff`]), runtime precision descriptors ([`Precision`])
-//! and the double-operation cost models used by the paper's throughput
-//! analysis ([`flops`]).
+//! ([`Coeff`], [`RealCoeff`]), runtime precision descriptors ([`Precision`],
+//! turned into `Md<N>` by [`with_precision!`]) and the double-operation cost
+//! models used by the paper's throughput analysis ([`flops`]).
 
 #![warn(missing_docs)]
 

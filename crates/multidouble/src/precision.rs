@@ -3,7 +3,8 @@
 //! The type-level precision (`Md<N>`) is what the arithmetic uses; the
 //! benchmark harness, the performance model and the capacity model also need
 //! a runtime value to iterate over "all precisions of the paper", which is
-//! what [`Precision`] provides.
+//! what [`Precision`] provides.  [`with_precision!`](crate::with_precision)
+//! turns such a value back into its `Md<N>` type.
 
 use crate::flops::CostModel;
 
@@ -113,6 +114,56 @@ impl Precision {
     }
 }
 
+/// Turns a runtime [`Precision`] into its `Md<N>` type: binds the limb count
+/// as a `const` named by the caller and evaluates the body once, in the arm
+/// of the matching precision.  The body can name `Md<N>` as well as
+/// const-generic items such as `f::<N>()`, so a caller that only needs to
+/// pick a type uses this instead of a `match` of its own.
+///
+/// ```
+/// use psmd_multidouble::{with_precision, Md, Precision};
+///
+/// let third = |p: Precision| with_precision!(p, N => {
+///     (Md::<N>::one() / Md::<N>::from_f64(3.0)).limbs().len()
+/// });
+/// assert_eq!(third(Precision::D8), 8);
+/// ```
+#[macro_export]
+macro_rules! with_precision {
+    ($precision:expr, $n:ident => $body:expr) => {
+        match $precision {
+            $crate::Precision::D1 => {
+                const $n: usize = 1;
+                $body
+            }
+            $crate::Precision::D2 => {
+                const $n: usize = 2;
+                $body
+            }
+            $crate::Precision::D3 => {
+                const $n: usize = 3;
+                $body
+            }
+            $crate::Precision::D4 => {
+                const $n: usize = 4;
+                $body
+            }
+            $crate::Precision::D5 => {
+                const $n: usize = 5;
+                $body
+            }
+            $crate::Precision::D8 => {
+                const $n: usize = 8;
+                $body
+            }
+            $crate::Precision::D10 => {
+                const $n: usize = 10;
+                $body
+            }
+        }
+    };
+}
+
 impl core::fmt::Display for Precision {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}", self.label())
@@ -145,6 +196,17 @@ mod tests {
         assert_eq!(Precision::parse_label("QD"), Some(Precision::D4));
         assert_eq!(Precision::parse_label("deca"), Some(Precision::D10));
         assert_eq!(Precision::parse_label("7d"), None);
+    }
+
+    #[test]
+    fn with_precision_binds_the_limb_count() {
+        fn limbs_of<const N: usize>() -> usize {
+            crate::Md::<N>::zero().limbs().len()
+        }
+        for p in Precision::ALL {
+            assert_eq!(crate::with_precision!(p, N => N), p.limbs());
+            assert_eq!(crate::with_precision!(p, N => limbs_of::<N>()), p.limbs());
+        }
     }
 
     #[test]

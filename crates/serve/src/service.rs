@@ -11,7 +11,7 @@ use crate::coalesce::{PlanQueue, Ticket};
 use crate::metrics::MetricsSnapshot;
 use parking_lot::Mutex;
 use psmd_core::{Engine, Evaluation, Plan, PolySource};
-use psmd_multidouble::{Coeff, Md, Precision};
+use psmd_multidouble::{with_precision, Coeff, Md, Precision};
 use psmd_series::Series;
 use std::any::Any;
 use std::collections::HashMap;
@@ -265,9 +265,9 @@ impl Service {
     }
 
     /// Compiles and registers a plan under `id`, replacing any previous
-    /// registration.  Goes through [`Engine::try_compile`]; system sources
-    /// are rejected (their batched evaluation is unsupported, so they
-    /// cannot be coalesced).
+    /// registration.  Goes through [`Engine::try_compile`].  System sources
+    /// are rejected: a [`Response`] carries one [`Evaluation`] (a value and
+    /// a gradient), which cannot hold a system's values and Jacobian.
     pub fn register<C: Coeff>(
         &self,
         id: &str,
@@ -285,8 +285,8 @@ impl Service {
         let source = source.into();
         if matches!(source, PolySource::System(_)) {
             return Err(ServeError::Rejected(
-                "system sources cannot be served: batched system evaluation is unsupported, \
-                 so their requests cannot share launches"
+                "system sources cannot be served: a response carries one polynomial's value \
+                 and gradient, not a system's values and Jacobian"
                     .to_string(),
             ));
         }
@@ -420,45 +420,7 @@ impl Service {
             .map(|e| e.precision)
             .ok_or_else(|| ServeError::UnknownPlan(id.to_string()))
     }
-}
 
-/// Dispatches a block over the `Md<N>` type of a runtime [`Precision`].
-macro_rules! with_precision {
-    ($precision:expr, $ty:ident, $body:block) => {
-        match $precision {
-            Precision::D1 => {
-                type $ty = Md<1>;
-                $body
-            }
-            Precision::D2 => {
-                type $ty = Md<2>;
-                $body
-            }
-            Precision::D3 => {
-                type $ty = Md<3>;
-                $body
-            }
-            Precision::D4 => {
-                type $ty = Md<4>;
-                $body
-            }
-            Precision::D5 => {
-                type $ty = Md<5>;
-                $body
-            }
-            Precision::D8 => {
-                type $ty = Md<8>;
-                $body
-            }
-            Precision::D10 => {
-                type $ty = Md<10>;
-                $body
-            }
-        }
-    };
-}
-
-impl Service {
     /// Registers a single polynomial given as plain doubles at a runtime
     /// precision — the wire protocol's `compile` operation.  Each monomial
     /// is a `(coefficient, variables)` pair.
@@ -491,19 +453,19 @@ impl Service {
                 )));
             }
         }
-        with_precision!(precision, C, {
-            let constant = Series::constant(C::from_f64(constant), degree);
+        with_precision!(precision, N => {
+            let constant = Series::constant(Md::<N>::from_f64(constant), degree);
             let monomials = monomials
                 .iter()
                 .map(|(coefficient, variables)| {
                     psmd_core::Monomial::new(
-                        Series::constant(C::from_f64(*coefficient), degree),
+                        Series::constant(Md::<N>::from_f64(*coefficient), degree),
                         variables.clone(),
                     )
                 })
                 .collect();
             let poly = psmd_core::Polynomial::new(num_variables, constant, monomials);
-            self.register_tagged::<C>(id, poly, Some(precision))?;
+            self.register_tagged::<Md<N>>(id, poly, Some(precision))?;
         });
         Ok(())
     }
@@ -519,13 +481,13 @@ impl Service {
                  requests through `Service::submit`"
             )));
         };
-        with_precision!(precision, C, {
-            let series: Vec<Series<C>> = inputs
+        with_precision!(precision, N => {
+            let series: Vec<Series<Md<N>>> = inputs
                 .iter()
                 .map(|coeffs| Series::from_f64_coeffs(coeffs))
                 .collect();
-            let response = self.submit::<C>(id, Request::new(series))?;
-            let to_f64 = |s: &Series<C>| -> Vec<f64> {
+            let response = self.submit::<Md<N>>(id, Request::new(series))?;
+            let to_f64 = |s: &Series<Md<N>>| -> Vec<f64> {
                 (0..=s.degree()).map(|i| s.coeff(i).to_f64()).collect()
             };
             Ok(F64Evaluation {

@@ -7,7 +7,8 @@
 //! * `{"op":"compile","plan":ID,"precision":"2d","num_variables":N,
 //!   "degree":D,"constant":C,"monomials":[{"coefficient":A,
 //!   "variables":[..]},..]}` — compile and register a plan (`precision`
-//!   defaults to the engine's, `constant` to 0);
+//!   defaults to `"2d"`, `constant` to 0; the reply names the precision
+//!   used);
 //! * `{"op":"eval","plan":ID,"inputs":[[c0,c1,..] per variable]}` —
 //!   evaluate; the reply carries `value`, `gradient` and `coalesced` (how
 //!   many concurrent requests shared the launch);
@@ -146,13 +147,16 @@ fn serve_err(e: ServeError) -> String {
     e.to_string()
 }
 
+/// The precision of a `compile` line without `"precision"`: double-double.
+const DEFAULT_PRECISION: Precision = Precision::D2;
+
 fn op_compile(service: &Service, request: &Json) -> Result<Json, String> {
     let id = plan_id(request)?;
     let precision = match request.get("precision").and_then(Json::as_str) {
         Some(label) => {
             Precision::parse_label(label).ok_or_else(|| format!("unknown precision '{label}'"))?
         }
-        None => service.engine().precision(),
+        None => DEFAULT_PRECISION,
     };
     let num_variables = request
         .get("num_variables")

@@ -3,9 +3,9 @@
 //!
 //! Four scenes:
 //!
-//! 1. a *value-level* caller (think: a server handling requests) compiles a
-//!    polynomial given as plain doubles at a runtime `Precision` — no
-//!    generics anywhere;
+//! 1. a caller holding a runtime `Precision` (think: a server handling
+//!    requests) turns it into its `Md<N>` type once, with
+//!    `with_precision!`, and compiles a typed plan;
 //! 2. the plan cache makes recompiling a known polynomial free;
 //! 3. one `Arc<Plan>` is hammered from several threads concurrently — plans
 //!    are owned (`'static`) and `Send + Sync`, which the old borrowing
@@ -16,46 +16,54 @@
 //! Run with `cargo run --release --example engine_api`.
 
 use psmd_bench::TestPolynomial;
-use psmd_core::{Engine, Polynomial};
-use psmd_multidouble::{Dd, Precision};
+use psmd_core::{Engine, Monomial, Polynomial};
+use psmd_multidouble::{with_precision, Dd, Md, Precision};
 use psmd_series::Series;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn main() {
-    // ---- Scene 1: value-level precision dispatch -----------------------
-    // EngineBuilder { precision, kernel, simd, threads }: every knob a
-    // value.  A caller that receives "evaluate 1 + 3 x0 x1 in octo-double"
-    // over the wire never names a coefficient type.
-    let engine = Engine::builder().precision(Precision::D8).build();
-    let plan = engine.compile_single_f64(2, 2, 1.0, &[(3.0, vec![0, 1])]);
+/// p = 1 + 3 x0 x1 at truncation degree 2, in `Md<N>`.
+fn example_polynomial<const N: usize>() -> Polynomial<Md<N>> {
+    let c = |x: f64| Series::constant(Md::<N>::from_f64(x), 2);
+    Polynomial::new(2, c(1.0), vec![Monomial::new(c(3.0), vec![0, 1])])
+}
+
+/// Scenes 1 and 2 at the precision `with_precision!` picked.
+fn runtime_precision<const N: usize>(engine: &Engine, precision: Precision) {
+    let plan = engine.compile(example_polynomial::<N>());
     let stats = plan.stats();
     println!(
-        "compiled a {} plan with {} convolution jobs in {} launches",
-        plan.precision(),
+        "compiled a {precision} plan with {} convolution jobs in {} launches",
         stats.convolution_jobs,
         stats.convolution_layers + stats.addition_layers,
     );
-    let inputs = psmd_core::AnyInputs::single_from_f64(
-        Precision::D8,
-        &[vec![1.0, 1.0, 0.0], vec![1.0, -1.0, 0.0]], // z0 = 1 + t, z1 = 1 - t
-    );
-    let out = plan.request(&inputs).run();
-    println!(
-        "p(z) = {:?} ({} pool rendezvous)\n",
-        out.single_value_f64().unwrap(),
-        out.timings().pool_rendezvous,
-    );
+    // z0 = 1 + t, z1 = 1 - t
+    let z = [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]].map(|c| Series::<Md<N>>::from_f64_coeffs(&c));
+    let out = plan.request(&z[..]).run();
+    let rendezvous = out.timings().pool_rendezvous;
+    let value = out.into_single().value;
+    let value: Vec<f64> = (0..=2).map(|i| value.coeff(i).to_f64()).collect();
+    println!("p(z) = {value:?} ({rendezvous} pool rendezvous)\n");
 
     // ---- Scene 2: the plan cache ---------------------------------------
     let t0 = Instant::now();
-    let _same = engine.compile_single_f64(2, 2, 1.0, &[(3.0, vec![0, 1])]);
+    let _same = engine.compile(example_polynomial::<N>());
     let hit_us = t0.elapsed().as_secs_f64() * 1e6;
     let stats = engine.cache_stats();
     println!(
         "recompiling the same polynomial: {hit_us:.1} us ({} hits / {} misses in the cache)\n",
         stats.hits, stats.misses
     );
+}
+
+fn main() {
+    // ---- Scene 1: a runtime precision picks the coefficient type -------
+    // A caller that receives "evaluate 1 + 3 x0 x1 in octo-double" as data
+    // holds a `Precision` value.  `with_precision!` turns it into `Md<N>`
+    // once; everything after that point is typed.
+    let engine = Engine::builder().build();
+    let precision = Precision::parse_label("8d").expect("one of the paper's precisions");
+    with_precision!(precision, N => runtime_precision::<N>(&engine, precision));
 
     // ---- Scene 3: one Arc<Plan> across threads -------------------------
     let shared_engine = Engine::builder().build();

@@ -4,21 +4,15 @@
 //! Evaluates the reduced p1 polynomial at increasing truncation degrees in
 //! double, double-double, quad-double, octo-double and deca-double precision
 //! and prints the wall-clock times and their base-2 logarithms.  The
-//! precision is a runtime value dispatched through the engine's
-//! precision-erased plans — no per-precision match at the call site.
+//! precision is a runtime value: [`psmd_bench::measured_run`] turns it into
+//! its `Md<N>` type once, so there is no per-precision match at the call
+//! site.
 //!
 //! Run with `cargo run --release --example precision_scaling`.
 
-use psmd_bench::{Scale, TestPolynomial};
+use psmd_bench::{measured_run, Scale, TestPolynomial};
 use psmd_core::Engine;
 use psmd_multidouble::Precision;
-
-fn measure(engine: &Engine, precision: Precision, degree: usize) -> f64 {
-    let plan =
-        engine.compile_any(TestPolynomial::P1.any_polynomial(precision, degree, Scale::Reduced, 1));
-    let inputs = TestPolynomial::P1.any_inputs(precision, degree, Scale::Reduced, 1);
-    plan.request(&inputs).run().timings().wall_clock_ms()
-}
 
 fn main() {
     let engine = Engine::builder().build();
@@ -43,7 +37,7 @@ fn main() {
     for prec in precisions {
         print!("{:<10}", prec.label());
         for d in degrees {
-            let ms = measure(&engine, prec, d);
+            let ms = measured_run(&engine, TestPolynomial::P1, prec, d, Scale::Reduced, 1).wall_ms;
             print!("{:>18}", format!("{ms:9.2} ({:5.2})", ms.log2()));
         }
         println!();

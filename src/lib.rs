@@ -6,3 +6,9 @@ pub use psmd_runtime as runtime;
 pub use psmd_series as series;
 pub use psmd_serve as serve;
 pub use psmd_track as track;
+
+/// The README's Rust examples, compiled and run by `cargo test --doc` so
+/// that they track the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -379,7 +379,7 @@ fn malformed_requests_rejected_at_admission() {
     let err = service.queue::<Dd>("p").expect_err("type mismatch");
     assert!(matches!(err, ServeError::Rejected(_)), "{err:?}");
 
-    // System sources cannot be coalesced and are rejected at registration.
+    // System sources are rejected at registration.
     let system = vec![p.clone(), p];
     let err = service
         .register::<Qd>("sys", system)
@@ -390,6 +390,23 @@ fn malformed_requests_rejected_at_admission() {
     let m = service.metrics("p").expect("metrics");
     assert_eq!(m.launches, 0);
     assert_eq!(m.completed, 0);
+}
+
+/// A system source is refused at registration, because a response carries
+/// one polynomial's value and gradient, and it leaves no plan behind.
+#[test]
+fn system_sources_are_rejected_without_registering_a_plan() {
+    let (p, _, _) = qd_case(1002, 4, 3);
+    let service = service_with(0, ServeConfig::default());
+    let err = service
+        .register::<Qd>("sys", vec![p.clone(), p])
+        .expect_err("a two-equation system");
+    match &err {
+        ServeError::Rejected(message) => assert!(message.contains("Jacobian"), "{message}"),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert!(service.plan_ids().is_empty());
+    assert_eq!(service.engine().cache_stats().entries, 0);
 }
 
 proptest! {

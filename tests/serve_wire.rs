@@ -3,7 +3,7 @@
 //! clean shutdown.
 
 use psmd_core::{Engine, Polynomial};
-use psmd_multidouble::Qd;
+use psmd_multidouble::{Precision, Qd};
 use psmd_series::Series;
 use psmd_serve::json::Json;
 use psmd_serve::{ServeConfig, Service, WireServer};
@@ -126,6 +126,44 @@ fn wire_roundtrip_compile_eval_metrics() {
 
     // The in-process service sees the same plan.
     assert!(service.plan_ids().contains(&"p".to_string()));
+
+    server.shutdown();
+}
+
+/// A `compile` line without `"precision"` compiles in double-double, and the
+/// reply says so.
+#[test]
+fn wire_compile_without_precision_defaults_to_double_double() {
+    let service = Arc::new(Service::new(
+        Engine::builder().threads(0).build(),
+        ServeConfig::default(),
+    ));
+    let mut server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(&server);
+
+    // p = 1 + 3*x0*x1 at degree 2.
+    let reply = client.roundtrip(
+        r#"{"op":"compile","plan":"p","num_variables":2,"degree":2,"constant":1.0,
+            "monomials":[{"coefficient":3.0,"variables":[0,1]}]}"#
+            .replace('\n', " ")
+            .as_str(),
+    );
+    assert!(ok(&reply), "{reply:?}");
+    assert_eq!(reply.get("precision").and_then(Json::as_str), Some("2d"));
+    assert_eq!(service.precision_of("p"), Ok(Some(Precision::D2)));
+
+    // At x0 = 1 + t, x1 = 1 - t: p(z) = 4 - 3t^2.
+    let reply =
+        client.roundtrip(r#"{"op":"eval","plan":"p","inputs":[[1.0,1.0,0.0],[1.0,-1.0,0.0]]}"#);
+    assert!(ok(&reply), "{reply:?}");
+    let value: Vec<f64> = reply
+        .get("value")
+        .and_then(Json::as_array)
+        .expect("value")
+        .iter()
+        .map(|c| c.as_f64().expect("a number"))
+        .collect();
+    assert_eq!(value, vec![4.0, 0.0, -3.0]);
 
     server.shutdown();
 }
