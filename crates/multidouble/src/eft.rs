@@ -96,6 +96,89 @@ pub fn two_prod_split(a: f64, b: f64) -> (f64, f64) {
     (p, e)
 }
 
+// ---------------------------------------------------------------------------
+// Lane-wise forms over `[f64; W]` planes (`W` independent operands).
+//
+// Plain `W`-element loops of the formulas above: each lane runs the
+// identical operation sequence, `W = 1` is the scalar formula, and inside a
+// kernel compiled with AVX2/AVX-512/NEON features enabled they compile to
+// single vector instructions (`vaddpd`, `vmulpd`, `vfmadd*pd`).
+// ---------------------------------------------------------------------------
+
+#[inline(always)]
+pub(crate) fn vadd<const W: usize>(a: &[f64; W], b: &[f64; W]) -> [f64; W] {
+    let mut out = [0.0; W];
+    for i in 0..W {
+        out[i] = a[i] + b[i];
+    }
+    out
+}
+
+#[inline(always)]
+pub(crate) fn vsub<const W: usize>(a: &[f64; W], b: &[f64; W]) -> [f64; W] {
+    let mut out = [0.0; W];
+    for i in 0..W {
+        out[i] = a[i] - b[i];
+    }
+    out
+}
+
+#[inline(always)]
+pub(crate) fn vmul<const W: usize>(a: &[f64; W], b: &[f64; W]) -> [f64; W] {
+    let mut out = [0.0; W];
+    for i in 0..W {
+        out[i] = a[i] * b[i];
+    }
+    out
+}
+
+#[inline(always)]
+pub(crate) fn vneg<const W: usize>(a: &[f64; W]) -> [f64; W] {
+    let mut out = [0.0; W];
+    for i in 0..W {
+        out[i] = -a[i];
+    }
+    out
+}
+
+/// Elementwise fused multiply-add `a * b + c`.
+#[inline(always)]
+pub(crate) fn vfma<const W: usize>(a: &[f64; W], b: &[f64; W], c: &[f64; W]) -> [f64; W] {
+    let mut out = [0.0; W];
+    for i in 0..W {
+        out[i] = a[i].mul_add(b[i], c[i]);
+    }
+    out
+}
+
+/// Lane-wise [`two_sum`].
+#[inline(always)]
+pub(crate) fn lane_two_sum<const W: usize>(a: &[f64; W], b: &[f64; W]) -> ([f64; W], [f64; W]) {
+    let s = vadd(a, b);
+    let bb = vsub(&s, a);
+    let e = vadd(&vsub(a, &vsub(&s, &bb)), &vsub(b, &bb));
+    (s, e)
+}
+
+/// Lane-wise [`quick_two_sum`].
+#[inline(always)]
+pub(crate) fn lane_quick_two_sum<const W: usize>(
+    a: &[f64; W],
+    b: &[f64; W],
+) -> ([f64; W], [f64; W]) {
+    let s = vadd(a, b);
+    let e = vsub(b, &vsub(&s, a));
+    (s, e)
+}
+
+/// Lane-wise [`two_prod`].
+#[inline(always)]
+pub(crate) fn lane_two_prod<const W: usize>(a: &[f64; W], b: &[f64; W]) -> ([f64; W], [f64; W]) {
+    let p = vmul(a, b);
+    let e = vfma(a, b, &vneg(&p));
+    (p, e)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,222 +18,31 @@
 //! EFT arithmetic is exact, and the multi-double algorithms are sensitive to
 //! association order, so the lane mapping must not reassociate anything:
 //! **lane `l` of every lane operation produces exactly the bits the scalar
-//! operation produces for instance `l`.**  The branch-free parts of the
-//! scalar pipeline (`two_sum`/`two_prod` chains, `vec_sum` passes, the
-//! strictening sweeps) vectorize directly — elementwise application *is*
-//! per-lane scalar execution.  The data-dependent parts (the
-//! `VecSumErrBranch` limb extraction, the magnitude-ordered merge of
-//! addition) branch per value and therefore run as per-lane scalar loops
-//! over the lane-major storage; they are a small fraction of the work.
-//! `tests/simd_consistency.rs` in `psmd-core` gates the invariant end to
-//! end across every precision.
+//! operation produces for instance `l`.**  This holds by construction: the
+//! scalar [`Md::add`] and [`Md::mul`] are [`MdLanes::add`] and
+//! [`MdLanes::mul`] at `W = 1`, and every width runs the one definition of
+//! each renormalization stage in [`crate::renorm`].  The branch-free parts
+//! (`two_sum`/`two_prod` chains, `vec_sum` passes, the strictening sweeps)
+//! are elementwise over a limb plane and vectorize; the data-dependent parts
+//! (the `VecSumErrBranch` limb extraction, the magnitude-ordered merge of
+//! addition) branch per value and loop over the lanes; they are a small
+//! fraction of the work.  `tests/simd_consistency.rs` in `psmd-core` gates
+//! the invariant end to end across every precision.
 
 use crate::coeff::{Coeff, RealCoeff};
 use crate::complex::Complex;
-use crate::eft::quick_two_sum;
+use crate::eft::{lane_two_prod, vadd, vfma, vmul, vneg, vsub};
 use crate::md::{Md, MAX_LIMBS};
+use crate::renorm::{merge_decreasing, renormalize_into};
 use std::sync::OnceLock;
 
-/// Term capacity of the lane addition scratch (mirrors `md::ADD_SCRATCH`).
+/// Term capacity of the addition scratch: two expansions of up to
+/// [`MAX_LIMBS`] limbs.
 const LANE_ADD_TERMS: usize = 2 * MAX_LIMBS;
-/// Term capacity of the lane multiplication scratch (mirrors
-/// `md::MUL_SCRATCH`).
+/// Term capacity of the multiplication scratch: all partial products of the
+/// first `N` diagonals, their error terms, and the plain products of
+/// diagonal `N`.
 const LANE_MUL_TERMS: usize = MAX_LIMBS * (MAX_LIMBS + 1) + MAX_LIMBS;
-
-// ---------------------------------------------------------------------------
-// Elementwise f64-lane primitives.
-//
-// Plain `W`-element loops of the scalar EFT formulas: applied limb-wise they
-// perform the identical operation sequence per lane, and inside a kernel
-// compiled with AVX2/AVX-512/NEON features enabled they compile to single
-// vector instructions (`vaddpd`, `vmulpd`, `vfmadd*pd`).
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn vadd<const W: usize>(a: &[f64; W], b: &[f64; W]) -> [f64; W] {
-    let mut out = [0.0; W];
-    for i in 0..W {
-        out[i] = a[i] + b[i];
-    }
-    out
-}
-
-#[inline(always)]
-fn vsub<const W: usize>(a: &[f64; W], b: &[f64; W]) -> [f64; W] {
-    let mut out = [0.0; W];
-    for i in 0..W {
-        out[i] = a[i] - b[i];
-    }
-    out
-}
-
-#[inline(always)]
-fn vmul<const W: usize>(a: &[f64; W], b: &[f64; W]) -> [f64; W] {
-    let mut out = [0.0; W];
-    for i in 0..W {
-        out[i] = a[i] * b[i];
-    }
-    out
-}
-
-#[inline(always)]
-fn vneg<const W: usize>(a: &[f64; W]) -> [f64; W] {
-    let mut out = [0.0; W];
-    for i in 0..W {
-        out[i] = -a[i];
-    }
-    out
-}
-
-/// Elementwise fused multiply-add `a * b + c`.
-#[inline(always)]
-fn vfma<const W: usize>(a: &[f64; W], b: &[f64; W], c: &[f64; W]) -> [f64; W] {
-    let mut out = [0.0; W];
-    for i in 0..W {
-        out[i] = a[i].mul_add(b[i], c[i]);
-    }
-    out
-}
-
-/// Lane-wise Knuth TwoSum: the 6-operation branch-free formula of
-/// [`crate::eft::two_sum`], applied elementwise.
-#[inline(always)]
-fn lane_two_sum<const W: usize>(a: &[f64; W], b: &[f64; W]) -> ([f64; W], [f64; W]) {
-    let s = vadd(a, b);
-    let bb = vsub(&s, a);
-    let e = vadd(&vsub(a, &vsub(&s, &bb)), &vsub(b, &bb));
-    (s, e)
-}
-
-/// Lane-wise Dekker FastTwoSum ([`crate::eft::quick_two_sum`] elementwise).
-#[inline(always)]
-fn lane_quick_two_sum<const W: usize>(a: &[f64; W], b: &[f64; W]) -> ([f64; W], [f64; W]) {
-    let s = vadd(a, b);
-    let e = vsub(b, &vsub(&s, a));
-    (s, e)
-}
-
-/// Lane-wise TwoProdFMA ([`crate::eft::two_prod`] elementwise).
-#[inline(always)]
-fn lane_two_prod<const W: usize>(a: &[f64; W], b: &[f64; W]) -> ([f64; W], [f64; W]) {
-    let p = vmul(a, b);
-    let e = vfma(a, b, &vneg(&p));
-    (p, e)
-}
-
-// ---------------------------------------------------------------------------
-// Lane renormalization: the CAMPARY pipeline of `crate::renorm`, split into
-// its vectorizable (branch-free) and per-lane (data-dependent) stages.
-// ---------------------------------------------------------------------------
-
-/// One backward error-free accumulation pass over lane-vector terms — the
-/// branch-free [`crate::renorm::vec_sum_pass`] applied to all `W` lanes at
-/// once.
-#[inline(always)]
-fn lane_vec_sum_pass<const W: usize>(terms: &mut [[f64; W]]) {
-    let n = terms.len();
-    if n < 2 {
-        return;
-    }
-    let mut s = terms[n - 1];
-    for i in (0..n - 1).rev() {
-        let (hi, lo) = lane_two_sum(&terms[i], &s);
-        s = hi;
-        terms[i + 1] = lo;
-    }
-    terms[0] = s;
-}
-
-/// Per-lane limb extraction: [`crate::renorm::extract_limbs`] branches on
-/// every rounding error (`lo != 0.0`), so each lane walks its own term
-/// column independently.  Bitwise identical to the scalar extraction by
-/// construction — it *is* the scalar extraction, over strided storage.
-fn lane_extract_limbs<const N: usize, const W: usize>(terms: &[[f64; W]], out: &mut [[f64; W]; N]) {
-    for limb in out.iter_mut() {
-        *limb = [0.0; W];
-    }
-    if terms.is_empty() || N == 0 {
-        return;
-    }
-    for l in 0..W {
-        let mut k = 0usize;
-        let mut carry = terms[0][l];
-        let mut settled = false;
-        for t in &terms[1..] {
-            let (hi, lo) = quick_two_sum(carry, t[l]);
-            if lo != 0.0 {
-                out[k][l] = hi;
-                k += 1;
-                if k == N {
-                    settled = true;
-                    break;
-                }
-                carry = lo;
-            } else {
-                carry = hi;
-            }
-        }
-        if !settled && k < N {
-            out[k][l] = carry;
-        }
-    }
-}
-
-/// Lane renormalization mirroring [`crate::renorm::renormalize_into`]:
-/// vectorized accumulation passes, per-lane extraction, vectorized
-/// strictening sweeps.
-#[inline(always)]
-fn lane_renormalize<const N: usize, const W: usize>(
-    terms: &mut [[f64; W]],
-    out: &mut [[f64; W]; N],
-    passes: usize,
-) {
-    for _ in 0..passes.max(1) {
-        lane_vec_sum_pass(terms);
-    }
-    lane_extract_limbs(terms, out);
-    for _ in 0..2 {
-        for i in 0..N.saturating_sub(1) {
-            let (hi, lo) = lane_quick_two_sum(&out[i], &out[i + 1]);
-            out[i] = hi;
-            out[i + 1] = lo;
-        }
-    }
-}
-
-/// Per-lane magnitude-ordered merge of two lane expansions
-/// ([`crate::renorm::merge_decreasing`] over strided storage; the compare
-/// chain is data-dependent, so it cannot vectorize without reordering).
-fn lane_merge_decreasing<const N: usize, const W: usize>(
-    a: &[[f64; W]; N],
-    b: &[[f64; W]; N],
-    dst: &mut [[f64; W]],
-) {
-    debug_assert_eq!(dst.len(), 2 * N);
-    for l in 0..W {
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        while i < N && j < N {
-            if a[i][l].abs() >= b[j][l].abs() {
-                dst[k][l] = a[i][l];
-                i += 1;
-            } else {
-                dst[k][l] = b[j][l];
-                j += 1;
-            }
-            k += 1;
-        }
-        while i < N {
-            dst[k][l] = a[i][l];
-            i += 1;
-            k += 1;
-        }
-        while j < N {
-            dst[k][l] = b[j][l];
-            j += 1;
-            k += 1;
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The lane-vector trait and its implementations.
@@ -323,9 +132,10 @@ impl<const N: usize, const W: usize> MdLanes<N, W> {
         out
     }
 
-    /// Lane-wise sum, replicating [`Md::add`] per lane: per-lane merge of
-    /// the two expansions, one vectorized accumulation pass, extraction and
-    /// strictening.
+    /// Lane-wise sum (the CAMPARY "certified" addition scheme): per-lane
+    /// merge of the two expansions by decreasing magnitude, one vectorized
+    /// accumulation pass, extraction of `N` limbs and strictening.
+    /// [`Md::add`] is this operation at `W = 1`.
     #[inline(always)]
     pub fn add(&self, other: &Self) -> Self {
         debug_assert!(N <= MAX_LIMBS);
@@ -335,15 +145,17 @@ impl<const N: usize, const W: usize> MdLanes<N, W> {
             return out;
         }
         let mut terms = [[0.0; W]; LANE_ADD_TERMS];
-        lane_merge_decreasing(&self.limbs, &other.limbs, &mut terms[..2 * N]);
-        lane_renormalize(&mut terms[..2 * N], &mut out.limbs, 1);
+        merge_decreasing(&self.limbs, &other.limbs, &mut terms[..2 * N]);
+        renormalize_into(&mut terms[..2 * N], &mut out.limbs, 1);
         out
     }
 
-    /// Lane-wise product, replicating [`Md::mul`] per lane: the diagonal
-    /// walk and its error bookkeeping are a pure function of `N`, so the
-    /// term list is built from lane-wise error-free products in exactly the
-    /// scalar order.
+    /// Lane-wise product by the truncated paper-and-pencil scheme: all
+    /// partial products of limb pairs `(i, j)` with `i + j < N` are computed
+    /// with an error-free product; their rounding errors feed the next
+    /// diagonal; the plain products of diagonal `N` provide the final
+    /// correction.  The resulting term list is renormalized into `N` limbs.
+    /// [`Md::mul`] is this operation at `W = 1`.
     #[inline(always)]
     pub fn mul(&self, other: &Self) -> Self {
         debug_assert!(N <= MAX_LIMBS);
@@ -354,6 +166,11 @@ impl<const N: usize, const W: usize> MdLanes<N, W> {
         }
         let mut terms = [[0.0; W]; LANE_MUL_TERMS];
         let mut len = 0usize;
+        // Diagonals 0 .. N-1: exact products; the rounding error of a product
+        // on diagonal `k` is one diagonal lower in magnitude and is therefore
+        // appended together with the products of diagonal `k + 1`.  Walking
+        // diagonal by diagonal keeps the term list roughly ordered by
+        // decreasing magnitude, which the renormalization expects.
         let mut err_len = [0usize; MAX_LIMBS + 1];
         let mut err_store = [[[0.0; W]; MAX_LIMBS]; MAX_LIMBS + 1];
         for k in 0..N {
@@ -368,11 +185,14 @@ impl<const N: usize, const W: usize> MdLanes<N, W> {
                     err_len[k + 1] += 1;
                 }
             }
+            // Errors generated by the previous diagonal belong here.
             for e in &err_store[k][..err_len[k]] {
                 terms[len] = *e;
                 len += 1;
             }
         }
+        // Diagonal N: plain products (their own errors are below the target
+        // precision) plus the errors deferred from diagonal N-1.
         for i in 1..N {
             let j = N - i;
             terms[len] = vmul(&self.limbs[i], &other.limbs[j]);
@@ -382,7 +202,7 @@ impl<const N: usize, const W: usize> MdLanes<N, W> {
             terms[len] = *e;
             len += 1;
         }
-        lane_renormalize(&mut terms[..len], &mut out.limbs, 2);
+        renormalize_into(&mut terms[..len], &mut out.limbs, 2);
         out
     }
 }

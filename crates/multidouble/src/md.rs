@@ -8,22 +8,21 @@
 //! deca-double) as generated by CAMPARY.
 //!
 //! All arithmetic is implemented generically over `N` with fixed-size stack
-//! buffers (no heap allocation on any arithmetic path).
+//! buffers (no heap allocation on any arithmetic path).  Addition and
+//! multiplication are the width-1 instance of the lane arithmetic
+//! ([`MdLanes<N, 1>`]), and every operation renormalizes through the one
+//! definition of each stage in [`crate::renorm`], so a scalar operation and
+//! one lane of a lane operation run the same code.
 
 use crate::eft::two_prod;
-use crate::renorm::{merge_decreasing, renormalize_into, vec_sum_pass};
+use crate::lanes::MdLanes;
+use crate::renorm::{merge_decreasing, renormalize_into};
 
 /// Largest number of limbs supported by the fixed-size scratch buffers.
 ///
 /// The paper uses up to deca-double (`N = 10`); a little headroom is left for
 /// experimentation.
 pub const MAX_LIMBS: usize = 12;
-
-/// Scratch size for addition: two expansions of up to [`MAX_LIMBS`] limbs.
-const ADD_SCRATCH: usize = 2 * MAX_LIMBS;
-/// Scratch size for multiplication: all partial products of the first
-/// `N` diagonals, their error terms, and the plain products of diagonal `N`.
-const MUL_SCRATCH: usize = MAX_LIMBS * (MAX_LIMBS + 1) + MAX_LIMBS;
 
 /// A multiple-double number with `N` limbs (an `N`-fold double).
 #[derive(Clone, Copy, PartialEq)]
@@ -65,10 +64,17 @@ impl<const N: usize> Md<N> {
 
     /// Builds a value from arbitrary limbs, renormalizing them.
     pub fn renormalized(limbs: [f64; N]) -> Self {
-        let mut terms = limbs;
-        let mut out = [0.0; N];
-        renormalize_into(&mut terms, &mut out, 2);
-        Self { limbs: out }
+        Self::renormalize(&mut limbs.map(|l| [l]), 2)
+    }
+
+    /// Renormalizes a width-1 term list into `N` limbs.
+    #[inline(always)]
+    fn renormalize(terms: &mut [[f64; 1]], passes: usize) -> Self {
+        let mut out = [[0.0]; N];
+        renormalize_into(terms, &mut out, passes);
+        Self {
+            limbs: out.map(|[l]| l),
+        }
     }
 
     /// Multiplicative identity.
@@ -205,21 +211,13 @@ impl<const N: usize> Md<N> {
         Self { limbs }
     }
 
-    /// Sum of two multiple-doubles.
-    ///
-    /// Merges the two expansions by decreasing magnitude, applies one
-    /// error-free accumulation pass and extracts `N` normalized limbs
-    /// (the CAMPARY "certified" addition scheme).
+    /// Sum of two multiple-doubles by the CAMPARY "certified" addition
+    /// scheme: [`MdLanes::add`] at width 1.
+    #[inline]
     pub fn add(&self, other: &Self) -> Self {
-        debug_assert!(N <= MAX_LIMBS);
-        if N == 1 {
-            return Self::from_f64(self.limbs[0] + other.limbs[0]);
-        }
-        let mut terms = [0.0; ADD_SCRATCH];
-        merge_decreasing(&self.limbs, &other.limbs, &mut terms[..2 * N]);
-        let mut out = [0.0; N];
-        renormalize_into(&mut terms[..2 * N], &mut out, 1);
-        Self { limbs: out }
+        MdLanes::<N, 1>::gather(|_| *self)
+            .add(&MdLanes::gather(|_| *other))
+            .extract(0)
     }
 
     /// Sum of a multiple-double and a double.
@@ -228,11 +226,9 @@ impl<const N: usize> Md<N> {
         if N == 1 {
             return Self::from_f64(self.limbs[0] + other);
         }
-        let mut terms = [0.0; ADD_SCRATCH];
-        merge_decreasing(&self.limbs, &[other], &mut terms[..N + 1]);
-        let mut out = [0.0; N];
-        renormalize_into(&mut terms[..N + 1], &mut out, 1);
-        Self { limbs: out }
+        let mut terms = [[0.0]; MAX_LIMBS + 1];
+        merge_decreasing(&self.limbs.map(|l| [l]), &[[other]], &mut terms[..N + 1]);
+        Self::renormalize(&mut terms[..N + 1], 1)
     }
 
     /// Difference of two multiple-doubles.
@@ -247,59 +243,13 @@ impl<const N: usize> Md<N> {
         self.add_f64(-other)
     }
 
-    /// Product of two multiple-doubles.
-    ///
-    /// Uses the truncated paper-and-pencil scheme: all partial products of
-    /// limb pairs `(i, j)` with `i + j < N` are computed with an error-free
-    /// product; their rounding errors feed the next diagonal; the plain
-    /// products of diagonal `N` provide the final correction.  The resulting
-    /// term list is renormalized into `N` limbs.
+    /// Product of two multiple-doubles by the truncated paper-and-pencil
+    /// scheme: [`MdLanes::mul`] at width 1.
+    #[inline]
     pub fn mul(&self, other: &Self) -> Self {
-        debug_assert!(N <= MAX_LIMBS);
-        if N == 1 {
-            return Self::from_f64(self.limbs[0] * other.limbs[0]);
-        }
-        let mut terms = [0.0; MUL_SCRATCH];
-        let mut len = 0usize;
-        // Diagonals 0 .. N-1: exact products; the rounding error of a product
-        // on diagonal `k` is one diagonal lower in magnitude and is therefore
-        // appended together with the products of diagonal `k + 1`.  Walking
-        // diagonal by diagonal keeps the term list roughly ordered by
-        // decreasing magnitude, which the renormalization expects.
-        let mut err_len = [0usize; MAX_LIMBS + 1];
-        let mut err_store = [[0.0; MAX_LIMBS]; MAX_LIMBS + 1];
-        for k in 0..N {
-            for i in 0..=k {
-                let j = k - i;
-                if i < N && j < N {
-                    let (p, e) = two_prod(self.limbs[i], other.limbs[j]);
-                    terms[len] = p;
-                    len += 1;
-                    debug_assert!(err_len[k + 1] < MAX_LIMBS);
-                    err_store[k + 1][err_len[k + 1]] = e;
-                    err_len[k + 1] += 1;
-                }
-            }
-            // Errors generated by the previous diagonal belong here.
-            for &err in err_store[k].iter().take(err_len[k]) {
-                terms[len] = err;
-                len += 1;
-            }
-        }
-        // Diagonal N: plain products (their own errors are below the target
-        // precision) plus the errors deferred from diagonal N-1.
-        for i in 1..N {
-            let j = N - i;
-            terms[len] = self.limbs[i] * other.limbs[j];
-            len += 1;
-        }
-        for &err in err_store[N].iter().take(err_len[N]) {
-            terms[len] = err;
-            len += 1;
-        }
-        let mut out = [0.0; N];
-        renormalize_into(&mut terms[..len], &mut out, 2);
-        Self { limbs: out }
+        MdLanes::<N, 1>::gather(|_| *self)
+            .mul(&MdLanes::gather(|_| *other))
+            .extract(0)
     }
 
     /// Product of a multiple-double and a double.
@@ -308,26 +258,24 @@ impl<const N: usize> Md<N> {
         if N == 1 {
             return Self::from_f64(self.limbs[0] * other);
         }
-        let mut terms = [0.0; ADD_SCRATCH + 1];
+        let mut terms = [[0.0]; 2 * MAX_LIMBS + 1];
         let mut len = 0usize;
         let mut carry_err = [0.0; MAX_LIMBS + 1];
         for i in 0..N {
             let (p, e) = two_prod(self.limbs[i], other);
-            terms[len] = p;
+            terms[len] = [p];
             len += 1;
             carry_err[i + 1] = e;
             if i >= 1 && carry_err[i] != 0.0 {
-                terms[len] = carry_err[i];
+                terms[len] = [carry_err[i]];
                 len += 1;
             }
         }
         if carry_err[N] != 0.0 {
-            terms[len] = carry_err[N];
+            terms[len] = [carry_err[N]];
             len += 1;
         }
-        let mut out = [0.0; N];
-        renormalize_into(&mut terms[..len], &mut out, 2);
-        Self { limbs: out }
+        Self::renormalize(&mut terms[..len], 2)
     }
 
     /// Square of the value.
@@ -350,20 +298,16 @@ impl<const N: usize> Md<N> {
             return Self::from_f64(self.limbs[0] / other.limbs[0]);
         }
         let b0 = other.limbs[0];
-        let mut q = [0.0; MAX_LIMBS + 1];
+        let mut q = [[0.0]; MAX_LIMBS + 1];
         let mut r = *self;
-        for qi in q.iter_mut().take(N + 1) {
+        for [qi] in q.iter_mut().take(N + 1) {
             *qi = r.limbs[0] / b0;
             if !qi.is_finite() || *qi == 0.0 {
                 break;
             }
             r = r.sub(&other.mul_f64(*qi));
         }
-        let mut terms = [0.0; MAX_LIMBS + 1];
-        terms[..N + 1].copy_from_slice(&q[..N + 1]);
-        let mut out = [0.0; N];
-        renormalize_into(&mut terms[..N + 1], &mut out, 2);
-        Self { limbs: out }
+        Self::renormalize(&mut q[..N + 1], 2)
     }
 
     /// Quotient of a multiple-double and a double.
@@ -445,19 +389,17 @@ impl<const N: usize> Md<N> {
 
     /// Largest integer not greater than the value.
     pub fn floor(&self) -> Self {
-        let mut terms = [0.0; MAX_LIMBS];
+        let mut terms = [[0.0]; MAX_LIMBS];
         let mut len = 0usize;
         for i in 0..N {
             let f = self.limbs[i].floor();
-            terms[len] = f;
+            terms[len] = [f];
             len += 1;
             if f != self.limbs[i] {
                 break;
             }
         }
-        let mut out = [0.0; N];
-        renormalize_into(&mut terms[..len], &mut out, 1);
-        Self { limbs: out }
+        Self::renormalize(&mut terms[..len], 1)
     }
 
     /// Truncation towards zero.
@@ -497,12 +439,6 @@ impl<const N: usize> Md<N> {
         2f64.powi(1 - (52 * N as i32))
     }
 
-    /// Accumulated error tolerance used in tests: a small multiple of
-    /// [`Md::epsilon`] expressed as a multiple-double.
-    pub fn test_tolerance(ops: f64) -> f64 {
-        Self::epsilon() * ops
-    }
-
     /// Converts into a different number of limbs, truncating or
     /// zero-extending.
     pub fn resize<const M: usize>(&self) -> Md<M> {
@@ -510,29 +446,6 @@ impl<const N: usize> Md<N> {
         let keep = M.min(N);
         limbs[..keep].copy_from_slice(&self.limbs[..keep]);
         Md { limbs }
-    }
-
-    /// Exact sum of limbs as a vector of doubles (for the dyadic oracle).
-    pub fn limb_vec(&self) -> Vec<f64> {
-        self.limbs.to_vec()
-    }
-
-    /// Error-free accumulation of a slice of multiple-doubles.
-    ///
-    /// More accurate than folding with `add` because all `N * len` limbs are
-    /// renormalized together only once per chunk.
-    pub fn sum_slice(values: &[Self]) -> Self {
-        let mut acc = Self::ZERO;
-        for v in values {
-            acc = acc.add(v);
-        }
-        acc
-    }
-
-    /// In-place error-free transformation pass over raw limbs (exposed for
-    /// the series kernels that accumulate many products before renormalizing).
-    pub fn vec_sum(terms: &mut [f64]) {
-        vec_sum_pass(terms);
     }
 }
 
@@ -558,6 +471,8 @@ impl<const N: usize> core::fmt::Debug for Md<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coeff::Coeff;
+    use crate::complex::Complex;
 
     fn assert_close<const N: usize>(a: &Md<N>, b: &Md<N>, tol: f64, msg: &str) {
         let rd = a.rel_diff(b);
@@ -758,16 +673,147 @@ mod tests {
         assert!(back.sub(&a).abs().div(&a).to_f64() < 8.0 * Deca::epsilon());
     }
 
-    #[test]
-    fn sum_slice_matches_sequential_adds() {
-        let values: Vec<Qd> = (1..=20)
-            .map(|k| Qd::one().div(&Qd::from_f64(k as f64)))
-            .collect();
-        let a = Qd::sum_slice(&values);
-        let mut b = Qd::ZERO;
-        for v in &values {
-            b = b.add(v);
+    /// FNV-1a over output bits.  Every NaN hashes as one quiet NaN, so the
+    /// platform's NaN payload and sign do not move the hash.
+    struct BitHash(u64);
+
+    impl BitHash {
+        fn new() -> Self {
+            Self(0xcbf2_9ce4_8422_2325)
         }
-        assert_eq!(a, b);
+
+        fn f64(&mut self, x: f64) {
+            let bits = if x.is_nan() {
+                0x7ff8_0000_0000_0000
+            } else {
+                x.to_bits()
+            };
+            for byte in bits.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn md<const N: usize>(&mut self, x: &Md<N>) {
+            for &l in x.limbs() {
+                self.f64(l);
+            }
+        }
+    }
+
+    /// The operand sweep of the golden test: normalized values assembled
+    /// from raw bits (so no operation under test builds them), an exact and
+    /// a near cancellation partner, zeros of both signs, small integers,
+    /// values near overflow and underflow, infinities and NaN.
+    fn golden_operands<const N: usize>(seed: u64) -> Vec<Md<N>> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state
+        };
+        let mut ops = Vec::new();
+        for _ in 0..12 {
+            let lead = (next() % 61) as i64 - 30;
+            let mut limbs = [0.0; N];
+            for (i, limb) in limbs.iter_mut().enumerate() {
+                // Limb i sits 54 binades below limb i - 1: below half its ulp.
+                let biased = (1023 + lead - 54 * i as i64) as u64;
+                let r = next();
+                *limb = f64::from_bits((r & (1 << 63)) | (biased << 52) | (r >> 12));
+            }
+            ops.push(Md::from_limbs_raw(limbs));
+        }
+        let mut near = ops[0].limbs;
+        near[N - 1] = -near[N - 1];
+        ops.push(ops[0].neg());
+        ops.push(Md::from_limbs_raw(near));
+        ops.push(Md::ZERO);
+        ops.push(Md::ZERO.neg());
+        ops.push(Md::one());
+        ops.push(Md::from_f64(-3.0));
+        ops.push(Md::from_f64(f64::from_bits(0x7EB8_0000_0000_0000))); // 1.5 * 2^1004
+        ops.push(Md::from_f64(f64::from_bits(0x0148_0000_0000_0000))); // 1.5 * 2^-1002
+        ops.push(Md::from_f64(f64::INFINITY));
+        ops.push(Md::from_f64(f64::NEG_INFINITY));
+        ops.push(Md::nan());
+        ops
+    }
+
+    fn golden_hash<const N: usize>(seed: u64) -> u64 {
+        let ops = golden_operands::<N>(seed);
+        let mut h = BitHash::new();
+        for a in &ops {
+            h.md(&a.sqrt());
+            for b in &ops {
+                h.md(&a.add(b));
+                h.md(&a.sub(b));
+                h.md(&a.mul(b));
+                let mut acc = *a;
+                Coeff::mul_add_assign(&mut acc, b, a);
+                h.md(&acc);
+                h.md(&a.add_f64(b.hi()));
+                h.md(&a.mul_f64(b.hi()));
+                h.md(&a.div(b));
+                // Overlapping, unordered limbs for the renormalizer.
+                let mut mixed = [0.0; N];
+                for (i, m) in mixed.iter_mut().enumerate() {
+                    *m = a.limbs()[i] + b.limbs()[N - 1 - i];
+                }
+                h.md(&Md::renormalized(mixed));
+            }
+        }
+        h.0
+    }
+
+    fn golden_complex_hash(seed: u64) -> u64 {
+        let parts = golden_operands::<2>(seed);
+        let ops: Vec<Complex<Dd>> = (0..parts.len())
+            .map(|i| Complex::new(parts[i], parts[(5 * i + 3) % parts.len()]))
+            .collect();
+        let mut h = BitHash::new();
+        for a in &ops {
+            for b in &ops {
+                for c in [a.add(b), a.sub(b), a.mul(b), a.div(b)] {
+                    h.md(&c.re);
+                    h.md(&c.im);
+                }
+                let mut acc = *a;
+                Coeff::mul_add_assign(&mut acc, b, a);
+                h.md(&acc.re);
+                h.md(&acc.im);
+            }
+        }
+        h.0
+    }
+
+    /// The scalar arithmetic keeps its historical output bits.  The lane
+    /// tests compare width `W` with width 1; these hashes, recorded on the
+    /// separate scalar implementation that width 1 replaced, tie width 1 to
+    /// the bits it has always produced.  Only a deliberate numerics change
+    /// regenerates them, and says so.
+    #[test]
+    fn scalar_arithmetic_bits_are_pinned() {
+        let got = [
+            ("1d", golden_hash::<1>(1)),
+            ("2d", golden_hash::<2>(2)),
+            ("3d", golden_hash::<3>(3)),
+            ("4d", golden_hash::<4>(4)),
+            ("5d", golden_hash::<5>(5)),
+            ("8d", golden_hash::<8>(8)),
+            ("10d", golden_hash::<10>(10)),
+            ("complex 2d", golden_complex_hash(11)),
+        ];
+        let want = [
+            ("1d", 0x868b_c196_a9b2_d0e4),
+            ("2d", 0x230a_9b16_137a_8708),
+            ("3d", 0xeade_eeea_5f21_7acd),
+            ("4d", 0x87cc_aed3_4cb1_d308),
+            ("5d", 0xccfa_2c5c_eb1d_61b4),
+            ("8d", 0x0836_cb99_a7aa_ec01),
+            ("10d", 0x1f9a_299d_166a_a77e),
+            ("complex 2d", 0x6e7a_755a_21a4_3eb9),
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -4,7 +4,7 @@
 //! worker pool onto which "kernels" are launched as grids of blocks
 //! ([`WorkerPool::launch_grid`]), kernel event timers mirroring
 //! `cudaEventElapsedTime` ([`KernelTimings`]) and the shared flat data array
-//! the jobs operate on ([`SharedArray`]).
+//! the jobs operate on ([`SharedSlice`]).
 //!
 //! The paper's experiments run on five NVIDIA GPUs; this crate replaces the
 //! CUDA runtime while preserving its execution model (one block per job,
@@ -27,6 +27,6 @@ pub mod shared;
 pub mod timer;
 
 pub use cancel::CancelToken;
-pub use pool::{global_pool, LaunchOutcome, WorkerPool};
-pub use shared::{SharedArray, SharedSlice};
+pub use pool::{LaunchOutcome, WorkerPool};
+pub use shared::SharedSlice;
 pub use timer::{duration_ms, KernelKind, KernelTimings, Stopwatch};

@@ -23,7 +23,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Completion rendezvous shared by the launcher and the workers of one
@@ -166,20 +166,13 @@ impl WorkerPool {
         }
     }
 
-    /// Creates a pool sized to the available hardware parallelism, or to the
-    /// `PSMD_THREADS` environment variable when set (the value is the number
-    /// of worker threads; `0` degenerates to sequential execution).  CI runs
-    /// the test suite under `PSMD_THREADS=0,1,4` to exercise the executor
-    /// under no, little and real contention.
-    pub fn with_default_parallelism() -> Self {
-        Self::new(Self::default_worker_threads())
-    }
-
-    /// The worker-thread count [`Self::with_default_parallelism`] would use:
-    /// the `PSMD_THREADS` override when set, otherwise one less than the
-    /// hardware parallelism (the launcher always participates).  Callers
-    /// that need the count without building a pool (harness reports,
-    /// examples) should use this instead of constructing a throwaway pool.
+    /// The default worker-thread count: the `PSMD_THREADS` override when set
+    /// (`0` degenerates to sequential execution), otherwise one less than
+    /// the hardware parallelism (the launcher always participates).  CI
+    /// runs the test suite under `PSMD_THREADS=0,1,4` to exercise the
+    /// executor under no, little and real contention.  Callers that need
+    /// the count without building a pool (harness reports, examples) should
+    /// use this instead of constructing a throwaway pool.
     pub fn default_worker_threads() -> usize {
         if let Some(threads) = Self::threads_from_env() {
             return threads;
@@ -351,13 +344,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The process-wide default pool, sized to the hardware parallelism (or to
-/// `PSMD_THREADS` when set).
-pub fn global_pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(WorkerPool::with_default_parallelism)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,14 +423,6 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn global_pool_is_shared_and_parallel() {
-        let p1 = global_pool();
-        let p2 = global_pool();
-        assert!(std::ptr::eq(p1, p2));
-        assert!(p1.parallelism() >= 1);
     }
 
     #[test]

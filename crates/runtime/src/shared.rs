@@ -3,17 +3,16 @@
 //! The paper stores every power-series coefficient of the computation in one
 //! flat array `A` (Figure 1); each convolution or addition job is described
 //! by offsets into that array, and all jobs of one layer write to pairwise
-//! disjoint output ranges.  [`SharedArray`] gives the block bodies running on
+//! disjoint output ranges.  [`SharedSlice`] gives the block bodies running on
 //! the worker pool access to that array.  Safety rests on the disjointness
 //! invariant of the job schedule, which the schedule builder validates.
 
-use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 
-/// A **borrowed** view of a flat data array with the same disjoint-write
-/// discipline as [`SharedArray`], used by the workspace-reusing evaluation
-/// paths: the arena lives in a long-lived `Workspace` and is lent to the
-/// blocks of one launch instead of being allocated per evaluation.
+/// A **borrowed** view of a flat data array that the blocks of a grid launch
+/// read and write concurrently, provided the written ranges are disjoint.
+/// The arena lives in a long-lived `Workspace` and is lent to the blocks of
+/// one launch instead of being allocated per evaluation.
 ///
 /// The borrow ends when the `SharedSlice` goes out of scope, at which point
 /// the caller reads the results straight out of its own buffer — no
@@ -73,81 +72,6 @@ impl<'a, T> SharedSlice<'a, T> {
     }
 }
 
-/// A heap-allocated array that can be read and written concurrently by the
-/// blocks of a grid launch, provided the written ranges are disjoint.
-pub struct SharedArray<T> {
-    data: UnsafeCell<Vec<T>>,
-}
-
-// Safety: concurrent access is coordinated by the job schedule (disjoint
-// output ranges per layer); the type itself only hands out raw slices.
-unsafe impl<T: Send> Send for SharedArray<T> {}
-unsafe impl<T: Send> Sync for SharedArray<T> {}
-
-impl<T> SharedArray<T> {
-    /// Wraps a vector for shared access.
-    pub fn new(data: Vec<T>) -> Self {
-        Self {
-            data: UnsafeCell::new(data),
-        }
-    }
-
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        unsafe { (*self.data.get()).len() }
-    }
-
-    /// True when the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Immutable view of a range.
-    ///
-    /// # Safety
-    ///
-    /// No concurrently executing job may write to the same range.
-    pub unsafe fn slice(&self, offset: usize, len: usize) -> &[T] {
-        let v = &*self.data.get();
-        debug_assert!(offset + len <= v.len());
-        std::slice::from_raw_parts(v.as_ptr().add(offset), len)
-    }
-
-    /// Mutable view of a range.
-    ///
-    /// # Safety
-    ///
-    /// No concurrently executing job may read or write the same range (the
-    /// job schedule guarantees this for jobs within one layer; a job may read
-    /// and write its own range).
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, offset: usize, len: usize) -> &mut [T] {
-        let v = &mut *self.data.get();
-        debug_assert!(offset + len <= v.len());
-        std::slice::from_raw_parts_mut(v.as_mut_ptr().add(offset), len)
-    }
-
-    /// Consumes the wrapper and returns the underlying vector.
-    pub fn into_inner(self) -> Vec<T> {
-        self.data.into_inner()
-    }
-
-    /// Exclusive access to the whole array (requires `&mut self`, hence no
-    /// concurrent jobs).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.data.get_mut().as_mut_slice()
-    }
-
-    /// Shared read-only access to the whole array.
-    ///
-    /// # Safety
-    ///
-    /// No concurrently executing job may write to any part of the array.
-    pub unsafe fn as_slice(&self) -> &[T] {
-        &*self.data.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,7 +81,8 @@ mod tests {
     fn disjoint_parallel_writes_land_in_the_right_place() {
         let n = 64usize;
         let chunk = 16usize;
-        let shared = SharedArray::new(vec![0u64; n * chunk]);
+        let mut data = vec![0u64; n * chunk];
+        let shared = SharedSlice::new(&mut data);
         let pool = WorkerPool::new(3);
         pool.launch_grid(n, |b| {
             let out = unsafe { shared.slice_mut(b * chunk, chunk) };
@@ -165,7 +90,6 @@ mod tests {
                 *slot = (b * 1000 + i) as u64;
             }
         });
-        let data = shared.into_inner();
         for b in 0..n {
             for i in 0..chunk {
                 assert_eq!(data[b * chunk + i], (b * 1000 + i) as u64);
@@ -175,14 +99,14 @@ mod tests {
 
     #[test]
     fn reads_and_writes_of_own_range_are_allowed() {
-        let shared = SharedArray::new((0..100u32).collect::<Vec<_>>());
+        let mut data = (0..100u32).collect::<Vec<_>>();
+        let shared = SharedSlice::new(&mut data);
         let pool = WorkerPool::new(2);
         pool.launch_grid(10, |b| {
             let range = unsafe { shared.slice_mut(b * 10, 10) };
             let total: u32 = range.iter().sum();
             range[0] = total;
         });
-        let data = shared.into_inner();
         // Block 0 wrote the sum 0+1+...+9 = 45 into element 0.
         assert_eq!(data[0], 45);
         // Block 9 wrote 90+91+...+99 = 945 into element 90.
@@ -213,14 +137,5 @@ mod tests {
                 assert_eq!(arena[b * chunk + i], (b * 100 + i) as u64);
             }
         }
-    }
-
-    #[test]
-    fn exclusive_access_and_len() {
-        let mut shared = SharedArray::new(vec![1.0f64; 5]);
-        assert_eq!(shared.len(), 5);
-        assert!(!shared.is_empty());
-        shared.as_mut_slice()[2] = 7.0;
-        assert_eq!(unsafe { shared.as_slice() }[2], 7.0);
     }
 }

@@ -46,21 +46,6 @@ pub fn add_assign_slices<C: Coeff>(acc: &mut [C], inc: &[C]) {
     }
 }
 
-/// Convolution that accumulates into the output (`z += x * y`), used by the
-/// naive (baseline) evaluator.
-pub fn convolve_accumulate<C: Coeff>(x: &[C], y: &[C], z: &mut [C]) {
-    let n = z.len();
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(y.len(), n);
-    for k in 0..n {
-        let mut acc = z[k];
-        for i in 0..=k {
-            acc.mul_add_assign(&x[i], &y[k - i]);
-        }
-        z[k] = acc;
-    }
-}
-
 /// The convolution algorithm whose operation counts are being asked for.
 ///
 /// The paper's Section 6.2 cost model counts the zero-insertion kernel; the
@@ -139,16 +124,6 @@ mod tests {
         assert_eq!(acc[0].to_f64(), 1.5);
         assert_eq!(acc[1].to_f64(), 0.0);
         assert_eq!(acc[2].to_f64(), 13.0);
-    }
-
-    #[test]
-    fn accumulate_convolution_adds_on_top() {
-        let x = vec![qd(1.0), qd(1.0)];
-        let y = vec![qd(1.0), qd(1.0)];
-        let mut z = vec![qd(10.0), qd(20.0)];
-        convolve_accumulate(&x, &y, &mut z);
-        assert_eq!(z[0].to_f64(), 11.0);
-        assert_eq!(z[1].to_f64(), 22.0);
     }
 
     #[test]

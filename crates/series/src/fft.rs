@@ -233,15 +233,16 @@ pub fn convolve_fft<C: Coeff>(x: &[C], y: &[C], z: &mut [C], scratch: &mut [f64]
 
     // Recombination: coefficient k of the product is the sum of its digit
     // planes at decreasing scales 2^{EX + EY - b (s + 2)}; the CAMPARY
-    // renormalization compresses that term list back into C's limbs.
+    // renormalization (at lane width 1) compresses that term list back into
+    // C's limbs.
     let ncomp = C::components();
     let limbs = C::component_limbs();
-    let mut terms = [0.0f64; MAX_TERMS];
-    let mut limb_buf = [0.0f64; 2 * MAX_LIMBS];
+    let mut terms = [[0.0f64]; MAX_TERMS];
+    let mut limb_buf = [[0.0f64]; 2 * MAX_LIMBS];
     let nterms = 2 * p - 1;
     for (k, zk) in z.iter_mut().enumerate() {
         for comp in 0..ncomp {
-            for (s, term) in terms[..nterms].iter_mut().enumerate() {
+            for (s, [term]) in terms[..nterms].iter_mut().enumerate() {
                 let digit = prod[s * 2 * n + 2 * k + comp];
                 *term = mul_pow2(digit, ex + ey - (b as i32) * (s as i32 + 2));
             }
@@ -251,7 +252,7 @@ pub fn convolve_fft<C: Coeff>(x: &[C], y: &[C], z: &mut [C], scratch: &mut [f64]
                 2,
             );
         }
-        *zk = C::from_limbs(&limb_buf[..ncomp * limbs]);
+        *zk = C::from_limbs(limb_buf[..ncomp * limbs].as_flattened());
     }
 }
 

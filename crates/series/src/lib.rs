@@ -19,8 +19,7 @@ pub mod lanes;
 pub mod series;
 
 pub use convolution::{
-    add_assign_slices, addition_adds, convolution_adds, convolution_mults, convolve_accumulate,
-    convolve_seq, ConvAlgo,
+    add_assign_slices, addition_adds, convolution_adds, convolution_mults, convolve_seq, ConvAlgo,
 };
 pub use fft::{
     convolve_fft, fft_digit_bits, fft_digit_planes, fft_points, fft_scratch_f64_len, fft_ulp_budget,

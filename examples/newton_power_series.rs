@@ -36,17 +36,8 @@ fn build_system(degree: usize) -> (Polynomial<C>, Polynomial<C>) {
     let c1 = x_exact.mul(&x_exact).add(&y_exact.mul(&y_exact));
     let c2 = x_exact.mul(&y_exact);
     let one = Series::constant(C::from_f64(1.0), degree);
-    // f1 = x^2 + y^2 - c1: monomials x*x and y*y are expressed by folding
-    // the square into the coefficient via from_exponents at the current
-    // point; to keep the structure fixed we instead write x^2 as the
-    // product of two distinct variables of the *same* series (x0 * x0 is not
-    // allowed), so we use the standard trick of the paper: fold one power
-    // into the coefficient.  For this small example it is simpler to carry
-    // x^2 and y^2 as single-variable monomials with coefficient x and y
-    // respectively, refreshed each iteration — but that would change the
-    // polynomial.  Instead we introduce no trick at all: f1 uses the
-    // exponent-folding constructor at evaluation time inside the Newton loop.
-    // Here we only return the "affine" parts that do not change: -c1 and -c2.
+    // f1 keeps only its constant; the Newton loop refolds x^2 and y^2 with
+    // `Monomial::from_exponents` each iteration.
     let f1 = Polynomial::new(2, c1.neg(), vec![]);
     let f2 = Polynomial::new(2, c2.neg(), vec![Monomial::new(one, vec![0, 1])]);
     (f1, f2)
