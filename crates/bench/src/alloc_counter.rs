@@ -4,10 +4,11 @@
 //! while a [`measure_allocs`] call is in flight, counts the **measuring
 //! thread's** allocator traffic into const-initialized thread-local cells
 //! (which never allocate themselves).  Per-thread counting is the right
-//! discipline for the zero-allocation gates: the zero-worker engines under
-//! test run every kernel inline on the measuring thread, and unrelated
-//! process threads — parked pool workers, the libtest harness waking
-//! periodically — must not pollute the count.
+//! discipline for the zero-allocation gates: the measuring thread stages,
+//! launches, runs its share of the blocks and extracts, while unrelated
+//! process threads — the libtest harness waking periodically — must not
+//! pollute the count.  Pool workers are not counted either; perfbench's
+//! process-wide `core.allocs_per_call` covers them.
 //!
 //! The type cannot register itself: each gating binary declares its own
 //!

@@ -7,8 +7,9 @@
 //! truncation degree *and* on the working precision: a multiple-double
 //! multiplication costs `O(N^2)` double operations in the number of limbs
 //! `N`, so the sub-quadratic kernels — which trade coefficient
-//! multiplications for coefficient additions (Karatsuba) or for plain `f64`
-//! work (FFT) — pay off earlier at higher precision.
+//! multiplications for coefficient additions (Karatsuba) or for
+//! double-precision transform work (FFT) — pay off earlier at higher
+//! precision.
 //!
 //! This module ships the table measured by `table_harness kernels` on the
 //! reference container (the same measurement that produces
@@ -43,8 +44,8 @@ pub struct Crossover {
 /// the reference container (see `bench/baselines/BENCH_kernels.json` and
 /// EXPERIMENTS.md §10).  Entries are sorted by `component_limbs`.
 ///
-/// The shape follows the cost argument above: plain `f64` coefficients
-/// multiply as fast as they add, so the schoolbook kernel (with its
+/// The shape follows the cost argument above: one-limb coefficients
+/// ([`psmd_multidouble::Md1`]) multiply as fast as they add, so the schoolbook kernel (with its
 /// perfectly regular inner loop) holds out to degree 96 and the digit
 /// decomposition of the FFT never pays for itself; from double-double
 /// upward the `O(N^2)`-per-multiplication cost makes Karatsuba win as soon

@@ -596,10 +596,8 @@ impl<C: Coeff> Plan<C> {
     /// explicitly.  The workspace-side buffers are warm from the start
     /// (including the SIMD lane panels at the plan's resolved lane width),
     /// so even the *first* `request(..).workspace(&mut ws).into(&mut out)`
-    /// run through it (with a warm output, on a zero-worker engine)
-    /// allocates nothing; a bare `workspace(&mut ws).run()` still builds
-    /// its returned output, and threaded pools pay their constant
-    /// per-launch control allocations.
+    /// run through it (with a warm output) allocates nothing; a bare
+    /// `workspace(&mut ws).run()` still builds its returned output.
     pub fn create_workspace(&self) -> Workspace<C> {
         let s = &self.schedule;
         let per = s.layout.coeffs_per_slot();

@@ -354,8 +354,16 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
         _ => 1,
     };
     let layout = &schedule.layout;
+    let per = layout.coeffs_per_slot();
+    let arena_coeffs = layout.batch_total_coefficients(instances);
     let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch) = ws.parts(layout.batch_total_coefficients(instances), participants);
+    // Warm every participant's scratch before the launches: which lane runs
+    // which blocks changes from launch to launch, and a lane first used
+    // inside a launch would allocate there.
+    ws.ensure_participants(participants);
+    ws.warm_for(arena_coeffs, per, options.kernel);
+    ws.warm_lanes(per, lane_width);
+    let (arena, scratch) = ws.parts(arena_coeffs, participants);
     // Lay every instance out back-to-back in the flat arena.  Constants and
     // coefficients are replicated per instance so each region is
     // self-contained (jobs only ever read within their region).

@@ -1,13 +1,13 @@
 //! The coefficient abstraction used throughout the workspace.
 //!
 //! Power series, polynomials and the evaluation kernels are generic over the
-//! coefficient type: plain `f64`, any multiple-double [`Md<N>`], or complex
-//! numbers over either.  [`Coeff`] captures exactly the ring operations the
+//! coefficient type: any multiple-double [`Md<N>`] (the one-limb
+//! [`Md1`](crate::Md1) is a plain double) or complex numbers over one.  [`Coeff`] captures exactly the ring operations the
 //! kernels need (the paper's convolutions only add and multiply), plus a few
 //! conveniences for building test data and measuring errors.
 
 use crate::complex::Complex;
-use crate::lanes::{CxLanes, F64Lanes, LaneVec, MdLanes};
+use crate::lanes::{CxLanes, LaneVec, MdLanes};
 use crate::md::Md;
 
 /// Ring operations required of a power-series coefficient.
@@ -54,9 +54,9 @@ pub trait Coeff: Copy + Clone + PartialEq + core::fmt::Debug + Send + Sync + 'st
     /// a hash hit can be confirmed with `PartialEq` afterwards.
     fn hash_bits<H: core::hash::Hasher>(&self, state: &mut H);
     /// Number of `f64` limbs per *real component* of the value: `N` for
-    /// `Md<N>` (and for each of the two components of `Complex<Md<N>>`),
-    /// `1` for plain `f64`.  The compensated FFT convolution kernel uses
-    /// this to choose its digit depth per precision.
+    /// `Md<N>` and for each of the two components of `Complex<Md<N>>`.  The
+    /// compensated FFT convolution kernel uses this to choose its digit
+    /// depth per precision.
     fn component_limbs() -> usize;
     /// Number of real components: `1` for real coefficients, `2` (real
     /// part, then imaginary part) for complex ones.
@@ -86,93 +86,6 @@ pub trait RealCoeff: Coeff + PartialOrd {
     fn abs(&self) -> Self;
     /// Nearest double.
     fn to_f64(&self) -> f64;
-}
-
-impl Coeff for f64 {
-    type Lanes<const W: usize> = F64Lanes<W>;
-    #[inline]
-    fn zero() -> Self {
-        0.0
-    }
-    #[inline]
-    fn one() -> Self {
-        1.0
-    }
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    #[inline]
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-    #[inline]
-    fn sub(&self, other: &Self) -> Self {
-        self - other
-    }
-    #[inline]
-    fn mul(&self, other: &Self) -> Self {
-        self * other
-    }
-    #[inline]
-    fn neg(&self) -> Self {
-        -self
-    }
-    #[inline]
-    fn is_zero(&self) -> bool {
-        *self == 0.0
-    }
-    #[inline]
-    fn magnitude(&self) -> f64 {
-        self.abs()
-    }
-    #[inline]
-    fn unit_roundoff() -> f64 {
-        f64::EPSILON * 0.5
-    }
-    #[inline]
-    fn doubles_per_value() -> usize {
-        1
-    }
-    #[inline]
-    fn mul_add_assign(&mut self, a: &Self, b: &Self) {
-        *self = a.mul_add(*b, *self);
-    }
-    #[inline]
-    fn hash_bits<H: core::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.to_bits());
-    }
-    #[inline]
-    fn component_limbs() -> usize {
-        1
-    }
-    #[inline]
-    fn write_limbs(&self, out: &mut [f64]) {
-        out[0] = *self;
-    }
-    #[inline]
-    fn from_limbs(src: &[f64]) -> Self {
-        src[0]
-    }
-}
-
-impl RealCoeff for f64 {
-    #[inline]
-    fn div(&self, other: &Self) -> Self {
-        self / other
-    }
-    #[inline]
-    fn sqrt(&self) -> Self {
-        f64::sqrt(*self)
-    }
-    #[inline]
-    fn abs(&self) -> Self {
-        f64::abs(*self)
-    }
-    #[inline]
-    fn to_f64(&self) -> f64 {
-        *self
-    }
 }
 
 impl<const N: usize> Coeff for Md<N> {
@@ -358,11 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn f64_satisfies_ring_axioms() {
-        ring_axioms(1.5f64, -2.25, 0.75, 1e-15);
-    }
-
-    #[test]
     fn md_satisfies_ring_axioms() {
         ring_axioms(
             Qd::from_f64(1.5).add_f64(2f64.powi(-90)),
@@ -390,7 +298,6 @@ mod tests {
 
     #[test]
     fn doubles_per_value_reports_storage() {
-        assert_eq!(<f64 as Coeff>::doubles_per_value(), 1);
         assert_eq!(<Qd as Coeff>::doubles_per_value(), 4);
         assert_eq!(<Complex<Dd> as Coeff>::doubles_per_value(), 4);
         assert_eq!(<Complex<Qd> as Coeff>::doubles_per_value(), 8);
@@ -405,8 +312,6 @@ mod tests {
             value.hash_bits(&mut h);
             h.finish()
         }
-        assert_eq!(digest(&1.5f64), digest(&1.5f64));
-        assert_ne!(digest(&1.5f64), digest(&-1.5f64));
         let tiny = Qd::one().div(&Qd::from_f64(3.0));
         assert_eq!(digest(&tiny), digest(&tiny));
         // Values equal in the leading limb but different below must hash
@@ -426,14 +331,12 @@ mod tests {
             v.write_limbs(&mut buf);
             assert_eq!(C::from_limbs(&buf), v);
         }
-        roundtrip(-1.5f64);
         roundtrip(Qd::one().div(&Qd::from_f64(3.0)));
         roundtrip(Dd::from_f64(0.1).mul(&Dd::from_f64(2f64.powi(300))));
         roundtrip(Complex::new(
             Qd::from_f64(1.0).add_f64(2f64.powi(-200)),
             Qd::from_f64(-7.0),
         ));
-        assert_eq!(<f64 as Coeff>::components(), 1);
         assert_eq!(<Qd as Coeff>::components(), 1);
         assert_eq!(<Complex<Dd> as Coeff>::components(), 2);
         assert_eq!(<Complex<Dd> as Coeff>::component_limbs(), 2);
@@ -441,9 +344,6 @@ mod tests {
 
     #[test]
     fn mul_add_assign_default_and_override() {
-        let mut x = 1.0f64;
-        Coeff::mul_add_assign(&mut x, &2.0, &3.0);
-        assert_eq!(x, 7.0);
         let mut y = Qd::from_f64(1.0);
         y.mul_add_assign(&Qd::from_f64(2.0), &Qd::from_f64(3.0));
         assert_eq!(y.to_f64(), 7.0);

@@ -31,7 +31,7 @@
 
 use crate::coeff::{Coeff, RealCoeff};
 use crate::complex::Complex;
-use crate::eft::{lane_two_prod, vadd, vfma, vmul, vneg, vsub};
+use crate::eft::{lane_two_prod, vadd, vmul, vneg};
 use crate::md::{Md, MAX_LIMBS};
 use crate::renorm::{merge_decreasing, renormalize_into};
 use std::sync::OnceLock;
@@ -265,60 +265,6 @@ impl<const N: usize, const W: usize> LaneVec<Md<N>, W> for MdLanes<N, W> {
     fn mul_add_assign(&mut self, a: &Self, b: &Self) {
         // Mirrors the default `Coeff::mul_add_assign` used by `Md<N>`.
         *self = MdLanes::add(self, &MdLanes::mul(a, b));
-    }
-}
-
-/// `W` lanes of plain `f64`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct F64Lanes<const W: usize>(pub [f64; W]);
-
-impl<const W: usize> LaneVec<f64, W> for F64Lanes<W> {
-    #[inline(always)]
-    fn zero() -> Self {
-        Self([0.0; W])
-    }
-
-    #[inline(always)]
-    fn load_from(panel: &[f64], base: usize) -> Self {
-        let mut s = [0.0; W];
-        s.copy_from_slice(&panel[base..base + W]);
-        Self(s)
-    }
-
-    #[inline(always)]
-    fn store_to(&self, panel: &mut [f64], base: usize) {
-        panel[base..base + W].copy_from_slice(&self.0);
-    }
-
-    #[inline]
-    fn write_lane(panel: &mut [f64], base: usize, lane: usize, value: &f64) {
-        panel[base + lane] = *value;
-    }
-
-    #[inline]
-    fn read_lane(panel: &[f64], base: usize, lane: usize) -> f64 {
-        panel[base + lane]
-    }
-
-    #[inline(always)]
-    fn add(&self, other: &Self) -> Self {
-        Self(vadd(&self.0, &other.0))
-    }
-
-    #[inline(always)]
-    fn sub(&self, other: &Self) -> Self {
-        Self(vsub(&self.0, &other.0))
-    }
-
-    #[inline(always)]
-    fn mul(&self, other: &Self) -> Self {
-        Self(vmul(&self.0, &other.0))
-    }
-
-    #[inline(always)]
-    fn mul_add_assign(&mut self, a: &Self, b: &Self) {
-        // Mirrors the `f64` override of `Coeff::mul_add_assign` (an FMA).
-        self.0 = vfma(&a.0, &b.0, &self.0);
     }
 }
 
@@ -677,20 +623,6 @@ mod tests {
                 a[l].add(&b[l])
             );
             acc.store_to(&mut out, 0);
-        }
-    }
-
-    #[test]
-    fn f64_lanes_use_the_fma_override() {
-        const W: usize = 4;
-        let a = F64Lanes::<W>([0.1, -2.5, 3.0, 1e-17]);
-        let b = F64Lanes::<W>([7.0, 0.3, -1.25, 1e17]);
-        let mut acc = F64Lanes::<W>([1.0; W]);
-        acc.mul_add_assign(&a, &b);
-        for l in 0..W {
-            let mut want = 1.0f64;
-            Coeff::mul_add_assign(&mut want, &a.0[l], &b.0[l]);
-            assert_eq!(acc.0[l], want);
         }
     }
 

@@ -49,9 +49,7 @@ pub use coeff::{Coeff, RealCoeff};
 pub use complex::{Complex, ComplexDd, ComplexDeca, ComplexQd};
 pub use convert::{decimal_digits, ParseMdError};
 pub use flops::CostModel;
-pub use lanes::{
-    detect_isa, detected_lane_width, CxLanes, F64Lanes, LaneVec, MdLanes, ScalarLanes, SimdIsa,
-};
+pub use lanes::{detect_isa, detected_lane_width, CxLanes, LaneVec, MdLanes, ScalarLanes, SimdIsa};
 pub use md::{Dd, Deca, Md, Md1, Od, Pd, Qd, Td, MAX_LIMBS};
 pub use precision::Precision;
 #[cfg(feature = "rand")]

@@ -23,20 +23,6 @@ pub trait RandomCoeff: Sized {
     fn random_unit<R: Rng + ?Sized>(rng: &mut R) -> Self;
 }
 
-impl RandomCoeff for f64 {
-    fn random_uniform<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        rng.gen_range(-1.0..1.0)
-    }
-    fn random_unit<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let x: f64 = rng.gen_range(0.25..1.0);
-        if rng.gen_bool(0.5) {
-            x
-        } else {
-            -x
-        }
-    }
-}
-
 impl<const N: usize> RandomCoeff for Md<N> {
     fn random_uniform<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // Fill every limb with fresh random bits at the appropriate scale so

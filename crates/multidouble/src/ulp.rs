@@ -88,7 +88,7 @@ mod tests {
         assert_eq!(ulp_distance(&a, &a), 0.0);
         let c = Complex::new(Dd::from_f64(0.1), Dd::from_f64(-2.0));
         assert_eq!(ulp_distance(&c, &c), 0.0);
-        assert_eq!(ulp_distance(&0.0f64, &0.0f64), 0.0);
+        assert_eq!(ulp_distance(&Md::<1>::ZERO, &Md::<1>::ZERO), 0.0);
     }
 
     #[test]
@@ -107,8 +107,6 @@ mod tests {
         check::<5>();
         check::<8>();
         check::<10>();
-        let d = ulp_distance(&1.0f64, &(1.0 + f64::EPSILON));
-        assert!((d - 2.0).abs() < 1e-12, "f64 u = eps/2: {d}");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!
 //! There is one launch shape, the grid: every layer of jobs is one launch,
 //! and each launch reports whether it woke the pool ([`LaunchOutcome`]), so
-//! an evaluation counts its own rendezvous.  Launches support **cooperative
+//! an evaluation counts its own rendezvous.  A launch lives on the
+//! launcher's stack and is posted to each worker's bounded queue by
+//! reference, so launching allocates nothing.  Launches support **cooperative
 //! cancellation** through a shared [`CancelToken`] epoch, polled between
 //! block claims (never inside kernel arithmetic): a cancelled launch stops
 //! claiming blocks, the rendezvous still completes and the pool stays

@@ -17,92 +17,70 @@
 //! The launching thread participates in the work, so a pool of `T` workers
 //! provides `T + 1`-way parallelism and a launch never deadlocks even if the
 //! pool has zero worker threads.
+//!
+//! A launch lives on the launcher's stack and is posted to every worker by
+//! reference, through a bounded queue per worker whose buffer is allocated
+//! once, when the pool is built.  The last participant to finish unparks
+//! the launcher, which returns only once every worker is done with the
+//! launch.  So a launch allocates nothing, and every worker runs every
+//! launch exactly once.  Launches from different threads run in parallel:
+//! each worker takes them in the order they were posted to it.
 
 use crate::cancel::CancelToken;
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::thread::{JoinHandle, Thread};
 
-/// Completion rendezvous shared by the launcher and the workers of one
-/// launch: the last participant to finish wakes the launcher.
-struct Completion {
-    /// Number of participants that have not yet finished.
-    pending: AtomicUsize,
-    done_lock: Mutex<bool>,
-    done_cv: Condvar,
-}
+/// Launches a worker can hold queued: a launcher that finds the queue full
+/// waits until the worker takes one.
+const QUEUE_CAPACITY: usize = 8;
 
-impl Completion {
-    fn new(participants: usize) -> Self {
-        Self {
-            pending: AtomicUsize::new(participants),
-            done_lock: Mutex::new(false),
-            done_cv: Condvar::new(),
-        }
-    }
-
-    /// Marks one participant as finished; the last one signals the launcher.
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut done = self.done_lock.lock();
-            *done = true;
-            self.done_cv.notify_all();
-        }
-    }
-
-    /// Blocks until every participant has finished.
-    fn wait(&self) {
-        let mut done = self.done_lock.lock();
-        while !*done {
-            self.done_cv.wait(&mut done);
-        }
-    }
-}
-
-/// State shared between the launcher and the workers for one grid launch.
-struct GridLaunchState {
+/// One grid launch, shared by reference between the launcher and the
+/// workers.  It lives on the launcher's stack: the launcher does not return
+/// until `pending` reaches zero, and no participant touches the launch after
+/// its own decrement.
+struct GridLaunch<'a> {
     /// The per-block body, also told which participant lane runs the block
     /// (workers pass their thread index, the launcher passes `threads`), so
     /// bodies can borrow per-participant scratch instead of allocating.
-    body: Box<dyn Fn(usize, usize) + Send + Sync>,
+    body: &'a (dyn Fn(usize, usize) + Sync),
+    /// Cooperative cancellation: checked between block claims, never inside
+    /// a block body.  `None` for uncancellable launches.
+    cancel: Option<&'a CancelToken>,
     /// Next block index to claim.
     next_block: AtomicUsize,
     /// Total number of blocks in the grid.
     blocks: usize,
-    /// Cooperative cancellation: checked between block claims, never inside
-    /// a block body.  `None` for uncancellable launches.
-    cancel: Option<CancelToken>,
     /// Set when a participant observed the cancelled token and skipped at
     /// least one unclaimed block.
     abandoned: AtomicBool,
     /// Set when any block body panicked.
     poisoned: AtomicBool,
-    /// Completion signalling.
-    completion: Completion,
+    /// Number of participants that have not yet finished.  Each
+    /// participant's `AcqRel` decrement releases its block writes, and the
+    /// launcher's `Acquire` load that reads zero sees all of them.
+    pending: AtomicUsize,
+    /// The launching thread, unparked by the last participant to finish.
+    launcher: Thread,
 }
 
-impl GridLaunchState {
-    /// Runs this participant's share of the launch — claims and runs blocks
-    /// until the counter is exhausted or the launch is cancelled — and
-    /// signals completion.  `participant` identifies the thread (workers
-    /// `0..T`, launcher `T`).
+impl GridLaunch<'_> {
+    /// Claims and runs blocks until the counter is exhausted or the launch
+    /// is cancelled.  `participant` identifies the thread (workers `0..T`,
+    /// launcher `T`); each runs a launch once, so its lane is never used
+    /// concurrently.
     ///
     /// The cancellation check sits between the claim and the body, so no
     /// new block body starts after the token trips; blocks already running
-    /// in other participants finish normally.  A worker may drain more than
-    /// one message of this launch (the channel is MPMC, not broadcast), but
-    /// it does so sequentially on one thread, so its participant lane is
-    /// never used concurrently.
-    fn run_participant(&self, participant: usize) {
+    /// in other participants finish normally.
+    fn run_blocks(&self, participant: usize) {
         loop {
             let b = self.next_block.fetch_add(1, Ordering::Relaxed);
             if b >= self.blocks {
                 break;
             }
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            if self.cancel.is_some_and(CancelToken::is_cancelled) {
                 self.abandoned.store(true, Ordering::Release);
                 break;
             }
@@ -111,9 +89,26 @@ impl GridLaunchState {
                 self.poisoned.store(true, Ordering::Release);
             }
         }
-        self.completion.finish_one();
+    }
+
+    /// A worker's share of the launch.  The worker clones the launcher's
+    /// handle before its decrement because the launcher may return, and
+    /// the launch go out of scope, as soon as `pending` reaches zero.
+    fn run_worker(&self, worker: usize) {
+        self.run_blocks(worker);
+        let launcher = self.launcher.clone();
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            launcher.unpark();
+        }
     }
 }
+
+/// A launch posted to a worker by reference.
+struct Posted(*const GridLaunch<'static>);
+
+// SAFETY: `GridLaunch` is `Sync`, and the launcher keeps the pointee alive
+// until every worker it was posted to has finished with it.
+unsafe impl Send for Posted {}
 
 /// What one grid launch did, as reported by
 /// [`WorkerPool::launch_grid_indexed_cancellable`].
@@ -132,7 +127,8 @@ pub struct LaunchOutcome {
 
 /// A persistent pool of worker threads executing grid launches.
 pub struct WorkerPool {
-    sender: Sender<Arc<GridLaunchState>>,
+    /// One bounded launch queue per worker; dropping them ends the workers.
+    queues: Vec<SyncSender<Posted>>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
     /// Total number of pool rendezvous performed (launches that woke the
@@ -144,22 +140,25 @@ impl WorkerPool {
     /// Creates a pool with `threads` worker threads (the launching thread
     /// always helps, so `threads == 0` degenerates to sequential execution).
     pub fn new(threads: usize) -> Self {
-        let (sender, receiver) = unbounded::<Arc<GridLaunchState>>();
+        let mut queues = Vec::with_capacity(threads);
         let mut workers = Vec::with_capacity(threads);
         for i in 0..threads {
-            let rx = receiver.clone();
+            let (queue, posted) = sync_channel::<Posted>(QUEUE_CAPACITY);
             let handle = std::thread::Builder::new()
                 .name(format!("psmd-worker-{i}"))
                 .spawn(move || {
-                    while let Ok(launch) = rx.recv() {
-                        launch.run_participant(i);
+                    while let Ok(Posted(launch)) = posted.recv() {
+                        // SAFETY: the launcher keeps the launch alive until
+                        // this worker's decrement in `run_worker`.
+                        unsafe { &*launch }.run_worker(i);
                     }
                 })
                 .expect("failed to spawn worker thread");
+            queues.push(queue);
             workers.push(handle);
         }
         Self {
-            sender,
+            queues,
             workers,
             threads,
             rendezvous: AtomicUsize::new(0),
@@ -294,34 +293,33 @@ impl WorkerPool {
                 rendezvous: false,
             };
         }
-        // The body only needs to live for the duration of this call: workers
-        // are joined (via the condition variable) before we return, so it is
-        // sound to erase the lifetime.  This mirrors what scoped thread pools
-        // do internally.
-        let body_static: Box<dyn Fn(usize, usize) + Send + Sync> = unsafe {
-            std::mem::transmute::<Box<dyn Fn(usize, usize) + Send + Sync + '_>, _>(Box::new(body))
-        };
-        let launch = Arc::new(GridLaunchState {
-            body: body_static,
+        let launch = GridLaunch {
+            body: &body,
+            cancel,
             next_block: AtomicUsize::new(0),
             blocks,
-            cancel: cancel.cloned(),
             abandoned: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            completion: Completion::new(self.threads + 1),
-        });
-        // The one pool rendezvous of the launch: hand it to every worker,
-        // participate as the highest participant index, and wait for every
-        // participant to finish before returning (and before `body` is
-        // dropped).
+            pending: AtomicUsize::new(self.threads + 1),
+            launcher: std::thread::current(),
+        };
+        // The one pool rendezvous of the launch: post it to every worker,
+        // participate as the highest participant index, and park until every
+        // participant has finished before `launch` goes out of scope.
         self.rendezvous.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..self.threads {
-            self.sender
-                .send(Arc::clone(&launch))
-                .expect("worker channel closed");
+        let posted = std::ptr::from_ref(&launch).cast::<GridLaunch<'static>>();
+        for queue in &self.queues {
+            if queue.send(Posted(posted)).is_err() {
+                // A worker that is gone never takes part.
+                launch.pending.fetch_sub(1, Ordering::AcqRel);
+            }
         }
-        launch.run_participant(self.threads);
-        launch.completion.wait();
+        launch.run_blocks(self.threads);
+        if launch.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+            while launch.pending.load(Ordering::Acquire) != 0 {
+                std::thread::park();
+            }
+        }
         if launch.poisoned.load(Ordering::Acquire) {
             panic!("a block of the grid launch panicked");
         }
@@ -334,10 +332,8 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the channel terminates the workers.
-        let (dummy_tx, _) = unbounded();
-        let old = std::mem::replace(&mut self.sender, dummy_tx);
-        drop(old);
+        // Dropping the queues ends the workers.
+        self.queues.clear();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -521,6 +517,40 @@ mod tests {
         for launcher in launchers {
             assert!(launcher.join().unwrap(), "a launch lost or repeated blocks");
         }
+    }
+
+    #[test]
+    fn more_concurrent_launchers_than_queue_slots_all_complete() {
+        // Twice as many launchers as the one worker's queue holds: some find
+        // it full and wait for the worker, which never waits on them.
+        let pool = std::sync::Arc::new(WorkerPool::new(1));
+        let launchers: Vec<_> = (0..2 * QUEUE_CAPACITY)
+            .map(|l| {
+                let pool = std::sync::Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    let blocks = 2 + l;
+                    let hits: Vec<AtomicUsize> = (0..blocks).map(|_| AtomicUsize::new(0)).collect();
+                    let rounds = 50;
+                    for _ in 0..rounds {
+                        let outcome = pool.launch_grid_indexed_cancellable(blocks, None, |_, b| {
+                            hits[b].fetch_add(1, Ordering::Relaxed);
+                        });
+                        assert_eq!(
+                            outcome,
+                            LaunchOutcome {
+                                completed: true,
+                                rendezvous: true
+                            }
+                        );
+                    }
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == rounds)
+                })
+            })
+            .collect();
+        for launcher in launchers {
+            assert!(launcher.join().unwrap(), "a launch lost or repeated blocks");
+        }
+        assert_eq!(pool.rendezvous_count(), 2 * QUEUE_CAPACITY * 50);
     }
 
     #[test]

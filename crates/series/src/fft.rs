@@ -570,12 +570,13 @@ mod tests {
 
     #[test]
     fn plain_f64_series_are_more_accurate_than_schoolbook() {
-        // At N = 1 the digit transform is certified exact up to the final
-        // rounding, so it cannot drift more than an ulp per coefficient.
+        // At N = 1 (`Md<1>`, a plain double) the digit transform is
+        // certified exact up to the final rounding, so it cannot drift more
+        // than an ulp per coefficient.
         let mut rng = StdRng::seed_from_u64(83);
         let n = 100;
-        let x: Vec<f64> = (0..n).map(|_| RandomCoeff::random_unit(&mut rng)).collect();
-        let y: Vec<f64> = (0..n).map(|_| RandomCoeff::random_unit(&mut rng)).collect();
+        let x: Vec<Md<1>> = (0..n).map(|_| RandomCoeff::random_unit(&mut rng)).collect();
+        let y: Vec<Md<1>> = (0..n).map(|_| RandomCoeff::random_unit(&mut rng)).collect();
         let err = max_ulp_error(&fft_conv(&x, &y), &reference(&x, &y));
         assert!(err <= fft_ulp_budget(1), "err={err}");
     }

@@ -338,8 +338,8 @@ mod tests {
         // (an under-estimate would panic on the `split_at_mut`).
         let mut rng = StdRng::seed_from_u64(64);
         for n in 1..=200 {
-            let x: Vec<f64> = random_series(&mut rng, n);
-            let y: Vec<f64> = random_series(&mut rng, n);
+            let x: Vec<Md<1>> = random_series(&mut rng, n);
+            let y: Vec<Md<1>> = random_series(&mut rng, n);
             let _ = karatsuba(&x, &y);
         }
     }
@@ -422,12 +422,9 @@ mod tests {
         for n in [1usize, 5, 16, 17, 24, 31, 32, 33, 64, 96, 128, 160, 161] {
             // Strictly positive data: no accidental exact zeros, so the
             // instrumented convention matches the formulas exactly.
-            let x: Vec<Counted> = (0..n)
-                .map(|_| Counted(1.0 + <f64 as RandomCoeff>::random_unit(&mut rng).abs()))
-                .collect();
-            let y: Vec<Counted> = (0..n)
-                .map(|_| Counted(1.0 + <f64 as RandomCoeff>::random_unit(&mut rng).abs()))
-                .collect();
+            let mut positive = || Counted(1.0 + Md::<1>::random_unit(&mut rng).to_f64().abs());
+            let x: Vec<Counted> = (0..n).map(|_| positive()).collect();
+            let y: Vec<Counted> = (0..n).map(|_| positive()).collect();
             MULTS.with(|m| m.set(0));
             ADDS.with(|a| a.set(0));
             let _ = karatsuba(&x, &y);

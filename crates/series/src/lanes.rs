@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn panel_kernels_match_scalar_bitwise_all_precisions() {
-        check_panels::<f64, 4>(9);
+        check_panels::<Md<1>, 4>(9);
         check_panels::<Dd, 4>(8);
         check_panels::<Td, 2>(7);
         check_panels::<Qd, 8>(6);

@@ -20,9 +20,9 @@
 //!
 //! Evaluation therefore always runs on a *requester* thread.  That keeps
 //! the thread count bounded by the callers, lets a zero-worker engine serve
-//! requests (the degenerate single-threaded configuration used by the
-//! allocation gate), and gives the batched run the same per-thread
-//! allocation profile as a direct `plan.request(..)` call.
+//! requests (the degenerate single-threaded configuration), and gives the
+//! batched run the same per-thread allocation profile as a direct
+//! `plan.request(..)` call.
 //!
 //! Coalesced results are **bitwise identical** to uncoalesced ones: a batch
 //! instance is computed by the same schedule, arithmetic and operation
@@ -50,7 +50,7 @@
 use crate::metrics::Metrics;
 use crate::service::{Request, Response, ServeError};
 use parking_lot::{Condvar, Mutex};
-use psmd_core::{BatchEvaluation, CancelToken, EvalOutput, Evaluation, Plan};
+use psmd_core::{BatchEvaluation, CancelToken, EvalOutput, Plan};
 use psmd_multidouble::Coeff;
 use psmd_series::Series;
 use std::collections::VecDeque;
@@ -134,8 +134,8 @@ struct SlotPtr<C: Coeff>(NonNull<Slot<C>>);
 unsafe impl<C: Coeff> Send for SlotPtr<C> {}
 
 /// Leader-only staging area, reused across drains so the steady state
-/// allocates nothing: the batch vectors, the staged slot pointers and both
-/// output buffers keep their capacity between launches.
+/// allocates nothing: the batch vectors, the staged slot pointers and the
+/// output buffer keep their capacity between launches.
 struct LeaderScratch<C: Coeff> {
     /// Slots staged for the current window, with their payloads and submit
     /// timestamps moved out of the queue states.
@@ -143,11 +143,9 @@ struct LeaderScratch<C: Coeff> {
     /// The input vectors of the staged requests (moved, and handed back in
     /// the responses).
     batch: Vec<Vec<Series<C>>>,
-    /// Reused output for windows of two or more requests.
-    batch_out: EvalOutput<C>,
-    /// Reused output for single-request windows, which run the (identical
-    /// but cheaper) single-evaluation path.
-    single_out: EvalOutput<C>,
+    /// Reused output of every window (a `Batch`: a window of one is a batch
+    /// of one).
+    out: EvalOutput<C>,
 }
 
 // The staged pointers only live inside a leader's drain, which finishes
@@ -159,8 +157,7 @@ impl<C: Coeff> LeaderScratch<C> {
         Self {
             staged: Vec::new(),
             batch: Vec::new(),
-            batch_out: EvalOutput::Batch(BatchEvaluation::empty()),
-            single_out: EvalOutput::Single(Evaluation::empty()),
+            out: EvalOutput::Batch(BatchEvaluation::empty()),
         }
     }
 }
@@ -485,12 +482,7 @@ impl<C: Coeff> PlanQueue<C> {
     /// instances of detached slots, and every instance when the launch was
     /// abandoned mid-flight.
     fn launch_window(&self, scratch: &mut LeaderScratch<C>) {
-        let LeaderScratch {
-            staged,
-            batch,
-            batch_out,
-            single_out,
-        } = scratch;
+        let LeaderScratch { staged, batch, out } = scratch;
         let k = staged.len();
         // Finalize the window before launching: the window becomes
         // whole-window cancellable only when every member carries a
@@ -519,19 +511,11 @@ impl<C: Coeff> PlanQueue<C> {
         }
         self.metrics.record_launch(k);
         let run = catch_unwind(AssertUnwindSafe(|| {
-            if k == 1 {
-                self.plan
-                    .request(&batch[0])
-                    .cancel(&self.cancel)
-                    .into(single_out)
-                    .run();
-            } else {
-                self.plan
-                    .request(&*batch)
-                    .cancel(&self.cancel)
-                    .into(batch_out)
-                    .run();
-            }
+            self.plan
+                .request(&*batch)
+                .cancel(&self.cancel)
+                .into(out)
+                .run();
         }));
         let failure = run.err().map(|payload| {
             let message = payload
@@ -541,12 +525,10 @@ impl<C: Coeff> PlanQueue<C> {
                 .unwrap_or_else(|| "evaluation panicked".to_string());
             ServeError::Rejected(message)
         });
-        let abandoned = failure.is_none()
-            && if k == 1 {
-                single_out.timings().cancelled
-            } else {
-                batch_out.timings().cancelled
-            };
+        let abandoned = failure.is_none() && out.timings().cancelled;
+        let EvalOutput::Batch(results) = out else {
+            unreachable!("a single-polynomial plan writes a batch output for a batch")
+        };
         if abandoned {
             let abandon_micros = {
                 let meta = self.window.lock();
@@ -578,15 +560,7 @@ impl<C: Coeff> PlanQueue<C> {
                 // Swap the result into the caller's reuse buffers and
                 // hand the input vectors back, so a closed-loop client
                 // recycles every allocation.
-                match (&mut *single_out, &mut *batch_out) {
-                    (EvalOutput::Single(single), _) if k == 1 => {
-                        std::mem::swap(single, &mut request.reuse);
-                    }
-                    (_, EvalOutput::Batch(batched)) if k > 1 => {
-                        std::mem::swap(&mut batched.instances[i], &mut request.reuse);
-                    }
-                    _ => unreachable!("scratch outputs keep their variants"),
-                }
+                std::mem::swap(&mut results.instances[i], &mut request.reuse);
                 self.metrics
                     .record_completed(start.elapsed().as_micros() as u64);
                 Ok(Response {

@@ -10,67 +10,13 @@
 //! nothing.
 
 use psmd_core::{Engine, Error};
-use psmd_multidouble::{Dd, Deca, Md1, Od, Pd, Precision, Qd, Td};
+use psmd_multidouble::{with_precision, Md};
 
-use crate::cohort::{Cohort, CohortOutcome, RawPath};
+use crate::cohort::{Cohort, RawPath};
 use crate::control::next_precision;
 use crate::report::{PathStatus, TrackOutcome, TrackReport, TrackStats};
 use crate::spec::HomotopySpec;
 use crate::TrackOptions;
-
-/// A cohort at whichever rung of the precision ladder it runs on.
-enum AnyCohort {
-    D1(Cohort<Md1>),
-    D2(Cohort<Dd>),
-    D3(Cohort<Td>),
-    D4(Cohort<Qd>),
-    D5(Cohort<Pd>),
-    D8(Cohort<Od>),
-    D10(Cohort<Deca>),
-}
-
-/// Dispatches a method over the concrete cohort type.
-macro_rules! with_cohort {
-    ($any:expr, $c:ident => $body:expr) => {
-        match $any {
-            AnyCohort::D1($c) => $body,
-            AnyCohort::D2($c) => $body,
-            AnyCohort::D3($c) => $body,
-            AnyCohort::D4($c) => $body,
-            AnyCohort::D5($c) => $body,
-            AnyCohort::D8($c) => $body,
-            AnyCohort::D10($c) => $body,
-        }
-    };
-}
-
-impl AnyCohort {
-    fn new(
-        spec: &HomotopySpec,
-        engine: &Engine,
-        options: &TrackOptions,
-        precision: Precision,
-        raws: Vec<RawPath>,
-    ) -> Result<Self, Error> {
-        Ok(match precision {
-            Precision::D1 => AnyCohort::D1(Cohort::new(spec, engine, options, precision, raws)?),
-            Precision::D2 => AnyCohort::D2(Cohort::new(spec, engine, options, precision, raws)?),
-            Precision::D3 => AnyCohort::D3(Cohort::new(spec, engine, options, precision, raws)?),
-            Precision::D4 => AnyCohort::D4(Cohort::new(spec, engine, options, precision, raws)?),
-            Precision::D5 => AnyCohort::D5(Cohort::new(spec, engine, options, precision, raws)?),
-            Precision::D8 => AnyCohort::D8(Cohort::new(spec, engine, options, precision, raws)?),
-            Precision::D10 => AnyCohort::D10(Cohort::new(spec, engine, options, precision, raws)?),
-        })
-    }
-
-    fn round(&mut self, options: &TrackOptions) -> Result<bool, Error> {
-        with_cohort!(self, c => c.round(options))
-    }
-
-    fn finish(self) -> CohortOutcome {
-        with_cohort!(self, c => c.finish())
-    }
-}
 
 /// An adaptive-precision homotopy continuation tracker for one family.
 #[derive(Debug, Clone)]
@@ -137,9 +83,12 @@ impl Tracker {
 
         let mut precision = self.options.start_precision;
         loop {
-            let mut cohort = AnyCohort::new(&self.spec, engine, &self.options, precision, pending)?;
-            while cohort.round(&self.options)? {}
-            let outcome = cohort.finish();
+            let outcome = with_precision!(precision, N => {
+                let mut cohort =
+                    Cohort::<Md<N>>::new(&self.spec, engine, &self.options, precision, pending)?;
+                while cohort.round(&self.options)? {}
+                cohort.finish()
+            });
             stats.corrector_launches += outcome.corrector_launches;
             for report in outcome.reports {
                 let path = report.path;
@@ -184,6 +133,7 @@ impl Tracker {
 mod tests {
     use super::*;
     use crate::spec::{MonomialSpec, PolySpec};
+    use psmd_multidouble::Precision;
 
     /// One two-variable block `{x + y − s, x·y − p}`; `p < 0` keeps the two
     /// real roots of opposite sign, so they never collide along the path.

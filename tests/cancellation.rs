@@ -136,32 +136,35 @@ fn mid_flight_trip_abandons_launch() {
 
 /// After an abandoned launch, the reused-output steady state is still
 /// allocation-free — the cancelled run neither leaked nor poisoned the
-/// pooled workspace — and arming a token allocates nothing either.
+/// pooled workspace — and arming a token allocates nothing either, inline
+/// or on a pool.
 #[test]
 fn cancelled_launch_keeps_steady_state_allocation_free() {
     let (p, z, _) = slow_case(47);
-    let engine = Engine::builder().threads(0).build();
-    let plan = engine.compile(p);
-    let reference = plan.request(&z).run();
-    let mut out = plan.request(&z).run();
-    plan.request(&z).into(&mut out).run();
-    let token = CancelToken::new();
+    for threads in [0, 1] {
+        let engine = Engine::builder().threads(threads).build();
+        let plan = engine.compile(p.clone());
+        let reference = plan.request(&z).run();
+        let mut out = plan.request(&z).run();
+        plan.request(&z).into(&mut out).run();
+        let token = CancelToken::new();
 
-    let counts = psmd_bench::measure_allocs(|| {
-        for _ in 0..3 {
-            token.cancel();
-            plan.request(&z).cancel(&token).into(&mut out).run();
-            token.reset();
-            plan.request(&z).cancel(&token).into(&mut out).run();
-        }
-    });
-    assert_eq!(
-        counts.allocs, 0,
-        "cancel-armed steady state allocated ({} B)",
-        counts.bytes
-    );
-    assert_eq!(counts.deallocs, 0, "cancel-armed steady state deallocated");
-    assert!(reference.bitwise_eq(&out), "results drifted");
+        let counts = psmd_bench::measure_allocs(|| {
+            for _ in 0..3 {
+                token.cancel();
+                plan.request(&z).cancel(&token).into(&mut out).run();
+                token.reset();
+                plan.request(&z).cancel(&token).into(&mut out).run();
+            }
+        });
+        assert_eq!(
+            counts.allocs, 0,
+            "{threads}w: cancel-armed steady state allocated ({} B)",
+            counts.bytes
+        );
+        assert_eq!(counts.deallocs, 0, "{threads}w: cancel-armed deallocations");
+        assert!(reference.bitwise_eq(&out), "{threads}w: results drifted");
+    }
 }
 
 /// The serving layer's whole-window abandonment, deterministically: a

@@ -236,17 +236,16 @@ fn a_seeded_family_escalates_past_dd_and_converges() {
 
 #[test]
 fn steady_state_corrector_sweeps_are_allocation_free() {
-    // Two runs of the same family on a zero-worker engine, differing only
-    // in step size: the long run takes 4x the steps (and so issues 4x the
-    // corrector sweeps), while construction, plan compilation (warmed
-    // below, cached thereafter) and reporting are identical.  Any per-sweep
-    // or per-step heap traffic would make the long run allocate more; the
-    // difference must be exactly zero.  Escalation — which legitimately
-    // rebuilds lanes at a wider type — is exempt from the contract and
-    // excluded here by a tolerance every precision can reach.
+    // Two runs of the same family on one engine, differing only in step
+    // size: the long run takes 4x the steps (and so issues 4x the corrector
+    // sweeps), while construction, plan compilation (warmed below, cached
+    // thereafter) and reporting are identical.  Any per-sweep or per-step
+    // heap traffic would make the long run allocate more; the difference
+    // must be exactly zero, inline and on a pool.  Escalation — which
+    // legitimately rebuilds lanes at a wider type — is exempt from the
+    // contract and excluded here by a tolerance every precision can reach.
     let spec = family(2, 7);
     let starts = start_solutions(2);
-    let engine = Engine::builder().threads(0).build();
     let tracker_with_step = |step: f64| {
         Tracker::new(
             spec.clone(),
@@ -263,35 +262,39 @@ fn steady_state_corrector_sweeps_are_allocation_free() {
     let short = tracker_with_step(0.25);
     let long = tracker_with_step(0.0625);
 
-    // Warm the engine's plan cache so neither measured run compiles.
-    let outcome = short.track(&engine, &starts).unwrap();
-    assert_eq!(outcome.stats.converged, starts.len());
-
-    let mut runs = [(&short, 0u64, 0usize), (&long, 0u64, 0usize)];
-    for (tracker, allocs, launches) in runs.iter_mut() {
-        let mut outcome = None;
-        let counts = psmd_bench::measure_allocs(|| {
-            outcome = Some(tracker.track(&engine, &starts).unwrap());
-        });
-        let outcome = outcome.unwrap();
+    for threads in [0, 1] {
+        let engine = Engine::builder().threads(threads).build();
+        // Warm the engine's plan cache so neither measured run compiles.
+        let outcome = short.track(&engine, &starts).unwrap();
         assert_eq!(outcome.stats.converged, starts.len());
-        assert!(outcome.stats.escalations_by_precision.is_empty());
-        *allocs = counts.allocs;
-        *launches = outcome.stats.corrector_launches;
+
+        let mut runs = [(&short, 0u64, 0usize), (&long, 0u64, 0usize)];
+        for (tracker, allocs, launches) in runs.iter_mut() {
+            let mut outcome = None;
+            let counts = psmd_bench::measure_allocs(|| {
+                outcome = Some(tracker.track(&engine, &starts).unwrap());
+            });
+            let outcome = outcome.unwrap();
+            assert_eq!(outcome.stats.converged, starts.len());
+            assert!(outcome.stats.escalations_by_precision.is_empty());
+            *allocs = counts.allocs;
+            *launches = outcome.stats.corrector_launches;
+        }
+        let [(_, short_allocs, short_launches), (_, long_allocs, long_launches)] = runs;
+        assert!(
+            long_launches >= short_launches + 8,
+            "{threads} workers: the long run must issue many more sweeps \
+             ({short_launches} vs {long_launches})"
+        );
+        let steady_allocs = long_allocs.saturating_sub(short_allocs);
+        assert_eq!(
+            steady_allocs, 0,
+            "{threads} workers: corrector sweeps allocate: {short_allocs} allocs over \
+             {short_launches} launches vs {long_allocs} over {long_launches}"
+        );
+        assert_eq!(
+            long_allocs, short_allocs,
+            "{threads} workers: sweep count must not change heap traffic at all"
+        );
     }
-    let [(_, short_allocs, short_launches), (_, long_allocs, long_launches)] = runs;
-    assert!(
-        long_launches >= short_launches + 8,
-        "the long run must issue many more sweeps ({short_launches} vs {long_launches})"
-    );
-    let steady_allocs = long_allocs.saturating_sub(short_allocs);
-    assert_eq!(
-        steady_allocs, 0,
-        "corrector sweeps allocate: {short_allocs} allocs over {short_launches} launches \
-         vs {long_allocs} over {long_launches}"
-    );
-    assert_eq!(
-        long_allocs, short_allocs,
-        "sweep count must not change heap traffic at all"
-    );
 }

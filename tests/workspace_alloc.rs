@@ -8,13 +8,14 @@
 //! client recycling its response buffers drives the whole
 //! submit/coalesce/launch/reply cycle without touching the allocator.
 //!
-//! The zero-allocation matrix runs on a zero-worker engine (the launching
-//! thread executes every kernel inline, so the per-thread measurement
-//! covers the entire evaluation).  Threaded engines additionally pay a
-//! small constant launcher-side per-launch control overhead (task boxing,
-//! channel nodes); a companion check pins that overhead as
-//! *degree-independent*, proving no per-coefficient or per-job allocation
-//! hides in the parallel path.
+//! The zero-allocation matrix runs on engines of 0, 1 and 2 workers.  The
+//! counters are per thread, so they see everything the launching thread
+//! does: the whole evaluation on a zero-worker engine, and staging,
+//! extraction, its own share of the blocks and the launches themselves on
+//! a threaded one.  A launch is posted to the workers by reference through
+//! queues allocated with the pool, so it allocates nothing.  The workers'
+//! own steady state is covered by perfbench's process-wide
+//! `core.allocs_per_call`.
 
 use psmd_core::{
     random_inputs, random_polynomial, try_newton_system, Engine, EvalOptions, Monomial,
@@ -26,10 +27,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 // The shared per-thread counting allocator (`psmd_bench::alloc_counter`):
-// the zero-worker engines under test run every kernel inline on the
-// measuring thread, and per-thread counters keep unrelated process threads
-// — the libtest harness wakes periodically and allocates — from polluting
-// the measurement.
+// per-thread counters keep unrelated process threads — the libtest harness
+// wakes periodically and allocates — from polluting the measurement.
 #[global_allocator]
 static ALLOCATOR: psmd_bench::CountingAllocator = psmd_bench::CountingAllocator;
 
@@ -69,12 +68,16 @@ fn paper_system(d: usize) -> Vec<Polynomial<Qd>> {
     vec![paper_example(d), f2]
 }
 
+/// Worker counts of the zero-allocation matrix: every kernel inline on the
+/// measuring thread, and pools whose launches post to one or two workers.
+const WORKERS: [usize; 3] = [0, 1, 2];
+
 /// Asserts that the steady-state reused-output path performs zero heap
-/// traffic on a zero-worker engine for the given plan/inputs, after
-/// warm-up.
-fn assert_zero_alloc_single(label: &str) {
+/// traffic on an engine of `threads` workers for the given plan/inputs,
+/// after warm-up.
+fn assert_zero_alloc_single(threads: usize, label: &str) {
     let d = 8;
-    let engine = Engine::builder().threads(0).build();
+    let engine = Engine::builder().threads(threads).build();
     let plan = engine.compile(paper_example(d));
     let mut rng = StdRng::seed_from_u64(11);
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
@@ -86,14 +89,14 @@ fn assert_zero_alloc_single(label: &str) {
             plan.request(&z).into(&mut out).run();
         }
     });
-    assert_eq!(allocs, 0, "{label}: steady-state allocations ({bytes} B)");
-    assert_eq!(deallocs, 0, "{label}: steady-state deallocations");
+    assert_eq!(allocs, 0, "{label}, {threads}w: allocations ({bytes} B)");
+    assert_eq!(deallocs, 0, "{label}, {threads}w: deallocations");
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
 }
 
-fn assert_zero_alloc_batch(label: &str) {
+fn assert_zero_alloc_batch(threads: usize, label: &str) {
     let d = 6;
-    let engine = Engine::builder().threads(0).build();
+    let engine = Engine::builder().threads(threads).build();
     let plan = engine.compile(paper_example(d));
     let mut rng = StdRng::seed_from_u64(13);
     let batch: Vec<Vec<Series<Qd>>> = (0..5)
@@ -107,8 +110,8 @@ fn assert_zero_alloc_batch(label: &str) {
             plan.request(&batch).into(&mut out).run();
         }
     });
-    assert_eq!(allocs, 0, "{label}: steady-state allocations ({bytes} B)");
-    assert_eq!(deallocs, 0, "{label}: steady-state deallocations");
+    assert_eq!(allocs, 0, "{label}, {threads}w: allocations ({bytes} B)");
+    assert_eq!(deallocs, 0, "{label}, {threads}w: deallocations");
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
 }
 
@@ -118,12 +121,13 @@ fn assert_zero_alloc_batch(label: &str) {
 /// (both run the same lane panels); `batch` is `None` for one input vector,
 /// whose layers pack their jobs into panels, or a batch size.
 fn assert_zero_alloc_simd(
+    threads: usize,
     simd: psmd_core::SimdMode,
     source: impl Into<PolySource<Qd>>,
     batch: Option<usize>,
     label: &str,
 ) {
-    let engine = Engine::builder().threads(0).simd(simd).build();
+    let engine = Engine::builder().threads(threads).simd(simd).build();
     let plan = engine.compile(source);
     let mut rng = StdRng::seed_from_u64(13);
     let inputs: Vec<Vec<Series<Qd>>> = (0..batch.unwrap_or(1))
@@ -141,8 +145,8 @@ fn assert_zero_alloc_simd(
             request().into(&mut out).run();
         }
     });
-    assert_eq!(allocs, 0, "{label}: steady-state allocations ({bytes} B)");
-    assert_eq!(deallocs, 0, "{label}: steady-state deallocations");
+    assert_eq!(allocs, 0, "{label}, {threads}w: allocations ({bytes} B)");
+    assert_eq!(deallocs, 0, "{label}, {threads}w: deallocations");
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
     // Every row runs at least one full panel at the resolved width.
     let width = plan.options().simd.lane_width();
@@ -152,9 +156,9 @@ fn assert_zero_alloc_simd(
 /// Truncation degree of the SIMD zero-allocation rows.
 const SIMD_DEGREE: usize = 6;
 
-fn assert_zero_alloc_system(label: &str) {
+fn assert_zero_alloc_system(threads: usize, label: &str) {
     let d = 6;
-    let engine = Engine::builder().threads(0).build();
+    let engine = Engine::builder().threads(threads).build();
     let plan = engine.compile(paper_system(d));
     let mut rng = StdRng::seed_from_u64(17);
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
@@ -166,17 +170,13 @@ fn assert_zero_alloc_system(label: &str) {
             plan.request(&z).into(&mut out).run();
         }
     });
-    assert_eq!(allocs, 0, "{label}: steady-state allocations ({bytes} B)");
-    assert_eq!(deallocs, 0, "{label}: steady-state deallocations");
+    assert_eq!(allocs, 0, "{label}, {threads}w: allocations ({bytes} B)");
+    assert_eq!(deallocs, 0, "{label}, {threads}w: deallocations");
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
 }
 
-/// Steady-state launcher-side allocation count of the reused-output path on a
-/// 2-worker engine at one degree (per-launch control overhead only; the
-/// counters are thread-local, so this sees exactly what the evaluating
-/// thread allocates).  Minimum over several measurements: the pool's
-/// channel allocates its node storage in blocks, so an individual run can
-/// land a block boundary.
+/// Steady-state launcher-side allocation count of ten reused-output calls
+/// on a 2-worker engine at degree `d`.
 fn threaded_steady_allocs(d: usize) -> u64 {
     let engine = Engine::builder().threads(2).build();
     let plan = engine.compile(paper_example(d));
@@ -184,23 +184,22 @@ fn threaded_steady_allocs(d: usize) -> u64 {
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
     let mut out = plan.request(&z).run();
     plan.request(&z).into(&mut out).run();
-    plan.request(&z).into(&mut out).run();
-    (0..5)
-        .map(|_| {
-            let (allocs, _, _) = measure(|| plan.request(&z).into(&mut out).run());
-            allocs
-        })
-        .min()
-        .unwrap()
+    let (allocs, _, _) = measure(|| {
+        for _ in 0..10 {
+            plan.request(&z).into(&mut out).run();
+        }
+    });
+    allocs
 }
 
 #[test]
 fn steady_state_evaluation_is_allocation_free() {
-    // Zero-allocation matrix: single/batch/system, all kernels inline on
-    // the measuring thread.
-    assert_zero_alloc_single("single");
-    assert_zero_alloc_batch("batch");
-    assert_zero_alloc_system("system");
+    // Zero-allocation matrix: single/batch/system on every worker count.
+    for threads in WORKERS {
+        assert_zero_alloc_single(threads, "single");
+        assert_zero_alloc_batch(threads, "batch");
+        assert_zero_alloc_system(threads, "system");
+    }
 
     // The SIMD lane tier keeps the contract under every mode: the lane
     // panels are workspace scratch, grown once and reused.  Batch sizes of
@@ -215,39 +214,46 @@ fn steady_state_evaluation_is_allocation_free() {
     };
     let system = || paper_system(SIMD_DEGREE);
     let batch = |simd: SimdMode| Some(2 * simd.lane_width() + 3);
-    let scalar = SimdMode::Scalar;
-    assert_zero_alloc_simd(scalar, single(), batch(scalar), "batch/simd-scalar");
-    let forced = SimdMode::SUPPORTED_WIDTHS.map(SimdMode::ForceWidth);
-    for simd in std::iter::once(SimdMode::Auto).chain(forced) {
-        assert_zero_alloc_simd(simd, single(), None, "single/simd");
-        assert_zero_alloc_simd(simd, system(), None, "system/simd");
-        assert_zero_alloc_simd(simd, single(), batch(simd), "batch/simd");
+    for threads in WORKERS {
+        let scalar = SimdMode::Scalar;
+        let label = "batch/simd-scalar";
+        assert_zero_alloc_simd(threads, scalar, single(), batch(scalar), label);
+        let forced = SimdMode::SUPPORTED_WIDTHS.map(SimdMode::ForceWidth);
+        for simd in std::iter::once(SimdMode::Auto).chain(forced) {
+            assert_zero_alloc_simd(threads, simd, single(), None, "single/simd");
+            assert_zero_alloc_simd(threads, simd, system(), None, "system/simd");
+            assert_zero_alloc_simd(threads, simd, single(), batch(simd), "batch/simd");
+        }
+        // System batches run the same panels under the same contract.
+        let forced = SimdMode::ForceWidth(4);
+        let label = "system-batch/simd-forced";
+        assert_zero_alloc_simd(threads, forced, system(), batch(forced), label);
     }
-    // System batches run the same panels under the same contract.
-    let forced = SimdMode::ForceWidth(4);
-    assert_zero_alloc_simd(forced, system(), batch(forced), "system-batch/simd-forced");
 
     // The explicit-workspace path is allocation-free from the FIRST call:
     // `create_workspace` pre-warms every buffer, lane panels included.
     let d = 8;
     let mut rng = StdRng::seed_from_u64(29);
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
-    for simd in [
-        SimdMode::Auto,
-        SimdMode::ForceWidth(2),
-        SimdMode::ForceWidth(8),
-    ] {
-        let engine = Engine::builder().threads(0).simd(simd).build();
-        let plan = engine.compile(paper_example(d));
-        let mut ws = plan.create_workspace();
-        let mut out = plan.request(&z).run();
-        let (allocs, deallocs, _) = measure(|| {
-            plan.request(&z).workspace(&mut ws).into(&mut out).run();
-        });
-        assert_eq!(allocs, 0, "explicit workspace: first-call allocations");
-        assert_eq!(deallocs, 0, "explicit workspace: first-call deallocations");
-        let width = plan.options().simd.lane_width();
-        assert_eq!(out.timings().simd_width, width, "lanes engaged at {simd:?}");
+    for threads in WORKERS {
+        for simd in [
+            SimdMode::Auto,
+            SimdMode::ForceWidth(2),
+            SimdMode::ForceWidth(8),
+        ] {
+            let engine = Engine::builder().threads(threads).simd(simd).build();
+            let plan = engine.compile(paper_example(d));
+            let mut ws = plan.create_workspace();
+            let mut out = plan.request(&z).run();
+            let (allocs, deallocs, _) = measure(|| {
+                plan.request(&z).workspace(&mut ws).into(&mut out).run();
+            });
+            let label = format!("explicit workspace, {threads} workers, {simd:?}");
+            assert_eq!(allocs, 0, "{label}: first-call allocations");
+            assert_eq!(deallocs, 0, "{label}: first-call deallocations");
+            let width = plan.options().simd.lane_width();
+            assert_eq!(out.timings().simd_width, width, "{label}: lanes engaged");
+        }
     }
     let engine = Engine::builder().threads(0).build();
 
@@ -262,17 +268,10 @@ fn steady_state_evaluation_is_allocation_free() {
     assert_eq!(allocs, 0, "direct kernel: steady-state allocations");
     assert_eq!(deallocs, 0, "direct kernel: steady-state deallocations");
 
-    // Threaded engines pay only a constant per-launch control overhead:
-    // the steady-state allocation count must not grow with the truncation
-    // degree (same schedule structure => same launches), proving the
-    // parallel path performs no per-coefficient or per-job allocation.
-    let small = threaded_steady_allocs(4);
-    let large = threaded_steady_allocs(24);
-    assert!(
-        large <= small + 16,
-        "threaded steady-state allocations grew with the degree: {small} at d=4 \
-         vs {large} at d=24"
-    );
+    // Threaded launches allocate nothing at any degree.
+    for d in [4, 24] {
+        assert_eq!(threaded_steady_allocs(d), 0, "2 workers, degree {d}");
+    }
 
     // Newton reuses one workspace across iterations: steps after the first
     // must not re-stage.  Measured end to end, a 4-step run on the reusable
@@ -328,47 +327,49 @@ fn steady_state_evaluation_is_allocation_free() {
 /// a client that hands each response's buffers back as the next request
 /// ([`Response::into_request`]) drives submit → admit → coalesce → launch
 /// → reply without a single heap allocation on the evaluation side.  The
-/// zero-worker engine runs every kernel inline on the submitting thread,
-/// so the per-thread counter sees the complete request lifecycle —
-/// including the leader's staging, the pooled workspace checkout and the
-/// metrics recording.
+/// submitting thread leads its own window, so the per-thread counter sees
+/// the complete request lifecycle — including the leader's staging, the
+/// pooled workspace checkout, the launches and the metrics recording.
 #[test]
 fn serve_closed_loop_is_allocation_free() {
     use psmd_serve::{Request, ServeConfig, Service};
 
     let d = 8;
-    let engine = Engine::builder().threads(0).build();
-    let service = Service::new(engine, ServeConfig::default());
-    service
-        .register("paper", paper_example(d))
-        .expect("register");
     let mut rng = StdRng::seed_from_u64(31);
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
+    for threads in [0, 1] {
+        let engine = Engine::builder().threads(threads).build();
+        let service = Service::new(engine, ServeConfig::default());
+        service
+            .register("paper", paper_example(d))
+            .expect("register");
 
-    // Warm up: grow the queue's staging buffers, the pooled workspace and
-    // the client's own request/response buffers.
-    let mut request = Request::new(z.clone());
-    for _ in 0..3 {
-        let response = service.submit::<Qd>("paper", request).expect("warm-up");
-        assert_eq!(response.coalesced, 1);
-        request = response.into_request();
-    }
-
-    let mut slot = Some(request);
-    let (allocs, deallocs, bytes) = measure(|| {
-        for _ in 0..10 {
-            let response = service
-                .submit::<Qd>("paper", slot.take().unwrap())
-                .expect("steady-state submit");
-            slot = Some(response.into_request());
+        // Warm up: grow the queue's staging buffers, the pooled workspace
+        // and the client's own request/response buffers.
+        let mut request = Request::new(z.clone());
+        for _ in 0..3 {
+            let response = service.submit::<Qd>("paper", request).expect("warm-up");
+            assert_eq!(response.coalesced, 1);
+            request = response.into_request();
         }
-    });
-    assert_eq!(allocs, 0, "serve steady state: allocations ({bytes} B)");
-    assert_eq!(deallocs, 0, "serve steady state: deallocations");
 
-    // The loop really did serve requests, one launch each.
-    let m = service.metrics("paper").expect("metrics");
-    assert_eq!(m.completed, 13);
-    assert_eq!(m.launches, 13);
-    assert_eq!(m.launches_saved, 0);
+        let mut slot = Some(request);
+        let (allocs, deallocs, bytes) = measure(|| {
+            for _ in 0..10 {
+                let response = service
+                    .submit::<Qd>("paper", slot.take().unwrap())
+                    .expect("steady-state submit");
+                slot = Some(response.into_request());
+            }
+        });
+        let label = format!("serve steady state, {threads} workers");
+        assert_eq!(allocs, 0, "{label}: allocations ({bytes} B)");
+        assert_eq!(deallocs, 0, "{label}: deallocations");
+
+        // The loop really did serve requests, one launch each.
+        let m = service.metrics("paper").expect("metrics");
+        assert_eq!(m.completed, 13);
+        assert_eq!(m.launches, 13);
+        assert_eq!(m.launches_saved, 0);
+    }
 }
