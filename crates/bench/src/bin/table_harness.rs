@@ -476,6 +476,18 @@ fn track_report(opts: &Options) {
             serial_launches,
             serial_launches as f64 / batched.stats.corrector_launches.max(1) as f64,
         );
+        let by_precision: Vec<String> = batched
+            .stats
+            .iterations_by_precision
+            .iter()
+            .map(|(p, count)| format!("{} {count}", p.label()))
+            .collect();
+        println!(
+            "batched Newton iterations by precision: {}; {} solves at the \
+             working precision, the rest in f64.",
+            by_precision.join(", "),
+            batched.stats.working_precision_solves,
+        );
     }
 }
 

@@ -311,7 +311,7 @@ impl<C: RealCoeff> LinearSolveWorkspace<C> {
     /// approaches a singular Jacobian, which is exactly the signal the path
     /// tracker's precision-escalation policy watches.  Returns `0.0` before
     /// the first solve and [`f64::INFINITY`] when the last factorization
-    /// failed on a zero pivot.
+    /// failed on a zero, NaN or infinite pivot.
     pub fn conditioning(&self) -> f64 {
         if self.pivot_max == 0.0 {
             0.0
@@ -337,7 +337,7 @@ impl<C: RealCoeff> LinearSolveWorkspace<C> {
 ///
 /// [`Error::Config`] when the matrix is not square or the shapes disagree;
 /// [`Error::Numerical`] when `J_0` is numerically singular (a zero pivot
-/// survives partial pivoting).
+/// survives partial pivoting) or a NaN or infinite entry reaches a pivot.
 pub fn try_solve_linearized<C: RealCoeff>(
     jacobian: &[Vec<Series<C>>],
     rhs: &[Series<C>],
@@ -417,14 +417,20 @@ pub fn try_solve_linearized_into<C: RealCoeff>(
                 pivot_row = row;
             }
         }
+        if !(best > 0.0 && best.is_finite()) {
+            // A zero pivot survived partial pivoting, or a NaN or infinite
+            // entry reached the pivot: either way there is no usable
+            // factorization, so the conditioning signal reads infinite.
+            ws.pivot_min = 0.0;
+            ws.pivot_max = f64::INFINITY;
+            return Err(Error::numerical(if best == 0.0 {
+                format!("the constant-term Jacobian is singular (column {col})")
+            } else {
+                format!("the constant-term Jacobian has a non-finite pivot (column {col})")
+            }));
+        }
         ws.pivot_min = ws.pivot_min.min(best);
         ws.pivot_max = ws.pivot_max.max(best);
-        if best <= 0.0 {
-            ws.pivot_min = 0.0;
-            return Err(Error::numerical(format!(
-                "the constant-term Jacobian is singular (column {col})"
-            )));
-        }
         if pivot_row != col {
             for c in 0..n {
                 lu.swap(col * n + c, pivot_row * n + c);
@@ -590,6 +596,42 @@ mod tests {
         let mut sol = Vec::new();
         assert!(try_solve_linearized_into(&jacobian, &b, &mut ws, &mut sol).is_err());
         assert_eq!(ws.conditioning(), f64::INFINITY);
+    }
+
+    /// A NaN or infinite entry anywhere in `J_0` reaches a pivot, so the
+    /// solve fails as numerical rather than handing back a NaN solution
+    /// with a finite pivot ratio.
+    fn non_finite_entries_fail_at<C: RealCoeff>() {
+        let s = |v: f64| Series::constant(C::from_f64(v), 0);
+        let matrix = |entries: [[f64; 2]; 2]| -> Vec<Vec<Series<C>>> {
+            entries.iter().map(|row| row.map(s).to_vec()).collect()
+        };
+        let clean = [[2.0, 1.0], [1.0, 3.0]];
+        let b = vec![s(1.0), s(1.0)];
+        let mut ws = LinearSolveWorkspace::<C>::new();
+        let mut sol = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let mut entries = clean;
+                entries[r][c] = bad;
+                let err =
+                    try_solve_linearized_into(&matrix(entries), &b, &mut ws, &mut sol).unwrap_err();
+                assert!(
+                    matches!(err, Error::Numerical(_)),
+                    "{bad} at [{r}][{c}]: {err:?}"
+                );
+                assert_eq!(ws.conditioning(), f64::INFINITY, "{bad} at [{r}][{c}]");
+                // The workspace stays usable for the next, finite system.
+                try_solve_linearized_into(&matrix(clean), &b, &mut ws, &mut sol).unwrap();
+                assert_eq!(ws.conditioning(), 1.25);
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_pivots_are_numerical_errors() {
+        non_finite_entries_fail_at::<psmd_multidouble::Md1>();
+        non_finite_entries_fail_at::<psmd_multidouble::Dd>();
     }
 
     #[test]

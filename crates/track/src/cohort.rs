@@ -1,21 +1,33 @@
 //! A cohort: every path currently tracked at one precision, corrected by
 //! **one** coalesced batched launch per sweep.
 //!
-//! Each live path owns a lane (its iterate, tangent, Jacobian and linear
-//! solver buffers).  A [`Cohort::round`] stages every live lane's trial
-//! iterate into one [`Inputs::Batch`] request against the stacked `[G; F]`
-//! plan, runs it as a single fused launch sequence, then advances every
-//! lane's state machine — predict, correct, accept, reject or escalate —
-//! from its slice of the batched result.  All round-to-round buffers are
-//! reused, so the steady-state corrector sweep allocates nothing; only
-//! construction and escalation (which rebuilds lanes at a wider precision)
-//! allocate.
+//! Each live path owns a lane (its iterate and tangent).  A
+//! [`Cohort::round`] stages every live lane's trial iterate into one
+//! [`Inputs::Batch`] request against the stacked `[G; F]` plan, runs it as
+//! a single fused launch sequence, then advances every lane's state machine
+//! — predict, correct, accept, reject or escalate — from its slice of the
+//! batched result.  A lane's linear solve starts and finishes inside its
+//! own step, so the solve scratch (residual, Jacobian, right-hand side,
+//! update and factorization) is one set per cohort, not one per lane.
+//!
+//! At degree 0 each solve — the tangent and every Newton update — factors
+//! `∂H/∂x` in `f64` and lifts the update to the working precision.  Newton
+//! accepts on the working-precision residual `H(x, t)`, so a correction
+//! with relative error η only slows convergence to a linear rate of about
+//! η while the residual still sets the attainable accuracy.  The solve
+//! falls back to the working precision when the `f64` factorization fails
+//! or its pivot ratio leaves fewer than 30 bits of the correction (see
+//! [`F64_SOLVE_MARGIN`]), and above degree 0.
+//!
+//! All round-to-round buffers are reused, so the steady-state corrector
+//! sweep allocates nothing; only construction and escalation (which
+//! rebuilds lanes at a wider precision) allocate.
 
 use psmd_core::{
     try_solve_linearized_into, Engine, Error, EvalOutput, Inputs, LinearSolveWorkspace,
     SystemBatchEvaluation, SystemEvaluation, Workspace,
 };
-use psmd_multidouble::{Precision, RealCoeff};
+use psmd_multidouble::{Md1, Precision, RealCoeff};
 use psmd_series::Series;
 
 use crate::control::{next_precision, roundoff, stall_floor};
@@ -81,7 +93,7 @@ enum Phase {
     Correcting,
 }
 
-/// One path's state and scratch buffers at this cohort's precision.
+/// One path's state at this cohort's precision.
 struct Lane<C> {
     path: usize,
     /// Accepted point and parameter.
@@ -92,12 +104,6 @@ struct Lane<C> {
     t_trial: f64,
     /// Tangent `dx/dt` at the accepted point (valid once primed).
     dxdt: Vec<Series<C>>,
-    /// Scratch: combined residual, Jacobian, solve right-hand side, update.
-    h: Vec<Series<C>>,
-    jac: Vec<Vec<Series<C>>>,
-    rhs: Vec<Series<C>>,
-    delta: Vec<Series<C>>,
-    solver: LinearSolveWorkspace<C>,
     step: f64,
     iters_this_step: usize,
     steps: usize,
@@ -139,11 +145,6 @@ impl<C: RealCoeff> Lane<C> {
             t: raw.t,
             t_trial: raw.t,
             dxdt: vec![Series::zero(degree); n],
-            h: vec![Series::zero(degree); n],
-            jac: vec![vec![Series::zero(degree); n]; n],
-            rhs: vec![Series::zero(degree); n],
-            delta: vec![Series::zero(degree); n],
-            solver: LinearSolveWorkspace::new(),
             step: raw.step.clamp(options.min_step, options.max_step),
             iters_this_step: 0,
             steps: raw.steps,
@@ -267,18 +268,21 @@ impl<C: RealCoeff> Lane<C> {
         &mut self,
         hom: &Homotopy<C>,
         eval: &SystemEvaluation<C>,
+        scratch: &mut Scratch<C>,
         precision: Precision,
         options: &TrackOptions,
     ) -> Result<(), Error> {
-        hom.combine_jacobian_into(eval, self.t, &mut self.jac);
-        hom.minus_dt_into(eval, &mut self.rhs);
-        match try_solve_linearized_into(&self.jac, &self.rhs, &mut self.solver, &mut self.dxdt) {
-            Ok(()) => {
+        hom.minus_dt_into(eval, &mut scratch.rhs);
+        match scratch.solve(hom, eval, self.t) {
+            Ok(pivot_ratio) => {
+                for (dx, d) in self.dxdt.iter_mut().zip(scratch.delta.iter()) {
+                    dx.copy_from_coeffs(d.coeffs());
+                }
                 let t_next = (self.t + self.step).min(1.0);
                 // The conditioning signal: when the pivot-ratio estimate
                 // says this precision cannot express the demanded
                 // tolerance, escalate before burning corrector sweeps.
-                if self.solver.conditioning() * roundoff(precision) > options.tolerance_at(t_next) {
+                if pivot_ratio * roundoff(precision) > options.tolerance_at(t_next) {
                     self.escalate_or_fail(precision, options);
                 } else {
                     self.predict();
@@ -301,19 +305,20 @@ impl<C: RealCoeff> Lane<C> {
         &mut self,
         hom: &Homotopy<C>,
         eval: &SystemEvaluation<C>,
+        scratch: &mut Scratch<C>,
         precision: Precision,
         options: &TrackOptions,
     ) -> Result<(), Error> {
         if self.phase == Phase::Priming {
             // The evaluation is at the accepted point; record where it
             // stands and issue the first prediction of this cohort.
-            hom.combine_value_into(eval, self.t, &mut self.h);
-            self.record(residual_norm(&self.h));
-            return self.prime_and_predict(hom, eval, precision, options);
+            hom.combine_value_into(eval, self.t, &mut scratch.h);
+            self.record(residual_norm(&scratch.h));
+            return self.prime_and_predict(hom, eval, scratch, precision, options);
         }
 
-        hom.combine_value_into(eval, self.t_trial, &mut self.h);
-        let residual = residual_norm(&self.h);
+        hom.combine_value_into(eval, self.t_trial, &mut scratch.h);
+        let residual = residual_norm(&scratch.h);
         self.record(residual);
         let tol = options.tolerance_at(self.t_trial);
 
@@ -336,7 +341,7 @@ impl<C: RealCoeff> Lane<C> {
             if self.iters_this_step <= options.fast_iterations {
                 self.step = (self.step * options.grow).min(options.max_step);
             }
-            return self.prime_and_predict(hom, eval, precision, options);
+            return self.prime_and_predict(hom, eval, scratch, precision, options);
         }
 
         if !residual.is_finite() || residual > options.divergence_threshold {
@@ -357,21 +362,21 @@ impl<C: RealCoeff> Lane<C> {
         }
 
         // One Newton update: J(x, t)·δ = −H(x, t), x += δ.
-        hom.combine_jacobian_into(eval, self.t_trial, &mut self.jac);
-        for (h, r) in self.h.iter().zip(self.rhs.iter_mut()) {
+        for (h, r) in scratch.h.iter().zip(scratch.rhs.iter_mut()) {
             h.neg_into(r);
         }
-        match try_solve_linearized_into(&self.jac, &self.rhs, &mut self.solver, &mut self.delta) {
-            Ok(()) => {
-                if self.solver.conditioning() * roundoff(precision) > tol {
+        match scratch.solve(hom, eval, self.t_trial) {
+            Ok(pivot_ratio) => {
+                if pivot_ratio * roundoff(precision) > tol {
                     self.escalate_or_fail(precision, options);
                     return Ok(());
                 }
-                for (xt, d) in self.x_trial.iter_mut().zip(self.delta.iter()) {
+                for (xt, d) in self.x_trial.iter_mut().zip(scratch.delta.iter()) {
                     xt.add_assign(d);
                 }
                 self.iters_this_step += 1;
                 self.corrector_iterations += 1;
+                scratch.iterations += 1;
                 Ok(())
             }
             Err(Error::Numerical(_)) => {
@@ -380,6 +385,93 @@ impl<C: RealCoeff> Lane<C> {
             }
             Err(e) => Err(e),
         }
+    }
+}
+
+/// The largest pivot ratio times `f64`'s unit roundoff `2⁻⁵²` at which a
+/// correction is still solved in `f64`: the lifted update then carries at
+/// least 30 correct bits, so Newton gains at least 30 bits per iteration
+/// and the working-precision residual, not the solve, sets the attainable
+/// accuracy.  A margin of 1e-6 lost a path of a near-double-root family
+/// that working-precision solves converge.
+const F64_SOLVE_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// The solve scratch of a cohort.  A lane's solve starts and finishes
+/// inside its own [`Lane::process`] call, so one set of buffers serves
+/// every lane.
+struct Scratch<C> {
+    /// Combined residual `H` of the lane being processed.
+    h: Vec<Series<C>>,
+    /// Right-hand side (`−H` or `−∂H/∂t`) and solution of the solve at
+    /// hand, at the working precision.
+    rhs: Vec<Series<C>>,
+    delta: Vec<Series<C>>,
+    /// The working-precision Jacobian and factorization (the fallback).
+    jac: Vec<Vec<Series<C>>>,
+    solver: LinearSolveWorkspace<C>,
+    /// The degree-0 `f64` Jacobian, right-hand side, solution and
+    /// factorization.
+    jac_f64: Vec<Vec<Series<Md1>>>,
+    rhs_f64: Vec<Series<Md1>>,
+    delta_f64: Vec<Series<Md1>>,
+    solver_f64: LinearSolveWorkspace<Md1>,
+    /// Corrector iterations this cohort's lanes took.
+    iterations: usize,
+    /// Solves that ran at the working precision.
+    working_precision_solves: usize,
+}
+
+impl<C: RealCoeff> Scratch<C> {
+    fn new(n: usize, degree: usize) -> Self {
+        Self {
+            h: vec![Series::zero(degree); n],
+            rhs: vec![Series::zero(degree); n],
+            delta: vec![Series::zero(degree); n],
+            jac: vec![vec![Series::zero(degree); n]; n],
+            solver: LinearSolveWorkspace::new(),
+            jac_f64: vec![vec![Series::zero(0); n]; n],
+            rhs_f64: vec![Series::zero(0); n],
+            delta_f64: vec![Series::zero(0); n],
+            solver_f64: LinearSolveWorkspace::new(),
+            iterations: 0,
+            working_precision_solves: 0,
+        }
+    }
+
+    /// Solves `∂H/∂x (x, t) · delta = rhs` from the raw evaluation at `x`
+    /// and returns the pivot ratio of the factorization that ran.  At
+    /// degree 0 it factors in `f64` and lifts the solution; it falls back
+    /// to the working precision when that factorization fails or its pivot
+    /// ratio exceeds [`F64_SOLVE_MARGIN`], and above degree 0.
+    fn solve(
+        &mut self,
+        hom: &Homotopy<C>,
+        eval: &SystemEvaluation<C>,
+        t: f64,
+    ) -> Result<f64, Error> {
+        if hom.degree() == 0 {
+            hom.combine_jacobian_f64_into(eval, t, &mut self.jac_f64);
+            for (r64, r) in self.rhs_f64.iter_mut().zip(self.rhs.iter()) {
+                r64.set_coeff(0, Md1::from_f64(r.coeff(0).to_f64()));
+            }
+            let solved = try_solve_linearized_into(
+                &self.jac_f64,
+                &self.rhs_f64,
+                &mut self.solver_f64,
+                &mut self.delta_f64,
+            );
+            let pivot_ratio = self.solver_f64.conditioning();
+            if solved.is_ok() && pivot_ratio * f64::EPSILON <= F64_SOLVE_MARGIN {
+                for (d, d64) in self.delta.iter_mut().zip(self.delta_f64.iter()) {
+                    d.set_coeff(0, C::from_f64(d64.coeff(0).to_f64()));
+                }
+                return Ok(pivot_ratio);
+            }
+        }
+        self.working_precision_solves += 1;
+        hom.combine_jacobian_into(eval, t, &mut self.jac);
+        try_solve_linearized_into(&self.jac, &self.rhs, &mut self.solver, &mut self.delta)?;
+        Ok(self.solver.conditioning())
     }
 }
 
@@ -396,15 +488,21 @@ pub(crate) struct CohortOutcome {
     pub escalated: Vec<RawPath>,
     /// Coalesced batched launches this cohort issued.
     pub corrector_launches: usize,
+    /// Corrector iterations taken at this cohort's precision.
+    pub iterations: usize,
+    /// Solves that ran at the working precision instead of `f64`.
+    pub working_precision_solves: usize,
 }
 
 /// All paths live at one precision, plus the shared batched-evaluation
-/// plumbing: the staged input batch, the reused output and the one
-/// workspace every sweep borrows its arena from.
+/// plumbing: the staged input batch, the reused output, the one workspace
+/// every sweep borrows its arena from and the one solve scratch every lane
+/// borrows in turn.
 pub(crate) struct Cohort<C: RealCoeff> {
     homotopy: Homotopy<C>,
     precision: Precision,
     lanes: Vec<Lane<C>>,
+    scratch: Scratch<C>,
     /// Lane indices staged this round, in batch-slot order.
     live: Vec<usize>,
     batch: Vec<Vec<Series<C>>>,
@@ -433,6 +531,7 @@ impl<C: RealCoeff> Cohort<C> {
         Ok(Self {
             homotopy,
             precision,
+            scratch: Scratch::new(n, degree),
             live: Vec::with_capacity(lanes.len()),
             batch,
             lanes,
@@ -478,6 +577,7 @@ impl<C: RealCoeff> Cohort<C> {
             self.lanes[i].process(
                 &self.homotopy,
                 &evals.instances[slot],
+                &mut self.scratch,
                 self.precision,
                 options,
             )?;
@@ -499,6 +599,8 @@ impl<C: RealCoeff> Cohort<C> {
             reports,
             escalated,
             corrector_launches: self.corrector_launches,
+            iterations: self.scratch.iterations,
+            working_precision_solves: self.scratch.working_precision_solves,
         }
     }
 }

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use psmd_core::{Engine, Error, Plan, PolySource, SystemEvaluation};
-use psmd_multidouble::Coeff;
+use psmd_multidouble::{Coeff, Md1, RealCoeff};
 use psmd_series::Series;
 
 use crate::spec::HomotopySpec;
@@ -117,6 +117,31 @@ impl<C: Coeff> Homotopy<C> {
                 for k in 0..=self.degree {
                     out.set_coeff(k, a.mul(&g.coeff(k)).add(&b.mul(&f.coeff(k))));
                 }
+            }
+        }
+    }
+
+    /// Folds the constant terms of a raw stacked evaluation into
+    /// `∂H/∂x (x, t)` in `f64`: `(1−t)·g + (γ·t)·f` on the nearest double
+    /// of each entry, written into the `n × n` degree-0 `jac`.  At
+    /// [`Md1`] these are the operations of
+    /// [`combine_jacobian_into`](Self::combine_jacobian_into), in the same
+    /// order.  Allocation-free.
+    pub(crate) fn combine_jacobian_f64_into(
+        &self,
+        eval: &SystemEvaluation<C>,
+        t: f64,
+        jac: &mut [Vec<Series<Md1>>],
+    ) where
+        C: RealCoeff,
+    {
+        let n = self.num_variables;
+        let (a, b) = (1.0 - t, self.gamma.to_f64() * t);
+        for (i, row) in jac.iter_mut().enumerate().take(n) {
+            for (j, out) in row.iter_mut().enumerate().take(n) {
+                let g = eval.jacobian[i][j].coeff(0).to_f64();
+                let f = eval.jacobian[n + i][j].coeff(0).to_f64();
+                out.set_coeff(0, Md1::from_f64(a * g + b * f));
             }
         }
     }
@@ -228,5 +253,47 @@ mod tests {
         h.combine_value_into(&eval, 1.0, &mut out);
         let expected = h.gamma().mul(&eval.values[2].coeff(0));
         assert_eq!(out[0].coeff(0), expected);
+    }
+
+    /// Evaluates the test family at an irrational-looking point.
+    fn raw_eval<C: RealCoeff>(h: &Homotopy<C>) -> SystemEvaluation<C> {
+        let x = vec![
+            Series::constant(C::from_f64(0.1).div(&C::from_f64(3.0)), 0),
+            Series::constant(C::from_f64(-7.0).div(&C::from_f64(11.0)), 0),
+        ];
+        h.plan()
+            .request(Inputs::Single(&x))
+            .sequential()
+            .run()
+            .into_system()
+    }
+
+    #[test]
+    fn the_f64_jacobian_fold_is_the_md1_fold_and_rounds_wider_ones() {
+        let engine = Engine::builder().build();
+        let spec = family().with_gamma(0.6180339887498949);
+        let t = 0.3;
+        let mut jac64 = vec![vec![Series::<Md1>::zero(0); 2]; 2];
+
+        // At Md1 the f64 fold is the working-precision fold, bit for bit.
+        let h = Homotopy::<Md1>::compile(&spec, &engine, &TrackOptions::default()).unwrap();
+        let eval = raw_eval(&h);
+        let mut jac = vec![vec![Series::zero(0); 2]; 2];
+        h.combine_jacobian_into(&eval, t, &mut jac);
+        h.combine_jacobian_f64_into(&eval, t, &mut jac64);
+        assert_eq!(jac64, jac);
+
+        // At Dd it agrees with the rounded dd fold to a few ulps.
+        let h = Homotopy::<Dd>::compile(&spec, &engine, &TrackOptions::default()).unwrap();
+        let eval = raw_eval(&h);
+        let mut jac = vec![vec![Series::zero(0); 2]; 2];
+        h.combine_jacobian_into(&eval, t, &mut jac);
+        h.combine_jacobian_f64_into(&eval, t, &mut jac64);
+        for (row, row64) in jac.iter().zip(&jac64) {
+            for (e, e64) in row.iter().zip(row64) {
+                let (wide, narrow) = (e.coeff(0).to_f64(), e64.coeff(0).to_f64());
+                assert!((wide - narrow).abs() <= 4.0 * f64::EPSILON * wide.abs());
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! from the known solutions of the start system `G` at `t = 0` to the
-//! wanted solutions of the target system `F` at `t = 1`, with three ideas
+//! wanted solutions of the target system `F` at `t = 1`, with four ideas
 //! stacked on top of the core engine:
 //!
 //! 1. **One plan, both systems.**  `G` and `F` are compiled as a single
@@ -35,6 +35,14 @@
 //!    unrepresentable.  Escalation re-compiles through the engine's
 //!    structurally-keyed plan cache and transfers iterates exactly by
 //!    zero-extending their limb expansions.
+//! 4. **Corrections in `f64`, acceptance at the working precision.**  At
+//!    degree 0 the tangent and every Newton update are solved with an
+//!    `f64` LU of `∂H/∂x` and lifted to the working precision, while the
+//!    residual, the update, the acceptance test and the escalation rules
+//!    stay at the working precision.  A solve whose `f64` factorization
+//!    fails or is too badly conditioned to gain 30 bits runs at the
+//!    working precision instead ([`TrackStats::working_precision_solves`]
+//!    counts them), as does every solve above degree 0.
 //!
 //! Monomials are products of **distinct** variables — the paper's
 //! multilinear setting, which is what the fused evaluation schedule (and

@@ -86,6 +86,15 @@ pub struct TrackStats {
     pub steps: usize,
     /// Corrector iterations summed over all paths.
     pub newton_iterations: usize,
+    /// `(precision, count)` pairs: corrector iterations taken at each
+    /// precision a cohort ran at, ordered along the ladder.  The counts sum
+    /// to [`newton_iterations`](Self::newton_iterations).
+    pub iterations_by_precision: Vec<(Precision, usize)>,
+    /// Linear solves (tangents and Newton updates) that ran at the working
+    /// precision rather than in `f64`: every solve above degree 0, and at
+    /// degree 0 those whose `f64` factorization failed or was too badly
+    /// conditioned to gain 30 bits per correction.
+    pub working_precision_solves: usize,
 }
 
 impl TrackStats {

@@ -90,6 +90,10 @@ impl Tracker {
                 cohort.finish()
             });
             stats.corrector_launches += outcome.corrector_launches;
+            stats
+                .iterations_by_precision
+                .push((precision, outcome.iterations));
+            stats.working_precision_solves += outcome.working_precision_solves;
             for report in outcome.reports {
                 let path = report.path;
                 reports[path] = Some(report);

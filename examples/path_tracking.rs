@@ -12,7 +12,8 @@
 //!    double-double arithmetic can express, so every path escalates
 //!    `1d → 2d → 3d` at the endgame — precision bought at runtime, per
 //!    path, through the engine's plan cache;
-//! 3. batched and serial tracking produce bitwise-identical endpoints.
+//! 3. batched and serial tracking produce bitwise-identical endpoints,
+//!    and every endpoint sits on its closed-form roots.
 //!
 //! The family is four independent two-variable blocks
 //! `{x + y − s_k, x·y − p_k}` with `p_k < 0`: each block's two real roots
@@ -23,7 +24,7 @@
 //! Run with `cargo run --release --example path_tracking`.
 
 use psmd_core::Engine;
-use psmd_multidouble::Precision;
+use psmd_multidouble::{Precision, Td};
 use psmd_track::{HomotopySpec, MonomialSpec, PolySpec, TrackOptions, Tracker};
 
 const BLOCKS: usize = 4;
@@ -57,18 +58,41 @@ fn block(x: usize, s: f64, p: f64) -> Vec<PolySpec> {
     ]
 }
 
-fn family() -> HomotopySpec {
+/// The seeded target constants `(s, p)` of every block.
+fn targets() -> Vec<(f64, f64)> {
     let mut rng = XorShift(0x005e_ed0f_da7a_2026);
+    (0..BLOCKS)
+        .map(|_| {
+            let s = 0.1 + 0.8 * rng.next_unit();
+            let p = -1.2 - 1.3 * rng.next_unit();
+            (s, p)
+        })
+        .collect()
+}
+
+fn family() -> HomotopySpec {
     let mut start = Vec::new();
     let mut target = Vec::new();
-    for k in 0..BLOCKS {
+    for (k, (s, p)) in targets().into_iter().enumerate() {
         // Start roots ±1; target roots irrational, of opposite signs.
-        let s = 0.1 + 0.8 * rng.next_unit();
-        let p = -1.2 - 1.3 * rng.next_unit();
         start.extend(block(2 * k, 0.0, -1.0));
         target.extend(block(2 * k, s, p));
     }
     HomotopySpec::new(2 * BLOCKS, 0, start, target)
+}
+
+/// The closed-form roots `(s ± √(s² − 4p)) / 2` of `z² − s·z + p`.
+fn roots(s: f64, p: f64) -> [Td; 2] {
+    let s = Td::from_f64(s);
+    let disc = s.mul(&s).sub(&Td::from_f64(4.0 * p)).sqrt();
+    [s.add(&disc).mul_f64(0.5), s.sub(&disc).mul_f64(0.5)]
+}
+
+/// The relative distance of an endpoint coordinate (its limbs at the
+/// final precision) from a root.
+fn relative(limbs: &[f64], root: &Td) -> f64 {
+    let x = limbs.iter().fold(Td::zero(), |acc, &l| acc.add_f64(l));
+    x.sub(root).abs().to_f64() / root.abs().to_f64()
 }
 
 /// The `2^BLOCKS` sign patterns of the start solutions.
@@ -169,8 +193,25 @@ fn main() {
         stats.corrector_launches < serial_launches,
         "batched tracking must issue fewer corrector launches than serial"
     );
+    // A residual below 1e-40 puts every endpoint within a relative 1e-32
+    // of its block's closed-form roots (x on one, y on the other).
+    let mut worst: f64 = 0.0;
+    for r in &batched.reports {
+        for (k, (s, p)) in targets().into_iter().enumerate() {
+            let [r0, r1] = roots(s, p);
+            let (x, y) = (&r.solution_limbs[2 * k][0], &r.solution_limbs[2 * k + 1][0]);
+            let straight = relative(x, &r0).max(relative(y, &r1));
+            let crossed = relative(x, &r1).max(relative(y, &r0));
+            worst = worst.max(straight.min(crossed));
+        }
+    }
+    assert!(
+        worst <= 1e-32,
+        "an endpoint is {worst:.3e} from its closed-form roots"
+    );
     println!(
         "\n{past_dd} paths escalated beyond double-double and still converged; \
-         endpoints are bitwise equal to serial tracking."
+         endpoints are bitwise equal to serial tracking and within {worst:.1e} \
+         (relative) of the closed-form roots."
     );
 }
