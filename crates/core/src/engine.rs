@@ -77,7 +77,6 @@ use crate::polynomial::Polynomial;
 use crate::schedule::Schedule;
 use crate::system::{SystemBatchEvaluation, SystemEvaluation};
 use crate::workspace::{Workspace, WorkspacePool};
-use parking_lot::Mutex;
 use psmd_multidouble::Coeff;
 use psmd_runtime::{CancelToken, KernelTimings, WorkerPool};
 use psmd_series::Series;
@@ -85,7 +84,7 @@ use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What a [`Plan`] is compiled from: one polynomial or a whole system.
 ///
@@ -705,12 +704,21 @@ impl<C: Coeff> Plan<C> {
         ws: &mut Workspace<C>,
         out: &mut EvalOutput<C>,
     ) {
+        // A sequential run launches on a pool without workers: every launch
+        // runs inline on this thread, and building one allocates nothing.
+        let inline;
+        let pool = if parallel {
+            self.pool.as_ref()
+        } else {
+            inline = WorkerPool::new(0);
+            &inline
+        };
         evaluate_into(
             self.source.equations(),
             &self.schedule,
             self.options,
             inputs,
-            parallel.then_some(self.pool.as_ref()),
+            pool,
             cancel,
             ws,
             out,
@@ -1139,7 +1147,7 @@ impl Engine {
             options,
         };
         {
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
             cache.tick += 1;
             let tick = cache.tick;
             if let Some(entry) = cache.entries.get_mut(&key) {
@@ -1166,7 +1174,7 @@ impl Engine {
             Arc::clone(&self.pool),
             self.workspace_pool::<C>(),
         ));
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if cache.capacity > 0 {
             if cache.entries.len() >= cache.capacity && !cache.entries.contains_key(&key) {
                 // Evict the least-recently-used plan (callers holding its
@@ -1208,7 +1216,10 @@ impl Engine {
     /// as many concurrent evaluations as the pool has lanes recycle
     /// workspaces instead of building fresh ones.
     pub fn workspace_pool<C: Coeff>(&self) -> Arc<WorkspacePool<C>> {
-        let mut map = self.workspaces.lock();
+        let mut map = self
+            .workspaces
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let entry = map
             .entry(TypeId::of::<C>())
             .or_insert_with(|| {
@@ -1224,7 +1235,7 @@ impl Engine {
 
     /// Plan-cache statistics (entries, hits, misses, evictions).
     pub fn cache_stats(&self) -> PlanCacheStats {
-        let cache = self.cache.lock();
+        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         PlanCacheStats {
             entries: cache.entries.len(),
             capacity: cache.capacity,
@@ -1236,7 +1247,11 @@ impl Engine {
 
     /// Drops every cached plan (outstanding `Arc<Plan>` handles stay valid).
     pub fn clear_plan_cache(&self) {
-        self.cache.lock().entries.clear();
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entries
+            .clear();
     }
 }
 

@@ -29,7 +29,6 @@ use crate::polynomial::Polynomial;
 use crate::schedule::{AddJob, ConvJob, Schedule};
 use crate::system::SystemEvaluation;
 use crate::workspace::{ConvScratch, Workspace};
-use parking_lot::Mutex;
 use psmd_multidouble::Coeff;
 use psmd_runtime::{CancelToken, KernelKind, KernelTimings, SharedSlice, Stopwatch, WorkerPool};
 use psmd_series::{add_assign_slices, convolve_fft, convolve_karatsuba, convolve_seq, Series};
@@ -198,8 +197,11 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 /// body of [`stage_and_execute`].
 ///
 /// Runs one grid launch per layer and adds the rendezvous each launch
-/// reports to `timings.pool_rendezvous`.  All job staging is borrowed from
-/// the per-participant `scratch` lanes.  An addition layer launches one
+/// reports to `timings.pool_rendezvous`.  Every launch lends participant
+/// `p` the scratch lane `scratch[p]` for the whole launch, so a block
+/// borrows its job staging without allocating or locking; a `.sequential()`
+/// run passes a pool without workers, whose launches run inline on the
+/// caller as participant 0.  An addition layer launches one
 /// block per `(job, instance)` pair.  A convolution layer of `J` jobs packs
 /// its `J·B` pairs into lane panels of `lane_width` pairs plus scalar
 /// remainder blocks (see [`crate::lanes`]); `lane_width` must be 1 unless
@@ -218,8 +220,8 @@ fn execute_schedule<C: Coeff>(
     schedule: &Schedule,
     shared: &SharedSlice<'_, C>,
     kernel: ConvolutionKernel,
-    pool: Option<&WorkerPool>,
-    scratch: &[Mutex<ConvScratch<C>>],
+    pool: &WorkerPool,
+    scratch: &mut [ConvScratch<C>],
     timings: &mut KernelTimings,
     instances: usize,
     lane_width: usize,
@@ -241,11 +243,10 @@ fn execute_schedule<C: Coeff>(
                 out: map_slot(instance, job.out),
             }
         };
-        let body = |lane: usize, b: usize| {
-            let mut s = scratch[lane].lock();
+        let body = |s: &mut ConvScratch<C>, b: usize| {
             let range = block_pairs(pairs, lane_width, b);
             if range.len() == 1 {
-                run_convolution_job(shared, &pair_job(range.start), per, kernel, &mut s);
+                run_convolution_job(shared, &pair_job(range.start), per, kernel, s);
                 return;
             }
             debug_assert_eq!(kernel, ConvolutionKernel::Direct);
@@ -253,15 +254,16 @@ fn execute_schedule<C: Coeff>(
             for (job, f) in jobs.iter_mut().zip(range.clone()) {
                 *job = pair_job(f);
             }
-            run_convolution_panel(shared, &jobs[..range.len()], per, &mut s);
+            run_convolution_panel(shared, &jobs[..range.len()], per, s);
         };
         let start = Instant::now();
         let blocks = layer_blocks(pairs, lane_width);
-        let completed = launch_layer(pool, blocks, cancel, timings, body);
+        let outcome = pool.launch_grid_with(blocks, cancel, scratch, body);
         timings.record(KernelKind::Convolution, start.elapsed(), pairs);
+        timings.pool_rendezvous += usize::from(outcome.rendezvous);
         let ran = if pairs >= lane_width { lane_width } else { 1 };
         timings.simd_width = timings.simd_width.max(ran);
-        if !completed {
+        if !outcome.completed {
             return false;
         }
     }
@@ -269,7 +271,7 @@ fn execute_schedule<C: Coeff>(
     for layer in &schedule.addition_layers {
         let jobs = layer.len();
         let blocks = instances * jobs;
-        let body = |_lane: usize, b: usize| {
+        let body = |_: &mut ConvScratch<C>, b: usize| {
             let instance = b / jobs;
             let job = layer[b % jobs];
             let mapped = AddJob {
@@ -279,38 +281,14 @@ fn execute_schedule<C: Coeff>(
             run_addition_job(shared, &mapped, per);
         };
         let start = Instant::now();
-        let completed = launch_layer(pool, blocks, cancel, timings, body);
+        let outcome = pool.launch_grid_with(blocks, cancel, scratch, body);
         timings.record(KernelKind::Addition, start.elapsed(), blocks);
-        if !completed {
+        timings.pool_rendezvous += usize::from(outcome.rendezvous);
+        if !outcome.completed {
             return false;
         }
     }
     true
-}
-
-/// Runs one layer's grid of `blocks` block bodies — on the pool when there
-/// is one, otherwise on the calling thread, polling the token between
-/// blocks — and adds the rendezvous the pool reports for the launch to
-/// `timings`.  Returns `true` when every block ran.
-fn launch_layer(
-    pool: Option<&WorkerPool>,
-    blocks: usize,
-    cancel: Option<&CancelToken>,
-    timings: &mut KernelTimings,
-    body: impl Fn(usize, usize) + Send + Sync,
-) -> bool {
-    let Some(pool) = pool else {
-        for b in 0..blocks {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return false;
-            }
-            body(0, b);
-        }
-        return true;
-    };
-    let outcome = pool.launch_grid_indexed_cancellable(blocks, cancel, body);
-    timings.pool_rendezvous += usize::from(outcome.rendezvous);
-    outcome.completed
 }
 
 /// Stages one arena region per evaluation instance — every equation's
@@ -338,7 +316,7 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
     schedule: &Schedule,
     options: EvalOptions,
     inputs: Inputs<'_, C>,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     cancel: Option<&CancelToken>,
     ws: &'w mut Workspace<C>,
     timings: &mut KernelTimings,
@@ -356,7 +334,7 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
     let layout = &schedule.layout;
     let per = layout.coeffs_per_slot();
     let arena_coeffs = layout.batch_total_coefficients(instances);
-    let participants = pool.map_or(1, WorkerPool::parallelism);
+    let participants = pool.parallelism();
     // Warm every participant's scratch before the launches: which lane runs
     // which blocks changes from launch to launch, and a lane first used
     // inside a launch would allocate there.
@@ -406,7 +384,7 @@ pub(crate) fn evaluate_into<C: Coeff>(
     schedule: &Schedule,
     options: EvalOptions,
     inputs: Inputs<'_, C>,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     cancel: Option<&CancelToken>,
     ws: &mut Workspace<C>,
     out: &mut EvalOutput<C>,

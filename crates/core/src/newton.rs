@@ -159,7 +159,8 @@ pub fn try_newton_system<C: RealCoeff>(
     initial: &[Series<C>],
     options: &NewtonOptions,
 ) -> Result<NewtonResult<C>, Error> {
-    try_newton_system_impl(polys, initial, options, None)
+    // A pool without workers runs every launch inline on this thread.
+    try_newton_system_parallel(polys, initial, options, &WorkerPool::new(0))
 }
 
 /// Like [`try_newton_system`], but runs every fused evaluation on the worker
@@ -169,15 +170,6 @@ pub fn try_newton_system_parallel<C: RealCoeff>(
     initial: &[Series<C>],
     options: &NewtonOptions,
     pool: &WorkerPool,
-) -> Result<NewtonResult<C>, Error> {
-    try_newton_system_impl(polys, initial, options, Some(pool))
-}
-
-fn try_newton_system_impl<C: RealCoeff>(
-    polys: &[Polynomial<C>],
-    initial: &[Series<C>],
-    options: &NewtonOptions,
-    pool: Option<&WorkerPool>,
 ) -> Result<NewtonResult<C>, Error> {
     let n = polys.len();
     if n == 0 {
@@ -215,7 +207,7 @@ fn try_newton_system_impl<C: RealCoeff>(
     // the evaluation output, the negated right-hand side, the update, and
     // the staged-solve workspace.  Steps after the first allocate nothing.
     let schedule = Schedule::build(polys);
-    let mut ws = Workspace::new(pool.map_or(1, WorkerPool::parallelism));
+    let mut ws = Workspace::new(pool.parallelism());
     let mut out = EvalOutput::System(SystemEvaluation::empty());
     let mut rhs: Vec<Series<C>> = Vec::new();
     let mut delta: Vec<Series<C>> = Vec::new();

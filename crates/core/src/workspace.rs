@@ -9,11 +9,12 @@
 //!
 //! * the **arena** — the flat coefficient array of Figure 1 (one instance
 //!   region per batch element for batched evaluation);
-//! * one **convolution scratch** per worker-pool participant lane, holding
-//!   room to stage an operand that aliases the job's output (the in-place
-//!   `b := b * a` update), the selected kernel's working memory and the
-//!   SIMD lane panels of direct-kernel evaluation, so convolution jobs borrow
-//!   instead of allocate.
+//! * one **convolution scratch** per worker-pool participant, lent to that
+//!   participant for a whole launch, holding room to stage an operand that
+//!   aliases the job's output (the in-place `b := b * a` update), the
+//!   selected kernel's working memory and the SIMD lane panels of
+//!   direct-kernel evaluation, so convolution jobs borrow instead of
+//!   allocate.
 //!
 //! Both grow on shape change and are reused verbatim while the shape is
 //! stable, which is what makes steady-state evaluation **allocation-free**
@@ -115,7 +116,7 @@ impl<C: Coeff> ConvScratch<C> {
 /// convolution scratch.  See the [module documentation](self).
 pub struct Workspace<C> {
     arena: Vec<C>,
-    scratch: Vec<parking_lot::Mutex<ConvScratch<C>>>,
+    scratch: Vec<ConvScratch<C>>,
 }
 
 impl<C: Coeff> Workspace<C> {
@@ -143,8 +144,7 @@ impl<C: Coeff> Workspace<C> {
     /// Grows the scratch-lane array to at least `participants` lanes.
     pub(crate) fn ensure_participants(&mut self, participants: usize) {
         while self.scratch.len() < participants.max(1) {
-            self.scratch
-                .push(parking_lot::Mutex::new(ConvScratch::new()));
+            self.scratch.push(ConvScratch::new());
         }
     }
 
@@ -158,8 +158,8 @@ impl<C: Coeff> Workspace<C> {
     pub fn warm_for(&mut self, arena_coeffs: usize, per: usize, kernel: ConvolutionKernel) {
         self.arena
             .reserve(arena_coeffs.saturating_sub(self.arena.len()));
-        for lane in &self.scratch {
-            lane.lock().ensure_for(per, kernel);
+        for lane in &mut self.scratch {
+            lane.ensure_for(per, kernel);
         }
     }
 
@@ -172,25 +172,24 @@ impl<C: Coeff> Workspace<C> {
             return;
         }
         let f64s = lane_scratch_f64s::<C>(per, width);
-        for lane in &self.scratch {
-            lane.lock().ensure_lanes(f64s);
+        for lane in &mut self.scratch {
+            lane.ensure_lanes(f64s);
         }
     }
 
     /// Splits the workspace into the two disjoint borrows one run needs:
     /// the arena (reset to `arena_coeffs` zeros, reusing its buffer) and the
-    /// scratch lanes (shared — each lane has interior mutability and is
-    /// locked by the participant that uses it).  Grows the lane array to
-    /// `participants` first.
+    /// scratch lanes, which every launch lends out one per participant.
+    /// Grows the lane array to `participants` first.
     pub(crate) fn parts(
         &mut self,
         arena_coeffs: usize,
         participants: usize,
-    ) -> (&mut [C], &[parking_lot::Mutex<ConvScratch<C>>]) {
+    ) -> (&mut [C], &mut [ConvScratch<C>]) {
         self.ensure_participants(participants);
         self.arena.clear();
         self.arena.resize(arena_coeffs, C::zero());
-        (&mut self.arena, &self.scratch)
+        (&mut self.arena, &mut self.scratch)
     }
 }
 
@@ -447,7 +446,7 @@ mod tests {
         ws.warm_for(64, 5, k);
         assert!(ws.arena_capacity() >= 64);
         for lane in &ws.scratch {
-            assert!(lane.lock().buf.len() >= conv_scratch_coeffs_for(k, 5));
+            assert!(lane.buf.len() >= conv_scratch_coeffs_for(k, 5));
         }
     }
 }

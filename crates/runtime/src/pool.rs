@@ -7,12 +7,12 @@
 //! launch per job layer reproduces the paper's kernel-per-layer execution,
 //! including its global barrier between layers.
 //!
-//! [`WorkerPool::launch_grid_indexed_cancellable`] is the one entry point:
-//! it takes an optional [`CancelToken`], tells the body which participant
-//! lane runs each block, and returns a [`LaunchOutcome`] saying whether
-//! every block ran and whether the launch woke the pool.
-//! [`WorkerPool::launch_grid`] is the same launch for a body that needs
-//! neither lane nor token.
+//! [`WorkerPool::launch_grid_with`] is the one entry point: it takes an
+//! optional [`CancelToken`] and a slice of per-participant state, lends
+//! each participant its own element for the whole launch, and returns a
+//! [`LaunchOutcome`] saying whether every block ran and whether the launch
+//! woke the pool.  [`WorkerPool::launch_grid`] is the same launch for a
+//! body that needs neither state nor token.
 //!
 //! The launching thread participates in the work, so a pool of `T` workers
 //! provides `T + 1`-way parallelism and a launch never deadlocks even if the
@@ -27,6 +27,7 @@
 //! each worker takes them in the order they were posted to it.
 
 use crate::cancel::CancelToken;
+use crate::shared::SharedSlice;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -41,9 +42,9 @@ const QUEUE_CAPACITY: usize = 8;
 /// until `pending` reaches zero, and no participant touches the launch after
 /// its own decrement.
 struct GridLaunch<'a> {
-    /// The per-block body, also told which participant lane runs the block
+    /// The per-block body, also told which participant runs the block
     /// (workers pass their thread index, the launcher passes `threads`), so
-    /// bodies can borrow per-participant scratch instead of allocating.
+    /// the launch can lend each participant its own state.
     body: &'a (dyn Fn(usize, usize) + Sync),
     /// Cooperative cancellation: checked between block claims, never inside
     /// a block body.  `None` for uncancellable launches.
@@ -68,8 +69,8 @@ struct GridLaunch<'a> {
 impl GridLaunch<'_> {
     /// Claims and runs blocks until the counter is exhausted or the launch
     /// is cancelled.  `participant` identifies the thread (workers `0..T`,
-    /// launcher `T`); each runs a launch once, so its lane is never used
-    /// concurrently.
+    /// launcher `T`); each runs a launch once, so no two threads ever run
+    /// blocks as the same participant.
     ///
     /// The cancellation check sits between the claim and the body, so no
     /// new block body starts after the token trips; blocks already running
@@ -110,8 +111,7 @@ struct Posted(*const GridLaunch<'static>);
 // until every worker it was posted to has finished with it.
 unsafe impl Send for Posted {}
 
-/// What one grid launch did, as reported by
-/// [`WorkerPool::launch_grid_indexed_cancellable`].
+/// What one grid launch did, as reported by [`WorkerPool::launch_grid_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "a cancelled launch leaves its output partial"]
 pub struct LaunchOutcome {
@@ -235,26 +235,27 @@ impl WorkerPool {
 
     /// Executes `body` once for every block index in `0..blocks`, returning
     /// when all blocks have completed: the grid launch of
-    /// [`WorkerPool::launch_grid_indexed_cancellable`] without a lane or a
-    /// token.
+    /// [`WorkerPool::launch_grid_with`] without state or a token.
     ///
     /// Panics if any block body panicked.
     pub fn launch_grid<F>(&self, blocks: usize, body: F)
     where
         F: Fn(usize) + Send + Sync,
     {
-        let _ = self.launch_grid_indexed_cancellable(blocks, None, |_, b| body(b));
+        let _ = self.launch(blocks, None, |_, b| body(b));
     }
 
-    /// Executes `body(lane, block)` once for every block index in
+    /// Executes `body(state, block)` once for every block index in
     /// `0..blocks`, returning when all blocks have completed or the launch
     /// was cancelled.
     ///
-    /// The body is told which **participant lane** runs the block: lanes are
-    /// in `0..self.parallelism()`, a lane is never used by two threads
-    /// concurrently within one launch, and the inline fast path uses lane 0.
-    /// Evaluation workspaces use the lane to hand each block pre-allocated
-    /// per-worker scratch instead of allocating inside the block.
+    /// The launch **lends each participant its own state**: the thread that
+    /// runs as participant `p` gets `&mut states[p]` for every block it
+    /// runs.  Participants are in `0..self.parallelism()`, each runs on one
+    /// thread per launch, and the inline fast path is participant 0, so no
+    /// state is ever used by two blocks at once.  Evaluation workspaces lend
+    /// each participant pre-allocated scratch this way instead of
+    /// allocating or locking inside a block.
     ///
     /// The launch polls `cancel` between block claims: once the token
     /// trips, no further block body starts (blocks already running finish),
@@ -268,15 +269,45 @@ impl WorkerPool {
     /// inline on the calling thread; any other grid wakes the pool, which
     /// the outcome's [`rendezvous`](LaunchOutcome::rendezvous) flag reports.
     ///
-    /// Panics if any block body panicked.
-    pub fn launch_grid_indexed_cancellable<F>(
+    /// # Panics
+    ///
+    /// Panics before any block runs when `states` is shorter than
+    /// [`parallelism()`](WorkerPool::parallelism), and after the launch when
+    /// any block body panicked.
+    pub fn launch_grid_with<S, F>(
         &self,
         blocks: usize,
         cancel: Option<&CancelToken>,
+        states: &mut [S],
         body: F,
     ) -> LaunchOutcome
     where
-        F: Fn(usize, usize) + Send + Sync,
+        S: Send,
+        F: Fn(&mut S, usize) + Sync,
+    {
+        assert!(
+            states.len() >= self.parallelism(),
+            "a launch lends one state to each of its {} participants, got {}",
+            self.parallelism(),
+            states.len()
+        );
+        let states = SharedSlice::new(states);
+        self.launch(blocks, cancel, |participant, b| {
+            // SAFETY: `participant < parallelism() <= states.len()`, and each
+            // participant index runs its blocks one after another on a single
+            // thread for the whole launch, so no other reference to this
+            // element is live while the block runs.
+            let state = unsafe { &mut states.slice_mut(participant, 1)[0] };
+            body(state, b);
+        })
+    }
+
+    /// The grid launch behind both entry points: runs `body(participant,
+    /// block)` for every block, inline when there is nothing to share, else
+    /// with one pool rendezvous.
+    fn launch<F>(&self, blocks: usize, cancel: Option<&CancelToken>, body: F) -> LaunchOutcome
+    where
+        F: Fn(usize, usize) + Sync,
     {
         // Small grids are not worth waking the pool for.
         if self.threads == 0 || blocks <= 1 {
@@ -406,7 +437,7 @@ mod tests {
     fn panics_inside_blocks_are_propagated() {
         let pool = WorkerPool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.launch_grid(16, |b| {
+            let _ = pool.launch_grid_with(16, None, &mut [(); 3], |_, b| {
                 if b == 7 {
                     panic!("boom");
                 }
@@ -452,7 +483,7 @@ mod tests {
         // the caller and must not wedge the pool.
         let pool = WorkerPool::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.launch_grid(4, |b| {
+            let _ = pool.launch_grid_with(4, None, &mut [()], |_, b| {
                 if b == 2 {
                     panic!("inline boom");
                 }
@@ -471,7 +502,7 @@ mod tests {
         // blocks == 1 takes the inline fast path even on a threaded pool.
         let pool = WorkerPool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.launch_grid(1, |_| panic!("one-block boom"));
+            let _ = pool.launch_grid_with(1, None, &mut [(); 3], |_, _| panic!("one-block boom"));
         }));
         assert!(result.is_err());
     }
@@ -481,7 +512,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         let survivors = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.launch_grid(64, |b| {
+            let _ = pool.launch_grid_with(64, None, &mut [(); 4], |_, b| {
                 if b % 2 == 0 {
                     panic!("boom {b}");
                 }
@@ -532,7 +563,7 @@ mod tests {
                     let hits: Vec<AtomicUsize> = (0..blocks).map(|_| AtomicUsize::new(0)).collect();
                     let rounds = 50;
                     for _ in 0..rounds {
-                        let outcome = pool.launch_grid_indexed_cancellable(blocks, None, |_, b| {
+                        let outcome = pool.launch_grid_with(blocks, None, &mut [(); 2], |_, b| {
                             hits[b].fetch_add(1, Ordering::Relaxed);
                         });
                         assert_eq!(
@@ -567,30 +598,128 @@ mod tests {
         }
     }
 
+    /// One participant's lent state in the lending tests: which state it
+    /// is, whose launches it belongs to, and how many blocks it ran.
+    struct Lent {
+        index: usize,
+        owner: usize,
+        blocks: usize,
+    }
+
+    fn lent_states(owner: usize, count: usize) -> Vec<Lent> {
+        (0..count)
+            .map(|index| Lent {
+                index,
+                owner,
+                blocks: 0,
+            })
+            .collect()
+    }
+
     #[test]
-    fn indexed_launches_hand_out_exclusive_in_bounds_lanes() {
-        // The per-worker scratch contract: every lane is < parallelism() and
-        // no lane is used by two blocks concurrently.
+    fn lent_states_are_exclusive_and_count_every_block() {
+        // The per-participant state contract: no other thread holds a
+        // block's state while that block runs, and the per-state block
+        // counts add up to the grid.
         for threads in [0usize, 1, 4] {
             let pool = WorkerPool::new(threads);
-            let lanes = pool.parallelism();
-            let in_use: Vec<AtomicUsize> = (0..lanes).map(|_| AtomicUsize::new(0)).collect();
+            let mut states = lent_states(0, pool.parallelism());
+            let in_use: Vec<AtomicUsize> = states.iter().map(|_| AtomicUsize::new(0)).collect();
             let overlap = AtomicUsize::new(0);
-            let body = |lane: usize, _b: usize| {
-                assert!(lane < lanes, "lane {lane} out of bounds");
-                if in_use[lane].fetch_add(1, Ordering::SeqCst) != 0 {
+            let outcome = pool.launch_grid_with(64, None, &mut states, |state, _b| {
+                if in_use[state.index].fetch_add(1, Ordering::SeqCst) != 0 {
                     overlap.fetch_add(1, Ordering::SeqCst);
                 }
                 // A little work to give overlaps a chance to show.
                 std::hint::black_box((0..50).sum::<usize>());
-                in_use[lane].fetch_sub(1, Ordering::SeqCst);
-            };
-            let _ = pool.launch_grid_indexed_cancellable(64, None, body);
+                state.blocks += 1;
+                in_use[state.index].fetch_sub(1, Ordering::SeqCst);
+            });
+            assert!(outcome.completed);
             assert_eq!(
                 overlap.load(Ordering::SeqCst),
                 0,
-                "threads = {threads}: a lane was used concurrently"
+                "threads = {threads}: a state was used concurrently"
             );
+            let total: usize = states.iter().map(|s| s.blocks).sum();
+            assert_eq!(total, 64, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn concurrent_launchers_see_only_their_own_states() {
+        for threads in [0usize, 1, 4] {
+            let pool = std::sync::Arc::new(WorkerPool::new(threads));
+            let launchers: Vec<_> = (0..2)
+                .map(|owner| {
+                    let pool = std::sync::Arc::clone(&pool);
+                    std::thread::spawn(move || {
+                        let mut states = lent_states(owner, pool.parallelism());
+                        let foreign = AtomicUsize::new(0);
+                        for _ in 0..50 {
+                            let _ = pool.launch_grid_with(32, None, &mut states, |state, _| {
+                                if state.owner != owner {
+                                    foreign.fetch_add(1, Ordering::Relaxed);
+                                }
+                                state.blocks += 1;
+                            });
+                        }
+                        let total: usize = states.iter().map(|s| s.blocks).sum();
+                        (foreign.load(Ordering::Relaxed), total)
+                    })
+                })
+                .collect();
+            for launcher in launchers {
+                let (foreign, total) = launcher.join().unwrap();
+                assert_eq!(
+                    foreign, 0,
+                    "threads = {threads}: a launch saw a foreign state"
+                );
+                assert_eq!(total, 50 * 32, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn states_are_lent_again_after_a_panicking_launch() {
+        for threads in [0usize, 1, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut states = lent_states(0, pool.parallelism());
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let _ = pool.launch_grid_with(16, None, &mut states, |state, b| {
+                    state.blocks += 1;
+                    if b == 7 {
+                        panic!("boom");
+                    }
+                });
+            }));
+            assert!(result.is_err(), "threads = {threads}");
+            let before: usize = states.iter().map(|s| s.blocks).sum();
+            let hits: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+            let outcome = pool.launch_grid_with(16, None, &mut states, |state, b| {
+                state.blocks += 1;
+                hits[b].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(outcome.completed, "threads = {threads}");
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            let after: usize = states.iter().map(|s| s.blocks).sum();
+            assert_eq!(after, before + 16, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn a_short_state_slice_panics_before_any_block_runs() {
+        for threads in [0usize, 1, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut states = vec![(); pool.parallelism() - 1];
+            let ran = AtomicUsize::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let _ = pool.launch_grid_with(8, None, &mut states, |_, _| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }));
+            assert!(result.is_err(), "threads = {threads}");
+            assert_eq!(ran.load(Ordering::Relaxed), 0, "threads = {threads}");
         }
     }
 
@@ -604,7 +733,7 @@ mod tests {
             let before = pool.rendezvous_count();
             let mut reported = 0;
             for blocks in [0usize, 1, 2, 8] {
-                let outcome = pool.launch_grid_indexed_cancellable(blocks, None, |_, _| {});
+                let outcome = pool.launch_grid_with(blocks, None, &mut [(); 4], |_, _| {});
                 assert!(outcome.completed);
                 assert_eq!(
                     outcome.rendezvous,
@@ -625,7 +754,7 @@ mod tests {
             token.cancel();
             let ran = AtomicUsize::new(0);
             let completed = pool
-                .launch_grid_indexed_cancellable(64, Some(&token), |_, _| {
+                .launch_grid_with(64, Some(&token), &mut [(); 5], |_, _| {
                     ran.fetch_add(1, Ordering::Relaxed);
                 })
                 .completed;
@@ -633,7 +762,7 @@ mod tests {
             assert_eq!(ran.load(Ordering::Relaxed), 0, "threads = {threads}");
             // The pool stays usable and uncancelled launches run everything.
             let completed = pool
-                .launch_grid_indexed_cancellable(8, None, |_, _| {
+                .launch_grid_with(8, None, &mut [(); 5], |_, _| {
                     ran.fetch_add(1, Ordering::Relaxed);
                 })
                 .completed;
@@ -651,7 +780,7 @@ mod tests {
         let token = CancelToken::new();
         let ran = AtomicUsize::new(0);
         let completed = pool
-            .launch_grid_indexed_cancellable(100, Some(&token), |_, b| {
+            .launch_grid_with(100, Some(&token), &mut [()], |_, b| {
                 if b == 0 {
                     token.cancel();
                 }
@@ -669,7 +798,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let blocks = 512;
         let completed = pool
-            .launch_grid_indexed_cancellable(blocks, Some(&token), |_, b| {
+            .launch_grid_with(blocks, Some(&token), &mut [(); 5], |_, b| {
                 if b == 0 {
                     token.cancel();
                 }
@@ -692,7 +821,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         let token = CancelToken::new();
         let ran = AtomicUsize::new(0);
-        let outcome = pool.launch_grid_indexed_cancellable(64, Some(&token), |_, _| {
+        let outcome = pool.launch_grid_with(64, Some(&token), &mut [(); 4], |_, _| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert!(outcome.completed);

@@ -49,7 +49,6 @@
 
 use crate::metrics::Metrics;
 use crate::service::{Request, Response, ServeError};
-use parking_lot::{Condvar, Mutex};
 use psmd_core::{BatchEvaluation, CancelToken, EvalOutput, Plan};
 use psmd_multidouble::Coeff;
 use psmd_series::Series;
@@ -58,7 +57,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a follower parks on its own condvar before re-contending for
@@ -229,7 +228,10 @@ impl<C: Coeff> PlanQueue<C> {
 
     /// Number of requests currently parked in the queue (racy snapshot).
     pub fn queue_depth(&self) -> usize {
-        self.queue.lock().len()
+        self.queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Submits a request and blocks until its response (or rejection) is
@@ -309,7 +311,7 @@ impl<C: Coeff> PlanQueue<C> {
     }
 
     fn enqueue(&self, ptr: NonNull<Slot<C>>) {
-        let mut queue = self.queue.lock();
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         queue.push_back(SlotPtr(ptr));
         self.metrics.set_queue_depth(queue.len());
     }
@@ -339,7 +341,7 @@ impl<C: Coeff> PlanQueue<C> {
                 // previous leader whose launch is still in flight; loop.
                 continue;
             }
-            let mut state = slot.state.lock();
+            let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
             match &*state {
                 SlotState::Done(_) => continue, // re-checked (and taken) at loop head
                 SlotState::Taken { window_epoch }
@@ -356,7 +358,10 @@ impl<C: Coeff> PlanQueue<C> {
                     self.note_detached(epoch);
                 }
                 _ => {
-                    let _ = slot.cv.wait_for(&mut state, FOLLOWER_PARK);
+                    let _ = slot
+                        .cv
+                        .wait_timeout(state, FOLLOWER_PARK)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             }
         }
@@ -368,7 +373,7 @@ impl<C: Coeff> PlanQueue<C> {
     /// leader's in-flight launch abandons its remaining blocks.
     fn note_detached(&self, window_epoch: u64) {
         let now = Instant::now();
-        let mut meta = self.window.lock();
+        let mut meta = self.window.lock().unwrap_or_else(PoisonError::into_inner);
         if meta.epoch != window_epoch {
             return; // stale: that window is already over
         }
@@ -383,7 +388,7 @@ impl<C: Coeff> PlanQueue<C> {
     }
 
     fn take_done(&self, slot: &Slot<C>) -> Option<Result<Response<C>, ServeError>> {
-        let mut state = slot.state.lock();
+        let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(&*state, SlotState::Done(_)) {
             let SlotState::Done(result) = std::mem::replace(&mut *state, SlotState::Finished)
             else {
@@ -399,7 +404,7 @@ impl<C: Coeff> PlanQueue<C> {
     /// (ticket drop glue).  Returns true when removed.
     fn remove_from_queue(&self, slot: &Slot<C>) -> bool {
         let target = NonNull::from(slot);
-        let mut queue = self.queue.lock();
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         let before = queue.len();
         queue.retain(|p| p.0 != target);
         let removed = queue.len() != before;
@@ -419,7 +424,7 @@ impl<C: Coeff> PlanQueue<C> {
 
     /// The leader's work loop: drain windows until the queue is empty.
     fn drain_as_leader(&self) {
-        let mut scratch = self.scratch.lock();
+        let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
         let scratch: &mut LeaderScratch<C> = &mut scratch;
         loop {
             debug_assert!(scratch.staged.is_empty() && scratch.batch.is_empty());
@@ -427,7 +432,7 @@ impl<C: Coeff> PlanQueue<C> {
             // from earlier windows, and the token can be re-armed because
             // the previous window's launch (the only poller) is over.
             let epoch = {
-                let mut meta = self.window.lock();
+                let mut meta = self.window.lock().unwrap_or_else(PoisonError::into_inner);
                 meta.epoch += 1;
                 meta.finalized = false;
                 meta.total = 0;
@@ -441,7 +446,7 @@ impl<C: Coeff> PlanQueue<C> {
             // under each slot's lock; overdue requests are rejected here,
             // before any launch.
             {
-                let mut queue = self.queue.lock();
+                let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 let now = Instant::now();
                 while scratch.staged.len() < self.max_batch {
                     let Some(SlotPtr(ptr)) = queue.pop_front() else {
@@ -450,7 +455,7 @@ impl<C: Coeff> PlanQueue<C> {
                     // Safety: the pointer is in the queue, so its submitter
                     // is still waiting on it (see `SlotPtr`).
                     let slot = unsafe { ptr.as_ref() };
-                    let mut state = slot.state.lock();
+                    let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
                     let SlotState::Queued(request, start) = std::mem::replace(
                         &mut *state,
                         SlotState::Taken {
@@ -496,7 +501,7 @@ impl<C: Coeff> PlanQueue<C> {
             }
         }
         {
-            let mut meta = self.window.lock();
+            let mut meta = self.window.lock().unwrap_or_else(PoisonError::into_inner);
             meta.finalized = true;
             meta.total = k;
             meta.max_deadline = if all_deadlined { latest } else { None };
@@ -531,7 +536,7 @@ impl<C: Coeff> PlanQueue<C> {
         };
         if abandoned {
             let abandon_micros = {
-                let meta = self.window.lock();
+                let meta = self.window.lock().unwrap_or_else(PoisonError::into_inner);
                 meta.cancelled_at
                     .map_or(0, |at| at.elapsed().as_micros() as u64)
             };
@@ -542,7 +547,7 @@ impl<C: Coeff> PlanQueue<C> {
             // `Done` lands, so the pointer is valid; after the notify under
             // the lock we never touch it again.
             let slot = unsafe { ptr.as_ref() };
-            let mut state = slot.state.lock();
+            let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
             // The detach check and the terminal write must share one lock
             // hold, or a follower could detach in between and miss its
             // rejection.
@@ -613,20 +618,24 @@ impl<C: Coeff> Drop for Ticket<C> {
         if self.resolved {
             return;
         }
+        let slot = &self.slot;
         loop {
-            if self.queue.remove_from_queue(&self.slot) {
+            if self.queue.remove_from_queue(slot) {
                 // Still queued: cancel in place.  The state necessarily
                 // holds the payload (leaders only take payloads of pointers
                 // they popped).
-                *self.slot.state.lock() = SlotState::Finished;
+                *slot.state.lock().unwrap_or_else(PoisonError::into_inner) = SlotState::Finished;
                 break;
             }
-            let mut state = self.slot.state.lock();
+            let state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
             match &*state {
                 SlotState::Done(_) | SlotState::Finished => break,
                 // A leader owns it right now; its result is imminent.
                 _ => {
-                    let _ = self.slot.cv.wait_for(&mut state, FOLLOWER_PARK);
+                    let _ = slot
+                        .cv
+                        .wait_timeout(state, FOLLOWER_PARK)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             }
         }

@@ -7,9 +7,9 @@
 //! zero-allocation steady state.  Reading a [`MetricsSnapshot`] is the only
 //! operation that sorts/copies, and it happens off the request path.
 
-use parking_lot::Mutex;
 use psmd_core::PlanCacheStats;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Number of buckets of the coalesced-batch-size histogram.
 pub const BATCH_BUCKETS: usize = 7;
@@ -169,7 +169,10 @@ impl Metrics {
 
     pub(crate) fn record_completed(&self, latency_micros: u64) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latencies.lock().record(latency_micros);
+        self.latencies
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record(latency_micros);
     }
 
     pub(crate) fn set_queue_depth(&self, depth: usize) {
@@ -191,7 +194,11 @@ impl Metrics {
     /// the set is racy under concurrent traffic, which is fine for
     /// monitoring).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let (p50_us, p99_us) = self.latencies.lock().percentiles();
+        let (p50_us, p99_us) = self
+            .latencies
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .percentiles();
         let mut batch_histogram = [0u64; BATCH_BUCKETS];
         for (out, bucket) in batch_histogram.iter_mut().zip(self.batch_histogram.iter()) {
             *out = bucket.load(Ordering::Relaxed);

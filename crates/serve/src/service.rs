@@ -9,14 +9,13 @@
 
 use crate::coalesce::{PlanQueue, Ticket};
 use crate::metrics::MetricsSnapshot;
-use parking_lot::Mutex;
 use psmd_core::{Engine, Evaluation, Plan, PolySource};
 use psmd_multidouble::{with_precision, Coeff, Md, Precision};
 use psmd_series::Series;
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why the service rejected a request or registration.
@@ -259,7 +258,13 @@ impl Service {
 
     /// Ids of every registered plan, sorted.
     pub fn plan_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.plans.lock().keys().cloned().collect();
+        let mut ids: Vec<String> = self
+            .plans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .cloned()
+            .collect();
         ids.sort();
         ids
     }
@@ -300,13 +305,16 @@ impl Service {
             typed: Arc::clone(&queue) as Arc<dyn Any + Send + Sync>,
             precision,
         };
-        self.plans.lock().insert(id.to_string(), entry);
+        self.plans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id.to_string(), entry);
         Ok(queue)
     }
 
     /// The coalescing queue of a registered plan, typed at `C`.
     pub fn queue<C: Coeff>(&self, id: &str) -> Result<Arc<PlanQueue<C>>, ServeError> {
-        let plans = self.plans.lock();
+        let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = plans
             .get(id)
             .ok_or_else(|| ServeError::UnknownPlan(id.to_string()))?;
@@ -385,7 +393,7 @@ impl Service {
 
     /// Drains a plan's queue on the calling thread (a no-op when empty).
     pub fn flush(&self, id: &str) -> Result<(), ServeError> {
-        let plans = self.plans.lock();
+        let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = plans
             .get(id)
             .ok_or_else(|| ServeError::UnknownPlan(id.to_string()))?;
@@ -398,7 +406,7 @@ impl Service {
     /// A plan's metrics snapshot, completed with the engine-level fields
     /// (plan-cache statistics and the worker pool's rendezvous counter).
     pub fn metrics(&self, id: &str) -> Result<MetricsSnapshot, ServeError> {
-        let plans = self.plans.lock();
+        let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = plans
             .get(id)
             .ok_or_else(|| ServeError::UnknownPlan(id.to_string()))?;
@@ -414,7 +422,7 @@ impl Service {
     /// value-level API (`None` for plans registered through the typed
     /// [`Service::register`]).
     pub fn precision_of(&self, id: &str) -> Result<Option<Precision>, ServeError> {
-        let plans = self.plans.lock();
+        let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         plans
             .get(id)
             .map(|e| e.precision)
@@ -481,6 +489,13 @@ impl Service {
                  requests through `Service::submit`"
             )));
         };
+        // A series needs at least one coefficient, and building one from an
+        // empty array would panic: reject it first.
+        if let Some(v) = inputs.iter().position(Vec::is_empty) {
+            return Err(ServeError::Invalid(format!(
+                "input series {v} has no coefficients"
+            )));
+        }
         with_precision!(precision, N => {
             let series: Vec<Series<Md<N>>> = inputs
                 .iter()

@@ -208,6 +208,35 @@ fn wire_errors_are_structured_replies() {
 }
 
 #[test]
+fn wire_eval_with_an_empty_coefficient_array_gets_an_error_reply() {
+    let service = Arc::new(Service::new(
+        Engine::builder().threads(0).build(),
+        ServeConfig::default(),
+    ));
+    let mut server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(&server);
+    let reply = client.roundtrip(
+        r#"{"op":"compile","plan":"p","num_variables":2,"degree":2,"constant":1.0,
+            "monomials":[{"coefficient":3.0,"variables":[0,1]}]}"#
+            .replace('\n', " ")
+            .as_str(),
+    );
+    assert!(ok(&reply), "{reply:?}");
+
+    // A series needs at least one coefficient: an error naming the input,
+    // not a dropped connection.
+    let reply = client.roundtrip(r#"{"op":"eval","plan":"p","inputs":[[],[1,0,0]]}"#);
+    assert!(!ok(&reply), "{reply:?}");
+    let message = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("input series 0"), "{message}");
+
+    // The same connection keeps serving.
+    let reply = client.roundtrip(r#"{"op":"ping"}"#);
+    assert!(ok(&reply), "{reply:?}");
+    server.shutdown();
+}
+
+#[test]
 fn wire_deeply_nested_line_gets_an_error_reply() {
     let service = Arc::new(Service::new(
         Engine::builder().threads(0).build(),
