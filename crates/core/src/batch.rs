@@ -21,8 +21,9 @@
 //! blocks per launch by the batch size and fills the pool, exactly like the
 //! paper fills the GPU's multiprocessors with wide grids.
 //!
-//! The arena lives in the evaluation [`Workspace`](crate::Workspace), so a steady stream of
-//! equal-sized batches through one plan allocates nothing after warm-up.
+//! The arena lives in a workspace the plan parks between runs (see
+//! [`crate::workspace`]), so a steady stream of equal-sized batches through
+//! one plan allocates nothing after warm-up.
 //!
 //! ```
 //! use psmd_core::{Engine, Monomial, Polynomial};

@@ -29,12 +29,12 @@
 //!   [`Precision`](psmd_multidouble::Precision) value turns it into its
 //!   `Md<N>` type once, with
 //!   [`psmd_multidouble::with_precision!`], and compiles a typed plan.
-//! * Evaluation memory lives in pooled [`Workspace`]s (see
-//!   [`crate::workspace`]): a bare `plan.request(&z).run()` transparently
-//!   checks one out of the engine's lock-free pool, and the builder's
-//!   [`workspace`](EvalRequest::workspace) / [`into`](EvalRequest::into)
-//!   stages let callers manage workspace and output reuse explicitly —
-//!   steady-state evaluation then performs **zero heap allocations**.
+//! * Evaluation memory lives in workspaces that each plan parks between
+//!   runs (see [`crate::workspace`]): every run checks one out of its
+//!   plan's pool and parks it again, so workspace reuse is automatic, and
+//!   the builder's [`into`](EvalRequest::into) stage reuses the output as
+//!   well — steady-state evaluation then performs **zero heap
+//!   allocations**.
 //!
 //! ```
 //! use psmd_core::{Engine, Inputs, Monomial, Polynomial};
@@ -60,25 +60,24 @@
 //! assert_eq!(eval.value.coeff(0).to_f64(), 4.0); // 1 + 3
 //! assert_eq!(eval.value.coeff(2).to_f64(), -3.0);
 //!
-//! // The builder's stages compose: reuse a workspace and an output buffer,
-//! // or run on the calling thread only.
-//! let mut ws = plan.create_workspace();
+//! // The builder's stages compose: reuse an output buffer, or run on the
+//! // calling thread only.
 //! let mut out = plan.request(&z).run();
-//! plan.request(&z).workspace(&mut ws).into(&mut out).run();
+//! plan.request(&z).into(&mut out).run();
 //! let seq = plan.request(&z).sequential().run();
 //! assert!(out.bitwise_eq(&seq));
 //! ```
 
 use crate::batch::BatchEvaluation;
 use crate::error::Error;
-use crate::evaluate::{evaluate_into, Evaluation};
+use crate::evaluate::{extract_output, stage_and_execute, Evaluation};
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
 use crate::schedule::Schedule;
 use crate::system::{SystemBatchEvaluation, SystemEvaluation};
-use crate::workspace::{Workspace, WorkspacePool};
+use crate::workspace::ParkedWorkspaces;
 use psmd_multidouble::Coeff;
-use psmd_runtime::{CancelToken, KernelTimings, WorkerPool};
+use psmd_runtime::{CancelToken, KernelTimings, Stopwatch, WorkerPool};
 use psmd_series::Series;
 use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
@@ -512,26 +511,23 @@ pub struct PlanStats {
 }
 
 /// An owned, compiled evaluation plan: the polynomial source, its job
-/// schedule and layout, plus a handle to the worker pool it evaluates on.
+/// schedule and layout, a handle to the worker pool it evaluates on and the
+/// workspaces its runs park between them.
 ///
 /// Plans are `'static`, `Send + Sync` and handed out as [`Arc<Plan>`] by
 /// [`Engine::compile`]: clone the `Arc` freely, evaluate from as many
-/// threads as you like, keep it alive after the engine is gone.
+/// threads as you like, keep it alive after the engine is gone.  A plan's
+/// parked workspaces are sized to it and freed when it is dropped.
 pub struct Plan<C: Coeff> {
     source: PolySource<C>,
-    schedule: Schedule,
+    pub(crate) schedule: Schedule,
     options: EvalOptions,
     pool: Arc<WorkerPool>,
-    workspaces: Arc<WorkspacePool<C>>,
+    workspaces: ParkedWorkspaces<C>,
 }
 
 impl<C: Coeff> Plan<C> {
-    fn build(
-        source: PolySource<C>,
-        mut options: EvalOptions,
-        pool: Arc<WorkerPool>,
-        workspaces: Arc<WorkspacePool<C>>,
-    ) -> Self {
+    fn build(source: PolySource<C>, mut options: EvalOptions, pool: Arc<WorkerPool>) -> Self {
         let schedule = Schedule::build(source.equations());
         // Resolve `Auto` once, at compile time, against the measured
         // crossover table for this (precision, degree) pair; evaluation
@@ -549,8 +545,8 @@ impl<C: Coeff> Plan<C> {
             source,
             schedule,
             options,
+            workspaces: ParkedWorkspaces::new(pool.parallelism()),
             pool,
-            workspaces,
         }
     }
 
@@ -588,33 +584,12 @@ impl<C: Coeff> Plan<C> {
         }
     }
 
-    /// A workspace pre-sized for this plan: scratch lanes for every
-    /// participant of the engine's pool and arena capacity for one
-    /// (non-batched) evaluation.  Pass it to [`EvalRequest::workspace`] to
-    /// manage reuse
-    /// explicitly.  The workspace-side buffers are warm from the start
-    /// (including the SIMD lane panels at the plan's resolved lane width),
-    /// so even the *first* `request(..).workspace(&mut ws).into(&mut out)`
-    /// run through it (with a warm output) allocates nothing; a bare
-    /// `workspace(&mut ws).run()` still builds its returned output.
-    pub fn create_workspace(&self) -> Workspace<C> {
-        let s = &self.schedule;
-        let per = s.layout.coeffs_per_slot();
-        let mut ws = Workspace::new(self.pool.parallelism());
-        ws.warm_for(s.layout.total_coefficients(), per, self.options.kernel);
-        ws.warm_lanes(per, self.options.simd.lane_width());
-        ws
-    }
-
     /// Starts an evaluation request — **the** evaluation entry point.
     ///
     /// The returned [`EvalRequest`] runs on the engine's worker pool with a
-    /// pooled workspace and a fresh output by default; its stages opt into
-    /// reuse and sequential execution:
+    /// fresh output by default, through a workspace parked in this plan;
+    /// its stages opt into output reuse and sequential execution:
     ///
-    /// * [`EvalRequest::workspace`] — evaluate through a caller-managed
-    ///   [`Workspace`] (see [`Plan::create_workspace`]) instead of checking
-    ///   one out of the engine's pool;
     /// * [`EvalRequest::into`] — write into an existing [`EvalOutput`],
     ///   reusing its buffers (the zero-allocation steady state);
     /// * [`EvalRequest::sequential`] — run on the calling thread only,
@@ -634,9 +609,8 @@ impl<C: Coeff> Plan<C> {
     /// # ];
     /// # let engine = Engine::builder().threads(0).build();
     /// # let plan = engine.compile(p);
-    /// let mut ws = plan.create_workspace();
-    /// let mut out = plan.request(&z).run();                         // simple form
-    /// plan.request(&z).workspace(&mut ws).into(&mut out).run();     // full reuse
+    /// let mut out = plan.request(&z).run();          // simple form
+    /// plan.request(&z).into(&mut out).run();         // output reuse
     /// ```
     ///
     /// Running the request panics when the input shape does not match the
@@ -645,7 +619,6 @@ impl<C: Coeff> Plan<C> {
         EvalRequest {
             plan: self,
             inputs: inputs.into(),
-            workspace: None,
             parallel: true,
             cancel: None,
         }
@@ -696,16 +669,24 @@ impl<C: Coeff> Plan<C> {
         }
     }
 
+    /// Evaluates `inputs` into `out` — the one runner behind every request,
+    /// serve window, tracker sweep and Newton step, and the one place a run
+    /// checks a workspace out of this plan's pool and parks it again.  A
+    /// sequential run launches on a pool without workers: every launch runs
+    /// inline on this thread as participant 0, and building that pool
+    /// allocates nothing.
+    ///
+    /// When `cancel` trips mid-run, extraction is skipped (`out`'s buffers
+    /// are left as they were) and `out`'s timings are flagged `cancelled`.
+    /// A run that panics drops its workspace instead of parking it.
     fn run_into(
         &self,
         inputs: Inputs<'_, C>,
         parallel: bool,
         cancel: Option<&CancelToken>,
-        ws: &mut Workspace<C>,
         out: &mut EvalOutput<C>,
     ) {
-        // A sequential run launches on a pool without workers: every launch
-        // runs inline on this thread, and building one allocates nothing.
+        let wall = Stopwatch::start();
         let inline;
         let pool = if parallel {
             self.pool.as_ref()
@@ -713,44 +694,34 @@ impl<C: Coeff> Plan<C> {
             inline = WorkerPool::new(0);
             &inline
         };
-        evaluate_into(
-            self.source.equations(),
-            &self.schedule,
-            self.options,
-            inputs,
-            pool,
-            cancel,
-            ws,
-            out,
-        );
+        let mut timings = KernelTimings::new();
+        let mut ws = self.workspaces.checkout();
+        match stage_and_execute(self, inputs, pool, cancel, &mut ws, &mut timings) {
+            Some(arena) => extract_output(&self.schedule, arena, out),
+            None => timings.cancelled = true,
+        }
+        self.workspaces.park(ws);
+        timings.wall_clock = wall.elapsed();
+        *out.timings_mut() = timings;
     }
 }
 
 /// A configured evaluation: what [`Plan::request`] returns.
 ///
-/// The builder starts from the defaults — pooled workspace, fresh output,
-/// parallel execution on the engine's pool — and each stage opts into reuse
-/// or sequential execution.  [`EvalRequest::run`] executes and returns the
+/// The builder starts from the defaults — fresh output, parallel execution
+/// on the engine's pool — and each stage opts into output reuse or
+/// sequential execution.  [`EvalRequest::run`] executes and returns the
 /// output; binding an output buffer first with [`EvalRequest::into`] yields
 /// a [`BoundEvalRequest`] whose `run` writes in place instead.
 #[must_use = "an evaluation request does nothing until `run()`"]
 pub struct EvalRequest<'r, C: Coeff> {
     plan: &'r Plan<C>,
     inputs: Inputs<'r, C>,
-    workspace: Option<&'r mut Workspace<C>>,
     parallel: bool,
     cancel: Option<&'r CancelToken>,
 }
 
 impl<'r, C: Coeff> EvalRequest<'r, C> {
-    /// Evaluates through a caller-managed [`Workspace`] (see
-    /// [`Plan::create_workspace`]) instead of checking one out of the
-    /// engine's pool.
-    pub fn workspace(mut self, ws: &'r mut Workspace<C>) -> Self {
-        self.workspace = Some(ws);
-        self
-    }
-
     /// Runs on the calling thread only — the correctness reference for the
     /// parallel path, bitwise identical to it.
     pub fn sequential(mut self) -> Self {
@@ -764,7 +735,7 @@ impl<'r, C: Coeff> EvalRequest<'r, C> {
     /// buffers are left unspecified (discard them).  The token is polled
     /// **between** block claims — one relaxed atomic load — so arming an
     /// uncancelled run costs nothing measurable and stays bitwise identical
-    /// to an unarmed run.  The workspace comes back clean either way; the
+    /// to an unarmed run.  The workspace is parked clean either way; the
     /// next evaluation through it is correct and allocation-free.
     ///
     /// ```
@@ -805,22 +776,9 @@ impl<'r, C: Coeff> EvalRequest<'r, C> {
     /// variable count or degree).
     pub fn run(self) -> EvalOutput<C> {
         let mut out = self.plan.empty_output(&self.inputs);
-        self.dispatch(&mut out);
+        self.plan
+            .run_into(self.inputs, self.parallel, self.cancel, &mut out);
         out
-    }
-
-    /// Runs with either the bound workspace or a pooled checkout.
-    fn dispatch(self, out: &mut EvalOutput<C>) {
-        match self.workspace {
-            Some(ws) => self
-                .plan
-                .run_into(self.inputs, self.parallel, self.cancel, ws, out),
-            None => {
-                let mut ws = self.plan.workspaces.checkout();
-                self.plan
-                    .run_into(self.inputs, self.parallel, self.cancel, &mut ws, out);
-            }
-        }
     }
 }
 
@@ -834,13 +792,6 @@ pub struct BoundEvalRequest<'r, C: Coeff> {
 }
 
 impl<'r, C: Coeff> BoundEvalRequest<'r, C> {
-    /// Evaluates through a caller-managed [`Workspace`] (see
-    /// [`EvalRequest::workspace`]).
-    pub fn workspace(mut self, ws: &'r mut Workspace<C>) -> Self {
-        self.request.workspace = Some(ws);
-        self
-    }
-
     /// Runs on the calling thread only (see [`EvalRequest::sequential`]).
     pub fn sequential(mut self) -> Self {
         self.request.parallel = false;
@@ -860,10 +811,14 @@ impl<'r, C: Coeff> BoundEvalRequest<'r, C> {
     ///
     /// Panics in the same cases as [`EvalRequest::run`].
     pub fn run(self) {
-        self.request
-            .plan
-            .reshape_output(&self.request.inputs, self.out);
-        self.request.dispatch(self.out);
+        let EvalRequest {
+            plan,
+            inputs,
+            parallel,
+            cancel,
+        } = self.request;
+        plan.reshape_output(&inputs, self.out);
+        plan.run_into(inputs, parallel, cancel, self.out);
     }
 }
 
@@ -1021,7 +976,6 @@ impl EngineBuilder {
             pool: Arc::new(WorkerPool::new(threads)),
             options: self.options,
             cache: Mutex::new(PlanCache::new(self.plan_cache_capacity)),
-            workspaces: Mutex::new(HashMap::new()),
         })
     }
 }
@@ -1049,11 +1003,6 @@ pub struct Engine {
     pool: Arc<WorkerPool>,
     options: EvalOptions,
     cache: Mutex<PlanCache>,
-    /// One lock-free workspace pool per coefficient type, shared by every
-    /// plan of that precision (the registry lock is taken at compile time
-    /// only; evaluation checks workspaces out of the typed pool without
-    /// locking).
-    workspaces: Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>,
 }
 
 impl Engine {
@@ -1168,12 +1117,7 @@ impl Engine {
         // Compile outside the lock: schedule construction is the expensive
         // part and must not serialize concurrent compiles of different
         // sources.
-        let plan = Arc::new(Plan::build(
-            source,
-            options,
-            Arc::clone(&self.pool),
-            self.workspace_pool::<C>(),
-        ));
+        let plan = Arc::new(Plan::build(source, options, Arc::clone(&self.pool)));
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if cache.capacity > 0 {
             if cache.entries.len() >= cache.capacity && !cache.entries.contains_key(&key) {
@@ -1208,29 +1152,6 @@ impl Engine {
             }
         }
         Ok(plan)
-    }
-
-    /// The engine's workspace pool for coefficient type `C`, created on
-    /// first use and shared by every plan of that precision.  Sized by the
-    /// worker pool: one scratch lane per participant, and enough slots that
-    /// as many concurrent evaluations as the pool has lanes recycle
-    /// workspaces instead of building fresh ones.
-    pub fn workspace_pool<C: Coeff>(&self) -> Arc<WorkspacePool<C>> {
-        let mut map = self
-            .workspaces
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let entry = map
-            .entry(TypeId::of::<C>())
-            .or_insert_with(|| {
-                let participants = self.pool.parallelism();
-                Arc::new(WorkspacePool::<C>::new(participants + 2, participants))
-                    as Arc<dyn Any + Send + Sync>
-            })
-            .clone();
-        entry
-            .downcast::<WorkspacePool<C>>()
-            .expect("workspace pool registry keyed by TypeId")
     }
 
     /// Plan-cache statistics (entries, hits, misses, evictions).
@@ -1546,18 +1467,11 @@ mod tests {
         let plan = engine.compile(paper_example(d));
         let z = random_z(6, d, 31);
         let reference = plan.request(&z).run();
-        // Workspace-bound, output-bound and sequential stages all agree
-        // bitwise with the bare request.
-        let mut ws = plan.create_workspace();
-        assert!(plan
-            .request(&z)
-            .workspace(&mut ws)
-            .run()
-            .bitwise_eq(&reference));
+        // A second run through the parked workspace, output-bound and
+        // sequential stages all agree bitwise with the first bare request.
+        assert!(plan.request(&z).run().bitwise_eq(&reference));
         let mut out = EvalOutput::Single(Evaluation::empty());
         plan.request(&z).into(&mut out).run();
-        assert!(out.bitwise_eq(&reference));
-        plan.request(&z).workspace(&mut ws).into(&mut out).run();
         assert!(out.bitwise_eq(&reference));
         assert!(plan.request(&z).sequential().run().bitwise_eq(&reference));
         plan.request(&z).into(&mut out).sequential().run();

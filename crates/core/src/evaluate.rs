@@ -7,24 +7,27 @@
 //!   partial derivative independently.  It shares no work and serves as the
 //!   correctness oracle and as the baseline the speedup of the paper's
 //!   scheme is measured against.
-//! * The engine's [`Plan`](crate::Plan) runs the paper's job schedule
+//! * The engine's [`Plan`] runs the paper's job schedule
 //!   (shared forward/backward/cross products, tree summation) — sequentially
 //!   (`plan.request(&z).sequential().run()`) or with one kernel launch per
 //!   job layer on the worker pool (`plan.request(&z).run()`), the CPU
 //!   equivalent of the accelerated algorithm of Section 5, reporting
 //!   per-kernel timings like the paper does.
 //!
-//! This module holds the shared execution internals — one runner for every
-//! plan, whatever its number of equations and input vectors.  The runner has
-//! one executor: every layer of jobs is one grid launch, and each launch
-//! reports whether it woke the pool, so a run counts its own rendezvous.
-//! Every job borrows its staging memory from a [`Workspace`] instead of
-//! allocating, which is what keeps steady-state evaluation allocation-free
-//! (the CPU analogue of the paper's pre-sized shared-memory staging).
+//! This module holds the execution internals behind `Plan::run_into`, the
+//! one runner of every plan — pooled or sequential, whatever its number of
+//! equations and input vectors, and whoever calls it: a request, a serve
+//! window, a tracker sweep or a Newton step.  The runner has one executor:
+//! every layer of jobs is one grid launch, and each launch reports whether
+//! it woke the pool, so a run counts its own rendezvous.  Every job borrows
+//! its staging memory from the workspace the run checked out of its plan's
+//! pool instead of allocating, which is what keeps steady-state evaluation
+//! allocation-free (the CPU analogue of the paper's pre-sized shared-memory
+//! staging).
 
-use crate::engine::{EvalOutput, Inputs};
+use crate::engine::{EvalOutput, Inputs, Plan};
 use crate::lanes::{block_pairs, layer_blocks, run_convolution_panel, MAX_LANE_WIDTH};
-use crate::options::{EvalOptions, SimdMode};
+use crate::options::SimdMode;
 use crate::polynomial::Polynomial;
 use crate::schedule::{AddJob, ConvJob, Schedule};
 use crate::system::SystemEvaluation;
@@ -60,7 +63,7 @@ pub enum ConvolutionKernel {
     /// renormalization, bounded by [`psmd_series::fft_ulp_budget`].
     Fft,
     /// Pick the fastest kernel for the plan's (precision, degree) pair from
-    /// the measured crossover table at compile time.  [`Plan`](crate::Plan)
+    /// the measured crossover table at compile time.  [`Plan`]
     /// resolves this to a concrete kernel during
     /// [`Engine::compile`](crate::Engine::compile); the resolved choice is
     /// visible in the plan's options.
@@ -68,8 +71,9 @@ pub enum ConvolutionKernel {
 }
 
 /// How the evaluators execute the job schedule on the worker pool.  There
-/// is one mode; the enum and [`EvalOptions::exec_mode`] remain because the
-/// benchmark package (`perfbench/`) prints them.
+/// is one mode; the enum and
+/// [`EvalOptions::exec_mode`](crate::EvalOptions::exec_mode) remain because
+/// the benchmark package (`perfbench/`) prints them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// One kernel launch per job layer with a pool-wide barrier between
@@ -293,12 +297,11 @@ fn execute_schedule<C: Coeff>(
 
 /// Stages one arena region per evaluation instance — every equation's
 /// constant, the merged monomial coefficients and that instance's inputs —
-/// then runs the schedule over all regions at once: one launch per layer
-/// whatever the number of instances or equations.  All evaluation memory is
-/// borrowed from `ws`, so a warm workspace makes the run allocation-free.
-/// `options` must be resolved: the plan resolves a `ConvolutionKernel::Auto`
-/// and a `SimdMode::Auto` when it compiles, and Newton resolves its lane mode
-/// before the first step.
+/// then runs the plan's schedule over all regions at once: one launch per
+/// layer whatever the number of instances or equations.  All evaluation
+/// memory is borrowed from `ws`, so a warm workspace makes the run
+/// allocation-free.  The plan's options are resolved: it resolves a
+/// `ConvolutionKernel::Auto` and a `SimdMode::Auto` when it compiles.
 ///
 /// Every evaluation — one input vector or a batch, one equation or a system
 /// — packs its convolution jobs into SIMD lane panels at the resolved lane
@@ -310,11 +313,8 @@ fn execute_schedule<C: Coeff>(
 /// [`DataLayout::batch_instance_offset`](crate::DataLayout::batch_instance_offset)),
 /// or `None` when `cancel` tripped mid-run: the arena then holds partial
 /// results, and the next evaluation re-zeros it as always.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn stage_and_execute<'w, C: Coeff>(
-    polys: &[Polynomial<C>],
-    schedule: &Schedule,
-    options: EvalOptions,
+    plan: &Plan<C>,
     inputs: Inputs<'_, C>,
     pool: &WorkerPool,
     cancel: Option<&CancelToken>,
@@ -326,6 +326,7 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
         Inputs::Batch([]) => return Some(&[]),
         Inputs::Batch(batch) => batch.len(),
     };
+    let (schedule, options) = (&plan.schedule, plan.options());
     let lane_width = match (options.simd, options.kernel) {
         (SimdMode::Auto, _) => unreachable!("SimdMode::Auto is resolved before evaluation"),
         (SimdMode::ForceWidth(w), ConvolutionKernel::Direct) => w,
@@ -334,14 +335,8 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
     let layout = &schedule.layout;
     let per = layout.coeffs_per_slot();
     let arena_coeffs = layout.batch_total_coefficients(instances);
-    let participants = pool.parallelism();
-    // Warm every participant's scratch before the launches: which lane runs
-    // which blocks changes from launch to launch, and a lane first used
-    // inside a launch would allocate there.
-    ws.ensure_participants(participants);
-    ws.warm_for(arena_coeffs, per, options.kernel);
-    ws.warm_lanes(per, lane_width);
-    let (arena, scratch) = ws.parts(arena_coeffs, participants);
+    ws.warm_for(arena_coeffs, per, options.kernel, lane_width);
+    let (arena, scratch) = ws.parts(arena_coeffs);
     // Lay every instance out back-to-back in the flat arena.  Constants and
     // coefficients are replicated per instance so each region is
     // self-contained (jobs only ever read within their region).
@@ -353,7 +348,7 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
             Inputs::Single(z) => z,
             Inputs::Batch(batch) => &batch[i],
         };
-        schedule.fill_data_array(polys, z, region);
+        schedule.fill_data_array(plan.source().equations(), z, region);
     }
     let completed = execute_schedule(
         schedule,
@@ -369,48 +364,12 @@ pub(crate) fn stage_and_execute<'w, C: Coeff>(
     completed.then_some(arena)
 }
 
-/// Evaluates `inputs` through `schedule` into `out` — the one runner behind
-/// every [`Plan`](crate::Plan) and the Newton iteration.  The output variant
-/// must match the inputs: `Single` or `System` for one input vector,
-/// `Batch` or `SystemBatch` for a batch.  Each variant is a short loop over
-/// [`Schedule::extract_equation_into`], writing straight into the caller's
-/// buffers.
-///
-/// When `cancel` trips mid-run, extraction is skipped (`out`'s buffers are
-/// left as they were) and `out`'s timings are flagged `cancelled`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_into<C: Coeff>(
-    polys: &[Polynomial<C>],
-    schedule: &Schedule,
-    options: EvalOptions,
-    inputs: Inputs<'_, C>,
-    pool: &WorkerPool,
-    cancel: Option<&CancelToken>,
-    ws: &mut Workspace<C>,
-    out: &mut EvalOutput<C>,
-) {
-    let wall = Stopwatch::start();
-    let mut timings = KernelTimings::new();
-    match stage_and_execute(
-        polys,
-        schedule,
-        options,
-        inputs,
-        pool,
-        cancel,
-        ws,
-        &mut timings,
-    ) {
-        Some(arena) => extract_output(schedule, arena, out),
-        None => timings.cancelled = true,
-    }
-    timings.wall_clock = wall.elapsed();
-    *out.timings_mut() = timings;
-}
-
 /// Writes every instance region of a completed run into `out`, one
-/// equation at a time.
-fn extract_output<C: Coeff>(schedule: &Schedule, arena: &[C], out: &mut EvalOutput<C>) {
+/// equation at a time.  The output variant must match the inputs: `Single`
+/// or `System` for one input vector, `Batch` or `SystemBatch` for a batch.
+/// Each variant is a short loop over [`Schedule::extract_equation_into`],
+/// writing straight into the caller's buffers.
+pub(crate) fn extract_output<C: Coeff>(schedule: &Schedule, arena: &[C], out: &mut EvalOutput<C>) {
     let regions = arena.chunks_exact(schedule.layout.total_coefficients());
     let system_into = |region: &[C], s: &mut SystemEvaluation<C>| {
         let m = schedule.num_equations();
@@ -506,8 +465,9 @@ pub(crate) fn run_addition_job<C: Coeff>(shared: &SharedSlice<'_, C>, job: &AddJ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Plan};
+    use crate::engine::Engine;
     use crate::monomial::Monomial;
+    use crate::options::EvalOptions;
     use psmd_multidouble::{Complex, Dd, Md, Qd};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -19,9 +19,9 @@
 //!    vector, a whole batch, or a system — with the [`Plan::request`]
 //!    builder, one kernel launch per layer (the paper's execution model and
 //!    the only executor), collecting per-kernel timings.  All
-//!    evaluation memory is borrowed from pooled [`Workspace`]s, so
-//!    steady-state evaluation allocates nothing
-//!    (`request(..).into(&mut out)` for callers that also reuse the
+//!    evaluation memory is borrowed from workspaces each plan parks
+//!    between runs ([`workspace`]), so steady-state evaluation allocates
+//!    nothing (`request(..).into(&mut out)` for callers that also reuse the
 //!    output);
 //! 4. compare against the naive baseline ([`evaluate_naive`]) and convert the
 //!    schedule into the [`psmd_device::WorkloadShape`] of the analytic GPU
@@ -102,12 +102,11 @@ pub use generators::{
 };
 pub use monomial::Monomial;
 pub use newton::{
-    try_newton_system, try_newton_system_parallel, try_solve_linearized, try_solve_linearized_into,
-    LinearSolveWorkspace, NewtonOptions, NewtonResult, NewtonTrace,
+    try_newton_system, try_solve_linearized, try_solve_linearized_into, LinearSolveWorkspace,
+    NewtonOptions, NewtonResult, NewtonTrace,
 };
 pub use options::{EvalOptions, SimdMode};
 pub use polynomial::Polynomial;
 pub use psmd_runtime::CancelToken;
 pub use schedule::{AddJob, ConvJob, DataLayout, ResultLocation, Schedule};
 pub use system::{evaluate_naive_system, SystemBatchEvaluation, SystemEvaluation};
-pub use workspace::{PooledWorkspace, Workspace, WorkspacePool};

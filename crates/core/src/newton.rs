@@ -1,6 +1,7 @@
 //! Newton's method on polynomial systems at power series — the paper's
-//! motivating application (Section 1), built on the merged system
-//! [`Schedule`] and the same runner every plan evaluates through.
+//! motivating application (Section 1), run on a compiled system
+//! [`Plan`]: every step is one request through the same runner every plan
+//! evaluates through.
 //!
 //! One Newton step at the current series vector `z(t)` solves the linearized
 //! system
@@ -25,15 +26,19 @@
 //! constant-term solution as the starting point, the number of correct
 //! series coefficients doubles every iteration.
 //!
-//! The whole iteration is **allocation-stable**: one evaluation
-//! [`Workspace`], one system evaluation output and one
-//! [`LinearSolveWorkspace`] are created up front and reused by every Newton
+//! The whole iteration is **allocation-stable**: every step evaluates
+//! through a workspace parked in the plan, and one system evaluation output
+//! and one [`LinearSolveWorkspace`] are created up front and reused by every
 //! step, so steps after the first neither re-stage the arena nor
 //! re-allocate the LU / staging buffers of the degree-by-degree solves.
+//! The plan fixes the precision, the kernel, the lane width and the worker
+//! pool: a plan compiled by `Engine::builder().threads(0)` runs Newton
+//! sequentially, bitwise identical to a plan of a threaded engine.
 //!
 //! The fallible entry points ([`try_newton_system`],
 //! [`try_solve_linearized_into`]) follow the `try_build`/`try_compile`
-//! convention: a non-square system is an [`Error::Config`] and a singular
+//! convention: a non-square system or a single-polynomial plan is an
+//! [`Error::Config`] and a singular
 //! constant-term Jacobian an [`Error::Numerical`], so iterative callers —
 //! the path tracker above all — can react (shrink the step, escalate the
 //! precision) instead of aborting.  Each run reports a [`NewtonTrace`]: the
@@ -41,16 +46,10 @@
 //! conditioning estimate of the last factorization, which is exactly the
 //! trajectory the tracker's escalation policy inspects.
 
-use crate::engine::{EvalOutput, Inputs};
+use crate::engine::{EvalOutput, Plan, PolySource};
 use crate::error::Error;
-use crate::evaluate::evaluate_into;
-use crate::options::{EvalOptions, SimdMode};
-use crate::polynomial::Polynomial;
-use crate::schedule::Schedule;
 use crate::system::SystemEvaluation;
-use crate::workspace::Workspace;
 use psmd_multidouble::RealCoeff;
-use psmd_runtime::WorkerPool;
 use psmd_series::Series;
 
 /// Options of the Newton iteration.
@@ -144,37 +143,28 @@ impl<C> NewtonResult<C> {
     }
 }
 
-/// Runs Newton's method on a square polynomial system at power series,
-/// evaluating values and Jacobian with one fused system-schedule pass
-/// per step (sequential kernels).
+/// Runs Newton's method on the square polynomial system `plan` was
+/// compiled from, evaluating values and Jacobian with one fused request
+/// per step on the plan's worker pool.
 ///
 /// # Errors
 ///
-/// [`Error::Config`] when the system is not square (`m != n`), the initial
-/// guess has the wrong length or degree, or `PSMD_SIMD` holds an
-/// unrecognized value; [`Error::Numerical`] when the constant-term Jacobian
-/// turns (numerically) singular at some iterate.
+/// [`Error::Config`] when the plan was compiled from a single polynomial
+/// rather than a system, the system is not square (`m != n`), or the
+/// initial guess has the wrong length or degree; [`Error::Numerical`] when
+/// the constant-term Jacobian turns (numerically) singular at some iterate.
 pub fn try_newton_system<C: RealCoeff>(
-    polys: &[Polynomial<C>],
+    plan: &Plan<C>,
     initial: &[Series<C>],
     options: &NewtonOptions,
 ) -> Result<NewtonResult<C>, Error> {
-    // A pool without workers runs every launch inline on this thread.
-    try_newton_system_parallel(polys, initial, options, &WorkerPool::new(0))
-}
-
-/// Like [`try_newton_system`], but runs every fused evaluation on the worker
-/// pool (one launch per merged job layer).
-pub fn try_newton_system_parallel<C: RealCoeff>(
-    polys: &[Polynomial<C>],
-    initial: &[Series<C>],
-    options: &NewtonOptions,
-    pool: &WorkerPool,
-) -> Result<NewtonResult<C>, Error> {
+    let PolySource::System(polys) = plan.source() else {
+        return Err(Error::config(
+            "newton_system needs a plan compiled from a system (a Vec of polynomials)",
+        ));
+    };
+    // A compiled system has at least one equation.
     let n = polys.len();
-    if n == 0 {
-        return Err(Error::config("a system needs at least one equation"));
-    }
     if polys[0].num_variables() != n {
         return Err(Error::config(format!(
             "newton_system needs a square system (m equations in m variables), \
@@ -198,16 +188,10 @@ pub fn try_newton_system_parallel<C: RealCoeff>(
             )));
         }
     }
-    // Resolve the lane mode once: a malformed `PSMD_SIMD` is a configuration
-    // error here rather than a panic mid-solve.
-    let simd = SimdMode::Auto.try_resolved().map_err(Error::config)?;
-    let eval_options = EvalOptions::new().with_simd(simd);
-    // The merged schedule is built once and reused by every step, and so is
-    // every buffer: the evaluation workspace (arena, per-worker scratch),
-    // the evaluation output, the negated right-hand side, the update, and
-    // the staged-solve workspace.  Steps after the first allocate nothing.
-    let schedule = Schedule::build(polys);
-    let mut ws = Workspace::new(pool.parallelism());
+    // Every buffer is reused by every step: the workspace parked in the
+    // plan (arena, per-worker scratch), the evaluation output, the negated
+    // right-hand side, the update, and the staged-solve workspace.  Steps
+    // after the first allocate nothing.
     let mut out = EvalOutput::System(SystemEvaluation::empty());
     let mut rhs: Vec<Series<C>> = Vec::new();
     let mut delta: Vec<Series<C>> = Vec::new();
@@ -216,17 +200,8 @@ pub fn try_newton_system_parallel<C: RealCoeff>(
     let mut trace = NewtonTrace::default();
     // One fused evaluation of all values and the Jacobian at `z`, returning
     // the residual magnitude `max_i |f_i(z)|`.
-    let mut evaluate = |z: &[Series<C>], out: &mut EvalOutput<C>| {
-        evaluate_into(
-            polys,
-            &schedule,
-            eval_options,
-            Inputs::Single(z),
-            pool,
-            None,
-            &mut ws,
-            out,
-        );
+    let evaluate = |z: &[Series<C>], out: &mut EvalOutput<C>| {
+        plan.request(z).into(out).run();
         out.as_system()
             .expect("a system output")
             .values
@@ -482,7 +457,9 @@ pub fn try_solve_linearized_into<C: RealCoeff>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::monomial::Monomial;
+    use crate::polynomial::Polynomial;
     use psmd_multidouble::{Deca, Qd};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -666,8 +643,9 @@ mod tests {
             Series::constant(C::from_f64(1.0), degree),
             Series::constant(C::from_f64(2.0), degree),
         ];
+        let plan = Engine::builder().threads(0).build().compile(system);
         let result = try_newton_system(
-            &system,
+            &plan,
             &initial,
             &NewtonOptions {
                 max_iterations: 8,
@@ -710,11 +688,26 @@ mod tests {
             max_iterations: 4,
             tolerance: 0.0,
         };
-        let seq = try_newton_system(&system, &initial, &opts).unwrap();
-        let pool = WorkerPool::new(3);
-        let par = try_newton_system_parallel(&system, &initial, &opts, &pool).unwrap();
-        assert_eq!(seq.solution, par.solution);
-        assert_eq!(seq.trace.residuals, par.trace.residuals);
+        // A zero-worker engine runs every launch inline; a three-worker one
+        // spreads each layer over four lanes.
+        let newton = |threads| {
+            let engine = Engine::builder().threads(threads).build();
+            try_newton_system(&engine.compile(system.clone()), &initial, &opts).unwrap()
+        };
+        let (seq, par) = (newton(0), newton(3));
+        assert_eq!(seq.solution.len(), par.solution.len());
+        for (a, b) in seq.solution.iter().zip(&par.solution) {
+            let bits = |s: &Series<Deca>| -> Vec<[u64; 10]> {
+                s.coeffs()
+                    .iter()
+                    .map(|c| c.limbs().map(f64::to_bits))
+                    .collect()
+            };
+            assert_eq!(bits(a), bits(b));
+        }
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&seq.trace.residuals), bits(&par.trace.residuals));
+        assert_eq!(seq.trace.conditioning, par.trace.conditioning);
     }
 
     #[test]
@@ -723,9 +716,27 @@ mod tests {
         let one = Series::<Qd>::one(d);
         let f1 = Polynomial::new(3, Series::zero(d), vec![Monomial::new(one, vec![0, 1])]);
         let initial = vec![Series::zero(d)];
-        let err = try_newton_system(&[f1], &initial, &NewtonOptions::default()).unwrap_err();
+        let plan = Engine::builder().threads(0).build().compile(vec![f1]);
+        let err = try_newton_system(&plan, &initial, &NewtonOptions::default()).unwrap_err();
         assert!(matches!(err, Error::Config(_)), "got {err:?}");
         assert!(err.message().contains("square system"));
+    }
+
+    #[test]
+    fn single_polynomial_plans_are_config_errors() {
+        // x0 - 2 is square as a one-equation system, but a plan compiled
+        // from the bare polynomial produces a value and gradient, not the
+        // values and Jacobian Newton solves with.
+        let d = 2;
+        let c = |x: f64| Series::constant(Qd::from_f64(x), d);
+        let f = Polynomial::new(1, c(-2.0), vec![Monomial::new(c(1.0), vec![0])]);
+        let engine = Engine::builder().threads(0).build();
+        let opts = NewtonOptions::default();
+        let err = try_newton_system(&engine.compile(f.clone()), &[c(1.0)], &opts).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "got {err:?}");
+        assert!(err.message().contains("compiled from a system"), "{err}");
+        let solved = try_newton_system(&engine.compile(vec![f]), &[c(1.0)], &opts).unwrap();
+        assert!(solved.converged());
     }
 
     #[test]

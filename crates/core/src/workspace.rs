@@ -1,10 +1,11 @@
-//! Reusable evaluation memory: the [`Workspace`] and its lock-free pool.
+//! Reusable evaluation memory: the workspace and the pool of them that
+//! every plan parks between runs.
 //!
 //! The paper's GPU kernels stage every convolution operand in pre-sized
 //! shared memory and never allocate mid-kernel; the CPU reproduction used to
 //! heap-allocate on every evaluation instead — a fresh arena per call,
 //! two operand copies plus a kernel scratch vector per convolution job, and
-//! fresh output vectors.  A [`Workspace`] makes the memory of one evaluation
+//! fresh output vectors.  A workspace makes the memory of one evaluation
 //! shape explicit and reusable:
 //!
 //! * the **arena** — the flat coefficient array of Figure 1 (one instance
@@ -20,27 +21,27 @@
 //! stable, which is what makes steady-state evaluation **allocation-free**
 //! (enforced by `tests/workspace_alloc.rs`).
 //!
-//! Workspaces are checked out of a [`WorkspacePool`] owned by the engine —
-//! a fixed array of lock-free slots (`AtomicPtr` swaps only, no locks, no
-//! ABA hazard because slots are only ever swapped whole) sized by the
-//! engine's thread count.  Callers that want explicit control create one
-//! with [`crate::Plan::create_workspace`] and lend it to a request via
-//! [`crate::EvalRequest::workspace`].
+//! Every [`Plan`](crate::Plan) owns the pool its runs draw from: a run,
+//! pooled or sequential, checks a workspace out when it starts and parks it
+//! again when it ends, so workspaces are sized to their plan and freed with
+//! it.  Each workspace has one scratch lane per participant of the plan's
+//! worker pool; a sequential run uses lane 0.  The pool parks at most
+//! `parallelism() + 2` workspaces in a vector reserved when the plan is
+//! built, so parking never allocates.  A workspace returned to a full pool
+//! is dropped, and so is one whose run panicked: a later run builds a fresh
+//! one.
 
 use crate::evaluate::ConvolutionKernel;
 use psmd_multidouble::Coeff;
 use psmd_series::{fft_scratch_f64_len, karatsuba_scratch_len};
-use std::ops::{Deref, DerefMut};
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 
 /// Per-participant convolution scratch: operand staging plus the selected
 /// kernel's working memory (the Karatsuba recursion buffers or the FFT
 /// digit planes), grown on demand and reused across jobs, layers and
 /// evaluations.
 #[derive(Debug, Default)]
-pub struct ConvScratch<C> {
+pub(crate) struct ConvScratch<C> {
     buf: Vec<C>,
     fft: Vec<f64>,
     lanes: Vec<f64>,
@@ -64,13 +65,13 @@ pub fn conv_scratch_coeffs_for(kernel: ConvolutionKernel, per: usize) -> usize {
 /// `f64` slots of one convolution-scratch lane's SIMD panel buffer at `per`
 /// coefficients per slot and lane width `width`: three transposed
 /// structure-of-arrays panels (two operands, one output).
-pub fn lane_scratch_f64s<C: Coeff>(per: usize, width: usize) -> usize {
+fn lane_scratch_f64s<C: Coeff>(per: usize, width: usize) -> usize {
     3 * psmd_series::lanes::panel_f64s::<C>(per, width)
 }
 
 impl<C: Coeff> ConvScratch<C> {
     /// An empty scratch (grows on first use).
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             buf: Vec::new(),
             fft: Vec::new(),
@@ -114,202 +115,97 @@ impl<C: Coeff> ConvScratch<C> {
 
 /// The reusable memory of one evaluation shape: arena and per-participant
 /// convolution scratch.  See the [module documentation](self).
-pub struct Workspace<C> {
+pub(crate) struct Workspace<C> {
     arena: Vec<C>,
     scratch: Vec<ConvScratch<C>>,
 }
 
 impl<C: Coeff> Workspace<C> {
-    /// A workspace with `participants` convolution-scratch lanes (the worker
-    /// pool's `parallelism()`; buffers grow on first use).
-    pub fn new(participants: usize) -> Self {
-        let mut ws = Self {
+    /// A workspace with `participants` convolution-scratch lanes (buffers
+    /// grow on first use).
+    fn new(participants: usize) -> Self {
+        Self {
             arena: Vec::new(),
-            scratch: Vec::new(),
-        };
-        ws.ensure_participants(participants.max(1));
-        ws
-    }
-
-    /// Number of convolution-scratch lanes.
-    pub fn participants(&self) -> usize {
-        self.scratch.len()
-    }
-
-    /// Current arena capacity, in coefficients.
-    pub fn arena_capacity(&self) -> usize {
-        self.arena.capacity()
-    }
-
-    /// Grows the scratch-lane array to at least `participants` lanes.
-    pub(crate) fn ensure_participants(&mut self, participants: usize) {
-        while self.scratch.len() < participants.max(1) {
-            self.scratch.push(ConvScratch::new());
+            scratch: (0..participants).map(|_| ConvScratch::new()).collect(),
         }
     }
 
     /// Pre-sizes every buffer for an evaluation of `arena_coeffs` arena
-    /// coefficients at `per` coefficients per slot, with the
-    /// convolution-scratch lanes sized for `kernel`, so the first evaluation
-    /// under that kernel is already allocation-free.  `Auto` warms for the
-    /// largest coefficient footprint of the ladder.  Growth happens in place
-    /// and nothing ever shrinks, so re-warming an already-warm workspace is
+    /// coefficients at `per` coefficients per slot: every scratch lane for
+    /// `kernel` and, at lane widths of 2 and more, for the SIMD panels of
+    /// that width.  Which lane runs which blocks changes from launch to
+    /// launch, so every lane is warmed before the launches; a lane first
+    /// grown inside one would allocate there.  Growth happens in place and
+    /// nothing ever shrinks, so re-warming an already-warm workspace is
     /// free.
-    pub fn warm_for(&mut self, arena_coeffs: usize, per: usize, kernel: ConvolutionKernel) {
+    pub(crate) fn warm_for(
+        &mut self,
+        arena_coeffs: usize,
+        per: usize,
+        kernel: ConvolutionKernel,
+        lane_width: usize,
+    ) {
         self.arena
             .reserve(arena_coeffs.saturating_sub(self.arena.len()));
+        let lane_f64s = if lane_width < 2 {
+            0
+        } else {
+            lane_scratch_f64s::<C>(per, lane_width)
+        };
         for lane in &mut self.scratch {
             lane.ensure_for(per, kernel);
-        }
-    }
-
-    /// Pre-sizes every convolution-scratch lane's SIMD panel buffer at `per`
-    /// coefficients per slot and lane width `width`, so the first panel is
-    /// already allocation-free.
-    /// A no-op for widths below 2 (the scalar path uses no panels).
-    pub fn warm_lanes(&mut self, per: usize, width: usize) {
-        if width < 2 {
-            return;
-        }
-        let f64s = lane_scratch_f64s::<C>(per, width);
-        for lane in &mut self.scratch {
-            lane.ensure_lanes(f64s);
+            lane.ensure_lanes(lane_f64s);
         }
     }
 
     /// Splits the workspace into the two disjoint borrows one run needs:
     /// the arena (reset to `arena_coeffs` zeros, reusing its buffer) and the
     /// scratch lanes, which every launch lends out one per participant.
-    /// Grows the lane array to `participants` first.
-    pub(crate) fn parts(
-        &mut self,
-        arena_coeffs: usize,
-        participants: usize,
-    ) -> (&mut [C], &mut [ConvScratch<C>]) {
-        self.ensure_participants(participants);
+    pub(crate) fn parts(&mut self, arena_coeffs: usize) -> (&mut [C], &mut [ConvScratch<C>]) {
         self.arena.clear();
         self.arena.resize(arena_coeffs, C::zero());
         (&mut self.arena, &mut self.scratch)
     }
 }
 
-/// A fixed array of lock-free workspace slots, owned by the engine and
-/// shared by every plan it compiles (per coefficient type).
-///
-/// Checkout swaps a slot pointer out (or builds a fresh workspace when all
-/// slots are empty — the warm-up path); check-in swaps it back (or drops the
-/// workspace when every slot is full, which cannot happen in steady state
-/// because the checkout emptied one).  Plain `AtomicPtr` swaps, never a
-/// compare of a recycled pointer, so the classic ABA hazard does not arise.
-pub struct WorkspacePool<C> {
-    slots: Box<[AtomicPtr<Workspace<C>>]>,
+/// The workspaces one plan parks between runs: at most `capacity` of them,
+/// in a vector reserved up front so that parking never allocates.
+pub(crate) struct ParkedWorkspaces<C> {
+    parked: Mutex<Vec<Workspace<C>>>,
+    capacity: usize,
     participants: usize,
 }
 
-impl<C: Coeff> WorkspacePool<C> {
-    /// A pool of `capacity` slots building workspaces with `participants`
-    /// scratch lanes.
-    pub fn new(capacity: usize, participants: usize) -> Self {
-        let slots = (0..capacity.max(1))
-            .map(|_| AtomicPtr::new(ptr::null_mut()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+impl<C: Coeff> ParkedWorkspaces<C> {
+    /// A pool for a worker pool of `participants` lanes: workspaces with one
+    /// scratch lane per participant, and room to park one per lane plus two,
+    /// so as many concurrent runs as the worker pool has lanes recycle
+    /// workspaces instead of building fresh ones.
+    pub(crate) fn new(participants: usize) -> Self {
+        let capacity = participants + 2;
         Self {
-            slots,
+            parked: Mutex::new(Vec::with_capacity(capacity)),
+            capacity,
             participants,
         }
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+    /// The most recently parked workspace, or a fresh one when none is
+    /// parked (the warm-up path).
+    pub(crate) fn checkout(&self) -> Workspace<C> {
+        let parked = self
+            .parked
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        parked.unwrap_or_else(|| Workspace::new(self.participants))
     }
 
-    /// Number of workspaces currently parked in the pool (a racy snapshot,
-    /// for tests and introspection).
-    pub fn parked(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| !s.load(Ordering::Relaxed).is_null())
-            .count()
-    }
-
-    /// Checks a workspace out: the first non-empty slot, or a fresh
-    /// workspace when the pool is empty.  The guard returns it on drop.
-    pub fn checkout(self: &Arc<Self>) -> PooledWorkspace<C> {
-        for slot in self.slots.iter() {
-            let p = slot.swap(ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // Safety: the pointer came from `Box::into_raw` in `checkin`
-                // and the swap made this thread its only owner.
-                let ws = unsafe { Box::from_raw(p) };
-                return PooledWorkspace {
-                    ws: Some(ws),
-                    pool: Arc::clone(self),
-                };
-            }
-        }
-        PooledWorkspace {
-            ws: Some(Box::new(Workspace::new(self.participants))),
-            pool: Arc::clone(self),
-        }
-    }
-
-    /// Parks a workspace in the first empty slot; drops it when the pool is
-    /// full.
-    fn checkin(&self, ws: Box<Workspace<C>>) {
-        let p = Box::into_raw(ws);
-        for slot in self.slots.iter() {
-            if slot
-                .compare_exchange(ptr::null_mut(), p, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        }
-        // Safety: the pointer was produced by `Box::into_raw` above and no
-        // slot accepted it, so this thread still owns it.
-        drop(unsafe { Box::from_raw(p) });
-    }
-}
-
-impl<C> Drop for WorkspacePool<C> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.swap(ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // Safety: exclusive access in drop; the pointer came from
-                // `Box::into_raw`.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
-
-/// RAII checkout of a [`WorkspacePool`]: dereferences to the [`Workspace`]
-/// and returns it to the pool on drop.
-pub struct PooledWorkspace<C: Coeff> {
-    ws: Option<Box<Workspace<C>>>,
-    pool: Arc<WorkspacePool<C>>,
-}
-
-impl<C: Coeff> Deref for PooledWorkspace<C> {
-    type Target = Workspace<C>;
-    fn deref(&self) -> &Workspace<C> {
-        self.ws.as_ref().expect("workspace taken")
-    }
-}
-
-impl<C: Coeff> DerefMut for PooledWorkspace<C> {
-    fn deref_mut(&mut self) -> &mut Workspace<C> {
-        self.ws.as_mut().expect("workspace taken")
-    }
-}
-
-impl<C: Coeff> Drop for PooledWorkspace<C> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            self.pool.checkin(ws);
+    /// Parks `ws` for a later run, or drops it when the pool is full.
+    pub(crate) fn park(&self, ws: Workspace<C>) {
+        let mut parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
+        if parked.len() < self.capacity {
+            parked.push(ws);
         }
     }
 }
@@ -318,31 +214,38 @@ impl<C: Coeff> Drop for PooledWorkspace<C> {
 mod tests {
     use super::*;
     use psmd_multidouble::Qd;
+    use std::sync::Arc;
+
+    fn parked<C>(pool: &ParkedWorkspaces<C>) -> usize {
+        pool.parked.lock().unwrap().len()
+    }
 
     #[test]
     fn parts_resets_the_arena_and_reuses_capacity() {
         let mut ws: Workspace<Qd> = Workspace::new(2);
         {
-            let (arena, scratch) = ws.parts(16, 2);
+            let (arena, scratch) = ws.parts(16);
             assert_eq!(arena.len(), 16);
             assert!(arena.iter().all(|c| c.is_zero()));
             arena[3] = Qd::from_f64(7.0);
             assert_eq!(scratch.len(), 2);
         }
-        let cap = ws.arena_capacity();
-        let (arena, _) = ws.parts(8, 2);
+        let cap = ws.arena.capacity();
+        let (arena, _) = ws.parts(8);
         assert_eq!(arena.len(), 8);
         assert!(arena.iter().all(|c| c.is_zero()), "arena must be re-zeroed");
-        assert_eq!(ws.arena_capacity(), cap, "shrinking must not reallocate");
+        assert_eq!(ws.arena.capacity(), cap, "shrinking must not reallocate");
     }
 
     #[test]
-    fn parts_grows_the_lane_array_on_demand() {
-        let mut ws: Workspace<Qd> = Workspace::new(1);
-        assert_eq!(ws.participants(), 1);
-        let (_, scratch) = ws.parts(4, 5);
-        assert_eq!(scratch.len(), 5);
-        assert_eq!(ws.participants(), 5);
+    fn checkout_builds_workspaces_with_the_pool_lane_count() {
+        // Every workspace of a plan has one scratch lane per participant of
+        // its worker pool (a pool without workers has one: the caller).
+        for participants in [1, 5] {
+            let pool: ParkedWorkspaces<Qd> = ParkedWorkspaces::new(participants);
+            let mut ws = pool.checkout();
+            assert_eq!(ws.parts(4).1.len(), participants);
+        }
     }
 
     #[test]
@@ -387,48 +290,51 @@ mod tests {
 
     #[test]
     fn pool_round_trips_workspaces_through_slots() {
-        let pool: Arc<WorkspacePool<Qd>> = Arc::new(WorkspacePool::new(2, 3));
-        assert_eq!(pool.capacity(), 2);
-        assert_eq!(pool.parked(), 0);
+        let pool: ParkedWorkspaces<Qd> = ParkedWorkspaces::new(3);
+        assert_eq!(parked(&pool), 0);
         let mut a = pool.checkout();
-        a.parts(32, 3);
-        let a_cap = a.arena_capacity();
-        drop(a);
-        assert_eq!(pool.parked(), 1);
+        a.parts(32);
+        let a_cap = a.arena.capacity();
+        pool.park(a);
+        assert_eq!(parked(&pool), 1);
         // The parked workspace comes back warm.
         let b = pool.checkout();
-        assert_eq!(pool.parked(), 0);
-        assert_eq!(b.arena_capacity(), a_cap);
-        drop(b);
-        assert_eq!(pool.parked(), 1);
+        assert_eq!(parked(&pool), 0);
+        assert_eq!(b.arena.capacity(), a_cap);
+        pool.park(b);
+        assert_eq!(parked(&pool), 1);
     }
 
     #[test]
     fn pool_overflow_drops_instead_of_leaking() {
-        let pool: Arc<WorkspacePool<Qd>> = Arc::new(WorkspacePool::new(1, 1));
-        let a = pool.checkout();
-        let b = pool.checkout();
-        drop(a);
-        assert_eq!(pool.parked(), 1);
-        // The single slot is occupied; returning b drops it silently.
-        drop(b);
-        assert_eq!(pool.parked(), 1);
+        // One participant: room for three parked workspaces, reserved up
+        // front.  A fourth returned workspace is dropped, not parked.
+        let pool: ParkedWorkspaces<Qd> = ParkedWorkspaces::new(1);
+        assert_eq!(pool.capacity, 3);
+        let reserved = pool.parked.lock().unwrap().capacity();
+        let out: Vec<_> = (0..4).map(|_| pool.checkout()).collect();
+        for (i, ws) in out.into_iter().enumerate() {
+            pool.park(ws);
+            assert_eq!(parked(&pool), (i + 1).min(3));
+        }
+        assert_eq!(pool.parked.lock().unwrap().capacity(), reserved);
     }
 
     #[test]
     fn concurrent_checkouts_never_share_a_workspace() {
-        let pool: Arc<WorkspacePool<Qd>> = Arc::new(WorkspacePool::new(4, 1));
+        let pool: Arc<ParkedWorkspaces<Qd>> = Arc::new(ParkedWorkspaces::new(2));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
                     for _ in 0..200 {
                         let mut ws = pool.checkout();
-                        let (arena, _) = ws.parts(8, 1);
+                        let (arena, _) = ws.parts(8);
                         // Exclusive ownership: a stale value would mean two
                         // threads held the same workspace.
                         assert!(arena.iter().all(|c| c.is_zero()));
                         arena[0] = Qd::from_f64(1.0);
+                        pool.park(ws);
                     }
                 })
             })
@@ -436,17 +342,18 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(pool.parked() >= 1);
+        assert!((1..=pool.capacity).contains(&parked(&pool)));
     }
 
     #[test]
     fn warm_presizes_all_buffers() {
         let mut ws: Workspace<Qd> = Workspace::new(2);
         let k = ConvolutionKernel::Karatsuba;
-        ws.warm_for(64, 5, k);
-        assert!(ws.arena_capacity() >= 64);
+        ws.warm_for(64, 5, k, 4);
+        assert!(ws.arena.capacity() >= 64);
         for lane in &ws.scratch {
             assert!(lane.buf.len() >= conv_scratch_coeffs_for(k, 5));
+            assert!(lane.lanes.len() >= lane_scratch_f64s::<Qd>(5, 4));
         }
     }
 }

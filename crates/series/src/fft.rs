@@ -43,8 +43,8 @@
 //! operand scale, not a heuristic.
 //!
 //! Everything is allocation-free given a scratch slice of
-//! [`fft_scratch_f64_len`] doubles (pre-sized into the engine's per-worker
-//! `ConvScratch`).
+//! [`fft_scratch_f64_len`] doubles (pre-sized into the per-worker
+//! convolution scratch of psmd-core's workspaces).
 
 use psmd_multidouble::renorm::renormalize_into;
 use psmd_multidouble::{Coeff, MAX_LIMBS};

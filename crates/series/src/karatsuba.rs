@@ -25,12 +25,11 @@
 //! [`karatsuba_ulp_budget`] and `EXPERIMENTS.md` section 10.
 //!
 //! Everything here is allocation-free: callers pass a scratch slice of at
-//! least [`karatsuba_scratch_len`] coefficients, which the engine's
-//! per-worker [`ConvScratch`] pre-sizes so the steady state stays at zero
-//! allocations.
+//! least [`karatsuba_scratch_len`] coefficients, which the per-worker
+//! convolution scratch of psmd-core's workspaces pre-sizes so the steady
+//! state stays at zero allocations.
 //!
 //! [`convolve_seq`]: crate::convolution::convolve_seq
-//! [`ConvScratch`]: https://docs.rs/psmd-core
 
 use psmd_multidouble::Coeff;
 

@@ -255,22 +255,7 @@ impl<C: Coeff> PlanQueue<C> {
     pub fn submit_async(self: &Arc<Self>, request: Request<C>) -> Result<Ticket<C>, ServeError> {
         // Admission, as in `submit`, but the slot lives on the heap so it
         // can outlive this call.
-        self.metrics.record_submitted();
-        let was = self.metrics.enter();
-        if was >= self.max_inflight {
-            self.metrics.exit();
-            self.metrics.record_busy();
-            return Err(ServeError::Busy {
-                inflight: was,
-                limit: self.max_inflight,
-            });
-        }
-        let deadline = request.deadline;
-        let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState::Queued(request, Instant::now())),
-            cv: Condvar::new(),
-            deadline,
-        });
+        let slot = Arc::new(self.admit(request)?);
         self.enqueue(NonNull::from(&*slot));
         Ok(Ticket {
             queue: Arc::clone(self),
@@ -289,8 +274,11 @@ impl<C: Coeff> PlanQueue<C> {
         }
     }
 
-    /// Admission control + enqueue for the blocking path.  On success the
-    /// caller MUST run `wait_resolved` before the returned slot drops.
+    /// Admission control for both submit paths: counts the submission,
+    /// rejects it with [`ServeError::Busy`] at the in-flight limit, and
+    /// otherwise builds its queued slot.  On success the slot MUST be
+    /// resolved before it drops: a blocking submit runs `wait_resolved`,
+    /// and an async slot is resolved by its ticket's `wait` or `drop`.
     fn admit(&self, request: Request<C>) -> Result<Slot<C>, ServeError> {
         self.metrics.record_submitted();
         let was = self.metrics.enter();

@@ -70,9 +70,9 @@ impl From<psmd_core::Error> for ServeError {
 pub struct ServeConfig {
     /// Largest number of requests one coalesced launch may serve.
     pub max_batch: usize,
-    /// Admission limit per plan; 0 derives it from the engine's workspace
+    /// Admission limit per plan; 0 derives it from the engine's worker
     /// pool: `(parallelism + 2) * max_batch`, i.e. as many requests as the
-    /// pool's workspace capacity absorbs in full windows.
+    /// plan's parked workspaces absorb in full windows.
     pub max_inflight: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
@@ -96,6 +96,44 @@ impl ServeConfig {
             (parallelism + 2) * self.max_batch.max(1)
         }
     }
+}
+
+/// The most series coefficients a value-level source may span:
+/// `(num_variables + monomials + 1) × (degree + 1)` counts one series per
+/// input variable, per monomial coefficient and for the constant.  The
+/// largest paper polynomial, p3 at degree 191, spans (128 + 8,128 + 1) ×
+/// 192 ≈ 1.59M; the limit leaves headroom above that, and stops a
+/// `compile` line with an absurd degree or variable count before it asks
+/// for hundreds of gigabytes.
+const MAX_SOURCE_COEFFICIENTS: usize = 1 << 21;
+
+/// Rejects a value-level source spanning more than
+/// [`MAX_SOURCE_COEFFICIENTS`], naming the field that dominates the size.
+fn check_source_size(
+    num_variables: usize,
+    monomials: usize,
+    degree: usize,
+) -> Result<(), ServeError> {
+    let total = num_variables
+        .checked_add(monomials)
+        .and_then(|series| series.checked_add(1))
+        .zip(degree.checked_add(1))
+        .and_then(|(series, per)| series.checked_mul(per));
+    if total.is_some_and(|total| total <= MAX_SOURCE_COEFFICIENTS) {
+        return Ok(());
+    }
+    let (field, value) = if degree >= num_variables.saturating_add(monomials) {
+        ("degree", degree)
+    } else if num_variables >= monomials {
+        ("num_variables", num_variables)
+    } else {
+        ("monomials", monomials)
+    };
+    Err(ServeError::Invalid(format!(
+        "'{field}' {value} is too large: (num_variables + monomials + 1) × (degree + 1) = \
+         ({num_variables} + {monomials} + 1) × ({degree} + 1) series coefficients exceeds \
+         the limit of {MAX_SOURCE_COEFFICIENTS}"
+    )))
 }
 
 /// One evaluation request: the input series, reusable result buffers and an
@@ -431,7 +469,10 @@ impl Service {
 
     /// Registers a single polynomial given as plain doubles at a runtime
     /// precision — the wire protocol's `compile` operation.  Each monomial
-    /// is a `(coefficient, variables)` pair.
+    /// is a `(coefficient, variables)` pair.  A source of more than
+    /// 2,097,152 series coefficients — `(num_variables + monomials + 1) ×
+    /// (degree + 1)` — is [`ServeError::Invalid`] before anything is
+    /// built.
     pub fn register_f64(
         &self,
         id: &str,
@@ -441,6 +482,7 @@ impl Service {
         constant: f64,
         monomials: &[(f64, Vec<usize>)],
     ) -> Result<(), ServeError> {
+        check_source_size(num_variables, monomials.len(), degree)?;
         // Validate the monomials by hand first: the typed constructors
         // panic on malformed variable tuples, and a wire request must get
         // an error reply instead.
@@ -511,5 +553,29 @@ impl Service {
                 coalesced: response.coalesced,
             })
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paper_polynomials_fit_the_source_size_limit() {
+        // p1, p2 and p3 of the paper (variables, monomials) at its largest
+        // degree, 191; a degree or variable count beyond the limit names
+        // the field, and overflowing products are rejected, not wrapped.
+        for (n, m) in [(16, 1820), (128, 128), (128, 8128)] {
+            assert!(check_source_size(n, m, 191).is_ok(), "({n}, {m})");
+        }
+        let message = |e: ServeError| e.to_string();
+        let err = check_source_size(2, 1, 4_000_000_000).unwrap_err();
+        assert!(message(err).contains("'degree'"));
+        let err = check_source_size(4_000_000_000, 1, 2).unwrap_err();
+        assert!(message(err).contains("'num_variables'"));
+        let err = check_source_size(2, 1, usize::MAX).unwrap_err();
+        assert!(message(err).contains("'degree'"));
+        let err = check_source_size(usize::MAX, usize::MAX, 0).unwrap_err();
+        assert!(message(err).contains("'num_variables'"));
     }
 }

@@ -25,7 +25,7 @@
 
 use psmd_core::{
     try_solve_linearized_into, Engine, Error, EvalOutput, Inputs, LinearSolveWorkspace,
-    SystemBatchEvaluation, SystemEvaluation, Workspace,
+    SystemBatchEvaluation, SystemEvaluation,
 };
 use psmd_multidouble::{Md1, Precision, RealCoeff};
 use psmd_series::Series;
@@ -495,9 +495,9 @@ pub(crate) struct CohortOutcome {
 }
 
 /// All paths live at one precision, plus the shared batched-evaluation
-/// plumbing: the staged input batch, the reused output, the one workspace
-/// every sweep borrows its arena from and the one solve scratch every lane
-/// borrows in turn.
+/// plumbing: the staged input batch, the reused output and the one solve
+/// scratch every lane borrows in turn.  Every sweep evaluates through a
+/// workspace parked in the precision's plan.
 pub(crate) struct Cohort<C: RealCoeff> {
     homotopy: Homotopy<C>,
     precision: Precision,
@@ -507,7 +507,6 @@ pub(crate) struct Cohort<C: RealCoeff> {
     live: Vec<usize>,
     batch: Vec<Vec<Series<C>>>,
     out: EvalOutput<C>,
-    ws: Workspace<C>,
     corrector_launches: usize,
 }
 
@@ -527,7 +526,6 @@ impl<C: RealCoeff> Cohort<C> {
             .map(|raw| Lane::absorb(raw, n, degree, options))
             .collect();
         let batch = vec![vec![Series::zero(degree); n]; lanes.len()];
-        let ws = homotopy.plan().create_workspace();
         Ok(Self {
             homotopy,
             precision,
@@ -536,7 +534,6 @@ impl<C: RealCoeff> Cohort<C> {
             batch,
             lanes,
             out: EvalOutput::SystemBatch(SystemBatchEvaluation::empty()),
-            ws,
             corrector_launches: 0,
         })
     }
@@ -565,7 +562,6 @@ impl<C: RealCoeff> Cohort<C> {
         self.homotopy
             .plan()
             .request(Inputs::Batch(&self.batch[..self.live.len()]))
-            .workspace(&mut self.ws)
             .into(&mut self.out)
             .run();
         self.corrector_launches += 1;

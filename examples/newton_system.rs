@@ -3,9 +3,9 @@
 //!
 //! Unlike `newton_power_series.rs` (which drives a hand-rolled 2x2 staged
 //! solve), this example uses the fallible `psmd_core::try_newton_system`
-//! solver: one merged [`Schedule`](psmd_core::Schedule) is built
-//! once and reused by every iteration, each step evaluates all values and
-//! the full Jacobian in one fused pass, and the linearized series system is
+//! solver on a compiled system plan: its merged schedule is built once and
+//! reused by every iteration, each step evaluates all values and the full
+//! Jacobian in one fused request, and the linearized series system is
 //! solved degree by degree from a single LU factorization of the
 //! constant-term Jacobian.
 //!
@@ -23,7 +23,7 @@
 //!
 //! Run with `cargo run --release --example newton_system`.
 
-use psmd_core::{try_newton_system, Monomial, NewtonOptions, Polynomial, Schedule};
+use psmd_core::{try_newton_system, Engine, Monomial, NewtonOptions, Polynomial};
 use psmd_multidouble::Deca;
 use psmd_series::Series;
 
@@ -54,21 +54,22 @@ fn main() {
     let degree = 16;
     let (system, exact) = build_system(degree);
 
-    // The merged schedule: one launch per layer for the whole system.
-    let schedule = Schedule::build(&system);
+    // The system plan's merged schedule: one launch per layer for the
+    // whole system.
+    let engine = Engine::new();
+    let plan = engine.compile(system);
+    let stats = plan.stats();
     println!("Newton on a 3x3 system at power series, degree {degree}, deca-double");
     println!(
         "merged schedule: {} convolution layers ({} jobs), {} addition layers ({} jobs)",
-        schedule.convolution_layers.len(),
-        schedule.convolution_jobs(),
-        schedule.addition_layers.len(),
-        schedule.addition_jobs(),
+        stats.convolution_layers,
+        stats.convolution_jobs,
+        stats.addition_layers,
+        stats.addition_jobs,
     );
     println!(
         "one fused pass produces {} values + {}x{} Jacobian entries per iteration\n",
-        schedule.num_equations(),
-        schedule.num_equations(),
-        schedule.num_variables(),
+        stats.equations, stats.equations, stats.num_variables,
     );
 
     // Start from the constant solution (correct at t = 0).
@@ -78,7 +79,7 @@ fn main() {
         Series::constant(C::from_f64(3.0), degree),
     ];
     let result = try_newton_system(
-        &system,
+        &plan,
         &initial,
         &NewtonOptions {
             max_iterations: 8,

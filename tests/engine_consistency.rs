@@ -1,15 +1,18 @@
 //! Evaluation-path identity: every configuration of the `Plan::request`
-//! builder — pooled workspace with fresh output, caller workspace
-//! (`.workspace`), reused output (`.into`), fully explicit reuse, and the
-//! sequential reference (`.sequential`) — runs the exact same
-//! kernels over the exact same schedule, so their results must be
-//! **bitwise** identical — across every precision, real and complex
-//! coefficients and single/batch/system sources.
-//! This is the contract that makes the zero-allocation reuse paths a pure
-//! memory optimization with no numerical footprint.
+//! builder — fresh output, reused output (`.into`) and the sequential
+//! reference (`.sequential`) — runs the exact same kernels over the exact
+//! same schedule, whether its workspace is fresh or parked by an earlier
+//! run of the plan, so their results must be **bitwise** identical —
+//! across every precision, real and complex coefficients and
+//! single/batch/system sources.  Every run of one plan shares its parked
+//! workspaces, so the reference is a fresh plan's first run on another
+//! engine.  This is the contract that makes the zero-allocation reuse
+//! paths a pure memory optimization with no numerical footprint.
 
 use proptest::prelude::*;
-use psmd_core::{random_inputs, random_polynomial, Engine, EvalOutput, Inputs, Polynomial};
+use psmd_core::{
+    random_inputs, random_polynomial, Engine, EvalOutput, Inputs, PolySource, Polynomial,
+};
 use psmd_multidouble::{Coeff, Complex, Dd, Deca, Md, Qd, RandomCoeff};
 use psmd_series::Series;
 use rand::rngs::StdRng;
@@ -19,26 +22,33 @@ fn test_engine() -> Engine {
     Engine::builder().threads(3).build()
 }
 
-/// Runs one input shape through every evaluation path of a plan and asserts
-/// they are all bitwise identical to the plain `evaluate` result.
-fn check_all_paths<C: Coeff>(engine: &Engine, plan: &psmd_core::Plan<C>, inputs: Inputs<'_, C>) {
-    let _ = engine;
-    let reference = plan.request(inputs).run();
-    // Caller-managed workspace (twice through the same workspace: stale
-    // state from the first run must not leak into the second).
-    let mut ws = plan.create_workspace();
-    let a = plan.request(inputs).workspace(&mut ws).run();
-    assert!(reference.bitwise_eq(&a), "workspace path differs");
-    let b = plan.request(inputs).workspace(&mut ws).run();
-    assert!(reference.bitwise_eq(&b), "workspace path (warm ws) differs");
-    // Reused output, pooled workspace — warm it with a first call, then
-    // overwrite in place.
+/// The first run of a fresh plan on a fresh engine: a workspace no earlier
+/// run has touched.
+fn fresh_run<C: Coeff>(source: PolySource<C>, inputs: Inputs<'_, C>) -> EvalOutput<C> {
+    test_engine().compile(source).request(inputs).run()
+}
+
+/// Runs one input shape through every evaluation path of a plan compiled
+/// from `source` and asserts they are all bitwise identical to a fresh
+/// plan's first run on another engine.
+fn check_all_paths<C: Coeff>(source: impl Into<PolySource<C>>, inputs: Inputs<'_, C>) {
+    let source = source.into();
+    let reference = fresh_run(source.clone(), inputs);
+    let engine = test_engine();
+    let plan = engine.compile(source);
+    // Two runs in a row through the plan's parked workspace: stale state
+    // from the first run must not leak into the second.
+    let a = plan.request(inputs).run();
+    assert!(reference.bitwise_eq(&a), "first run differs");
+    let b = plan.request(inputs).run();
+    assert!(
+        reference.bitwise_eq(&b),
+        "second run (parked workspace) differs"
+    );
+    // Reused output — warm it with a first call, then overwrite in place.
     let mut out = plan.request(inputs).run();
     plan.request(inputs).into(&mut out).run();
     assert!(reference.bitwise_eq(&out), "reused-output path differs");
-    // Fully explicit reuse.
-    plan.request(inputs).workspace(&mut ws).into(&mut out).run();
-    assert!(reference.bitwise_eq(&out), "explicit-reuse path differs");
     // The sequential reference agrees (pooled execution runs the same jobs
     // in the same per-slot order, layer by layer).
     let seq = plan.request(inputs).sequential().run();
@@ -55,9 +65,7 @@ fn check_single_identity<C: Coeff + RandomCoeff>(
     let mut rng = StdRng::seed_from_u64(seed);
     let p: Polynomial<C> = random_polynomial(n, monomials, n.min(6), degree, &mut rng);
     let z = random_inputs::<C, _>(n, degree, &mut rng);
-    let engine = test_engine();
-    let plan = engine.compile(p);
-    check_all_paths(&engine, &plan, Inputs::Single(&z));
+    check_all_paths(p, Inputs::Single(&z));
 }
 
 /// Batch identity across all paths.
@@ -73,9 +81,9 @@ fn check_batch_identity<C: Coeff + RandomCoeff>(
     let batch: Vec<Vec<Series<C>>> = (0..batch_size)
         .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
         .collect();
+    check_all_paths(p.clone(), Inputs::Batch(&batch));
     let engine = test_engine();
     let plan = engine.compile(p);
-    check_all_paths(&engine, &plan, Inputs::Batch(&batch));
     // A batch result must also agree instance-by-instance with single
     // evaluations of the same plan.
     let batched = plan.request(&batch).run().into_batch();
@@ -99,9 +107,7 @@ fn check_system_identity<C: Coeff + RandomCoeff>(
         .map(|_| random_polynomial(n, monomials, n.min(5), degree, &mut rng))
         .collect();
     let z = random_inputs::<C, _>(n, degree, &mut rng);
-    let engine = test_engine();
-    let plan = engine.compile(system);
-    check_all_paths(&engine, &plan, Inputs::Single(&z));
+    check_all_paths(system, Inputs::Single(&z));
 }
 
 #[test]
@@ -152,28 +158,28 @@ fn system_identity_for_complex_coefficients() {
     check_system_identity::<Complex<Qd>>(412, 4, 2, 5, 2);
 }
 
-/// One plan, alternating input shapes through one reused output and one
-/// workspace: every reshape must produce exactly the same results as fresh
-/// evaluations (stale buffers from the other shape must never leak).
+/// One plan, alternating single and batch shapes through one reused output
+/// and the plan's parked workspace: every reshape must produce exactly the
+/// same results as a fresh plan's first run (stale buffers from the other
+/// shape must never leak).
 #[test]
 fn shape_changes_through_one_workspace_and_output_stay_identical() {
     let mut rng = StdRng::seed_from_u64(991);
     let p: Polynomial<Dd> = random_polynomial(5, 8, 4, 4, &mut rng);
-    let engine = test_engine();
-    let plan = engine.compile(p);
     let z = random_inputs::<Dd, _>(5, 4, &mut rng);
     let batch: Vec<Vec<Series<Dd>>> = (0..4)
         .map(|_| random_inputs::<Dd, _>(5, 4, &mut rng))
         .collect();
-    let mut ws = plan.create_workspace();
+    let fresh_single = fresh_run(p.clone().into(), Inputs::Single(&z));
+    let fresh_batch = fresh_run(p.clone().into(), Inputs::Batch(&batch));
+    let engine = test_engine();
+    let plan = engine.compile(p);
     let mut out = EvalOutput::Single(psmd_core::Evaluation::empty());
     for round in 0..3 {
-        plan.request(&z).workspace(&mut ws).into(&mut out).run();
-        let fresh = plan.request(&z).run();
-        assert!(fresh.bitwise_eq(&out), "single round {round}");
-        plan.request(&batch).workspace(&mut ws).into(&mut out).run();
-        let fresh = plan.request(&batch).run();
-        assert!(fresh.bitwise_eq(&out), "batch round {round}");
+        plan.request(&z).into(&mut out).run();
+        assert!(fresh_single.bitwise_eq(&out), "single round {round}");
+        plan.request(&batch).into(&mut out).run();
+        assert!(fresh_batch.bitwise_eq(&out), "batch round {round}");
     }
 }
 

@@ -204,25 +204,3 @@ fn subquadratic_kernels_keep_the_zero_alloc_steady_state() {
         assert!(reference.bitwise_eq(&out), "{label}: results drifted");
     }
 }
-
-/// `create_workspace` pre-warms the kernel-specific scratch too: the
-/// explicit-workspace path is allocation-free from the FIRST call under
-/// both sub-quadratic kernels.
-#[test]
-fn explicit_workspace_is_prewarmed_for_every_kernel() {
-    let d = 48;
-    let mut rng = StdRng::seed_from_u64(481);
-    let p: Polynomial<Qd> = random_polynomial(5, 8, 4, d, &mut rng);
-    let z = random_inputs::<Qd, _>(5, d, &mut rng);
-    let engine = Engine::builder().threads(0).build();
-    for kernel in [ConvolutionKernel::Karatsuba, ConvolutionKernel::Fft] {
-        let plan = engine.compile_with_options(p.clone(), options(kernel));
-        let mut ws = plan.create_workspace();
-        let mut out = plan.request(&z).run();
-        let counts = psmd_bench::measure_allocs(|| {
-            plan.request(&z).workspace(&mut ws).into(&mut out).run();
-        });
-        assert_eq!(counts.allocs, 0, "{kernel:?}: first-call allocations");
-        assert_eq!(counts.deallocs, 0, "{kernel:?}: first-call deallocations");
-    }
-}

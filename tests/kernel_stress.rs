@@ -1,10 +1,10 @@
 //! Seeded stress loop for the convolution kernel ladder.
 //!
 //! The sub-quadratic kernels change the scratch layout per plan (Karatsuba
-//! recursion buffers, the FFT's separate `f64` transform buffer) while the
-//! engine recycles pooled workspaces across plans and kernels — exactly the
-//! kind of state reuse where a stale size check or a missed re-warm only
-//! surfaces after many mixed evaluations.  This loop cycles random
+//! recursion buffers, the FFT's separate `f64` transform buffer) while each
+//! plan recycles its parked workspaces across its pooled and sequential
+//! runs — exactly the kind of state reuse where a stale size check or a
+//! missed re-warm only surfaces after many mixed evaluations.  This loop cycles random
 //! structures, degrees that span the whole crossover ladder and every
 //! kernel on ONE shared engine, and checks every pooled run bitwise against
 //! the same plan's `.sequential()` run — the contention check of the worker

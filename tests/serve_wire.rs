@@ -237,6 +237,40 @@ fn wire_eval_with_an_empty_coefficient_array_gets_an_error_reply() {
 }
 
 #[test]
+fn wire_compile_with_an_absurd_size_gets_an_error_reply() {
+    let service = Arc::new(Service::new(
+        Engine::builder().threads(0).build(),
+        ServeConfig::default(),
+    ));
+    let mut server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(&server);
+
+    // Four billion coefficients per series, or four billion input slots:
+    // an error naming the field, not an aborted allocation.
+    for (field, line) in [
+        (
+            "degree",
+            r#"{"op":"compile","plan":"deep","num_variables":2,"degree":4000000000,
+                "monomials":[{"coefficient":1.0,"variables":[0,1]}]}"#,
+        ),
+        (
+            "num_variables",
+            r#"{"op":"compile","plan":"wide","num_variables":4000000000,"degree":2,
+                "monomials":[{"coefficient":1.0,"variables":[0,1]}]}"#,
+        ),
+    ] {
+        let reply = client.roundtrip(line.replace('\n', " ").as_str());
+        assert!(!ok(&reply), "{reply:?}");
+        let message = reply.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains(&format!("'{field}'")), "{message}");
+        // The same connection keeps serving.
+        let reply = client.roundtrip(r#"{"op":"ping"}"#);
+        assert!(ok(&reply), "{reply:?}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn wire_deeply_nested_line_gets_an_error_reply() {
     let service = Arc::new(Service::new(
         Engine::builder().threads(0).build(),

@@ -1,11 +1,11 @@
 //! Seeded stress loop for the SIMD lane tier.
 //!
-//! Lane-panel evaluation shares pooled workspaces with scalar runs and
-//! every kernel variant, and its gather / convolve / scatter path
-//! re-partitions every layer's `(job, instance)` pairs into panels plus a
-//! scalar remainder — exactly the kind of layout churn where a stale panel
-//! size, a missed re-warm or an off-by-one in the lane partition only
-//! surfaces after many mixed evaluations.  This loop cycles random
+//! Lane-panel evaluation shares each plan's parked workspaces between its
+//! pooled and sequential runs and across batch sizes, and its gather /
+//! convolve / scatter path re-partitions every layer's `(job, instance)`
+//! pairs into panels plus a scalar remainder — exactly the kind of layout
+//! churn where a stale panel size, a missed re-warm or an off-by-one in the
+//! lane partition only surfaces after many mixed evaluations.  This loop cycles random
 //! structures, degrees, batch sizes, lane widths and precisions over
 //! long-lived engines, asserting the lane tier's hard invariant every
 //! iteration, for one input vector and for a batch: **bitwise identity with

@@ -230,8 +230,9 @@ fn steady_state_evaluation_is_allocation_free() {
         assert_zero_alloc_simd(threads, forced, system(), batch(forced), label);
     }
 
-    // The explicit-workspace path is allocation-free from the FIRST call:
-    // `create_workspace` pre-warms every buffer, lane panels included.
+    // The plan parks the workspace its first run warmed, lane panels
+    // included: after one plain `run()` that builds the output, the very
+    // next call into that output is allocation-free.
     let d = 8;
     let mut rng = StdRng::seed_from_u64(29);
     let z = random_inputs::<Qd, _>(6, d, &mut rng);
@@ -243,14 +244,13 @@ fn steady_state_evaluation_is_allocation_free() {
         ] {
             let engine = Engine::builder().threads(threads).simd(simd).build();
             let plan = engine.compile(paper_example(d));
-            let mut ws = plan.create_workspace();
             let mut out = plan.request(&z).run();
             let (allocs, deallocs, _) = measure(|| {
-                plan.request(&z).workspace(&mut ws).into(&mut out).run();
+                plan.request(&z).into(&mut out).run();
             });
-            let label = format!("explicit workspace, {threads} workers, {simd:?}");
-            assert_eq!(allocs, 0, "{label}: first-call allocations");
-            assert_eq!(deallocs, 0, "{label}: first-call deallocations");
+            let label = format!("parked workspace, {threads} workers, {simd:?}");
+            assert_eq!(allocs, 0, "{label}: second-call allocations");
+            assert_eq!(deallocs, 0, "{label}: second-call deallocations");
             let width = plan.options().simd.lane_width();
             assert_eq!(out.timings().simd_width, width, "{label}: lanes engaged");
         }
@@ -273,10 +273,11 @@ fn steady_state_evaluation_is_allocation_free() {
         assert_eq!(threaded_steady_allocs(d), 0, "2 workers, degree {d}");
     }
 
-    // Newton reuses one workspace across iterations: steps after the first
-    // must not re-stage.  Measured end to end, a 4-step run on the reusable
-    // buffers allocates no more than a small multiple of what one step's
-    // result staging costs cold (the solver output itself is reused).
+    // Newton evaluates through its plan's parked workspace: steps after the
+    // first must not re-stage.  Measured end to end, a 4-step run on the
+    // reusable buffers allocates no more than a small multiple of what one
+    // step's result staging costs cold (the solver output itself is
+    // reused).
     let degree: usize = 8;
     let one = Series::constant(Dd::from_f64(1.0), degree);
     let x_exact = Series::<Dd>::from_f64_coeffs(&{
@@ -299,7 +300,7 @@ fn steady_state_evaluation_is_allocation_free() {
             Monomial::new(one, vec![1]),
         ],
     );
-    let system = vec![f1, f2];
+    let plan = engine.compile(vec![f1, f2]);
     let initial = vec![
         Series::constant(Dd::from_f64(1.0), degree),
         Series::constant(Dd::from_f64(2.0), degree),
@@ -309,10 +310,10 @@ fn steady_state_evaluation_is_allocation_free() {
         tolerance: 0.0,
     };
     let (one_step, _, _) = measure(|| {
-        let _ = try_newton_system(&system, &initial, &opts(1)).unwrap();
+        let _ = try_newton_system(&plan, &initial, &opts(1)).unwrap();
     });
     let (four_steps, _, _) = measure(|| {
-        let _ = try_newton_system(&system, &initial, &opts(4)).unwrap();
+        let _ = try_newton_system(&plan, &initial, &opts(4)).unwrap();
     });
     // Without reuse, four steps would cost ~4x one step (fresh arena,
     // fresh LU, fresh rhs per step).  With the shared workspace the
