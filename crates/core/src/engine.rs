@@ -733,7 +733,7 @@ impl<'r, C: Coeff> EvalRequest<'r, C> {
     /// mid-run, the schedule is abandoned at the next block boundary, the
     /// output's [`KernelTimings::cancelled`] flag is set and its value
     /// buffers are left unspecified (discard them).  The token is polled
-    /// **between** block claims — one relaxed atomic load — so arming an
+    /// **before each block** — one relaxed atomic load — so arming an
     /// uncancelled run costs nothing measurable and stays bitwise identical
     /// to an unarmed run.  The workspace is parked clean either way; the
     /// next evaluation through it is correct and allocation-free.

@@ -216,7 +216,7 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 /// some layer ran a panel, 1 when every layer ran scalar blocks only.
 ///
 /// When `cancel` is armed and trips mid-run, the remaining blocks (and
-/// layers) are abandoned at the next claim boundary and `false` is returned;
+/// layers) are abandoned before the next block starts and `false` is returned;
 /// the arena contents are then unspecified and the caller must skip
 /// extraction.  Returns `true` when every block executed.
 #[allow(clippy::too_many_arguments)]

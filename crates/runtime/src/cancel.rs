@@ -2,9 +2,9 @@
 //!
 //! A [`CancelToken`] is a shared epoch counter: holders of a clone may
 //! [`cancel`](CancelToken::cancel) it, and launch loops poll
-//! [`is_cancelled`](CancelToken::is_cancelled) **between block claims** —
+//! [`is_cancelled`](CancelToken::is_cancelled) **before each block** —
 //! never inside kernel arithmetic — so a cancelled launch abandons its
-//! remaining blocks at the next claim boundary.  The poll is a single
+//! remaining blocks before the next one starts.  The poll is a single
 //! relaxed atomic load, cheap enough to sit on the hot path of an
 //! uncancelled launch without measurable cost.
 //!
@@ -12,7 +12,8 @@
 //! finish (block bodies are short — one convolution or addition job), and
 //! a launch that retires its last block before observing the epoch change
 //! completes normally.  What is guaranteed is that no *new* block body
-//! starts after a claim observes the cancelled epoch, and that the launch
+//! starts after its participant observes the cancelled epoch, even in the
+//! middle of a claimed chunk of blocks, and that the launch
 //! still terminates cleanly: every participant stops claiming and signals
 //! completion, so the pool rendezvous completes and the pool stays usable.
 //!
@@ -62,7 +63,7 @@ impl CancelToken {
     }
 
     /// Trips the token: launches armed with it abandon their remaining
-    /// blocks at the next claim boundary.  Idempotent (each call bumps the
+    /// blocks before the next one starts.  Idempotent (each call bumps the
     /// epoch; any non-zero epoch means cancelled).
     pub fn cancel(&self) {
         self.epoch.fetch_add(1, Ordering::Release);
@@ -70,7 +71,7 @@ impl CancelToken {
 
     /// Whether the token has been cancelled since construction or the last
     /// [`reset`](CancelToken::reset).  A single relaxed load — the check a
-    /// launch performs between block claims.
+    /// launch performs before each block.
     pub fn is_cancelled(&self) -> bool {
         self.epoch.load(Ordering::Relaxed) != 0
     }

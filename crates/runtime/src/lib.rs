@@ -15,11 +15,14 @@
 //! and each launch reports whether it woke the pool ([`LaunchOutcome`]), so
 //! an evaluation counts its own rendezvous.  A launch lives on the
 //! launcher's stack and is posted to each worker's bounded queue by
-//! reference, so launching allocates nothing.  Launches support **cooperative
-//! cancellation** through a shared [`CancelToken`] epoch, polled between
-//! block claims (never inside kernel arithmetic): a cancelled launch stops
-//! claiming blocks, the rendezvous still completes and the pool stays
-//! usable — the substrate of the serving layer's deadline abandonment.
+//! reference, so launching allocates nothing.  Participants claim blocks in
+//! guided chunks, a shrinking share of what is left, so a launch makes a
+//! few claims per participant rather than one per block.  Launches support
+//! **cooperative cancellation** through a shared [`CancelToken`] epoch,
+//! polled before each block (never inside kernel arithmetic): a cancelled
+//! launch starts no further block, the rendezvous still completes and the
+//! pool stays usable — the substrate of the serving layer's deadline
+//! abandonment.
 
 #![warn(missing_docs)]
 

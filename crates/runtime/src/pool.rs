@@ -2,17 +2,31 @@
 //!
 //! The paper launches CUDA kernels with one thread block per job; this pool
 //! is the CPU stand-in for that execution model.  A launch hands the pool a
-//! closure and a number of blocks; worker threads claim block indices from
-//! a shared atomic counter and run the closure for each claimed block.  One
-//! launch per job layer reproduces the paper's kernel-per-layer execution,
-//! including its global barrier between layers.
+//! closure and a number of blocks; the participating threads claim
+//! contiguous chunks of block indices from a shared atomic counter and run
+//! the closure for each block of a chunk.  One launch per job layer
+//! reproduces the paper's kernel-per-layer execution, including its global
+//! barrier between layers.
+//!
+//! Claims are **guided** (Polychronopoulos and Kuck, "Guided
+//! self-scheduling", IEEE Trans. Computers, 1987): each claim takes
+//! `max(1, remaining / (2·P))` blocks for `P` participants, so a launch of
+//! `N` blocks makes O(P·log(N/P)) claims instead of `N`, and its last
+//! claims are single blocks, so a grid of a few heavy blocks still
+//! balances.  Contiguous chunks also keep two threads from writing
+//! neighbouring one-coefficient slots on one cache line.  The cancel token
+//! is polled before each block, not each claim, so no block starts after
+//! its participant sees a trip, and each block catches its own panic, so a
+//! panicking block does not skip the rest of its chunk.
 //!
 //! [`WorkerPool::launch_grid_with`] is the one entry point: it takes an
 //! optional [`CancelToken`] and a slice of per-participant state, lends
 //! each participant its own element for the whole launch, and returns a
 //! [`LaunchOutcome`] saying whether every block ran and whether the launch
 //! woke the pool.  [`WorkerPool::launch_grid`] is the same launch for a
-//! body that needs neither state nor token.
+//! body that needs neither state nor token, and
+//! [`WorkerPool::launch_each_with`] the same launch over a slice of items,
+//! lending block `b` the item `b`.
 //!
 //! The launching thread participates in the work, so a pool of `T` workers
 //! provides `T + 1`-way parallelism and a launch never deadlocks even if the
@@ -37,6 +51,11 @@ use std::thread::{JoinHandle, Thread};
 /// waits until the worker takes one.
 const QUEUE_CAPACITY: usize = 8;
 
+/// A claim takes `1 / (CLAIM_DIVISOR · P)` of the unclaimed blocks: at most
+/// half a fair share, so a participant that wakes late or draws heavy
+/// blocks still leaves the others enough to even out.
+const CLAIM_DIVISOR: usize = 2;
+
 /// One grid launch, shared by reference between the launcher and the
 /// workers.  It lives on the launcher's stack: the launcher does not return
 /// until `pending` reaches zero, and no participant touches the launch after
@@ -46,13 +65,16 @@ struct GridLaunch<'a> {
     /// (workers pass their thread index, the launcher passes `threads`), so
     /// the launch can lend each participant its own state.
     body: &'a (dyn Fn(usize, usize) + Sync),
-    /// Cooperative cancellation: checked between block claims, never inside
-    /// a block body.  `None` for uncancellable launches.
+    /// Cooperative cancellation: checked before each block, never inside a
+    /// block body.  `None` for uncancellable launches.
     cancel: Option<&'a CancelToken>,
     /// Next block index to claim.
     next_block: AtomicUsize,
     /// Total number of blocks in the grid.
     blocks: usize,
+    /// `CLAIM_DIVISOR` times the number of participants: a claim takes the
+    /// unclaimed blocks divided by this, and at least one.
+    claim_divisor: usize,
     /// Set when a participant observed the cancelled token and skipped at
     /// least one unclaimed block.
     abandoned: AtomicBool,
@@ -67,28 +89,44 @@ struct GridLaunch<'a> {
 }
 
 impl GridLaunch<'_> {
-    /// Claims and runs blocks until the counter is exhausted or the launch
-    /// is cancelled.  `participant` identifies the thread (workers `0..T`,
-    /// launcher `T`); each runs a launch once, so no two threads ever run
-    /// blocks as the same participant.
+    /// Claims and runs chunks of blocks until the counter is exhausted or
+    /// the launch is cancelled.  `participant` identifies the thread
+    /// (workers `0..T`, launcher `T`); each runs a launch once, so no two
+    /// threads ever run blocks as the same participant.
     ///
-    /// The cancellation check sits between the claim and the body, so no
-    /// new block body starts after the token trips; blocks already running
-    /// in other participants finish normally.
+    /// A claim reads the counter and advances it by compare-and-swap past a
+    /// chunk of `max(1, remaining / claim_divisor)` blocks, so every block
+    /// index is claimed exactly once.  The cancellation check sits before
+    /// each block body, so no new block body starts after its participant
+    /// sees the trip, even in mid-chunk; blocks already running in other
+    /// participants finish normally.  A panicking block is caught on its
+    /// own, and the rest of its chunk still runs.
     fn run_blocks(&self, participant: usize) {
-        loop {
-            let b = self.next_block.fetch_add(1, Ordering::Relaxed);
-            if b >= self.blocks {
-                break;
+        // Relaxed: the counter publishes no data.  Block writes reach the
+        // launcher through `pending`'s release-acquire pairing.
+        let mut start = self.next_block.load(Ordering::Relaxed);
+        while start < self.blocks {
+            let end = start + ((self.blocks - start) / self.claim_divisor).max(1);
+            if let Err(current) = self.next_block.compare_exchange_weak(
+                start,
+                end,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                start = current;
+                continue;
             }
-            if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                self.abandoned.store(true, Ordering::Release);
-                break;
+            for b in start..end {
+                if self.cancel.is_some_and(CancelToken::is_cancelled) {
+                    self.abandoned.store(true, Ordering::Release);
+                    return;
+                }
+                let result = catch_unwind(AssertUnwindSafe(|| (self.body)(participant, b)));
+                if result.is_err() {
+                    self.poisoned.store(true, Ordering::Release);
+                }
             }
-            let result = catch_unwind(AssertUnwindSafe(|| (self.body)(participant, b)));
-            if result.is_err() {
-                self.poisoned.store(true, Ordering::Release);
-            }
+            start = self.next_block.load(Ordering::Relaxed);
         }
     }
 
@@ -257,13 +295,12 @@ impl WorkerPool {
     /// each participant pre-allocated scratch this way instead of
     /// allocating or locking inside a block.
     ///
-    /// The launch polls `cancel` between block claims: once the token
-    /// trips, no further block body starts (blocks already running finish),
-    /// and the outcome's [`completed`](LaunchOutcome::completed) flag is
-    /// `false` — the caller must treat the grid's output as partial.  The
-    /// poll is one relaxed atomic load per block claim; uncancelled launches
-    /// (and `None`) are unaffected (bitwise-identical results, no extra
-    /// synchronization).
+    /// The launch polls `cancel` before each block: once the token trips, no
+    /// further block body starts (blocks already running finish), and the
+    /// outcome's [`completed`](LaunchOutcome::completed) flag is `false` —
+    /// the caller must treat the grid's output as partial.  The poll is one
+    /// relaxed atomic load per block; uncancelled launches (and `None`) are
+    /// unaffected (bitwise-identical results, no extra synchronization).
     ///
     /// Grids of one block, and every grid on a pool without workers, run
     /// inline on the calling thread; any other grid wakes the pool, which
@@ -273,7 +310,9 @@ impl WorkerPool {
     ///
     /// Panics before any block runs when `states` is shorter than
     /// [`parallelism()`](WorkerPool::parallelism), and after the launch when
-    /// any block body panicked.
+    /// any block body panicked.  On the pool a panicking block does not stop
+    /// the others: every other block still runs (unless the token trips).
+    /// Inline, the first panic propagates at once.
     pub fn launch_grid_with<S, F>(
         &self,
         blocks: usize,
@@ -302,7 +341,43 @@ impl WorkerPool {
         })
     }
 
-    /// The grid launch behind both entry points: runs `body(participant,
+    /// Executes `body(state, item)` once for every element of `items`: the
+    /// grid launch of [`WorkerPool::launch_grid_with`] with one block per
+    /// item, where block `b` gets `&mut items[b]` and participant `p` gets
+    /// `&mut states[p]`.  Independent per-item host steps (the tracker's
+    /// lane steps) run on the pool this way without an `unsafe` of their
+    /// own.  On a pool without workers, and for a single item, the items
+    /// run inline in order.
+    ///
+    /// # Panics
+    ///
+    /// As [`launch_grid_with`](WorkerPool::launch_grid_with): before any
+    /// block runs when `states` is shorter than
+    /// [`parallelism()`](WorkerPool::parallelism), and after the launch when
+    /// any block body panicked.
+    pub fn launch_each_with<T, S, F>(
+        &self,
+        items: &mut [T],
+        cancel: Option<&CancelToken>,
+        states: &mut [S],
+        body: F,
+    ) -> LaunchOutcome
+    where
+        T: Send,
+        S: Send,
+        F: Fn(&mut S, &mut T) + Sync,
+    {
+        let items = SharedSlice::new(items);
+        self.launch_grid_with(items.len(), cancel, states, |state, b| {
+            // SAFETY: `b < items.len()`, and each block index is claimed
+            // exactly once per launch, so no other reference to this
+            // element is live while the block runs.
+            let item = unsafe { &mut items.slice_mut(b, 1)[0] };
+            body(state, item);
+        })
+    }
+
+    /// The grid launch behind every entry point: runs `body(participant,
     /// block)` for every block, inline when there is nothing to share, else
     /// with one pool rendezvous.
     fn launch<F>(&self, blocks: usize, cancel: Option<&CancelToken>, body: F) -> LaunchOutcome
@@ -329,6 +404,7 @@ impl WorkerPool {
             cancel,
             next_block: AtomicUsize::new(0),
             blocks,
+            claim_divisor: CLAIM_DIVISOR * self.parallelism(),
             abandoned: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             pending: AtomicUsize::new(self.threads + 1),
@@ -826,5 +902,176 @@ mod tests {
         });
         assert!(outcome.completed);
         assert_eq!(ran.load(Ordering::Relaxed), 64);
+    }
+
+    /// Runs one `blocks`-block grid and asserts that every block ran once.
+    fn assert_every_block_once(pool: &WorkerPool, blocks: usize) {
+        let hits: Vec<AtomicUsize> = (0..blocks).map(|_| AtomicUsize::new(0)).collect();
+        pool.launch_grid(blocks, |b| {
+            hits[b].fetch_add(1, Ordering::Relaxed);
+        });
+        for (b, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "block {b} of {blocks}");
+        }
+    }
+
+    /// The tracker's degree-0 addition layer: 20,480 one-coefficient blocks.
+    const TRACKER_ADD_BLOCKS: usize = 20_480;
+
+    #[test]
+    fn guided_claims_run_every_block_exactly_once() {
+        for threads in [0usize, 1, 4] {
+            let pool = WorkerPool::new(threads);
+            for blocks in (0..=300).chain([TRACKER_ADD_BLOCKS]) {
+                assert_every_block_once(&pool, blocks);
+            }
+        }
+    }
+
+    #[test]
+    fn guided_claims_stay_exact_under_concurrent_launchers() {
+        for threads in [0usize, 1, 4] {
+            let pool = std::sync::Arc::new(WorkerPool::new(threads));
+            let launchers: Vec<_> = (0..4)
+                .map(|l| {
+                    let pool = std::sync::Arc::clone(&pool);
+                    std::thread::spawn(move || {
+                        for blocks in (l..=300).step_by(4).chain([TRACKER_ADD_BLOCKS]) {
+                            assert_every_block_once(&pool, blocks);
+                        }
+                    })
+                })
+                .collect();
+            for launcher in launchers {
+                assert!(launcher.join().is_ok(), "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn cancel_is_polled_before_each_block_not_each_chunk() {
+        // A trip in the middle of the grid: each other participant may have
+        // polled just before it, so at most one block body per other
+        // participant starts on a tripped token.  A poll per chunk would
+        // let whole chunks start tripped.
+        for threads in [0usize, 1, 4] {
+            let pool = WorkerPool::new(threads);
+            let token = CancelToken::new();
+            let blocks = 10_000;
+            let (ran, started_tripped) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let states = &mut vec![(); pool.parallelism()];
+            let completed = pool
+                .launch_grid_with(blocks, Some(&token), states, |_, b| {
+                    if token.is_cancelled() {
+                        started_tripped.fetch_add(1, Ordering::Relaxed);
+                    }
+                    std::hint::black_box((0..20).sum::<usize>());
+                    if b == blocks / 2 {
+                        token.cancel();
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+                .completed;
+            let (ran, started_tripped) = (ran.into_inner(), started_tripped.into_inner());
+            assert!(
+                started_tripped < pool.parallelism(),
+                "threads = {threads}: {started_tripped} blocks started after the trip"
+            );
+            assert_eq!(completed, ran == blocks, "threads = {threads}: ran {ran}");
+            if threads == 0 {
+                assert_eq!(ran, blocks / 2 + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn launch_each_with_lends_every_item_to_exactly_one_block() {
+        for threads in [0usize, 1, 4] {
+            let pool = WorkerPool::new(threads);
+            for len in (0..=40).chain([1_000]) {
+                let mut items = vec![0usize; len];
+                let mut states = lent_states(0, pool.parallelism());
+                let outcome =
+                    pool.launch_each_with(&mut items, None, &mut states, |state, item| {
+                        *item += 1;
+                        state.blocks += 1;
+                    });
+                assert!(outcome.completed);
+                assert!(items.iter().all(|&hits| hits == 1), "threads = {threads}");
+                let total: usize = states.iter().map(|s| s.blocks).sum();
+                assert_eq!(total, len, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn launch_each_with_never_uses_a_state_concurrently() {
+        for threads in [0usize, 1, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut states = lent_states(0, pool.parallelism());
+            let in_use: Vec<AtomicUsize> = states.iter().map(|_| AtomicUsize::new(0)).collect();
+            let overlap = AtomicUsize::new(0);
+            let mut items = vec![0usize; 256];
+            let outcome = pool.launch_each_with(&mut items, None, &mut states, |state, item| {
+                if in_use[state.index].fetch_add(1, Ordering::SeqCst) != 0 {
+                    overlap.fetch_add(1, Ordering::SeqCst);
+                }
+                std::hint::black_box((0..50).sum::<usize>());
+                state.blocks += 1;
+                *item = state.index + 1;
+                in_use[state.index].fetch_sub(1, Ordering::SeqCst);
+            });
+            assert!(outcome.completed);
+            assert_eq!(
+                overlap.into_inner(),
+                0,
+                "threads = {threads}: a state was used concurrently"
+            );
+            // Every item records the participant whose state ran it, and
+            // each state's count matches the items it ran.
+            for state in &states {
+                let ran = items.iter().filter(|&&p| p == state.index + 1).count();
+                assert_eq!(ran, state.blocks, "threads = {threads}");
+            }
+            assert!(items.iter().all(|&p| p != 0), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn launch_each_with_propagates_a_panic_after_every_other_item_ran() {
+        // On the pool every other item runs before the panic propagates;
+        // inline (no workers) the panic propagates at once, in item order.
+        for threads in [0usize, 1, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut items: Vec<(usize, bool)> = (0..64).map(|i| (i, false)).collect();
+            let mut states = vec![(); pool.parallelism()];
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let _ = pool.launch_each_with(&mut items, None, &mut states, |_, item| {
+                    if item.0 == 7 {
+                        panic!("item boom");
+                    }
+                    item.1 = true;
+                });
+            }));
+            assert!(result.is_err(), "threads = {threads}");
+            for &(i, ran) in &items {
+                let expected = if threads == 0 { i < 7 } else { i != 7 };
+                assert_eq!(ran, expected, "threads = {threads}, item {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn launch_each_with_panics_on_a_short_state_slice_before_any_block_runs() {
+        for threads in [0usize, 1, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut states = vec![(); pool.parallelism() - 1];
+            let mut items = vec![0usize; 8];
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let _ = pool.launch_each_with(&mut items, None, &mut states, |_, item| *item += 1);
+            }));
+            assert!(result.is_err(), "threads = {threads}");
+            assert!(items.iter().all(|&hits| hits == 0), "threads = {threads}");
+        }
     }
 }

@@ -18,12 +18,17 @@
 //! different connections reach the plan queue concurrently and coalesce —
 //! the wire path exercises exactly the in-process protocol.
 //!
+//! A line holds at most 64 MiB before its `\n`.  A longer line gets an
+//! error reply naming the limit, and then the connection closes, because
+//! the rest of that line cannot be told from the next request.  A line
+//! that is not UTF-8 gets an error reply, and the connection stays open.
+//!
 //! [`MetricsSnapshot`]: crate::MetricsSnapshot
 
 use crate::json::{num_array, obj, Json};
 use crate::service::{ServeError, Service};
 use psmd_multidouble::Precision;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,20 +94,73 @@ impl Drop for WireServer {
     }
 }
 
+/// The most bytes a request line may hold before its `\n`: 32 bytes for
+/// each of the 2,097,152 series coefficients a compiled source may span, so
+/// every admissible `eval` line fits.
+const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// What [`read_line`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LineRead {
+    /// A line, without its `\n` or `\r\n`, is in the buffer.
+    Line,
+    /// The stream ended before another byte.
+    End,
+    /// The line runs past the limit; only `limit + 1` of its bytes were
+    /// read.
+    TooLong,
+}
+
+/// Reads one line of at most `limit` bytes before its `\n` into `buf`,
+/// which is cleared first and reused across lines, and strips `\n` or
+/// `\r\n` as [`BufRead::lines`] does.  Unlike `lines`, it never buffers
+/// more than `limit + 1` bytes, however long the line.
+fn read_line(
+    reader: &mut impl BufRead,
+    limit: usize,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<LineRead> {
+    buf.clear();
+    let read = reader.take(limit as u64 + 1).read_until(b'\n', buf)?;
+    if read == 0 {
+        return Ok(LineRead::End);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if read > limit {
+        return Ok(LineRead::TooLong);
+    }
+    Ok(LineRead::Line)
+}
+
 fn handle_connection(service: Arc<Service>, stream: TcpStream) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = handle_line(&service, &line);
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let read = read_line(&mut reader, MAX_LINE_BYTES, &mut buf)?;
+        let reply = match read {
+            LineRead::End => return Ok(()),
+            LineRead::TooLong => error_reply(format!(
+                "request line longer than the limit of {MAX_LINE_BYTES} bytes"
+            )),
+            LineRead::Line => match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => handle_line(&service, line),
+                Err(_) => error_reply("request line is not UTF-8"),
+            },
+        };
         writer.write_all(reply.to_string().as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
+        if read == LineRead::TooLong {
+            // The rest of the line cannot be told from the next request.
+            return Ok(());
+        }
     }
-    Ok(())
 }
 
 fn error_reply(message: impl Into<String>) -> Json {
@@ -277,4 +335,57 @@ fn op_metrics(service: &Service, request: &Json) -> Result<Json, String> {
             Json::Num(snapshot.pool_rendezvous.unwrap_or(0) as f64),
         ),
     ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every line [`read_line`] reads from `input` at `limit`, until the
+    /// end of the stream or the first over-long line.
+    fn lines(input: &[u8], limit: usize) -> Vec<Result<String, LineRead>> {
+        let mut reader = input;
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        loop {
+            match read_line(&mut reader, limit, &mut buf).unwrap() {
+                LineRead::Line => lines.push(Ok(String::from_utf8(buf.clone()).unwrap())),
+                LineRead::End => return lines,
+                LineRead::TooLong => {
+                    lines.push(Err(LineRead::TooLong));
+                    return lines;
+                }
+            }
+        }
+    }
+
+    fn ok(line: &str) -> Result<String, LineRead> {
+        Ok(line.to_string())
+    }
+
+    #[test]
+    fn a_line_exactly_at_the_limit_is_read_whole() {
+        assert_eq!(lines(b"12345678\nab\n", 8), [ok("12345678"), ok("ab")]);
+        // The last line needs no newline, as with `lines()`.
+        assert_eq!(lines(b"12345678", 8), [ok("12345678")]);
+        assert_eq!(lines(b"", 8), []);
+    }
+
+    #[test]
+    fn a_line_one_byte_over_the_limit_is_too_long() {
+        assert_eq!(
+            lines(b"ab\n123456789\nnext\n", 8),
+            [ok("ab"), Err(LineRead::TooLong)]
+        );
+        assert_eq!(lines(b"123456789", 8), [Err(LineRead::TooLong)]);
+    }
+
+    #[test]
+    fn crlf_is_stripped_and_its_carriage_return_counts_toward_the_limit() {
+        assert_eq!(
+            lines(b"1234567\r\n\r\nx\r", 8),
+            [ok("1234567"), ok(""), ok("x\r")]
+        );
+        assert_eq!(lines(b"12345678\r\n", 8), [Err(LineRead::TooLong)]);
+    }
 }

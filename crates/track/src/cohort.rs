@@ -6,9 +6,12 @@
 //! [`Inputs::Batch`] request against the stacked `[G; F]` plan, runs it as
 //! a single fused launch sequence, then advances every lane's state machine
 //! — predict, correct, accept, reject or escalate — from its slice of the
-//! batched result.  A lane's linear solve starts and finishes inside its
-//! own step, so the solve scratch (residual, Jacobian, right-hand side,
-//! update and factorization) is one set per cohort, not one per lane.
+//! batched result.  The lane steps of a round are independent, so they run
+//! as one pool launch, one block per lane.  A lane's linear solve starts
+//! and finishes inside its own step, so the solve scratch (residual,
+//! Jacobian, right-hand side, update and factorization) is one per pool
+//! participant, not one per lane, and each solve overwrites it: the
+//! results do not depend on which participant ran a lane.
 //!
 //! At degree 0 each solve — the tangent and every Newton update — factors
 //! `∂H/∂x` in `f64` and lifts the update to the working precision.  Newton
@@ -115,6 +118,9 @@ struct Lane<C> {
     escalations: Vec<Precision>,
     phase: Phase,
     fate: Option<Fate>,
+    /// The batch slot the trial iterate was staged in this round; `None`
+    /// once the lane is terminal.
+    slot: Option<usize>,
 }
 
 impl<C: RealCoeff> Lane<C> {
@@ -156,6 +162,7 @@ impl<C: RealCoeff> Lane<C> {
             escalations: raw.escalations,
             phase: Phase::Priming,
             fate: None,
+            slot: None,
         }
     }
 
@@ -396,9 +403,9 @@ impl<C: RealCoeff> Lane<C> {
 /// that working-precision solves converge.
 const F64_SOLVE_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
 
-/// The solve scratch of a cohort.  A lane's solve starts and finishes
-/// inside its own [`Lane::process`] call, so one set of buffers serves
-/// every lane.
+/// The solve scratch of one pool participant.  A lane's solve starts and
+/// finishes inside its own [`Lane::process`] call, so one set of buffers
+/// serves every lane that participant runs.
 struct Scratch<C> {
     /// Combined residual `H` of the lane being processed.
     h: Vec<Series<C>>,
@@ -406,7 +413,8 @@ struct Scratch<C> {
     /// hand, at the working precision.
     rhs: Vec<Series<C>>,
     delta: Vec<Series<C>>,
-    /// The working-precision Jacobian and factorization (the fallback).
+    /// The working-precision Jacobian and factorization (the fallback),
+    /// both sized on their first solve.
     jac: Vec<Vec<Series<C>>>,
     solver: LinearSolveWorkspace<C>,
     /// The degree-0 `f64` Jacobian, right-hand side, solution and
@@ -415,19 +423,21 @@ struct Scratch<C> {
     rhs_f64: Vec<Series<Md1>>,
     delta_f64: Vec<Series<Md1>>,
     solver_f64: LinearSolveWorkspace<Md1>,
-    /// Corrector iterations this cohort's lanes took.
+    /// Corrector iterations the lanes run on this scratch took.
     iterations: usize,
     /// Solves that ran at the working precision.
     working_precision_solves: usize,
+    /// The error of the lowest batch slot whose step failed this round.
+    failure: Option<(usize, Error)>,
 }
 
 impl<C: RealCoeff> Scratch<C> {
     fn new(n: usize, degree: usize) -> Self {
-        Self {
+        let mut scratch = Self {
             h: vec![Series::zero(degree); n],
             rhs: vec![Series::zero(degree); n],
             delta: vec![Series::zero(degree); n],
-            jac: vec![vec![Series::zero(degree); n]; n],
+            jac: Vec::new(),
             solver: LinearSolveWorkspace::new(),
             jac_f64: vec![vec![Series::zero(0); n]; n],
             rhs_f64: vec![Series::zero(0); n],
@@ -435,6 +445,32 @@ impl<C: RealCoeff> Scratch<C> {
             solver_f64: LinearSolveWorkspace::new(),
             iterations: 0,
             working_precision_solves: 0,
+            failure: None,
+        };
+        // A factorization sizes its buffers on its first solve.  Solving the
+        // `f64` identity here (in the scratch's own buffers, which every
+        // solve overwrites) moves that to construction, so a degree-0 lane
+        // step that stays in `f64` allocates nothing on whichever
+        // participant runs it.  The working-precision fallback, which a
+        // degree-0 cohort rarely needs and which costs a few hundred
+        // microseconds per 3d solve, sizes its buffers lazily instead.
+        for (i, row) in scratch.jac_f64.iter_mut().enumerate() {
+            row[i].set_coeff(0, Md1::one());
+        }
+        try_solve_linearized_into(
+            &scratch.jac_f64,
+            &scratch.rhs_f64,
+            &mut scratch.solver_f64,
+            &mut scratch.delta_f64,
+        )
+        .expect("the identity factors");
+        scratch
+    }
+
+    /// Keeps `error` if its batch slot is the lowest that failed here.
+    fn fail(&mut self, slot: usize, error: Error) {
+        if self.failure.as_ref().is_none_or(|(kept, _)| slot < *kept) {
+            self.failure = Some((slot, error));
         }
     }
 
@@ -469,6 +505,10 @@ impl<C: RealCoeff> Scratch<C> {
             }
         }
         self.working_precision_solves += 1;
+        if self.jac.is_empty() {
+            let n = hom.num_variables();
+            self.jac = vec![vec![Series::zero(hom.degree()); n]; n];
+        }
         hom.combine_jacobian_into(eval, t, &mut self.jac);
         try_solve_linearized_into(&self.jac, &self.rhs, &mut self.solver, &mut self.delta)?;
         Ok(self.solver.conditioning())
@@ -495,16 +535,15 @@ pub(crate) struct CohortOutcome {
 }
 
 /// All paths live at one precision, plus the shared batched-evaluation
-/// plumbing: the staged input batch, the reused output and the one solve
-/// scratch every lane borrows in turn.  Every sweep evaluates through a
-/// workspace parked in the precision's plan.
+/// plumbing: the staged input batch, the reused output and one solve
+/// scratch per pool participant.  Every sweep evaluates through a workspace
+/// parked in the precision's plan.
 pub(crate) struct Cohort<C: RealCoeff> {
     homotopy: Homotopy<C>,
     precision: Precision,
     lanes: Vec<Lane<C>>,
-    scratch: Scratch<C>,
-    /// Lane indices staged this round, in batch-slot order.
-    live: Vec<usize>,
+    /// One solve scratch per participant of the engine's pool.
+    scratches: Vec<Scratch<C>>,
     batch: Vec<Vec<Series<C>>>,
     out: EvalOutput<C>,
     corrector_launches: usize,
@@ -529,8 +568,9 @@ impl<C: RealCoeff> Cohort<C> {
         Ok(Self {
             homotopy,
             precision,
-            scratch: Scratch::new(n, degree),
-            live: Vec::with_capacity(lanes.len()),
+            scratches: (0..engine.pool().parallelism())
+                .map(|_| Scratch::new(n, degree))
+                .collect(),
             batch,
             lanes,
             out: EvalOutput::SystemBatch(SystemBatchEvaluation::empty()),
@@ -540,28 +580,32 @@ impl<C: RealCoeff> Cohort<C> {
 
     /// Runs one coalesced corrector sweep over every live lane: stage all
     /// trial iterates, evaluate them in **one** batched launch, advance
-    /// every state machine.  Returns `false` when no lane is live anymore.
-    pub fn round(&mut self, options: &TrackOptions) -> Result<bool, Error> {
-        self.live.clear();
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if lane.fate.is_none() {
-                self.live.push(i);
+    /// every state machine in one launch on `engine`'s pool (the engine the
+    /// cohort was built with).  Returns `false` when no lane is live
+    /// anymore.
+    ///
+    /// # Errors
+    ///
+    /// The error of the lowest batch slot whose step failed.
+    pub fn round(&mut self, engine: &Engine, options: &TrackOptions) -> Result<bool, Error> {
+        let mut staged = 0;
+        for lane in &mut self.lanes {
+            lane.slot = None;
+            if lane.fate.is_some() {
+                continue;
             }
+            for (input, xt) in self.batch[staged].iter_mut().zip(lane.x_trial.iter()) {
+                input.copy_from_coeffs(xt.coeffs());
+            }
+            lane.slot = Some(staged);
+            staged += 1;
         }
-        if self.live.is_empty() {
+        if staged == 0 {
             return Ok(false);
-        }
-        for (slot, &i) in self.live.iter().enumerate() {
-            for (staged, xt) in self.batch[slot]
-                .iter_mut()
-                .zip(self.lanes[i].x_trial.iter())
-            {
-                staged.copy_from_coeffs(xt.coeffs());
-            }
         }
         self.homotopy
             .plan()
-            .request(Inputs::Batch(&self.batch[..self.live.len()]))
+            .request(Inputs::Batch(&self.batch[..staged]))
             .into(&mut self.out)
             .run();
         self.corrector_launches += 1;
@@ -569,16 +613,28 @@ impl<C: RealCoeff> Cohort<C> {
             .out
             .as_system_batch()
             .expect("a batched system request fills a SystemBatch output");
-        for (slot, &i) in self.live.iter().enumerate() {
-            self.lanes[i].process(
-                &self.homotopy,
-                &evals.instances[slot],
-                &mut self.scratch,
-                self.precision,
-                options,
-            )?;
+        let (homotopy, precision) = (&self.homotopy, self.precision);
+        let _ = engine.pool().launch_each_with(
+            &mut self.lanes,
+            None,
+            &mut self.scratches,
+            |scratch, lane| {
+                let Some(slot) = lane.slot else { return };
+                let eval = &evals.instances[slot];
+                if let Err(e) = lane.process(homotopy, eval, scratch, precision, options) {
+                    scratch.fail(slot, e);
+                }
+            },
+        );
+        match self
+            .scratches
+            .iter_mut()
+            .filter_map(|scratch| scratch.failure.take())
+            .min_by_key(|&(slot, _)| slot)
+        {
+            Some((_, e)) => Err(e),
+            None => Ok(true),
         }
-        Ok(true)
     }
 
     /// Tears the cohort down into reports and escalation requests.
@@ -595,8 +651,12 @@ impl<C: RealCoeff> Cohort<C> {
             reports,
             escalated,
             corrector_launches: self.corrector_launches,
-            iterations: self.scratch.iterations,
-            working_precision_solves: self.scratch.working_precision_solves,
+            iterations: self.scratches.iter().map(|s| s.iterations).sum(),
+            working_precision_solves: self
+                .scratches
+                .iter()
+                .map(|s| s.working_precision_solves)
+                .sum(),
         }
     }
 }

@@ -26,7 +26,9 @@
 //!    into one `Inputs::Batch` request, so a single coalesced launch
 //!    sequence serves every path's Newton iteration
 //!    ([`TrackStats::corrector_launches`] counts them — the batching win
-//!    over tracking paths one at a time).
+//!    over tracking paths one at a time).  The paths' host steps of a
+//!    sweep then run as one launch on the engine's pool, one block per
+//!    path.
 //! 3. **Precision as a runtime resource.**  Paths start at double precision
 //!    and escalate individually through the multiple-double ladder
 //!    (`1d → 2d → 3d → 4d → 5d → 8d → 10d`) only when the corrector stalls

@@ -86,7 +86,7 @@ impl Tracker {
             let outcome = with_precision!(precision, N => {
                 let mut cohort =
                     Cohort::<Md<N>>::new(&self.spec, engine, &self.options, precision, pending)?;
-                while cohort.round(&self.options)? {}
+                while cohort.round(engine, &self.options)? {}
                 cohort.finish()
             });
             stats.corrector_launches += outcome.corrector_launches;

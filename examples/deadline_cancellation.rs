@@ -3,8 +3,8 @@
 //! Three demonstrations on one engine:
 //!
 //! 1. **Epoch-check overhead** — the same plan evaluated with and without
-//!    a (never-tripped) `CancelToken` armed.  The token is polled once per
-//!    block claim, never inside kernel arithmetic, so the armed median
+//!    a (never-tripped) `CancelToken` armed.  The token is polled before
+//!    each block, never inside kernel arithmetic, so the armed median
 //!    must sit in the unarmed run-to-run noise.
 //! 2. **Abandon latency** — a token tripped from another thread while a
 //!    launch is in flight; the launch abandons at the next block boundary

@@ -292,6 +292,68 @@ fn wire_deeply_nested_line_gets_an_error_reply() {
 }
 
 #[test]
+fn wire_over_long_line_gets_an_error_reply_and_the_server_survives() {
+    // The server's private line limit (64 MiB before the newline).
+    const MAX_LINE_BYTES: usize = 64 << 20;
+    let service = Arc::new(Service::new(
+        Engine::builder().threads(0).build(),
+        ServeConfig::default(),
+    ));
+    let mut server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(&server);
+
+    // One byte past the limit, with no newline: the server stops reading
+    // there instead of buffering whatever follows.
+    let chunk = vec![b'a'; 1 << 20];
+    let mut left = MAX_LINE_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        client.writer.write_all(&chunk[..n]).expect("write");
+        left -= n;
+    }
+    client.writer.flush().expect("flush");
+    let mut reply = String::new();
+    client.reader.read_line(&mut reply).expect("read");
+    let reply = Json::parse(&reply).expect("reply must be valid json");
+    assert!(!ok(&reply), "{reply:?}");
+    let message = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{message}");
+
+    // The rest of that line cannot be resynchronized, so the server closes
+    // the connection; a new one is served.
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).expect("read"), 0);
+    let reply = Client::connect(&server).roundtrip(r#"{"op":"ping"}"#);
+    assert!(ok(&reply), "{reply:?}");
+    server.shutdown();
+}
+
+#[test]
+fn wire_non_utf8_line_gets_an_error_reply() {
+    let service = Arc::new(Service::new(
+        Engine::builder().threads(0).build(),
+        ServeConfig::default(),
+    ));
+    let mut server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(&server);
+    client
+        .writer
+        .write_all(b"{\"op\":\"\xff\"}\n")
+        .expect("write");
+    let mut reply = String::new();
+    client.reader.read_line(&mut reply).expect("read");
+    let reply = Json::parse(&reply).expect("reply must be valid json");
+    assert!(!ok(&reply), "{reply:?}");
+    let message = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("UTF-8"), "{message}");
+
+    // The line boundary is intact, so the connection stays usable.
+    let reply = client.roundtrip(r#"{"op":"ping"}"#);
+    assert!(ok(&reply), "{reply:?}");
+    server.shutdown();
+}
+
+#[test]
 fn wire_shutdown_is_idempotent_and_rebinds() {
     let service = Arc::new(Service::new(
         Engine::builder().threads(0).build(),

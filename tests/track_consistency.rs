@@ -360,6 +360,23 @@ fn double_precision_endpoints_are_pinned() {
     assert_on_roots(&outcome, &targets(4, seed), 1e-8);
 }
 
+/// A tracker for one block whose target roots 1 and 1 + 2δ, δ = 2^-exponent,
+/// are exact doubles.
+fn near_double_roots(exponent: i32, tolerance: f64) -> Tracker {
+    let delta = 2f64.powi(-exponent);
+    let spec = HomotopySpec::new(
+        2,
+        0,
+        block(0, 0.0, -1.0),
+        block(0, 2.0 + 2.0 * delta, 1.0 + 2.0 * delta),
+    );
+    let options = TrackOptions {
+        final_tolerance: tolerance,
+        ..TrackOptions::default()
+    };
+    Tracker::new(spec, options).unwrap()
+}
+
 #[test]
 fn near_double_roots_fall_back_to_working_precision_solves() {
     // One block whose target roots 1 and 1 + 2δ are exact doubles: the
@@ -385,18 +402,7 @@ fn near_double_roots_fall_back_to_working_precision_solves() {
     ];
     for (exponent, tolerance, top) in cases {
         let delta = 2f64.powi(-exponent);
-        let spec = HomotopySpec::new(
-            2,
-            0,
-            block(0, 0.0, -1.0),
-            block(0, 2.0 + 2.0 * delta, 1.0 + 2.0 * delta),
-        );
-        let options = TrackOptions {
-            final_tolerance: tolerance,
-            ..TrackOptions::default()
-        };
-        let outcome = Tracker::new(spec, options)
-            .unwrap()
+        let outcome = near_double_roots(exponent, tolerance)
             .track(&engine, &starts)
             .unwrap();
         let case = format!("δ = 2^-{exponent}, tolerance {tolerance:e}");
@@ -423,6 +429,39 @@ fn near_double_roots_fall_back_to_working_precision_solves() {
 }
 
 #[test]
+fn near_double_root_fallbacks_are_thread_invariant() {
+    // The δ = 2⁻⁴⁰ cases take working-precision fallback solves, each on
+    // the scratch of whichever pool participant runs the lane's step.  The
+    // endpoints, every report field and the stats must not depend on the
+    // worker count.
+    let starts = [vec![1.0, -1.0], vec![-1.0, 1.0]];
+    for tolerance in [1e-40, 1e-60] {
+        let tracker = near_double_roots(40, tolerance);
+        let reference = tracker
+            .track(&Engine::builder().threads(0).build(), &starts)
+            .unwrap();
+        assert_eq!(reference.stats.converged, 2, "tolerance {tolerance:e}");
+        assert!(reference.stats.working_precision_solves > 0);
+        for threads in [1, 4] {
+            let run = tracker
+                .track(&Engine::builder().threads(threads).build(), &starts)
+                .unwrap();
+            // Debug prints every f64 in its shortest round-trip form, so
+            // equal strings mean equal bits in every field.
+            assert_eq!(
+                format!("{:?}", run.reports),
+                format!("{:?}", reference.reports),
+                "tolerance {tolerance:e}, threads = {threads}"
+            );
+            assert_eq!(
+                run.stats, reference.stats,
+                "tolerance {tolerance:e}, threads = {threads}"
+            );
+        }
+    }
+}
+
+#[test]
 fn steady_state_corrector_sweeps_are_allocation_free() {
     // Two runs of the same family on one engine, differing only in step
     // size: the long run takes 4x the steps (and so issues 4x the corrector
@@ -434,6 +473,11 @@ fn steady_state_corrector_sweeps_are_allocation_free() {
     // contract and excluded here by a tolerance the start precision
     // reaches.  At 2d and 3d every correction is solved in f64 and lifted,
     // so those rows gate the rounding, the lift and the cohort's scratch.
+    // `measure_allocs` counts only the measuring thread (see
+    // `crates/bench/src/alloc_counter.rs`), and on a pool the lane steps
+    // run on every participant.  So the 0-worker rows, which run every lane
+    // step on the measuring thread, are the ones that gate the lane step
+    // itself; the 1- and 4-worker rows gate the launcher's share.
     let spec = family(2, 7);
     let starts = start_solutions(2);
     let rows = [
@@ -443,7 +487,7 @@ fn steady_state_corrector_sweeps_are_allocation_free() {
     ];
     for ((precision, tolerance), threads) in rows
         .into_iter()
-        .flat_map(|row| [0, 1].map(|threads| (row, threads)))
+        .flat_map(|row| [0, 1, 4].map(|threads| (row, threads)))
     {
         let tracker_with_step = |step: f64| {
             Tracker::new(
